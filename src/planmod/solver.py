@@ -44,6 +44,13 @@ class Instance:
             raise InputError("budget k must be non-negative")
         if self.r_set is not None and not frozenset(self.r_set) <= self.graph.vertices:
             raise InputError("annotation set contains unknown vertices")
+        # the pipeline's irrelevance argument is stated for annotated
+        # sentences; unannotated, the witnesses could leave R
+        if isinstance(self.phi, GaifmanSentence) and not self.phi.annotated \
+                and self.scope() != self.graph.vertices:
+            raise InputError("an unannotated sentence needs the annotation set "
+                             "to be all of V; drop the annotation or annotate "
+                             "the sentence")
 
     def scope(self) -> frozenset:
         return frozenset(self.r_set) if self.r_set is not None else self.graph.vertices
@@ -109,76 +116,232 @@ def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
 
 # -- minor models -------------------------------------------------------------------
 
+def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
+    """Exact reasons why `host` has no minor model of `pattern` whose branch
+    sets contain the nonempty `forced` ones. True is a proof, never a guess."""
+    if len(host.vertices) < len(pattern.vertices) \
+            or len(host.edges) < len(pattern.edges):
+        return True
+    # a minor of a planar graph is planar
+    if is_planar(host) and not is_planar(pattern):
+        return True
+    if len(host.vertices) == len(pattern.vertices):
+        # every branch set is one vertex, so the model is a subgraph: each
+        # forced vertex needs its pattern vertex's degree, and the degree
+        # sequence of the host must dominate the pattern's
+        if any(len(vs) == 1 and host.degree(next(iter(vs))) < pattern.degree(p)
+               for p, vs in forced.items()):
+            return True
+        host_deg = sorted((len(ns) for ns in host.adj.values()), reverse=True)
+        pattern_deg = sorted((len(ns) for ns in pattern.adj.values()), reverse=True)
+        if any(h < p for h, p in zip(host_deg, pattern_deg)):
+            return True
+    return False
+
+
+def _connected_sets(host: Graph, starts: list, allowed: set, max_size: int):
+    """Every connected subset of `allowed` with at most `max_size` vertices
+    that holds a vertex of `starts`, each exactly once: a set is generated
+    from its first start, and every branch excludes the candidates it
+    skipped."""
+    def grow(s, cands, excluded):
+        yield s
+        if len(s) >= max_size:
+            return
+        for i, v in enumerate(cands):
+            skip = excluded | set(cands[:i]) | {v}
+            new = [w for w in sorted(host.adj[v], key=vertex_key)
+                   if w in allowed and w not in skip and w not in cands]
+            yield from grow(s | {v}, cands[i + 1:] + new, skip)
+
+    banned = set()
+    for v in starts:
+        banned.add(v)
+        yield from grow(frozenset((v,)),
+                        [w for w in sorted(host.adj[v], key=vertex_key)
+                         if w in allowed and w not in banned], set(banned))
+
+
+def _placement_order(pattern: Graph, hub, forced: dict) -> tuple:
+    """(order, twin_of): the pattern vertices other than the hub, each with
+    as many earlier neighbours as possible, and for each vertex the previous
+    one of its twin class. A twin class holds unforced vertices that
+    pairwise have the same other neighbours, so permuting its branch sets
+    gives another model and the search may keep them in increasing order."""
+    order, rest = [], [p for p in pattern.sorted_vertices() if p != hub]
+    while rest:
+        p = max(rest, key=lambda q: len(pattern.adj[q] & set(order)))
+        order.append(p)
+        rest.remove(p)
+    classes, twin_of = [], {}
+    for p in order:
+        if p in forced:
+            continue
+        for cls in classes:
+            if all(pattern.adj[p] - {q} == pattern.adj[q] - {p} for q in cls):
+                twin_of[p] = cls[-1]
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return order, twin_of
+
+
+def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
+    """Exact reasons why `host` has no minor model of `pattern` whose branch
+    sets contain the nonempty `forced` ones. True is a proof, never a guess."""
+    if len(host.vertices) < len(pattern.vertices) \
+            or len(host.edges) < len(pattern.edges):
+        return True
+    # a minor of a planar graph is planar
+    if is_planar(host) and not is_planar(pattern):
+        return True
+    if len(host.vertices) == len(pattern.vertices):
+        # every branch set is one vertex, so the model is a subgraph: each
+        # forced vertex needs its pattern vertex's degree, and the degree
+        # sequence of the host must dominate the pattern's
+        if any(len(vs) == 1 and host.degree(next(iter(vs))) < pattern.degree(p)
+               for p, vs in forced.items()):
+            return True
+        host_deg = sorted((len(ns) for ns in host.adj.values()), reverse=True)
+        pattern_deg = sorted((len(ns) for ns in pattern.adj.values()), reverse=True)
+        if any(h < p for h, p in zip(host_deg, pattern_deg)):
+            return True
+    return False
+
+
 def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
                      node_budget: int = 100_000) -> dict | None:
     """A minor model of `pattern` in `host` (connected disjoint branch sets,
-    host edge behind every pattern edge), grown by backtracking. `forced`
-    seeds branch sets that may still grow. None means none found within the
-    budget; the caller must not read absence as a proof."""
-    if len(pattern.vertices) > len(host.vertices):
+    host edge behind every pattern edge) whose branch sets contain the
+    `forced` ones. None means none exists or none was found within the
+    budget; the caller must not read absence as a proof.
+
+    A connected pattern with forced branch sets is searched for only in the
+    component that holds them, and `_cannot_host` rules out hosts that are
+    too small, planar, or too sparse in degree. The search then places one
+    final branch set at a time, each connected and touching the sets of the
+    pattern neighbours placed before it, under a cap on the size of a set
+    that rises until it no longer cuts anything off. The first forced branch
+    set, the hub, is never chosen: it is everything connected to its seed
+    outside the other sets, which contains any other choice and so loses no
+    model. Every branch set considered costs one node of `node_budget`."""
+    forced = {p: frozenset(vs) for p, vs in (forced or {}).items() if vs}
+    seeds = frozenset().union(*forced.values())
+    if seeds and pattern.is_connected():
+        comp = host.component_of(next(iter(seeds)))
+        if not seeds <= comp:
+            return None
+        host = host.induced(comp)
+    if _cannot_host(host, pattern, forced):
         return None
-    porder = pattern.sorted_vertices()
-    sets = {p: frozenset() for p in porder}
-    if forced:
-        for p, vs in forced.items():
-            sets[p] = frozenset(vs)
-    used = set().union(*sets.values())
+    hub = min(forced, key=vertex_key) if forced else None
+    order, twin_of = _placement_order(pattern, hub, forced)
+    earlier = {p: [q for q in order[:i] if q in pattern.adj[p]]
+               for i, p in enumerate(order)}
+    sets: dict = {}
+    used = set(seeds)
     budget = [node_budget]
+    cap = [0]
+    capped = [False]
 
-    def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("minor-model search exceeded its node budget")
+    def touching(a, b) -> bool:
+        return any(host.adj[x] & b for x in a)
 
-    def edge_ok(pu, pv):
-        return any(host.has_edge(a, b) for a in sets[pu] for b in sets[pv])
+    def hub_set():
+        # everything reachable from the hub's seed outside the other sets
+        seed = forced[hub]
+        start = next(iter(seed))
+        reach, stack = {start}, [start]
+        while stack:
+            for b in host.adj[stack.pop()]:
+                if b not in reach and (b in seed or b not in used):
+                    reach.add(b)
+                    stack.append(b)
+        return frozenset(reach) if seed <= reach else None
 
-    def violation():
-        for p in porder:
-            if not sets[p]:
-                return ("empty", p)
-        for pu, pv in pattern.sorted_edges():
-            if not edge_ok(pu, pv):
-                return ("edge", (pu, pv))
-        return None
+    def stranded(later: list) -> bool:
+        # an unplaced unforced set lies in one component of the unused
+        # vertices, which must touch the sets of its placed neighbours
+        comp = {}
+        for v in host.vertices:
+            if v in used or v in comp:
+                continue
+            comp[v] = v
+            stack = [v]
+            while stack:
+                for b in host.adj[stack.pop()]:
+                    if b not in used and b not in comp:
+                        comp[b] = v
+                        stack.append(b)
+        touches = {q: {comp[w] for a in vs for w in host.adj[a] if w in comp}
+                   for q, vs in sets.items()}
+        open_sets = {q for q in later if q not in forced}
+        for q in open_sets:
+            need = [touches[w] for w in pattern.adj[q] if w in sets]
+            if need and not set.intersection(*need):
+                return True
+        # a placed set meets each unplaced unforced neighbour in an unused
+        # vertex of its own
+        return any(len({w for a in vs for w in host.adj[a] if w in comp})
+                   < len(pattern.adj[q] & open_sets) for q, vs in sets.items())
 
-    def attach_candidates(p):
-        if not sets[p]:
-            return [v for v in host.sorted_vertices() if v not in used]
-        border = set()
-        for a in sets[p]:
-            border |= host.adj[a]
-        return [v for v in sorted(border, key=vertex_key) if v not in used]
-
-    def search() -> bool:
-        spend()
-        bad = violation()
-        if bad is None:
+    def hub_ok() -> bool:
+        if hub is None:
             return True
-        if bad[0] == "empty":
-            p = bad[1]
-            for v in attach_candidates(p):
-                sets[p] = frozenset((v,))
-                used.add(v)
-                if search():
-                    return True
-                used.remove(v)
-                sets[p] = frozenset()
-            return False
-        pu, pv = bad[1]
-        for p in (pu, pv):
-            for v in attach_candidates(p):
-                sets[p] = sets[p] | {v}
-                used.add(v)
-                if search():
-                    return True
-                used.remove(v)
-                sets[p] = sets[p] - {v}
-        return False
+        now = hub_set()
+        return now is not None and all(touching(now, sets[q])
+                                       for q in pattern.adj[hub] if q in sets)
+
+    def place(i: int) -> dict | None:
+        if i == len(order):
+            if hub is None:
+                return dict(sets)
+            now = hub_set()
+            return None if now is None else {**sets, hub: now}
+        p = order[i]
+        own = forced.get(p, frozenset())
+        allowed = (host.vertices - used) | own
+        after = sum(1 for q in order[i + 1:] if q not in forced)
+        # each empty branch set needs an unused vertex of its own
+        if len(allowed - own) < after + (0 if own else 1):
+            return None
+        room = len(allowed) - after
+        if cap[0] < room:
+            capped[0] = True
+        near = [sets[q] for q in earlier[p]]
+        if own:
+            starts = [min(own, key=vertex_key)]
+        elif near:
+            starts = sorted({w for a in near[0] for w in host.adj[a]} & allowed,
+                            key=vertex_key)
+        else:
+            starts = sorted(allowed, key=vertex_key)
+        low = vertex_key(min(sets[twin_of[p]], key=vertex_key)) if p in twin_of else None
+        for cand in _connected_sets(host, starts, allowed, min(cap[0], room)):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise ResourceLimitError("minor-model search exceeded its node budget")
+            if not own <= cand or not all(touching(cand, e) for e in near):
+                continue
+            if low is not None and vertex_key(min(cand, key=vertex_key)) < low:
+                continue
+            sets[p] = cand
+            used.update(cand)
+            if hub_ok() and not stranded(order[i + 1:]):
+                model = place(i + 1)
+                if model is not None:
+                    return model
+            used.difference_update(cand - own)
+            del sets[p]
+        return None
 
     try:
-        if search():
-            return dict(sets)
+        for cap[0] in range(1, len(host.vertices) + 1):
+            capped[0] = False
+            model = place(0)
+            if model is not None or not capped[0]:
+                return model
     except ResourceLimitError:
         return None
     return None
@@ -187,7 +350,18 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
 def has_k5_star_minor(g: Graph, center, copies: int,
                       node_budget: int = 100_000) -> bool:
     """Does g contain a (K5, copies)-star minor with `center` in the central
-    branch set? Absence within the budget is reported as False."""
+    branch set?
+
+    Absence is proved without backtracking when
+    (a) the search is confined to the centre's component, since the pattern
+        is connected, and that component
+    (b) has fewer vertices or fewer edges than the pattern,
+    (c) is planar, since the pattern contains K5 (Wagner), or
+    (d) has exactly as many vertices as the pattern, so every branch set is
+        one vertex, and the centre's degree is below the hub's or the degree
+        sequence does not dominate the pattern's.
+    Otherwise `find_minor_model` backtracks; when it uses up `node_budget`
+    the answer is False too, which the caller must not read as a proof."""
     pattern, hub = k5_star(copies)
     pattern = Graph({f"p{v}" for v in pattern.vertices},
                     ((f"p{u}", f"p{v}") for u, v in pattern.edges))

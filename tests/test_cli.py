@@ -71,6 +71,22 @@ class TestSolve:
         assert code == 1  # empty scope: nothing may be removed
 
 
+    def test_unannotated_sentence_with_annotation_exits_two(self, tmp_path, capsys):
+        g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+        path = _write_graph(tmp_path / "p4.json", g)
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({
+            "basics": [{"ell": 1, "r": 1, "psi": "~(exists y. adj(x,y))"}],
+            "combination": "1", "annotated": False}))
+        ann = tmp_path / "r.json"
+        ann.write_text("[1]")
+        code = main(["solve", path, "--op", "vr", "-k", "1", "--gaifman", str(phi),
+                     "--annotated", str(ann), "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "soundness" not in err
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -127,3 +143,19 @@ class TestBench:
         code = main(["bench", "--seed", "5", "-n", "4", "--out", str(out)])
         assert code == 0
         assert "oracle" in out.read_text()
+
+    def test_each_engine_starts_on_cold_caches(self, tmp_path, monkeypatch):
+        from planmod import cli
+        from planmod.planarity import is_planar
+        sizes = []
+
+        def spy(engine):
+            def run(*args, **kwargs):
+                sizes.append(is_planar.cache_info().currsize)
+                return engine(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(cli, "solve_oracle", spy(cli.solve_oracle))
+        monkeypatch.setattr(cli, "solve_pipeline", spy(cli.solve_pipeline))
+        main(["bench", "--seed", "5", "-n", "3", "--out", str(tmp_path / "b.txt")])
+        assert sizes == [0] * 6

@@ -6,7 +6,8 @@ from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import TRIVIALLY_TRUE, random_instances
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
-                            make_grid, path_graph, verify_minor_model)
+                            make_grid, make_triangulated_grid, path_graph,
+                            relabel, verify_minor_model)
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
@@ -14,14 +15,37 @@ from planmod.modification import (ModificationSet, Operation,
 from planmod.planarity import is_planar
 from planmod.signatures import compute_parameters, is_triple
 from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
-                            NoInstance, ObligatoryVertex, WallArea, find_area,
-                            find_minor_model, find_vertex, has_k5_star_minor,
-                            reduce_instance, solve_oracle, solve_pipeline)
+                            NoInstance, ObligatoryVertex, WallArea, _cannot_host,
+                            find_area, find_minor_model, find_vertex,
+                            has_k5_star_minor, reduce_instance, solve_oracle,
+                            solve_pipeline)
 from planmod.treewidth import validate_decomposition
 from planmod.walls import analyze_wall, make_elementary_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
+
+
+def _planted_star(rng, copies):
+    """A host with a planted (K5, copies)-star model: random connected branch
+    sets of 1-3 vertices, one edge behind each pattern edge, random extra
+    edges, a disjoint extra component and shuffled ids. Returns (host, the
+    centre, pattern, hub)."""
+    pattern, hub = k5_star(copies)
+    branch, edges, nxt = {}, [], 0
+    for p in pattern.sorted_vertices():
+        members = list(range(nxt, nxt + rng.randint(1, 3)))
+        nxt += len(members)
+        edges += [(v, rng.choice(members[:i])) for i, v in enumerate(members) if i]
+        branch[p] = members
+    edges += [(rng.choice(branch[p]), rng.choice(branch[q])) for p, q in pattern.edges]
+    edges += [tuple(rng.sample(range(nxt), 2)) for _ in range(rng.randint(0, 6))]
+    extra = list(range(nxt, nxt + rng.randint(3, 8)))
+    edges += [(v, rng.choice(extra[:i])) for i, v in enumerate(extra) if i]
+    ids = list(range(extra[-1] + 1))
+    rng.shuffle(ids)
+    host = relabel(Graph(range(len(ids)), edges), dict(enumerate(ids)))
+    return host, ids[rng.choice(branch[hub])], pattern, hub
 
 
 class TestOracle:
@@ -54,6 +78,20 @@ class TestOracle:
         assert solve_oracle(Instance(complete_graph(5), 1, Operation.VR, phi))
 
 
+class TestInstance:
+    def test_unannotated_sentence_needs_full_scope(self):
+        # the pipeline once answered False here while the oracle said True
+        isolated = GaifmanSentence(
+            (BasicSentence(1, 1, parse_formula("~(exists y. adj(x,y))")),),
+            parse_combination("1"), annotated=False)
+        g = path_graph(4)
+        with pytest.raises(InputError):
+            Instance(g, 1, Operation.VR, isolated, frozenset({1}))
+        # a full scope, or no scope at all, is still accepted
+        Instance(g, 1, Operation.VR, isolated, g.vertices)
+        assert solve_pipeline(Instance(g, 1, Operation.VR, isolated)).answer
+
+
 class TestMinorModels:
     def test_k5_star_in_itself(self):
         g, hub = k5_star(2)
@@ -77,6 +115,56 @@ class TestMinorModels:
         e = (1, 2)
         g = g.remove_edges([e]).add_vertices([99]).add_edges([(1, 99), (99, 2)])
         assert has_k5_star_minor(g, hub, 2)
+
+    def test_planted_models_are_found(self):
+        rng = random.Random(20211)
+        for trial in range(24):
+            copies = 1 + trial % 2
+            host, center, pattern, hub = _planted_star(rng, copies)
+            assert has_k5_star_minor(host, center, copies)
+            model = find_minor_model(host, pattern, forced={hub: {center}})
+            assert model is not None and center in model[hub]
+            assert verify_minor_model(host, pattern, model)
+
+    def test_absent_on_planar_hosts(self):
+        pattern, hub = k5_star(2)
+        for g in (make_grid(6, 6).graph, make_triangulated_grid(6)[0]):
+            for center in g.sorted_vertices()[::7]:
+                assert not has_k5_star_minor(g, center, 1)
+                assert not has_k5_star_minor(g, center, 2)
+            assert _cannot_host(g, pattern, {hub: {0}})
+
+    def test_absent_one_edge_short(self):
+        pattern, hub = k5_star(2)
+        short = pattern.remove_edges([(1, 2)])  # same size, 19 edges
+        # 10 vertices, 19 edges, still nonplanar through the intact K5
+        spread = pattern.remove_edges([(5, 6), (7, 8)]).add_vertices([9]) \
+            .add_edges([(8, 9)])
+        for g in (short, spread):
+            assert len(g.edges) == len(pattern.edges) - 1 and not is_planar(g)
+            assert not has_k5_star_minor(g, hub, 2)
+            assert _cannot_host(g, pattern, {hub: {hub}})
+
+    def test_absent_when_same_size_degrees_too_low(self):
+        pattern, hub = k5_star(2)
+        # K5 on 0-4 beside K4 on 5-8: 20 edges, centre 0 of degree 6 < 8
+        low_center = disjoint_union(complete_graph(5), complete_graph(4, offset=5)) \
+            .add_edges([(0, 5), (0, 6), (1, 5), (2, 6)])
+        # centre of degree 8, but three vertices of degree 2-3 below the
+        # pattern's 4: the degree sequence does not dominate
+        low_rest = complete_graph(6).add_vertices([6, 7, 8]) \
+            .add_edges([(0, v) for v in (6, 7, 8)] + [(6, 7), (7, 8)])
+        for g in (low_center, low_rest):
+            assert len(g.vertices) == 9 and len(g.edges) >= 20 and not is_planar(g)
+            assert not has_k5_star_minor(g, 0, 2)
+            assert _cannot_host(g, pattern, {hub: {0}})
+        assert low_rest.degree(0) == 8
+
+    def test_star_beside_large_grid_found_on_small_budget(self):
+        star, hub = k5_star(2)
+        star = relabel(star, {v: 1000 + v for v in star.vertices})
+        g = disjoint_union(make_grid(20, 20).graph, star)
+        assert has_k5_star_minor(g, 1000 + hub, 2, node_budget=60)
 
 
 class TestFindArea:
