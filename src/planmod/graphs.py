@@ -133,11 +133,16 @@ class Graph:
         return Graph(self.vertices | set(new), self.edges)
 
     def induced(self, keep: Iterable) -> "Graph":
+        """The subgraph induced by `keep`. Reads only the adjacency of the
+        kept vertices, so it costs the sum of their degrees, not |E|."""
         keep = set(keep)
         missing = keep - self.vertices
         if missing:
             raise InputError(f"unknown vertex ids {sorted(missing, key=vertex_key)!r}")
-        return Graph(keep, (e for e in self.edges if e[0] in keep and e[1] in keep))
+        adj, edges = self.adj, self.edges
+        # each edge once, from the endpoint its canonical form lists first
+        return Graph(keep, ((u, w) for u in keep for w in adj[u]
+                            if w in keep and (u, w) in edges))
 
     def union(self, other: "Graph") -> "Graph":
         return Graph(self.vertices | other.vertices, self.edges | other.edges)
@@ -248,11 +253,22 @@ def distance(g: Graph, u, v):
 
 
 def neighborhood(g: Graph, v, r: int) -> frozenset:
-    """All vertices at distance <= r from v (contains v)."""
+    """All vertices at distance <= r from v (contains v).
+
+    A BFS that stops at depth r: it visits only the r-ball and the edges
+    leaving its vertices, not the rest of the graph."""
     g._require(v)
     if r < 0:
         raise InputError("radius must be non-negative")
-    return frozenset(u for u, d in g.bfs_distances(v).items() if d <= r)
+    adj = g.adj
+    ball = {v}
+    frontier = ball
+    for _ in range(r):
+        frontier = {w for u in frontier for w in adj[u]} - ball
+        if not frontier:
+            break
+        ball |= frontier
+    return frozenset(ball)
 
 
 def is_scattered(g: Graph, xs: Iterable, ell: int, r: int) -> bool:

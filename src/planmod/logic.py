@@ -405,7 +405,12 @@ def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
                 max_vertices: int | None = None,
                 max_depth: int | None = None) -> bool:
     """Evaluate psi at v on the induced r-neighborhood, with the annotation
-    restricted to it. psi has one free variable (or none, e.g. `true`)."""
+    restricted to it. psi has one free variable (or none, e.g. `true`).
+
+    Reads g only inside the r-ball N_r(v): finding the ball and building its
+    subgraph cost what the ball and its vertices' edges hold, not |V| or |E|.
+    Pass r_set as a frozenset, so that restricting it to the ball copies
+    nothing outside the ball."""
     free = sorted(psi.free_variables())
     if len(free) > 1:
         raise InputError(f"psi must have at most one free variable, has {free}")

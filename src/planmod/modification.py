@@ -94,8 +94,17 @@ def apply(g: Graph, s: ModificationSet) -> Graph:
 
     Contraction merges every connected component of (A(S), S) into its least
     vertex id, so the result does not depend on any edge ordering.
+
+    Each element is checked against the application domain over all of V on
+    its own, without building that domain, so the check costs |S|, not n².
     """
-    bad = s.elements - application_domain(s.op, g, g.vertices)
+    if s.op in VERTEX_OPS:
+        bad = s.elements - g.vertices
+    elif s.op is Operation.EA:
+        bad = {e for e in s.elements
+               if e[0] not in g.vertices or e[1] not in g.vertices or e in g.edges}
+    else:
+        bad = s.elements - g.edges
     if bad:
         raise InputError(f"elements outside the application domain: {sorted(map(str, bad))}")
     if s.op is Operation.VR:

@@ -116,29 +116,6 @@ def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
 
 # -- minor models -------------------------------------------------------------------
 
-def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
-    """Exact reasons why `host` has no minor model of `pattern` whose branch
-    sets contain the nonempty `forced` ones. True is a proof, never a guess."""
-    if len(host.vertices) < len(pattern.vertices) \
-            or len(host.edges) < len(pattern.edges):
-        return True
-    # a minor of a planar graph is planar
-    if is_planar(host) and not is_planar(pattern):
-        return True
-    if len(host.vertices) == len(pattern.vertices):
-        # every branch set is one vertex, so the model is a subgraph: each
-        # forced vertex needs its pattern vertex's degree, and the degree
-        # sequence of the host must dominate the pattern's
-        if any(len(vs) == 1 and host.degree(next(iter(vs))) < pattern.degree(p)
-               for p, vs in forced.items()):
-            return True
-        host_deg = sorted((len(ns) for ns in host.adj.values()), reverse=True)
-        pattern_deg = sorted((len(ns) for ns in pattern.adj.values()), reverse=True)
-        if any(h < p for h, p in zip(host_deg, pattern_deg)):
-            return True
-    return False
-
-
 def _connected_sets(host: Graph, starts: list, allowed: set, max_size: int):
     """Every connected subset of `allowed` with at most `max_size` vertices
     that holds a vertex of `starts`, each exactly once: a set is generated

@@ -136,6 +136,27 @@ class TestCheck:
         assert code == 0
         assert "6/6" in out.read_text()
 
+    def test_pipeline_disagreement_is_counted_and_fails(self, tmp_path, monkeypatch):
+        from planmod import cli
+        from planmod.errors import SoundnessError
+        real = cli.solve_pipeline
+        calls = []
+
+        def disagree_once(inst, cfg):
+            calls.append(inst)
+            if len(calls) == 2:
+                raise SoundnessError("pipeline answered False, oracle says True")
+            return real(inst, cfg)
+
+        monkeypatch.setattr(cli, "solve_pipeline", disagree_once)
+        out = tmp_path / "c.txt"
+        code = main(["check", "pipeline-vs-oracle", "--seed", "2", "-n", "4",
+                     "--out", str(out)])
+        assert code == 1
+        text = out.read_text()
+        assert "FAIL  pipeline-vs-oracle: 3 completed, 0 capped, 1 disagreements" in text
+        assert len(calls) == 4
+
 
 class TestBench:
     def test_bench_runs(self, tmp_path):

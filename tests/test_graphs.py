@@ -107,6 +107,24 @@ class TestNeighborhood:
                 assert neighborhood(g, v, r) == {u for u in verts if dist[v, u] <= r}
 
 
+class TestInduced:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_n=10), st.integers(0, 2 ** 12))
+    def test_matches_filtering_all_edges(self, g, seed):
+        rng = random.Random(seed)
+        # string ids too, so that the edges' canonical order is exercised
+        for h in (g, relabel(g, {v: f"s{v}" for v in g.vertices if v % 2})):
+            verts = h.sorted_vertices()
+            for keep in (set(), set(verts), {v for v in verts if rng.random() < 0.5}):
+                expected = Graph(keep, [e for e in h.edges
+                                        if e[0] in keep and e[1] in keep])
+                assert h.induced(keep) == expected
+
+    def test_unknown_vertex(self):
+        with pytest.raises(InputError):
+            path_graph(3).induced({0, 9})
+
+
 class TestScattered:
     def test_far_pair(self):
         assert is_scattered(path_graph(7), {0, 6}, 2, 1)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,27 @@ class TestApply:
     def test_outside_domain_rejected(self):
         with pytest.raises(InputError):
             apply(path_graph(3), ModificationSet(Operation.ER, [(0, 2)]))
+
+    @pytest.mark.parametrize("op, elements, bad", [
+        (Operation.VR, [1, 9], "['9']"),
+        (Operation.EC, [(0, 1), (0, 2)], "['(0, 2)']"),
+        (Operation.EA, [(0, 2), (0, 1)], "['(0, 1)']"),
+        (Operation.EA, [(0, 2), (0, 9)], "['(0, 9)']"),
+    ], ids=["vr-unknown-vertex", "ec-non-edge", "ea-existing-edge",
+            "ea-unknown-endpoint"])
+    def test_rejects_and_lists_only_the_bad_elements(self, op, elements, bad):
+        with pytest.raises(InputError, match=re.escape(
+                f"elements outside the application domain: {bad}")):
+            apply(path_graph(3), ModificationSet(op, elements))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 4000), st.sampled_from(list(Operation)))
+    def test_accepts_every_element_of_the_domain(self, seed, op):
+        g = _random_graph(seed, max_n=6)
+        domain = application_domain(op, g, g.vertices)
+        for e in domain:
+            apply(g, ModificationSet(op, [e]))
+        apply(g, ModificationSet(op, domain))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4000), st.sampled_from(list(Operation)))
