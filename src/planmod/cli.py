@@ -23,7 +23,7 @@ from .fixtures import (TRIVIALLY_TRUE, crafted_sig_instances, fixed_sentences,
 from .graphs import Graph, complete_graph, disjoint_union, k5_star, make_grid, \
     make_triangulated_grid
 from .logic import (GaifmanSentence, eval_gaifman, eval_gaifman_expanded,
-                    parse_formula, set_brute_caps, verify_locality)
+                    parse_formula, verify_locality)
 from .modification import Operation
 from .annuli import glue_equivalence, random_separator
 from .sigoracle import char_oracle
@@ -85,7 +85,6 @@ def _load_sentence(args):
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    set_brute_caps(cfg.cap_brute_vertices, cfg.cap_quant_depth)
     with open(args.instance) as fh:
         g = Graph.from_json(fh.read())
     r_set = None

@@ -17,22 +17,10 @@ from typing import Iterable, Mapping
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
 from .graphs import Graph, neighborhood
 
+# default brute-force caps; PipelineConfig's cap_brute_vertices and
+# cap_quant_depth are passed down explicitly as max_vertices and max_depth
 MAX_BRUTE_VERTICES = 128
 MAX_QUANT_DEPTH = 16
-
-_caps = {"max_vertices": MAX_BRUTE_VERTICES, "max_depth": MAX_QUANT_DEPTH}
-
-
-def set_brute_caps(max_vertices: int | None = None, max_depth: int | None = None):
-    """Process-wide evaluation caps (the CLI wires its --cap flags here)."""
-    if max_vertices is not None:
-        _caps["max_vertices"] = max_vertices
-    if max_depth is not None:
-        _caps["max_depth"] = max_depth
-
-
-def _cap(value, key):
-    return _caps[key] if value is None else value
 
 
 # -- AST -----------------------------------------------------------------------
@@ -377,13 +365,13 @@ def _check_caps(g: Graph, f: Formula, max_vertices: int, max_depth: int):
 
 
 def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
-              max_vertices: int | None = None,
-              max_depth: int | None = None) -> bool:
+              max_vertices: int = MAX_BRUTE_VERTICES,
+              max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Brute-force truth of a closed formula on (g, r_set)."""
     free = phi.free_variables()
     if free:
         raise InputError(f"formula has free variables {sorted(free)}")
-    _check_caps(g, phi, _cap(max_vertices, "max_vertices"), _cap(max_depth, "max_depth"))
+    _check_caps(g, phi, max_vertices, max_depth)
     r_set = frozenset(r_set)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
@@ -391,19 +379,19 @@ def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
 
 
 def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
-                  max_vertices: int | None = None,
-                  max_depth: int | None = None) -> bool:
+                  max_vertices: int = MAX_BRUTE_VERTICES,
+                  max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Truth of a formula whose free variables are bound by env."""
     missing = phi.free_variables() - set(env)
     if missing:
         raise InputError(f"unbound free variables {sorted(missing)}")
-    _check_caps(g, phi, _cap(max_vertices, "max_vertices"), _cap(max_depth, "max_depth"))
+    _check_caps(g, phi, max_vertices, max_depth)
     return _eval(phi, g, frozenset(r_set), dict(env), g.sorted_vertices())
 
 
 def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
-                max_vertices: int | None = None,
-                max_depth: int | None = None) -> bool:
+                max_vertices: int = MAX_BRUTE_VERTICES,
+                max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Evaluate psi at v on the induced r-neighborhood, with the annotation
     restricted to it. psi has one free variable (or none, e.g. `true`).
 
@@ -639,11 +627,15 @@ class GaifmanSentence:
         return cls.from_json_obj(obj)
 
 
-def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence) -> tuple | None:
+def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
+                  max_vertices: int = MAX_BRUTE_VERTICES,
+                  max_depth: int = MAX_QUANT_DEPTH) -> tuple | None:
     """The first (in lexicographic order) (ell, r)-scattered witness set in
     r_set whose members satisfy psi locally, or None."""
     candidates = [v for v in g.sorted_vertices()
-                  if v in r_set and check_local(g, r_set, v, basic.psi, basic.r)]
+                  if v in r_set and check_local(g, r_set, v, basic.psi, basic.r,
+                                                max_vertices=max_vertices,
+                                                max_depth=max_depth)]
     if len(candidates) < basic.ell:
         return None
     dist = {}
@@ -667,18 +659,25 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence) -> tuple | N
     return grow([], 0)
 
 
-def eval_basic(g: Graph, r_set: frozenset, basic: BasicSentence) -> bool:
-    return basic_witness(g, r_set, basic) is not None
+def eval_basic(g: Graph, r_set: frozenset, basic: BasicSentence, *,
+               max_vertices: int = MAX_BRUTE_VERTICES,
+               max_depth: int = MAX_QUANT_DEPTH) -> bool:
+    return basic_witness(g, r_set, basic, max_vertices=max_vertices,
+                         max_depth=max_depth) is not None
 
 
-def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence) -> bool:
+def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
+                 max_vertices: int = MAX_BRUTE_VERTICES,
+                 max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Truth of the (annotated) Gaifman sentence on (g, r_set); when the
-    sentence is unannotated the scope is all of V."""
+    sentence is unannotated the scope is all of V. Each local formula is
+    evaluated under the brute-force caps max_vertices and max_depth."""
     r_set = frozenset(r_set) if phi.annotated else frozenset(g.vertices)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
     needed = combination_leaves(phi.combination)
-    values = {h: eval_basic(g, r_set, phi.basics[h - 1]) for h in needed}
+    values = {h: eval_basic(g, r_set, phi.basics[h - 1], max_vertices=max_vertices,
+                            max_depth=max_depth) for h in needed}
     return eval_combination(phi.combination, values)
 
 
@@ -707,8 +706,8 @@ def expand_basic(basic: BasicSentence, annotated: bool) -> Formula:
 
 
 def eval_gaifman_expanded(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
-                          max_vertices: int | None = None,
-                          max_depth: int | None = None) -> bool:
+                          max_vertices: int = MAX_BRUTE_VERTICES,
+                          max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Evaluate each basic sentence via its delta-encoded plain-FOL expansion
     and brute force, then apply the combination. An oracle for eval_gaifman."""
     r_set = frozenset(r_set) if phi.annotated else frozenset(g.vertices)

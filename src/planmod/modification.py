@@ -117,10 +117,6 @@ def apply(g: Graph, s: ModificationSet) -> Graph:
     return merge_groups(g, contract_graph.components())
 
 
-def is_planarizer(g: Graph, s: ModificationSet) -> bool:
-    return is_planar(apply(g, s))
-
-
 def subsets_up_to(domain: Iterable, k: int, cap: int | None = None) -> Iterator[frozenset]:
     """All subsets of the domain of size 0..k, smallest first, in stable order."""
     domain = sorted(domain, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))
@@ -135,17 +131,59 @@ def subsets_up_to(domain: Iterable, k: int, cap: int | None = None) -> Iterator[
             yield frozenset(combo)
 
 
+class PlanarSets:
+    """Decides "is g ⊠ S planar?" for the sets of one enumeration over g.
+
+    vr, er and ec only ever make minors of g, and every minor of a planar
+    graph is planar (Wagner). So for these operations g ⊠ S is planar as
+    soon as g ⊠ S' is for some S' ⊆ S, and such an S is answered True
+    without a test: when g itself is planar (S' = ∅; the first query of a
+    nonempty set tests g), or when a subset of S that this enumeration
+    already tested was planar. The answer is exact, never a guess. ea makes
+    supergraphs, not minors, so every ea set is tested.
+
+    `minimal` keeps only the sets that were tested and found planar with no
+    such set inside them; when the enumeration goes smallest first, these
+    are its inclusion-minimal planar sets."""
+
+    def __init__(self, g: Graph, op: Operation):
+        self.g = g
+        self.op = op
+        self.minimal: list = []
+        self._g_tested = False
+
+    def covers(self, sub: frozenset) -> bool:
+        """Some kept planar set lies inside sub."""
+        return any(prev <= sub for prev in self.minimal)
+
+    def __call__(self, s: ModificationSet, h: Graph | None = None) -> bool:
+        """Is g ⊠ s planar? Pass h when apply(g, s) is already built."""
+        if self.op is not Operation.EA:
+            if s.elements and not self._g_tested:
+                self._test(frozenset(), self.g)
+            if self.covers(s.elements):
+                return True
+        return self._test(s.elements, apply(self.g, s) if h is None else h)
+
+    def _test(self, sub: frozenset, h: Graph) -> bool:
+        if not sub:
+            self._g_tested = True
+        planar = is_planar(h)
+        if planar and not self.covers(sub):
+            self.minimal.append(sub)
+        return planar
+
+
 def minimal_planarizers(g: Graph, op: Operation, k: int,
                         cap: int | None = None) -> Iterator[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, by exhaustive
-    enumeration with a minimality filter."""
-    found: list = []
+    enumeration; supersets of a planarizer already found are skipped."""
+    planar = PlanarSets(g, op)
     for sub in subsets_up_to(application_domain(op, g, g.vertices), k, cap):
-        if any(prev < sub for prev in found):
-            continue  # a proper subset already planarizes
+        if planar.covers(sub):
+            continue
         s = ModificationSet(op, sub)
-        if is_planarizer(g, s):
-            found.append(sub)
+        if planar(s):
             yield s
 
 

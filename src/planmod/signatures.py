@@ -18,10 +18,13 @@ from typing import Iterable
 from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
-from .logic import GaifmanSentence, check_local, eval_gaifman
-from .modification import (ModificationSet, Operation, affected,
+from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, GaifmanSentence,
+                    check_local, eval_gaifman)
+from .modification import (ModificationSet, Operation, PlanarSets, affected,
                            application_domain, apply, subsets_up_to)
-from .planarity import is_planar, planar_with_additions
+# is_planar is no longer called here but stays bound, because the
+# benchmark's tracer (perfbench/spans.py) wraps it in this module
+from .planarity import is_planar, planar_with_additions  # noqa: F401
 from .walls import ExtendedCompass, Wall, extended_compass
 
 EXACT_W_EXPONENT_LIMIT = 1 << 21  # bits; beyond this w is rendered, not computed
@@ -222,9 +225,12 @@ def level_pair(ec: ExtendedCompass, t: int, r: int):
 # -- signature computation -----------------------------------------------------------
 
 def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
-                phi: GaifmanSentence, params: Parameters) -> frozenset:
+                phi: GaifmanSentence, params: Parameters, *,
+                max_vertices: int = MAX_BRUTE_VERTICES,
+                max_depth: int = MAX_QUANT_DEPTH) -> frozenset:
     """All (Y_1..Y_m, t) with t <= z realizable by scattered local witnesses
-    in the modified compass tower; exhaustive search driven by check_local."""
+    in the modified compass tower; exhaustive search driven by check_local,
+    whose brute-force caps are max_vertices and max_depth."""
     r_set = frozenset(r_set)
     rho = min(params.rho, ec.rho)
     if not 1 <= z <= ec.rho:
@@ -242,7 +248,8 @@ def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet
         allowed = (ktr_mod.vertices - ptr) & r_set & kt_mod.vertices
         feasible = []
         for basic in phi.basics:
-            feasible.append(_feasible_sizes(kt_mod, r_set, allowed, basic))
+            feasible.append(_feasible_sizes(kt_mod, r_set, allowed, basic,
+                                            max_vertices, max_depth))
         for ys in product(*(_subsets_of_sizes(basic.ell, sizes)
                             for basic, sizes in zip(phi.basics, feasible))):
             entries.add(SigEntry(tuple(ys), t))
@@ -257,11 +264,13 @@ def _subsets_of_sizes(ell: int, sizes: set) -> list:
     return out
 
 
-def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic) -> set:
+def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
+                    max_vertices: int, max_depth: int) -> set:
     """Witness-set sizes y for which an (y, r_h)-scattered set of psi_h
     vertices exists inside `allowed`; downward closed, so search from the top."""
     candidates = [v for v in sorted(allowed, key=vertex_key)
-                  if check_local(kt_mod, r_set & kt_mod.vertices, v, basic.psi, basic.r)]
+                  if check_local(kt_mod, r_set & kt_mod.vertices, v, basic.psi, basic.r,
+                                 max_vertices=max_vertices, max_depth=max_depth)]
     dists = {}
 
     def far(u, v):
@@ -294,7 +303,11 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
                  cfg: PipelineConfig | None = None,
                  ec: ExtendedCompass | None = None) -> Characteristic:
     """All realizable (z, sig, s): some S inside the z-anchored region of the
-    compass, of size exactly s, keeping the compass planar, with that sig."""
+    compass, of size exactly s, keeping the compass planar, with that sig.
+
+    Planarity of a vr/er/ec set is decided by `PlanarSets` over the whole
+    compass, so no set is tested once the compass or a tested subset of it
+    is planar; ea sets are tested by `planar_with_additions`."""
     cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     if ec is None:
@@ -306,6 +319,7 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
     r_k = r_set & compass_graph.vertices
     entries = set()
     budget = cfg.cap_char_subsets
+    planar_sets = PlanarSets(compass_graph, op)
     for z in z_range(params):
         if z > ec.rho:
             continue
@@ -325,10 +339,12 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
                 if op is Operation.EA:
                     planar = planar_with_additions(compass_graph, ms.elements)
                 else:
-                    planar = is_planar(apply(compass_graph, ms))
+                    planar = planar_sets(ms)
                 if not planar:
                     continue
-                sig = compute_sig(ec, r_k, z, ms, phi, params)
+                sig = compute_sig(ec, r_k, z, ms, phi, params,
+                                  max_vertices=cfg.cap_brute_vertices,
+                                  max_depth=cfg.cap_quant_depth)
                 entries.add((z, sig, size))
     return Characteristic(frozenset(entries))
 
@@ -337,12 +353,20 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
 
 def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
               phi: GaifmanSentence, *, size_mode: str = "at_most",
-              cap: int | None = None, want_witness: bool = False):
+              cap: int | None = None, max_vertices: int = MAX_BRUTE_VERTICES,
+              max_depth: int = MAX_QUANT_DEPTH, want_witness: bool = False):
     """Does some S ⊆ op⟨G, R⟩ within the budget make G ⊠ S planar and a model
-    of the annotated sentence? Exhaustive search."""
+    of the annotated sentence? Exhaustive search, smallest sets first; the
+    sentence is evaluated under the brute-force caps max_vertices and
+    max_depth.
+
+    For vr/er/ec, G ⊠ S is a minor of G ⊠ S' whenever S' ⊆ S, and minors of
+    planar graphs are planar, so `PlanarSets` answers S planar without a test
+    once G or a tested subset of S is planar; ea sets are always tested."""
     r_set = frozenset(r_set)
     annotated = phi if phi.annotated else GaifmanSentence(phi.basics, phi.combination, True)
     domain = application_domain(op, g, r_set)
+    planar = PlanarSets(g, op)
     witness = None
     found = False
     for sub in subsets_up_to(domain, k, cap):
@@ -350,9 +374,10 @@ def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
             continue
         ms = ModificationSet(op, sub)
         h = apply(g, ms)
-        if not is_planar(h):
+        if not planar(ms, h):
             continue
-        if eval_gaifman(h, r_set & h.vertices, annotated):
+        if eval_gaifman(h, r_set & h.vertices, annotated,
+                        max_vertices=max_vertices, max_depth=max_depth):
             found = True
             witness = ms
             break

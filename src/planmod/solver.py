@@ -17,8 +17,8 @@ from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
 from .graphs import Graph, k5_star, vertex_key
 from .logic import Formula, GaifmanSentence, check_fol, eval_gaifman
-from .modification import (ModificationSet, Operation, application_domain,
-                           apply, find_vr_planarizer,
+from .modification import (ModificationSet, Operation, PlanarSets,
+                           application_domain, apply, find_vr_planarizer,
                            is_planarization_irrelevant, subsets_up_to)
 from .planarity import is_planar
 from .signatures import (Parameters, compute_char, compute_parameters,
@@ -89,27 +89,32 @@ class BoundedTreewidth:
 
 # -- oracle ------------------------------------------------------------------------
 
-def _models(h: Graph, r_here: frozenset, phi) -> bool:
+def _models(h: Graph, r_here: frozenset, phi, cfg: PipelineConfig) -> bool:
+    caps = {"max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
     if isinstance(phi, GaifmanSentence):
-        return eval_gaifman(h, r_here, phi)
-    return check_fol(h, r_here, phi)
+        return eval_gaifman(h, r_here, phi, **caps)
+    return check_fol(h, r_here, phi, **caps)
 
 
 def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
                  want_witness: bool = False):
     """Definitional semantics: exhaust modification sets within the budget,
-    test planarity and the sentence on every modified graph."""
+    smallest first, and test planarity and the sentence on every modified
+    graph. For vr/er/ec, `PlanarSets` answers a set planar without a test
+    once G or a tested subset of it is planar: the modified graph is then a
+    minor of a planar graph. ea sets are always tested."""
     cfg = cfg or PipelineConfig()
     scope = inst.scope()
     domain = application_domain(inst.op, inst.graph, scope)
+    planar = PlanarSets(inst.graph, inst.op)
     for sub in subsets_up_to(domain, inst.k, cfg.cap_oracle_subsets):
         if cfg.size_mode == "exact" and len(sub) != inst.k:
             continue
         ms = ModificationSet(inst.op, sub)
         h = apply(inst.graph, ms)
-        if not is_planar(h):
+        if not planar(ms, h):
             continue
-        if _models(h, scope & h.vertices, inst.phi):
+        if _models(h, scope & h.vertices, inst.phi, cfg):
             return (True, ms) if want_witness else True
     return (False, None) if want_witness else False
 
@@ -476,14 +481,19 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
 def _verify_irrelevant_region(g: Graph, r_set: frozenset, k: int, op: Operation,
                               phi: GaifmanSentence, outcome: IrrelevantRegion,
                               cfg: PipelineConfig):
-    before = is_triple(g, r_set, k, op, phi, size_mode=cfg.size_mode,
-                       cap=cfg.cap_oracle_subsets)
+    before = is_triple(g, r_set, k, op, phi, **_triple_options(cfg))
     after = is_triple(g.remove_vertices([outcome.vertex]), r_set - outcome.region,
-                      k, op, phi, size_mode=cfg.size_mode, cap=cfg.cap_oracle_subsets)
+                      k, op, phi, **_triple_options(cfg))
     if before != after:
         raise SoundnessError(
             f"irrelevant-region cross-check failed: removing {outcome.vertex!r} "
             f"and unannotating {len(outcome.region)} vertices flips the answer")
+
+
+def _triple_options(cfg: PipelineConfig) -> dict:
+    """The keyword options `is_triple` takes from the config."""
+    return {"size_mode": cfg.size_mode, "cap": cfg.cap_oracle_subsets,
+            "max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
 
 
 def _verify_obligatory(g: Graph, k: int, u, cfg: PipelineConfig):
@@ -636,9 +646,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
             r_set = (r_set - outcome.region) & g.vertices
         else:
             answer, witness = is_triple(g, r_set, k, op, inst.phi,
-                                        size_mode=cfg.size_mode,
-                                        cap=cfg.cap_oracle_subsets,
-                                        want_witness=True)
+                                        **_triple_options(cfg), want_witness=True)
             log("bounded-treewidth",
                 {"width": outcome.decomposition.width(), "answer": answer}, t0)
             result = PipelineResult(answer, witness, trace)

@@ -2,8 +2,14 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Property tests draw the same examples on every run and never fail on time,
+# so a slow machine cannot turn them red.
+settings.register_profile("planmod", derandomize=True, deadline=None)
+settings.load_profile("planmod")
 
 from planmod.graphs import Graph
 

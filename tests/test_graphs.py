@@ -65,7 +65,7 @@ class TestDistance:
         with pytest.raises(InputError):
             distance(path_graph(2), 0, 99)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(small_graphs(max_n=12))
     def test_metric_on_components(self, g):
         verts = g.sorted_vertices()
@@ -89,7 +89,7 @@ class TestNeighborhood:
         c5 = cycle_graph(5)
         assert neighborhood(c5, 0, 2) == c5.vertices
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(small_graphs(max_n=9))
     def test_matches_all_pairs_shortest_paths(self, g):
         # independent Floyd-Warshall
@@ -108,7 +108,7 @@ class TestNeighborhood:
 
 
 class TestInduced:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(small_graphs(max_n=10), st.integers(0, 2 ** 12))
     def test_matches_filtering_all_edges(self, g, seed):
         rng = random.Random(seed)
@@ -249,7 +249,7 @@ class TestRelabel:
             disjoint_union(path_graph(2), path_graph(2))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(small_graphs())
 def test_vertex_key_total_order(g):
     vs = g.sorted_vertices()

@@ -91,16 +91,26 @@ class TestCheckFol:
         with pytest.raises(ResourceLimitError):
             check_fol(path_graph(3), [], f, max_depth=1)
 
-    def test_process_wide_caps(self):
+    def test_caps_come_from_the_config(self):
+        # the brute-force caps reach every evaluation through the config, and
+        # a capped run leaves no state behind for the next one
+        from planmod.config import PipelineConfig
         from planmod.errors import ResourceLimitError
-        from planmod.logic import set_brute_caps
-        f = parse_formula("exists x. exists y. adj(x,y)")
-        set_brute_caps(max_vertices=2)
-        try:
-            with pytest.raises(ResourceLimitError):
-                check_fol(path_graph(5), [], f)
-        finally:
-            set_brute_caps(max_vertices=128)
+        from planmod.modification import Operation
+        from planmod.solver import Instance, solve_oracle, solve_pipeline
+        phi = dict(fixed_sentences())["annotated-neighbor"]
+        inst = Instance(path_graph(4), 1, Operation.VR, phi)
+        capped = PipelineConfig(cap_brute_vertices=1)
+        for solve in (solve_pipeline, solve_oracle):
+            with pytest.raises(ResourceLimitError, match="capped at 1 vertices"):
+                solve(inst, capped)
+        assert solve_oracle(inst, PipelineConfig())
+        assert solve_pipeline(inst, PipelineConfig()).answer
+        deep = Instance(complete_graph(3), 0, Operation.VR,
+                        dict(fixed_sentences())["triangle-vertex"])
+        with pytest.raises(ResourceLimitError, match="depth 2 exceeds the cap 1"):
+            solve_oracle(deep, PipelineConfig(cap_quant_depth=1))
+        assert solve_oracle(deep, PipelineConfig())
 
 
 class TestCheckLocal:
