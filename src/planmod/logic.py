@@ -627,15 +627,69 @@ class GaifmanSentence:
         return cls.from_json_obj(obj)
 
 
+class LocalValues:
+    """The values ψ_h(v) on a base graph g and its scope, for the modified
+    graphs g ⊠ S of one enumeration over g.
+
+    Each ψ_h is r_h-local, so ψ_h(v) is read off the r_h-ball of v alone.
+    When v lies at g-distance more than r_h from the touched vertices
+    A = affected(S), that ball, its induced subgraph and its part of the
+    scope are the same in g and in g ⊠ S: vr and er only delete at A, ec
+    merges vertices of A into their least id, and ea only adds edges inside
+    A, so a path of length at most r_h from v that met a changed element
+    would be a path of g from v to A. Such a value is computed on g the
+    first time it is asked for and then reused; every other vertex is
+    evaluated on g ⊠ S. Values fill lazily, one vertex at a time, so a
+    brute-force cap fires on the same set and vertex, with the same message,
+    as evaluating every vertex on g ⊠ S does.
+
+    `r_set` is the scope the sentence is read under on g: R when the
+    sentence is annotated, all of V otherwise, as in `eval_gaifman`."""
+
+    def __init__(self, g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
+                 max_vertices: int = MAX_BRUTE_VERTICES,
+                 max_depth: int = MAX_QUANT_DEPTH):
+        self.g = g
+        self.r_set = frozenset(r_set) if phi.annotated else g.vertices
+        self.max_vertices = max_vertices
+        self.max_depth = max_depth
+        self._values: dict = {}
+
+    def near(self, touched: Iterable, r: int) -> set:
+        """The vertices within g-distance r of the touched ones."""
+        out = set()
+        for a in touched:
+            out |= neighborhood(self.g, a, r)
+        return out
+
+    def __call__(self, v, basic: BasicSentence) -> bool:
+        """ψ(v) on g under the scope, for the basic sentence's ψ and r."""
+        memo = self._values.setdefault((basic.psi, basic.r), {})
+        if v not in memo:
+            memo[v] = check_local(self.g, self.r_set, v, basic.psi, basic.r,
+                                  max_vertices=self.max_vertices,
+                                  max_depth=self.max_depth)
+        return memo[v]
+
+
 def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
                   max_vertices: int = MAX_BRUTE_VERTICES,
-                  max_depth: int = MAX_QUANT_DEPTH) -> tuple | None:
+                  max_depth: int = MAX_QUANT_DEPTH,
+                  base: LocalValues | None = None,
+                  touched: frozenset = frozenset()) -> tuple | None:
     """The first (in lexicographic order) (ell, r)-scattered witness set in
-    r_set whose members satisfy psi locally, or None."""
+    r_set whose members satisfy psi locally, or None.
+
+    With `base`, g is base.g ⊠ S for a set S touching the vertices
+    `touched`: psi is evaluated on g only within distance r of them, and
+    read from `base` elsewhere. Distances between witnesses are always
+    read on g."""
+    fresh = g.vertices if base is None else base.near(touched, basic.r)
     candidates = [v for v in g.sorted_vertices()
-                  if v in r_set and check_local(g, r_set, v, basic.psi, basic.r,
-                                                max_vertices=max_vertices,
-                                                max_depth=max_depth)]
+                  if v in r_set and (check_local(g, r_set, v, basic.psi, basic.r,
+                                                 max_vertices=max_vertices,
+                                                 max_depth=max_depth)
+                                     if v in fresh else base(v, basic))]
     if len(candidates) < basic.ell:
         return None
     dist = {}
@@ -659,25 +713,29 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
     return grow([], 0)
 
 
-def eval_basic(g: Graph, r_set: frozenset, basic: BasicSentence, *,
-               max_vertices: int = MAX_BRUTE_VERTICES,
-               max_depth: int = MAX_QUANT_DEPTH) -> bool:
-    return basic_witness(g, r_set, basic, max_vertices=max_vertices,
-                         max_depth=max_depth) is not None
-
-
 def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
                  max_vertices: int = MAX_BRUTE_VERTICES,
-                 max_depth: int = MAX_QUANT_DEPTH) -> bool:
+                 max_depth: int = MAX_QUANT_DEPTH,
+                 base: LocalValues | None = None,
+                 touched: frozenset = frozenset()) -> bool:
     """Truth of the (annotated) Gaifman sentence on (g, r_set); when the
     sentence is unannotated the scope is all of V. Each local formula is
-    evaluated under the brute-force caps max_vertices and max_depth."""
+    evaluated under the brute-force caps max_vertices and max_depth.
+
+    With `base`, g must be base.g ⊠ S and `touched` must be affected(S):
+    each ψ_h is then evaluated on g only at the vertices within base-graph
+    distance r_h of `touched`, and read from `base` at the others, where
+    the r_h-ball is unchanged (see `LocalValues`). The answer is the same
+    as without `base`; the scattered-set search still reads distances on
+    g."""
     r_set = frozenset(r_set) if phi.annotated else frozenset(g.vertices)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
     needed = combination_leaves(phi.combination)
-    values = {h: eval_basic(g, r_set, phi.basics[h - 1], max_vertices=max_vertices,
-                            max_depth=max_depth) for h in needed}
+    values = {h: basic_witness(g, r_set, phi.basics[h - 1], max_vertices=max_vertices,
+                               max_depth=max_depth, base=base,
+                               touched=touched) is not None
+              for h in needed}
     return eval_combination(phi.combination, values)
 
 

@@ -19,7 +19,7 @@ from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
 from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, GaifmanSentence,
-                    check_local, eval_gaifman)
+                    LocalValues, check_local, eval_gaifman)
 from .modification import (ModificationSet, Operation, PlanarSets, affected,
                            application_domain, apply, subsets_up_to)
 # is_planar is no longer called here but stays bound, because the
@@ -362,11 +362,16 @@ def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
 
     For vr/er/ec, G ⊠ S is a minor of G ⊠ S' whenever S' ⊆ S, and minors of
     planar graphs are planar, so `PlanarSets` answers S planar without a test
-    once G or a tested subset of S is planar; ea sets are always tested."""
+    once G or a tested subset of S is planar; ea sets are always tested.
+
+    Each local formula ψ_h is evaluated once per vertex of R on G, and on
+    G ⊠ S only within distance r_h of affected(S): elsewhere the r_h-ball
+    is the same in both graphs, so `LocalValues` supplies the value."""
     r_set = frozenset(r_set)
     annotated = phi if phi.annotated else GaifmanSentence(phi.basics, phi.combination, True)
     domain = application_domain(op, g, r_set)
     planar = PlanarSets(g, op)
+    base = LocalValues(g, r_set, annotated, max_vertices=max_vertices, max_depth=max_depth)
     witness = None
     found = False
     for sub in subsets_up_to(domain, k, cap):
@@ -377,7 +382,8 @@ def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
         if not planar(ms, h):
             continue
         if eval_gaifman(h, r_set & h.vertices, annotated,
-                        max_vertices=max_vertices, max_depth=max_depth):
+                        max_vertices=max_vertices, max_depth=max_depth,
+                        base=base, touched=affected(ms)):
             found = True
             witness = ms
             break

@@ -16,8 +16,8 @@ from typing import Iterable
 from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
 from .graphs import Graph, k5_star, vertex_key
-from .logic import Formula, GaifmanSentence, check_fol, eval_gaifman
-from .modification import (ModificationSet, Operation, PlanarSets,
+from .logic import Formula, GaifmanSentence, LocalValues, check_fol, eval_gaifman
+from .modification import (ModificationSet, Operation, PlanarSets, affected,
                            application_domain, apply, find_vr_planarizer,
                            is_planarization_irrelevant, subsets_up_to)
 from .planarity import is_planar
@@ -89,24 +89,25 @@ class BoundedTreewidth:
 
 # -- oracle ------------------------------------------------------------------------
 
-def _models(h: Graph, r_here: frozenset, phi, cfg: PipelineConfig) -> bool:
-    caps = {"max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
-    if isinstance(phi, GaifmanSentence):
-        return eval_gaifman(h, r_here, phi, **caps)
-    return check_fol(h, r_here, phi, **caps)
-
-
 def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
                  want_witness: bool = False):
     """Definitional semantics: exhaust modification sets within the budget,
     smallest first, and test planarity and the sentence on every modified
     graph. For vr/er/ec, `PlanarSets` answers a set planar without a test
     once G or a tested subset of it is planar: the modified graph is then a
-    minor of a planar graph. ea sets are always tested."""
+    minor of a planar graph. ea sets are always tested.
+
+    A Gaifman sentence's local formulas are evaluated once per vertex on G
+    and, for each set S, again on G ⊠ S only within distance r_h of
+    affected(S), where the r_h-ball can differ (`LocalValues`). Plain
+    formulas are checked by brute force on every modified graph."""
     cfg = cfg or PipelineConfig()
+    caps = {"max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
     scope = inst.scope()
     domain = application_domain(inst.op, inst.graph, scope)
     planar = PlanarSets(inst.graph, inst.op)
+    gaifman = isinstance(inst.phi, GaifmanSentence)
+    base = LocalValues(inst.graph, scope, inst.phi, **caps) if gaifman else None
     for sub in subsets_up_to(domain, inst.k, cfg.cap_oracle_subsets):
         if cfg.size_mode == "exact" and len(sub) != inst.k:
             continue
@@ -114,7 +115,9 @@ def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
         h = apply(inst.graph, ms)
         if not planar(ms, h):
             continue
-        if _models(h, scope & h.vertices, inst.phi, cfg):
+        r_here = scope & h.vertices
+        if (eval_gaifman(h, r_here, inst.phi, base=base, touched=affected(ms), **caps)
+                if gaifman else check_fol(h, r_here, inst.phi, **caps)):
             return (True, ms) if want_witness else True
     return (False, None) if want_witness else False
 

@@ -1,0 +1,134 @@
+"""Reusing local-formula values across the sets of one enumeration.
+
+Each ψ_h is r-local, so on G ⊠ S it can differ from its value on G only at
+vertices within distance r of affected(S). The property below checks that
+lemma for each operation; the differential tests compare the searches with
+reference loops that evaluate every vertex of every planar modified graph."""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planmod import logic
+from planmod.config import PipelineConfig
+from planmod.errors import ResourceLimitError
+from planmod.fixtures import fixed_sentences, random_instances
+from planmod.graphs import Graph, complete_graph, neighborhood
+from planmod.logic import GaifmanSentence, check_local
+from planmod.modification import ModificationSet, Operation, affected, application_domain, apply
+from planmod.signatures import is_triple
+from planmod.solver import Instance, solve_oracle
+from planmod.walls import make_elementary_wall
+from test_planar_sets import ISOLATED, _contraction_set, _reference_search
+
+LOCAL_FORMULAS = sorted({b.psi for _, phi in fixed_sentences() for b in phi.basics},
+                        key=str)
+
+
+@st.composite
+def _modified(draw, op: Operation):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(range(n), [e for e, k in zip(pairs, keep) if k])
+    r_set = frozenset(v for v in range(n) if draw(st.booleans()))
+    if op is Operation.EC:
+        elements = draw(_contraction_set(g))
+    else:
+        domain = sorted(application_domain(op, g, g.vertices))
+        elements = draw(st.permutations(domain))[:draw(st.integers(0, 4))]
+    return g, r_set, ModificationSet(op, elements), draw(st.sampled_from((1, 2)))
+
+
+@pytest.mark.parametrize("op", list(Operation), ids=lambda op: op.value)
+@settings(max_examples=120)
+@given(data=st.data())
+def test_far_vertices_keep_their_local_values(op, data):
+    g, r_set, s, r = data.draw(_modified(op))
+    h = apply(g, s)
+    near = set()
+    for a in affected(s):
+        near |= neighborhood(g, a, r)
+    for v in sorted(h.vertices - near):
+        for psi in LOCAL_FORMULAS:
+            assert check_local(g, r_set, v, psi, r) == \
+                check_local(h, r_set & h.vertices, v, psi, r), (v, str(psi))
+
+
+# -- against reference loops that evaluate every vertex of every planar set --------
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return "raised", str(exc)
+
+
+def _cases():
+    rng = random.Random(2024)
+    for i, (g, k, op, phi, name) in enumerate(random_instances(5150, 48)):
+        label = f"{i}-{name}-{op.value}-k{k}"
+        yield label, g, g.vertices, k, op, phi
+        scope = frozenset(v for v in g.vertices if rng.random() < 0.6)
+        yield label + "-R", g, scope, k, op, phi
+    # K6 stays nonplanar after one removal, so no set is ever evaluated
+    k6 = complete_graph(6)
+    for op in (Operation.VR, Operation.ER, Operation.EC):
+        yield f"k6-{op.value}", k6, k6.vertices, 1, op, ISOLATED
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("cap", [2, 3, 128])
+@pytest.mark.parametrize("size_mode", ["at_most", "exact"])
+def test_is_triple_matches_reference(size_mode, cap):
+    for label, g, scope, k, op, phi in CASES:
+        annotated = GaifmanSentence(phi.basics, phi.combination, True)
+        expect = _outcome(_reference_search, g, scope, k, op, annotated, size_mode, cap)
+        options = {"size_mode": size_mode, "max_vertices": cap}
+        assert _outcome(is_triple, g, scope, k, op, phi, want_witness=True,
+                        **options) == expect, label
+        plain = _outcome(is_triple, g, scope, k, op, phi, **options)
+        assert plain == (expect if expect[0] == "raised" else expect[0]), label
+
+
+@pytest.mark.parametrize("cap", [2, 3, 128])
+@pytest.mark.parametrize("size_mode", ["at_most", "exact"])
+def test_solve_oracle_matches_reference(size_mode, cap):
+    cfg = PipelineConfig(size_mode=size_mode, cap_brute_vertices=cap)
+    for label, g, scope, k, op, phi in CASES:
+        sentences = [phi]
+        if scope == g.vertices:
+            sentences.append(GaifmanSentence(phi.basics, phi.combination, False))
+        for sentence in sentences:
+            expect = _outcome(_reference_search, g, scope, k, op, sentence, size_mode, cap)
+            got = _outcome(solve_oracle, Instance(g, k, op, sentence, scope), cfg,
+                           want_witness=True)
+            assert got == expect, (label, sentence.annotated)
+
+
+def test_nonplanar_sets_are_never_evaluated():
+    g = complete_graph(6)
+    for op in (Operation.VR, Operation.ER, Operation.EC):
+        assert is_triple(g, g.vertices, 1, op, ISOLATED, max_vertices=2,
+                         want_witness=True) == (False, None)
+
+
+def test_wall_evaluates_only_near_the_removed_vertex(monkeypatch):
+    # every vertex once on G, then for each removed v only its neighbours
+    calls = []
+    original = logic.check_local
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(logic, "check_local", spy)
+    g = make_elementary_wall(7).graph
+    assert not is_triple(g, g.vertices, 1, Operation.VR, ISOLATED)
+    bound = len(g.vertices) + sum(len(neighborhood(g, v, 1) - {v}) for v in g.vertices)
+    assert len(calls) <= bound

@@ -95,13 +95,14 @@ def test_planar_modification_stays_planar_on_supersets(op, data):
 
 # -- reference loops: every set is tested ----------------------------------------
 
-def _reference_search(g, scope, k, op, phi, size_mode):
+def _reference_search(g, scope, k, op, phi, size_mode, max_vertices=128):
     for sub in subsets_up_to(application_domain(op, g, scope), k):
         if size_mode == "exact" and len(sub) != k:
             continue
         ms = ModificationSet(op, sub)
         h = apply(g, ms)
-        if is_planar(h) and eval_gaifman(h, scope & h.vertices, phi):
+        if is_planar(h) and eval_gaifman(h, scope & h.vertices, phi,
+                                         max_vertices=max_vertices):
             return True, ms
     return False, None
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import warnings
 
 import pytest
 
 from planmod.config import PipelineConfig
-from planmod.errors import InputError
+from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import crafted_sig_instances
 from planmod.graphs import complete_graph, relabel
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
@@ -163,6 +164,19 @@ class TestComputeChar:
             orc = char_oracle(case["graph"], ec, case["r_set"], case["op"],
                               case["k"], case["phi"], case["params"], case["cfg"])
             assert mine.canonical_json() == orc.canonical_json()
+
+    def test_oracle_obeys_the_config_caps(self):
+        # the local formulas' balls hold 4 vertices, so a cap of 2 must fire
+        # in the search and in the oracle alike
+        case = crafted_sig_instances()[0]
+        cfg = dataclasses.replace(case["cfg"], cap_brute_vertices=2)
+        ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
+        with pytest.raises(ResourceLimitError, match="capped at 2 vertices"):
+            compute_char(case["graph"], case["wall"], case["r_set"], case["op"],
+                         case["k"], case["phi"], case["params"], cfg, ec=ec)
+        with pytest.raises(ResourceLimitError, match="capped at 2 vertices"):
+            char_oracle(case["graph"], ec, case["r_set"], case["op"], case["k"],
+                        case["phi"], case["params"], cfg)
 
 
 class TestEquivalence:
