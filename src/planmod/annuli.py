@@ -238,10 +238,6 @@ def separator_violations(sep: AnnulusEmbeddedSeparator) -> list:
     return out
 
 
-def validate_separator(sep: AnnulusEmbeddedSeparator) -> bool:
-    return not separator_violations(sep)
-
-
 def glue_equivalence(sep: AnnulusEmbeddedSeparator, *, hard_assert: bool = False) -> tuple:
     """(planar G, planar G_in, planar G_out); across a valid separator the
     first equals the conjunction of the other two."""

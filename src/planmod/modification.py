@@ -174,6 +174,31 @@ class PlanarSets:
         return planar
 
 
+def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
+                exact: bool = False, cap: int | None = None
+                ) -> Iterator[tuple[ModificationSet, Graph]]:
+    """(S, g ⊠ S) for every S ⊆ op⟨g, scope⟩ with |S| ≤ k (exactly k when
+    `exact`) that makes g planar, smallest first, in `subsets_up_to` order.
+    `cap` bounds the subsets enumerated, those of other sizes included;
+    `PlanarSets` decides planarity.
+
+    This is the one search behind the oracle, the final search, every
+    cross-check and the R-restricted planarizer fallback. Two loops stay
+    apart on purpose: `minimal_planarizers` and `compute_char` skip a set
+    covered by a planar subset before they build g ⊠ S, which on a planar
+    wall is every set, and `compute_char` also shares one `PlanarSets` and
+    one cumulative cap across its z loop. `sigoracle.char_oracle` and the
+    tests' reference loops are independent by design."""
+    planar = PlanarSets(g, op)
+    for sub in subsets_up_to(application_domain(op, g, scope), k, cap):
+        if exact and len(sub) != k:
+            continue
+        ms = ModificationSet(op, sub)
+        h = apply(g, ms)
+        if planar(ms, h):
+            yield ms, h
+
+
 def minimal_planarizers(g: Graph, op: Operation, k: int,
                         cap: int | None = None) -> Iterator[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, by exhaustive

@@ -152,11 +152,6 @@ def planar_with_additions(g: Graph, pairs: Iterable) -> bool:
     return is_planar(g.add_edges(pairs))
 
 
-def face_cycles(emb: Embedding) -> list:
-    """Faces whose boundary walk visits no vertex twice (i.e. simple cycles)."""
-    return [f for f in emb.faces if len(f) == len(set(f))]
-
-
 def embedding_to_json_obj(emb: Embedding) -> dict:
     return {
         "rotation": {str(v): list(emb.rotation[v]) for v in emb.rotation},

@@ -18,12 +18,12 @@ from typing import Iterable
 from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
-from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, GaifmanSentence,
-                    LocalValues, check_local, eval_gaifman)
-from .modification import (ModificationSet, Operation, PlanarSets, affected,
-                           application_domain, apply, subsets_up_to)
-# is_planar is no longer called here but stays bound, because the
-# benchmark's tracer (perfbench/spans.py) wraps it in this module
+from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, Formula, GaifmanSentence,
+                    LocalValues, check_fol, check_local, eval_gaifman)
+# is_planar and subsets_up_to are not called here but stay bound: the
+# benchmark's tracer (perfbench/spans.py) wraps them in this module
+from .modification import (ModificationSet, Operation, PlanarSets, affected,  # noqa: F401
+                           application_domain, apply, planar_sets, subsets_up_to)
 from .planarity import is_planar, planar_with_additions  # noqa: F401
 from .walls import ExtendedCompass, Wall, extended_compass
 
@@ -351,40 +351,37 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
 
 # -- triples -----------------------------------------------------------------------
 
+def first_model(g: Graph, scope: frozenset, k: int, op: Operation,
+                phi: GaifmanSentence | Formula, *, size_mode: str = "at_most",
+                cap: int | None = None, max_vertices: int = MAX_BRUTE_VERTICES,
+                max_depth: int = MAX_QUANT_DEPTH) -> ModificationSet | None:
+    """The first S of `planar_sets` (smallest first) whose G ⊠ S models
+    phi, or None. The sentence is evaluated under the brute-force caps
+    max_vertices and max_depth.
+
+    A Gaifman sentence's local formulas are evaluated once per vertex of
+    the scope on G, and on G ⊠ S only within distance r_h of affected(S):
+    elsewhere the r_h-ball is the same in both graphs, so `LocalValues`
+    supplies the value. A plain formula is checked by brute force on every
+    planar G ⊠ S."""
+    caps = {"max_vertices": max_vertices, "max_depth": max_depth}
+    gaifman = isinstance(phi, GaifmanSentence)
+    base = LocalValues(g, scope, phi, **caps) if gaifman else None
+    for ms, h in planar_sets(g, scope, k, op, exact=size_mode == "exact", cap=cap):
+        r_here = scope & h.vertices
+        if (eval_gaifman(h, r_here, phi, base=base, touched=affected(ms), **caps)
+                if gaifman else check_fol(h, r_here, phi, **caps)):
+            return ms
+    return None
+
+
 def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
               phi: GaifmanSentence, *, size_mode: str = "at_most",
               cap: int | None = None, max_vertices: int = MAX_BRUTE_VERTICES,
               max_depth: int = MAX_QUANT_DEPTH, want_witness: bool = False):
     """Does some S ⊆ op⟨G, R⟩ within the budget make G ⊠ S planar and a model
-    of the annotated sentence? Exhaustive search, smallest sets first; the
-    sentence is evaluated under the brute-force caps max_vertices and
-    max_depth.
-
-    For vr/er/ec, G ⊠ S is a minor of G ⊠ S' whenever S' ⊆ S, and minors of
-    planar graphs are planar, so `PlanarSets` answers S planar without a test
-    once G or a tested subset of S is planar; ea sets are always tested.
-
-    Each local formula ψ_h is evaluated once per vertex of R on G, and on
-    G ⊠ S only within distance r_h of affected(S): elsewhere the r_h-ball
-    is the same in both graphs, so `LocalValues` supplies the value."""
-    r_set = frozenset(r_set)
+    of the annotated sentence? `first_model` under the annotated reading."""
     annotated = phi if phi.annotated else GaifmanSentence(phi.basics, phi.combination, True)
-    domain = application_domain(op, g, r_set)
-    planar = PlanarSets(g, op)
-    base = LocalValues(g, r_set, annotated, max_vertices=max_vertices, max_depth=max_depth)
-    witness = None
-    found = False
-    for sub in subsets_up_to(domain, k, cap):
-        if size_mode == "exact" and len(sub) != k:
-            continue
-        ms = ModificationSet(op, sub)
-        h = apply(g, ms)
-        if not planar(ms, h):
-            continue
-        if eval_gaifman(h, r_set & h.vertices, annotated,
-                        max_vertices=max_vertices, max_depth=max_depth,
-                        base=base, touched=affected(ms)):
-            found = True
-            witness = ms
-            break
-    return (found, witness) if want_witness else found
+    witness = first_model(g, frozenset(r_set), k, op, annotated, size_mode=size_mode,
+                          cap=cap, max_vertices=max_vertices, max_depth=max_depth)
+    return (witness is not None, witness) if want_witness else witness is not None

@@ -16,17 +16,23 @@ from typing import Iterable
 from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
 from .graphs import Graph, k5_star, vertex_key
-from .logic import Formula, GaifmanSentence, LocalValues, check_fol, eval_gaifman
-from .modification import (ModificationSet, Operation, PlanarSets, affected,
-                           application_domain, apply, find_vr_planarizer,
-                           is_planarization_irrelevant, subsets_up_to)
+# apply, eval_gaifman and subsets_up_to are not called here but stay bound:
+# the benchmark's tracer (perfbench/spans.py) wraps them in this module
+from .logic import Formula, GaifmanSentence, eval_gaifman  # noqa: F401
+from .modification import (ModificationSet, Operation, apply,  # noqa: F401
+                           find_vr_planarizer, is_planarization_irrelevant,
+                           planar_sets, subsets_up_to)
 from .planarity import is_planar
 from .signatures import (Parameters, compute_char, compute_parameters,
-                         is_triple)
+                         first_model, is_triple)
 from .treewidth import TreeDecomposition, validate_decomposition, width_witness
 from .walls import (Wall, analyze_wall, compass, disjoint_subwalls,
                     extended_compass, wall_candidates, _may_contain_wall)
 from .signatures import area_family
+
+# the wall branch gives up after this many candidate walls and falls back to
+# the decomposition branch
+MAX_WALL_CANDIDATES = 16
 
 
 # -- instances -------------------------------------------------------------------
@@ -91,35 +97,14 @@ class BoundedTreewidth:
 
 def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
                  want_witness: bool = False):
-    """Definitional semantics: exhaust modification sets within the budget,
-    smallest first, and test planarity and the sentence on every modified
-    graph. For vr/er/ec, `PlanarSets` answers a set planar without a test
-    once G or a tested subset of it is planar: the modified graph is then a
-    minor of a planar graph. ea sets are always tested.
-
-    A Gaifman sentence's local formulas are evaluated once per vertex on G
-    and, for each set S, again on G ⊠ S only within distance r_h of
-    affected(S), where the r_h-ball can differ (`LocalValues`). Plain
-    formulas are checked by brute force on every modified graph."""
+    """Definitional semantics: the first modification set within the budget,
+    smallest first, whose modified graph is planar and models the sentence
+    (`first_model`), under the config's caps and size mode. Plain formulas
+    are accepted as well as Gaifman sentences."""
     cfg = cfg or PipelineConfig()
-    caps = {"max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
-    scope = inst.scope()
-    domain = application_domain(inst.op, inst.graph, scope)
-    planar = PlanarSets(inst.graph, inst.op)
-    gaifman = isinstance(inst.phi, GaifmanSentence)
-    base = LocalValues(inst.graph, scope, inst.phi, **caps) if gaifman else None
-    for sub in subsets_up_to(domain, inst.k, cfg.cap_oracle_subsets):
-        if cfg.size_mode == "exact" and len(sub) != inst.k:
-            continue
-        ms = ModificationSet(inst.op, sub)
-        h = apply(inst.graph, ms)
-        if not planar(ms, h):
-            continue
-        r_here = scope & h.vertices
-        if (eval_gaifman(h, r_here, inst.phi, base=base, touched=affected(ms), **caps)
-                if gaifman else check_fol(h, r_here, inst.phi, **caps)):
-            return (True, ms) if want_witness else True
-    return (False, None) if want_witness else False
+    witness = first_model(inst.graph, inst.scope(), inst.k, inst.op, inst.phi,
+                          **_triple_options(cfg))
+    return (witness is not None, witness) if want_witness else witness is not None
 
 
 # -- minor models -------------------------------------------------------------------
@@ -413,7 +398,7 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
                     g, op, k, comp.vertices, cfg.cap_oracle_subsets)
                 if witness is not None and irrelevant:
                     return WallArea(wall, comp, witness)
-            if tried >= 16:
+            if tried >= MAX_WALL_CANDIDATES:
                 return None
     except ResourceLimitError:
         return None
@@ -494,28 +479,25 @@ def _verify_irrelevant_region(g: Graph, r_set: frozenset, k: int, op: Operation,
 
 
 def _triple_options(cfg: PipelineConfig) -> dict:
-    """The keyword options `is_triple` takes from the config."""
+    """The keyword options `first_model` and `is_triple` take from the config."""
     return {"size_mode": cfg.size_mode, "cap": cfg.cap_oracle_subsets,
             "max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
 
 
 def _verify_obligatory(g: Graph, k: int, u, cfg: PipelineConfig):
-    domain = application_domain(Operation.VR, g, g.vertices)
-    for sub in subsets_up_to(domain, k, cfg.cap_oracle_subsets):
-        if u in sub:
-            continue
-        if is_planar(g.remove_vertices(sub)):
-            raise SoundnessError(
-                f"obligatory-vertex cross-check failed: {sorted(map(str, sub))} "
-                f"planarizes without {u!r}")
+    found = next(planar_sets(g, g.vertices - {u}, k, Operation.VR,
+                             cap=cfg.cap_oracle_subsets), None)
+    if found is not None:
+        raise SoundnessError(
+            f"obligatory-vertex cross-check failed: "
+            f"{sorted(map(str, found[0].elements))} planarizes without {u!r}")
 
 
 def _verify_no_planarizer(g: Graph, k: int, op: Operation, cfg: PipelineConfig):
-    domain = application_domain(op, g, g.vertices)
-    for sub in subsets_up_to(domain, k, cfg.cap_oracle_subsets):
-        if is_planar(apply(g, ModificationSet(op, sub))):
-            raise SoundnessError(
-                f"no-instance cross-check failed: {sorted(map(str, sub))} planarizes")
+    found = next(planar_sets(g, g.vertices, k, op, cap=cfg.cap_oracle_subsets), None)
+    if found is not None:
+        raise SoundnessError(f"no-instance cross-check failed: "
+                             f"{sorted(map(str, found[0].elements))} planarizes")
 
 
 # -- Reduce_Instance ---------------------------------------------------------------
@@ -621,7 +603,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
     else:
         s = find_vr_planarizer(g, k)
         if s is not None and not s.elements <= r_set:
-            s = _planarizer_within(g, k, r_set)
+            s = _planarizer_within(g, k, r_set, cfg)
         if s is None:
             log("no-planarizer", {"within": "R"}, t0)
             result = PipelineResult(False, None, trace)
@@ -671,9 +653,9 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
     return result
 
 
-def _planarizer_within(g: Graph, k: int, r_set: frozenset) -> ModificationSet | None:
-    """Exhaustive fallback: a vr-planarizer of size <= k inside R."""
-    for sub in subsets_up_to(sorted(r_set, key=vertex_key), k):
-        if is_planar(g.remove_vertices(sub)):
-            return ModificationSet(Operation.VR, sub)
-    return None
+def _planarizer_within(g: Graph, k: int, r_set: frozenset,
+                       cfg: PipelineConfig) -> ModificationSet | None:
+    """Exhaustive fallback: a vr-planarizer of size <= k inside R, under
+    the oracle's subset cap."""
+    found = next(planar_sets(g, r_set, k, Operation.VR, cap=cfg.cap_oracle_subsets), None)
+    return None if found is None else found[0]

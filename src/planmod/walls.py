@@ -1,5 +1,5 @@
 """Walls, layers, central subwalls, wall-annuli, compasses, and a desk-scale
-wall finder.
+wall search.
 
 A Wall carries explicit structure: a bijection from branch vertices to the
 positions of the elementary wall of its height, and one subdivision path per
@@ -16,8 +16,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, norm_edge, vertex_key
-from .planarity import embed, is_planar
-from .treewidth import width_witness
+# is_planar and width_witness are not called here but stay bound: the
+# benchmark's tracer (perfbench/spans.py) wraps them in this module
+from .planarity import embed, is_planar  # noqa: F401
+from .treewidth import width_witness  # noqa: F401
 
 
 # -- elementary pattern -------------------------------------------------------
@@ -612,38 +614,6 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
                     {v: p for p, v in placed.items()}, dict(paths))
         if validate_wall(wall):
             yield wall
-
-
-def find_wall(g: Graph, q: int, c1: int = 9, exact_cap: int = 14,
-              node_budget: int = 200_000, candidates: int = 16):
-    """Either a q-wall of g whose compass has a validated width <= c1*q
-    witness, or a tree decomposition of g of width <= c1*q.
-
-    Returns (wall, compass, witness) or (None, None, decomposition). Raises
-    when neither branch can be certified under the caps.
-    """
-    if q < 3 or q % 2 == 0:
-        raise InputError("wall height must be odd and >= 3")
-    if not is_planar(g):
-        raise InputError("find_wall expects a planar graph")
-    bound = c1 * q
-    if _may_contain_wall(g, q):
-        tried = 0
-        for wall in wall_candidates(g, q, node_budget):
-            tried += 1
-            comp = compass(g, wall)
-            witness = width_witness(comp, bound, exact_cap)
-            if witness is not None:
-                assert validate_wall(wall)
-                return wall, comp, witness
-            if tried >= candidates:
-                break
-    td = width_witness(g, bound, exact_cap)
-    if td is not None:
-        return None, None, td
-    raise ResourceLimitError(
-        f"no q-wall with a certified compass found and no width-{bound} "
-        f"decomposition obtained under the caps")
 
 
 def _may_contain_wall(g: Graph, q: int) -> bool:

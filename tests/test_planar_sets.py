@@ -5,6 +5,7 @@ exhaustive searches answer a superset of a planar set without a test. The
 property below checks the theorem itself with networkx; the differential
 tests compare the searches with reference loops that test every set."""
 
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -18,7 +19,8 @@ from planmod.fixtures import IS_ISOLATED, fixed_sentences, random_instances
 from planmod.graphs import Graph, complete_graph, norm_edge
 from planmod.logic import BasicSentence, GaifmanSentence, eval_gaifman, parse_combination
 from planmod.modification import (ModificationSet, Operation, application_domain,
-                                  apply, minimal_planarizers, subsets_up_to)
+                                  apply, minimal_planarizers, planar_sets,
+                                  subsets_up_to)
 from planmod.planarity import is_planar
 from planmod.signatures import is_triple
 from planmod.solver import Instance, solve_oracle
@@ -107,6 +109,16 @@ def _reference_search(g, scope, k, op, phi, size_mode, max_vertices=128):
     return False, None
 
 
+def _reference_planar(g, scope, k, op, exact):
+    out = []
+    for sub in subsets_up_to(application_domain(op, g, scope), k):
+        ms = ModificationSet(op, sub)
+        h = apply(g, ms)
+        if (not exact or len(sub) == k) and is_planar(h):
+            out.append((ms, h))
+    return out
+
+
 def _reference_minimal(g, op, k):
     planar = [sub for sub in subsets_up_to(application_domain(op, g, g.vertices), k)
               if is_planar(apply(g, ModificationSet(op, sub)))]
@@ -147,6 +159,17 @@ def test_is_triple_and_oracle_match_reference(size_mode):
                          want_witness=True) == expect, label
         assert solve_oracle(Instance(g, k, op, phi, scope), cfg,
                             want_witness=True) == expect, label
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_planar_sets_match_reference(exact):
+    rng = random.Random(77)
+    for g, k, _, _, name in random_instances(4321, 60):
+        part = frozenset(v for v in g.vertices if rng.random() < 0.6)
+        for scope in (g.vertices, part):
+            for op in Operation:
+                assert list(planar_sets(g, scope, k, op, exact=exact)) == \
+                    _reference_planar(g, scope, k, op, exact), (name, op, sorted(scope))
 
 
 def test_minimal_planarizers_match_reference():

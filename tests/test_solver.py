@@ -1,10 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
-from planmod.fixtures import TRIVIALLY_TRUE, random_instances
+from planmod.fixtures import HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE, random_instances
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
                             make_grid, make_triangulated_grid, path_graph,
                             relabel, verify_minor_model)
@@ -266,10 +268,10 @@ class TestFindVertex:
         checked = 0
         for sub in subsets_up_to(sorted(domain), 1):
             ms = ModificationSet(Operation.VR, sub)
+            if not (ms.elements & region):
+                continue
             h = apply(g, ms)
             if not is_planar(h) or not eval_gaifman(h, r_all & h.vertices, PHI_NB):
-                continue
-            if not (ms.elements & region):
                 continue
             replacement = None
             for sub2 in subsets_up_to(sorted(r_prime), 1):
@@ -351,7 +353,35 @@ class TestReduceInstance:
         assert before == after
 
 
+# sha256 of `_golden_reports()`. Answers, witnesses and untimed traces are
+# deterministic, so a change here is a change of behaviour. After an intended
+# one, paste in the new hashlib.sha256(_golden_reports()).hexdigest().
+GOLDEN_SHA256 = "3dc027a7ba17e3a5dacf1a399d7a0913b739a69284022cf501d529f053a14433"
+
+
+def _golden_reports() -> bytes:
+    """(answer, witness, untimed trace) of the pipeline on the first 60
+    criterion-9 stream instances (cross-check on) and on the 7-wall under vr
+    with a YES and a NO sentence (cross-check off), as canonical JSON."""
+    runs = [(Instance(g, k, op, phi), PipelineConfig())
+            for g, k, op, phi, _ in random_instances(9000, 60)]
+    wall_cfg = PipelineConfig(cross_check=False, rho_hat=1, d_hat=1, q_hat=7)
+    wall = make_elementary_wall(7).graph
+    for psi in (HAS_NEIGHBOR, IS_ISOLATED):
+        phi = GaifmanSentence((BasicSentence(1, 1, psi),), parse_combination("1"))
+        runs.append((Instance(wall, 1, Operation.VR, phi), wall_cfg))
+    rows = []
+    for inst, cfg in runs:
+        res = solve_pipeline(inst, cfg)
+        witness = None if res.witness is None else res.witness.to_json_obj()
+        rows.append([res.answer, witness, res.trace_json_obj()])
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+
+
 class TestPipeline:
+    def test_reports_match_pinned_digest(self):
+        assert hashlib.sha256(_golden_reports()).hexdigest() == GOLDEN_SHA256
+
     def test_matches_direct_evaluation_at_k0(self):
         g = path_graph(6)
         res = solve_pipeline(Instance(g, 0, Operation.VR, PHI_NB))
@@ -397,3 +427,13 @@ class TestPipeline:
         assert res.answer
         outcomes = [t.outcome for t in res.trace]
         assert "obligatory-vertex" in outcomes or "bounded-treewidth" in outcomes
+
+    def test_planarizer_within_r_obeys_the_subset_cap(self):
+        from planmod.modification import find_vr_planarizer
+        from planmod.solver import _planarizer_within
+        g = complete_graph(5)
+        assert find_vr_planarizer(g, 1).elements == {0}  # outside R, so the fallback runs
+        r_set = frozenset({1, 2, 3, 4})
+        with pytest.raises(ResourceLimitError):
+            _planarizer_within(g, 1, r_set, PipelineConfig(cap_oracle_subsets=1))
+        assert _planarizer_within(g, 1, r_set, PipelineConfig()).elements == {1}

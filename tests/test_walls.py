@@ -6,11 +6,13 @@ from wall_oracle import (derive_central_subwall, derive_layers,
 
 from planmod.errors import InputError
 from planmod.graphs import complete_graph, make_grid, path_graph
+from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
+from planmod.solver import BoundedTreewidth, WallArea, find_area
 from planmod.treewidth import validate_decomposition
 from planmod.walls import (analyze_wall, central_subwall, compass,
                            disjoint_subwalls,
-                           extended_compass, find_wall, layer_count,
+                           extended_compass, layer_count,
                            make_elementary_wall, subdivide_wall, subwall_at,
                            validate_wall, wall_annulus, wall_violations)
 
@@ -216,30 +218,31 @@ class TestSubwalls:
             subwall_at(w, 1, 0, 3)
 
 
+def _find_wall(g):
+    """The area finder on a planar g with the empty vr planarizer, k=1, q=3."""
+    return find_area(1, 3, g, ModificationSet(Operation.VR, []), Operation.VR)
+
+
 class TestFindWall:
     def test_grid_contains_wall(self):
         g = make_grid(6, 8).graph
-        wall, comp, witness = find_wall(g, 3)
-        assert wall is not None and validate_wall(wall)
-        assert wall.graph.is_subgraph_of(g)
-        assert witness.width() <= 9 * 3
-        assert validate_decomposition(comp, witness)
+        out = _find_wall(g)
+        assert isinstance(out, WallArea) and validate_wall(out.wall)
+        assert out.wall.graph.is_subgraph_of(g)
+        assert validate_decomposition(out.compass, out.tw_witness)
 
     def test_tree_gets_decomposition(self):
-        wall, comp, td = find_wall(path_graph(25), 3)
-        assert wall is None and td.width() == 1
-        assert validate_decomposition(path_graph(25), td)
+        out = _find_wall(path_graph(25))
+        assert isinstance(out, BoundedTreewidth) and out.decomposition.width() == 1
+        assert validate_decomposition(path_graph(25), out.decomposition)
 
     def test_k4_too_small(self):
-        wall, comp, td = find_wall(complete_graph(4), 3)
-        assert wall is None and td.width() == 3
+        out = _find_wall(complete_graph(4))
+        assert isinstance(out, BoundedTreewidth) and out.decomposition.width() == 3
 
     def test_subdivided_host(self):
         host = subdivide_wall(make_elementary_wall(3), rng=random.Random(5),
                               max_extra=1)
-        wall, comp, witness = find_wall(host.graph, 3)
-        assert wall is not None and validate_wall(wall)
-
-    def test_nonplanar_rejected(self):
-        with pytest.raises(InputError):
-            find_wall(complete_graph(5), 3)
+        out = _find_wall(host.graph)
+        assert isinstance(out, WallArea) and validate_wall(out.wall)
+        assert validate_decomposition(out.compass, out.tw_witness)
