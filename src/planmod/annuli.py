@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from .errors import InputError
-from .graphs import Graph, complete_graph, norm_edge, vertex_key
+from .graphs import Graph, complete_graph, norm_edge
 from .planarity import Embedding, embed, is_planar
 from .walls import Wall, WallAnnulus, make_elementary_wall, wall_annulus
 
@@ -183,21 +183,6 @@ def attachment_observation_holds(abg: AnnulusBoundariedGraph, h: Graph) -> bool:
     return True
 
 
-def annulus_instance_to_json_obj(abg: AnnulusBoundariedGraph) -> dict:
-    comps = wall_components(abg)
-    return {
-        "graph": abg.graph.to_json_obj(),
-        "y_vertices": sorted(abg.annulus.graph.vertices, key=vertex_key),
-        "c_in": list(abg.inner_cycle),
-        "c_out": list(abg.outer_cycle),
-        "component_attachments": [
-            {"kind": c.kind,
-             "vertices": sorted(c.vertices, key=vertex_key),
-             "attached": sorted(c.attached, key=vertex_key)}
-            for c in comps],
-    }
-
-
 # -- annulus-embedded separators ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -283,7 +268,6 @@ def random_separator(seed: int, wall_height: int = 7,
     next_id = max(v for v in wall.graph.vertices) + 1
 
     k = y
-    graph = y
     # in-compass attachments: chords and small planar pieces inside one brick
     for brick in rng.sample(list(ann.bricks), k=min(len(ann.bricks), rng.randint(0, 3))):
         verts = list(brick)
@@ -291,7 +275,6 @@ def random_separator(seed: int, wall_height: int = 7,
             a, b = rng.sample(verts, 2)
             if not y.has_edge(a, b):
                 k = k.add_edges([(a, b)])
-                graph = graph.add_edges([(a, b)])
         else:
             gadget = _random_gadget(rng, next_id, nonplanar=False)
             next_id += len(gadget.vertices) + 1
@@ -299,18 +282,13 @@ def random_separator(seed: int, wall_height: int = 7,
             hook_edges = [(rng.choice(gadget.sorted_vertices()), h) for h in hooks]
             k = Graph(k.vertices | gadget.vertices,
                       set(k.edges) | set(gadget.edges) | {norm_edge(*e) for e in hook_edges})
-            graph = Graph(graph.vertices | gadget.vertices,
-                          set(graph.edges) | set(gadget.edges) | {norm_edge(*e) for e in hook_edges})
 
     def hang(cycle: tuple, g_acc: Graph, nonlocal_next: int) -> tuple:
-        added = Graph([], [])
         for _ in range(rng.randint(0, 2)):
             gadget = _random_gadget(rng, nonlocal_next, rng.random() < p_nonplanar)
             nonlocal_next += len(gadget.vertices) + 1
             hooks = rng.sample(list(cycle), k=rng.randint(1, min(3, len(cycle))))
             hook_edges = [(rng.choice(gadget.sorted_vertices()), h) for h in hooks]
-            added = Graph(added.vertices | gadget.vertices,
-                          set(added.edges) | set(gadget.edges))
             g_acc = Graph(g_acc.vertices | gadget.vertices,
                           set(g_acc.edges) | set(gadget.edges) | {norm_edge(*e) for e in hook_edges})
         return g_acc, nonlocal_next

@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from .config import PipelineConfig
+from .config import CAPS, PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
 from .fixtures import (TRIVIALLY_TRUE, crafted_sig_instances, fixed_sentences,
                        random_annotated, random_graph, random_instances,
@@ -60,9 +60,7 @@ def _config_from_args(args) -> PipelineConfig:
         kwargs["size_mode"] = args.size_mode.replace("-", "_")
     if getattr(args, "no_cross_check", False):
         kwargs["cross_check"] = False
-    for cap in ("cap_oracle_subsets", "cap_char_subsets", "cap_wall_nodes",
-                "cap_exact_tw", "cap_compass", "cap_brute_vertices",
-                "cap_quant_depth"):
+    for cap in CAPS:
         val = getattr(args, cap, None)
         if val is not None:
             kwargs[cap] = val
@@ -344,10 +342,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--size-mode", choices=("at-most", "exact"), default=None)
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip oracle verification (unsound; benchmarking only)")
-    for cap in ("oracle-subsets", "char-subsets", "wall-nodes", "exact-tw",
-                "compass", "brute-vertices", "quant-depth"):
-        p.add_argument(f"--cap-{cap}", dest=f"cap_{cap.replace('-', '_')}",
-                       type=int, default=None)
+    for cap in CAPS:
+        p.add_argument(f"--{cap.replace('_', '-')}", dest=cap, type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

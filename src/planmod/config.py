@@ -3,7 +3,7 @@ desk-scale parameter overrides, and the enumeration caps."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
 
@@ -35,9 +35,7 @@ class PipelineConfig:
     def __post_init__(self):
         if self.size_mode not in ("at_most", "exact"):
             raise InputError("size_mode must be 'at_most' or 'exact'")
-        for name in ("cap_oracle_subsets", "cap_char_subsets", "cap_wall_nodes",
-                     "cap_exact_tw", "cap_compass", "cap_brute_vertices",
-                     "cap_quant_depth"):
+        for name in CAPS:
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
 
@@ -47,3 +45,7 @@ class PipelineConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PipelineConfig":
         return cls(**obj)
+
+
+# the enumeration caps' field names, in declaration order
+CAPS = tuple(f.name for f in fields(PipelineConfig) if f.name.startswith("cap_"))

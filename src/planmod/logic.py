@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
 from .graphs import Graph, neighborhood
@@ -692,23 +692,30 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
                                      if v in fresh else base(v, basic))]
     if len(candidates) < basic.ell:
         return None
+    return next((xs for xs in scattered_sets(g, candidates, basic.r, basic.ell)
+                 if len(xs) == basic.ell), None)
+
+
+def scattered_sets(g: Graph, candidates: list, r: int, ell: int) -> Iterator[tuple]:
+    """Every tuple of at most ell candidates, in the candidates' order, that
+    lie pairwise at distance > 2r in g: depth first, each tuple before its
+    extensions, so the first tuple of size ell is the lexicographically
+    first (ell, r)-scattered set."""
     dist = {}
 
     def far(u, v):
         if u not in dist:
             dist[u] = g.bfs_distances(u)
-        return dist[u].get(v, inf) > 2 * basic.r
+        return dist[u].get(v, inf) > 2 * r
 
     def grow(chosen, start):
-        if len(chosen) == basic.ell:
-            return tuple(chosen)
+        yield tuple(chosen)
+        if len(chosen) == ell:
+            return
         for i in range(start, len(candidates)):
             v = candidates[i]
             if all(far(u, v) for u in chosen):
-                got = grow(chosen + [v], i + 1)
-                if got is not None:
-                    return got
-        return None
+                yield from grow(chosen + [v], i + 1)
 
     return grow([], 0)
 

@@ -182,12 +182,11 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
     `cap` bounds the subsets enumerated, those of other sizes included;
     `PlanarSets` decides planarity.
 
-    This is the one search behind the oracle, the final search, every
-    cross-check and the R-restricted planarizer fallback. Two loops stay
-    apart on purpose: `minimal_planarizers` and `compute_char` skip a set
-    covered by a planar subset before they build g ⊠ S, which on a planar
-    wall is every set, and `compute_char` also shares one `PlanarSets` and
-    one cumulative cap across its z loop. `sigoracle.char_oracle` and the
+    This is the one search behind the oracle, the final search and every
+    cross-check. Two loops stay apart on purpose: `minimal_planarizers` and
+    `compute_char` skip a set covered by a planar subset before they build
+    g ⊠ S, which on a planar wall is every set, and `compute_char` also
+    shares one `PlanarSets` and one cumulative cap across its z loop. `sigoracle.char_oracle` and the
     tests' reference loops are independent by design."""
     planar = PlanarSets(g, op)
     for sub in subsets_up_to(application_domain(op, g, scope), k, cap):
@@ -220,29 +219,33 @@ def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable
     return all(not (affected(s) & q_set) for s in minimal_planarizers(g, op, k, cap))
 
 
-def find_vr_planarizer(g: Graph, k: int) -> ModificationSet | None:
-    """Some vr-planarizer of size <= k, or None.
+def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
+                       ) -> ModificationSet | None:
+    """Some vr-planarizer of size <= k inside `scope` (all of V when None),
+    or None.
 
-    Branches over all vertices of an extracted Kuratowski subgraph: any
-    planarizer must hit every such subgraph, so the search is exhaustive with
-    depth <= k.
+    Branches over the vertices of `scope` on an extracted Kuratowski
+    subgraph: any planarizer inside the scope must hit every such subgraph
+    at a vertex of the scope, so the search is exhaustive with depth <= k.
     """
     if k < 0:
         raise InputError("budget must be non-negative")
-    chosen = _branch_vr(g, k)
+    chosen = _branch_vr(g, k, None if scope is None else frozenset(scope))
     if chosen is None:
         return None
     return ModificationSet(Operation.VR, chosen)
 
 
-def _branch_vr(g: Graph, k: int) -> frozenset | None:
+def _branch_vr(g: Graph, k: int, scope: frozenset | None) -> frozenset | None:
     witness = kuratowski(g)
     if witness is None:
         return frozenset()
     if k == 0:
         return None
     for v in sorted(witness.vertices, key=vertex_key):
-        rest = _branch_vr(g.remove_vertices([v]), k - 1)
+        if scope is not None and v not in scope:
+            continue
+        rest = _branch_vr(g.remove_vertices([v]), k - 1, scope)
         if rest is not None:
             return rest | {v}
     return None

@@ -151,10 +151,3 @@ def planar_with_additions(g: Graph, pairs: Iterable) -> bool:
             raise InputError(f"{{{u!r},{v!r}}} is already an edge")
     return is_planar(g.add_edges(pairs))
 
-
-def embedding_to_json_obj(emb: Embedding) -> dict:
-    return {
-        "rotation": {str(v): list(emb.rotation[v]) for v in emb.rotation},
-        "faces": [list(f) for f in emb.faces],
-        "outer_face": emb.outer_face,
-    }

@@ -19,9 +19,11 @@ from .config import PipelineConfig
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
 from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, Formula, GaifmanSentence,
-                    LocalValues, check_fol, check_local, eval_gaifman)
-# is_planar and subsets_up_to are not called here but stay bound: the
-# benchmark's tracer (perfbench/spans.py) wraps them in this module
+                    LocalValues, check_fol, check_local, eval_gaifman,
+                    scattered_sets)
+# is_planar, planar_with_additions and subsets_up_to are not called here but
+# stay bound: the benchmark's tracer (perfbench/spans.py) wraps them in this
+# module
 from .modification import (ModificationSet, Operation, PlanarSets, affected,  # noqa: F401
                            application_domain, apply, planar_sets, subsets_up_to)
 from .planarity import is_planar, planar_with_additions  # noqa: F401
@@ -267,33 +269,15 @@ def _subsets_of_sizes(ell: int, sizes: set) -> list:
 def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
                     max_vertices: int, max_depth: int) -> set:
     """Witness-set sizes y for which an (y, r_h)-scattered set of psi_h
-    vertices exists inside `allowed`; downward closed, so search from the top."""
+    vertices exists inside `allowed`; downward closed, so one search for the
+    largest size up to ell_h settles them all."""
     candidates = [v for v in sorted(allowed, key=vertex_key)
                   if check_local(kt_mod, r_set & kt_mod.vertices, v, basic.psi, basic.r,
                                  max_vertices=max_vertices, max_depth=max_depth)]
-    dists = {}
-
-    def far(u, v):
-        if u not in dists:
-            dists[u] = kt_mod.bfs_distances(u)
-        return dists[u].get(v, float("inf")) > 2 * basic.r
-
-    def scattered_of(size) -> bool:
-        def grow(chosen, start):
-            if len(chosen) == size:
-                return True
-            for i in range(start, len(candidates)):
-                v = candidates[i]
-                if all(far(u, v) for u in chosen):
-                    if grow(chosen + [v], i + 1):
-                        return True
-            return False
-        return grow([], 0)
-
     top = 0
-    for y in range(basic.ell, 0, -1):
-        if len(candidates) >= y and scattered_of(y):
-            top = y
+    for xs in scattered_sets(kt_mod, candidates, basic.r, basic.ell):
+        top = max(top, len(xs))
+        if top == basic.ell:
             break
     return set(range(0, top + 1))
 
@@ -305,9 +289,9 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
     """All realizable (z, sig, s): some S inside the z-anchored region of the
     compass, of size exactly s, keeping the compass planar, with that sig.
 
-    Planarity of a vr/er/ec set is decided by `PlanarSets` over the whole
-    compass, so no set is tested once the compass or a tested subset of it
-    is planar; ea sets are tested by `planar_with_additions`."""
+    Planarity is decided by `PlanarSets` over the whole compass, so no
+    vr/er/ec set is tested once the compass or a tested subset of it is
+    planar; every ea set is tested."""
     cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     if ec is None:
@@ -319,7 +303,7 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
     r_k = r_set & compass_graph.vertices
     entries = set()
     budget = cfg.cap_char_subsets
-    planar_sets = PlanarSets(compass_graph, op)
+    planar = PlanarSets(compass_graph, op)
     for z in z_range(params):
         if z > ec.rho:
             continue
@@ -336,11 +320,7 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
                     raise ResourceLimitError(
                         "characteristic enumeration exceeded cap-char-subsets")
                 ms = ModificationSet(op, combo)
-                if op is Operation.EA:
-                    planar = planar_with_additions(compass_graph, ms.elements)
-                else:
-                    planar = planar_sets(ms)
-                if not planar:
+                if not planar(ms):
                     continue
                 sig = compute_sig(ec, r_k, z, ms, phi, params,
                                   max_vertices=cfg.cap_brute_vertices,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .config import PipelineConfig
@@ -387,21 +388,15 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
     if not is_planar(flat):
         return None
 
-    tried = 0
-    try:
-        for wall in wall_candidates(flat, q, cfg.cap_wall_nodes):
-            tried += 1
-            comp = compass(g, wall)
-            if not comp.vertices & blocked:
-                witness = width_witness(comp, f2, cfg.cap_exact_tw)
-                irrelevant = is_planarization_irrelevant(
-                    g, op, k, comp.vertices, cfg.cap_oracle_subsets)
-                if witness is not None and irrelevant:
-                    return WallArea(wall, comp, witness)
-            if tried >= MAX_WALL_CANDIDATES:
-                return None
-    except ResourceLimitError:
-        return None
+    for wall in islice(wall_candidates(flat, q, cfg.cap_wall_nodes),
+                       MAX_WALL_CANDIDATES):
+        comp = compass(g, wall)
+        if not comp.vertices & blocked:
+            witness = width_witness(comp, f2, cfg.cap_exact_tw)
+            irrelevant = is_planarization_irrelevant(
+                g, op, k, comp.vertices, cfg.cap_oracle_subsets)
+            if witness is not None and irrelevant:
+                return WallArea(wall, comp, witness)
     return None
 
 
@@ -601,9 +596,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
                 {"reason": "edge additions cannot planarize a nonplanar graph"}, t0)
             result = PipelineResult(False, None, trace)
     else:
-        s = find_vr_planarizer(g, k)
-        if s is not None and not s.elements <= r_set:
-            s = _planarizer_within(g, k, r_set, cfg)
+        s = find_vr_planarizer(g, k, r_set)
         if s is None:
             log("no-planarizer", {"within": "R"}, t0)
             result = PipelineResult(False, None, trace)
@@ -652,10 +645,3 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
                                    (time.perf_counter() - t0) * 1000))
     return result
 
-
-def _planarizer_within(g: Graph, k: int, r_set: frozenset,
-                       cfg: PipelineConfig) -> ModificationSet | None:
-    """Exhaustive fallback: a vr-planarizer of size <= k inside R, under
-    the oracle's subset cap."""
-    found = next(planar_sets(g, r_set, k, Operation.VR, cap=cfg.cap_oracle_subsets), None)
-    return None if found is None else found[0]

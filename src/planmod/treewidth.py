@@ -8,7 +8,6 @@ min-fill decomposition, which is an upper bound, never a treewidth claim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -228,34 +227,6 @@ def exact_treewidth_bb(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
 
     search(0, tuple(adjm), 0)
     return best
-
-
-# -- export -------------------------------------------------------------------
-
-def decomposition_to_json_obj(td: TreeDecomposition) -> dict:
-    nodes = td.tree.sorted_vertices()
-    return {
-        "nodes": nodes,
-        "tree_edges": [list(e) for e in td.tree.sorted_edges()],
-        "bags": {str(t): sorted(td.bags[t], key=vertex_key) for t in nodes},
-        "width": td.width(),
-    }
-
-
-def decomposition_to_pace(g: Graph, td: TreeDecomposition) -> str:
-    """PACE-style text: an `s td` header, `b` bag lines, then tree edges."""
-    verts = g.sorted_vertices()
-    vid = {v: i + 1 for i, v in enumerate(verts)}
-    nodes = td.tree.sorted_vertices()
-    nid = {t: i + 1 for i, t in enumerate(nodes)}
-    maxbag = max((len(b) for b in td.bags.values()), default=0)
-    lines = [f"s td {len(nodes)} {maxbag} {len(verts)}"]
-    for t in nodes:
-        members = " ".join(str(vid[v]) for v in sorted(td.bags[t], key=vertex_key))
-        lines.append(f"b {nid[t]} {members}".rstrip())
-    for a, b in td.tree.sorted_edges():
-        lines.append(f"{nid[a]} {nid[b]}")
-    return "\n".join(lines) + "\n"
 
 
 def single_bag_decomposition(g: Graph) -> TreeDecomposition:

@@ -71,7 +71,6 @@ def _strip_debris(g: Graph) -> Graph:
 class _ElementaryStructure:
     layers: tuple          # outermost first; each a tuple of positions in cyclic order
     center: tuple          # the two central positions
-    windows: tuple         # windows[i] = positions surviving i peels
     local_maps: tuple      # local_maps[i]: position -> (r-2i)-wall position
     bricks: tuple          # each brick as a frozenset of six positions
 
@@ -112,8 +111,8 @@ def _elementary_structure(r: int) -> _ElementaryStructure:
             cell = {(x, y), (x + 1, y), (x + 2, y), (x, y + 1), (x + 1, y + 1), (x + 2, y + 1)}
             if cell <= g.vertices:
                 bricks.append(frozenset(cell))
-    return _ElementaryStructure(tuple(layers), center, tuple(windows),
-                                tuple(local_maps), tuple(bricks))
+    return _ElementaryStructure(tuple(layers), center, tuple(local_maps),
+                                tuple(bricks))
 
 
 # -- walls ---------------------------------------------------------------------
@@ -180,37 +179,6 @@ def wall_violations(w: Wall) -> list:
     return out
 
 
-def wall_to_json_obj(w: Wall) -> dict:
-    return {
-        "height": w.height,
-        "branch_coords": [[v, list(p)] for v, p in
-                          sorted(w.branch_coords.items(),
-                                 key=lambda kv: vertex_key(kv[0]))],
-        "paths": [[list(e[0]), list(e[1]), list(path)]
-                  for e, path in sorted(w.paths.items())],
-    }
-
-
-def wall_from_json_obj(obj: dict) -> Wall:
-    try:
-        coords = {v: tuple(p) for v, p in obj["branch_coords"]}
-        paths = {norm_edge(tuple(a), tuple(b)): tuple(path)
-                 for a, b, path in obj["paths"]}
-        height = obj["height"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad wall object: {exc}") from exc
-    verts = set(coords)
-    edges = set()
-    for path in paths.values():
-        verts.update(path)
-        edges.update(norm_edge(x, y) for x, y in zip(path, path[1:]))
-    wall = Wall(Graph(verts, edges), height, coords, paths)
-    bad = wall_violations(wall)
-    if bad:
-        raise InputError("; ".join(bad))
-    return wall
-
-
 def make_elementary_wall(r: int, first_id: int = 0) -> Wall:
     """The elementary r-wall with integer ids, all finite faces hexagonal."""
     verts, edges = elementary_positions(r)
@@ -272,12 +240,19 @@ def _splice(w: Wall, cycle_positions: Iterable) -> tuple:
     return tuple(out)
 
 
-def _window_vertices(w: Wall, window: frozenset) -> set:
-    verts = {w.vertex_at(p) for p in window}
-    for e, path in w.paths.items():
-        if e[0] in window and e[1] in window:
-            verts.update(path)
-    return verts
+def _sub_wall(w: Wall, height: int, local: Mapping) -> Wall:
+    """The height-subwall of w whose branch vertices sit at the host
+    positions that `local` maps onto the elementary height-wall's positions;
+    each path runs from its end at the smaller local position."""
+    host = {lp: p for p, lp in local.items()}
+    paths = {}
+    for a, b in elementary_positions(height)[1]:
+        path = w.paths[norm_edge(host[a], host[b])]
+        if w.branch_coords[path[0]] != host[a]:
+            path = tuple(reversed(path))
+        paths[(a, b)] = path
+    coords = {w.vertex_at(p): lp for p, lp in local.items()}
+    return Wall(w.graph.induced(set().union(*paths.values())), height, coords, paths)
 
 
 @dataclass(frozen=True)
@@ -308,20 +283,7 @@ def central_subwall(w: Wall, q: int) -> Wall:
     i = (w.height - q) // 2
     if i == 0:
         return w
-    st = _elementary_structure(w.height)
-    window = st.windows[i]
-    local = st.local_maps[i]
-    coords = {w.vertex_at(p): local[p] for p in window}
-    paths = {}
-    for e, path in w.paths.items():
-        if e[0] in window and e[1] in window:
-            key = norm_edge(local[e[0]], local[e[1]])
-            start = e[0] if local[e[0]] == key[0] else e[1]
-            if w.branch_coords[path[0]] != start:
-                path = tuple(reversed(path))
-            paths[key] = path
-    verts = _window_vertices(w, window)
-    return Wall(w.graph.induced(verts), q, coords, paths)
+    return _sub_wall(w, q, _elementary_structure(w.height).local_maps[i])
 
 
 @dataclass(frozen=True)
@@ -358,12 +320,7 @@ def wall_annulus(w: Wall, p: int, ell: int) -> WallAnnulus:
         drop = w3.graph.vertices - set(analyze_wall(w3).perimeter)
     else:
         drop = central_subwall(w, 2 * (p - ell) + 1).graph.vertices
-    g = hi.graph.remove_vertices(drop)
-    while True:
-        bad = [v for v in g.vertices if len(g.adj[v]) <= 1]
-        if not bad:
-            break
-        g = g.remove_vertices(bad)
+    g = _strip_debris(hi.graph.remove_vertices(drop))
     layers = analyze_wall(w).layers
     outer = layers[rho - p]
     inner = layers[rho - p + ell - 1]
@@ -444,19 +401,8 @@ def subwall_at(w: Wall, x0: int, y0: int, s: int) -> Wall:
         raise InputError("window offset must have even coordinate sum")
     if x0 < 0 or y0 < 0 or x0 + 2 * s > 2 * w.height or y0 + s > w.height:
         raise InputError("window does not fit inside the wall")
-    verts, edges = elementary_positions(s)
-    glob = lambda p: (p[0] + x0, p[1] + y0)
-    coords = {w.vertex_at(glob(p)): p for p in verts}
-    paths = {}
-    for (a, b) in edges:  # already normalized local edges
-        path = w.paths[norm_edge(glob(a), glob(b))]
-        if w.branch_coords[path[0]] != glob(a):
-            path = tuple(reversed(path))
-        paths[(a, b)] = path
-    used = set()
-    for path in paths.values():
-        used.update(path)
-    return Wall(w.graph.induced(used), s, coords, paths)
+    return _sub_wall(w, s, {(x + x0, y + y0): (x, y)
+                            for x, y in elementary_positions(s)[0]})
 
 
 def disjoint_subwalls(w: Wall, s: int, gap: int = 1) -> list:

@@ -1,14 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmod.errors import FormulaSyntaxError, InputError
-from planmod.graphs import Graph, complete_graph, cycle_graph, path_graph
+from planmod.graphs import Graph, complete_graph, cycle_graph, is_scattered, path_graph
 from planmod.logic import (TRUE, And, BasicSentence, Exists, GaifmanSentence,
                            InR, check_fol, check_local, degree_atom,
                            distance_atom, eval_gaifman, eval_gaifman_expanded,
                            eval_with_env, parse_combination, parse_formula,
-                           pretty, verify_locality)
+                           pretty, scattered_sets, verify_locality)
 from planmod.fixtures import fixed_sentences, random_annotated
 
 
@@ -239,3 +242,21 @@ class TestGaifman:
         for _, phi in fixed_sentences():
             again = GaifmanSentence.from_json(json.dumps(phi.to_json_obj()))
             assert again.to_json_obj() == phi.to_json_obj()
+
+
+class TestScatteredSets:
+    @settings(max_examples=80)
+    @given(st.integers(0, 2 ** 12), st.integers(0, 2), st.integers(1, 4))
+    def test_against_combinations(self, seed, r, ell):
+        rng = random.Random(seed)
+        g = _random_graph(rng, rng.randint(1, 10), p=0.25)
+        candidates = [v for v in g.sorted_vertices() if rng.random() < 0.7]
+        rng.shuffle(candidates)
+        found = list(scattered_sets(g, candidates, r, ell))
+        # every scattered tuple of at most ell candidates, each once
+        assert sorted(found) == sorted(
+            xs for size in range(ell + 1) for xs in combinations(candidates, size)
+            if is_scattered(g, xs, size, r))
+        assert next((xs for xs in found if len(xs) == ell), None) == next(
+            (xs for xs in combinations(candidates, ell) if is_scattered(g, xs, ell, r)),
+            None)

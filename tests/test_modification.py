@@ -196,13 +196,29 @@ class TestFindVrPlanarizer:
         s = find_vr_planarizer(g, 1)
         assert s is not None and s.elements == frozenset({x})
 
+    def test_scope(self):
+        g = complete_graph(5)
+        assert find_vr_planarizer(g, 1).elements == {0}
+        assert find_vr_planarizer(g, 1, {1, 2, 3, 4}).elements == {1}
+        assert find_vr_planarizer(g, 1, set()) is None
+
     def test_oracle_equivalence_on_small_graphs(self):
-        for seed in range(80):
-            g = _random_graph(seed, max_n=8, p=0.5)
+        # the denser graphs are mostly nonplanar, so the scope matters
+        graphs = [_random_graph(seed, max_n=8, p=0.5) for seed in range(80)]
+        graphs += [_random_graph(seed, max_n=8, p=0.8) for seed in range(30)]
+        for seed, g in enumerate(graphs):
+            rng = random.Random(seed)
+            r_set = frozenset(v for v in g.vertices if rng.random() < 0.5)
             for k in (0, 1, 2):
-                brute = any(is_planar(g.remove_vertices(sub))
-                            for sub in subsets_up_to(g.sorted_vertices(), k))
-                assert (find_vr_planarizer(g, k) is not None) == brute
+                for scope in (None, r_set):
+                    domain = g.vertices if scope is None else scope
+                    brute = any(is_planar(g.remove_vertices(sub))
+                                for sub in subsets_up_to(domain, k))
+                    found = find_vr_planarizer(g, k, scope)
+                    assert (found is not None) == brute
+                    if found is not None:
+                        assert len(found) <= k and found.elements <= domain
+                        assert is_planar(g.remove_vertices(found.elements))
 
 
 class TestIrrelevance:

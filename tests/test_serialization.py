@@ -1,40 +1,4 @@
-import json
-import random
-
-from planmod.annuli import AnnulusBoundariedGraph, annulus_instance_to_json_obj
 from planmod.graphs import make_grid, verify_minor_model
-from planmod.planarity import embed, embedding_to_json_obj
-from planmod.walls import (make_elementary_wall, subdivide_wall, wall_annulus,
-                           wall_from_json_obj, wall_to_json_obj)
-
-
-def test_embedding_export_shape():
-    g = make_grid(3, 3).graph
-    obj = embedding_to_json_obj(embed(g))
-    assert set(obj) == {"rotation", "faces", "outer_face"}
-    assert len(obj["rotation"]) == 9
-    json.dumps(obj)
-
-
-def test_wall_json_round_trip():
-    w = subdivide_wall(make_elementary_wall(5), rng=random.Random(8), max_extra=1)
-    obj = wall_to_json_obj(w)
-    again = wall_from_json_obj(json.loads(json.dumps(obj)))
-    assert again.graph == w.graph
-    assert again.branch_coords == dict(w.branch_coords)
-
-
-def test_annulus_instance_export():
-    w = make_elementary_wall(7)
-    ann = wall_annulus(w, 3, 3)
-    brick = ann.bricks[0]
-    g = ann.graph.add_edges([(brick[0], brick[3])])
-    abg = AnnulusBoundariedGraph(g, g, ann, ann.inner_cycle, ann.outer_cycle)
-    obj = annulus_instance_to_json_obj(abg)
-    assert set(obj) == {"graph", "y_vertices", "c_in", "c_out",
-                        "component_attachments"}
-    assert obj["component_attachments"][0]["kind"] == "edge"
-    json.dumps(obj)
 
 
 def test_grid_minor_witness_checker():

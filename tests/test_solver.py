@@ -196,6 +196,14 @@ class TestFindArea:
         from planmod.modification import is_planarization_irrelevant
         assert is_planarization_irrelevant(g, Operation.EA, 1, out.compass.vertices)
 
+    def test_fired_irrelevance_cap_raises(self):
+        # the wall's irrelevance check must not read a fired cap as "no wall"
+        g = make_grid(6, 8).graph
+        none = ModificationSet(Operation.VR, [])
+        assert isinstance(find_area(1, 3, g, none, Operation.VR), WallArea)
+        with pytest.raises(ResourceLimitError):
+            find_area(1, 3, g, none, Operation.VR, PipelineConfig(cap_oracle_subsets=1))
+
     def test_small_graph_gets_decomposition(self):
         out = find_area(1, 3, complete_graph(4).remove_edges([(0, 1)]),
                         ModificationSet(Operation.VR, []), Operation.VR)
@@ -428,12 +436,3 @@ class TestPipeline:
         outcomes = [t.outcome for t in res.trace]
         assert "obligatory-vertex" in outcomes or "bounded-treewidth" in outcomes
 
-    def test_planarizer_within_r_obeys_the_subset_cap(self):
-        from planmod.modification import find_vr_planarizer
-        from planmod.solver import _planarizer_within
-        g = complete_graph(5)
-        assert find_vr_planarizer(g, 1).elements == {0}  # outside R, so the fallback runs
-        r_set = frozenset({1, 2, 3, 4})
-        with pytest.raises(ResourceLimitError):
-            _planarizer_within(g, 1, r_set, PipelineConfig(cap_oracle_subsets=1))
-        assert _planarizer_within(g, 1, r_set, PipelineConfig()).elements == {1}

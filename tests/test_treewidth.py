@@ -6,11 +6,10 @@ from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph, complete_graph, cycle_graph, make_grid, \
     path_graph
 from planmod.treewidth import (TreeDecomposition, decomposition_from_order,
-                               decomposition_to_json_obj, decomposition_to_pace,
                                decomposition_violations, exact_treewidth,
                                exact_treewidth_bb, minfill_decomposition,
                                single_bag_decomposition, validate_decomposition,
-                               width, width_witness)
+                               width_witness)
 
 
 def _random_graph(seed, max_n=12, p=0.4):
@@ -110,18 +109,3 @@ class TestWitnessHelpers:
         with pytest.raises(InputError):
             decomposition_from_order(path_graph(3), [0, 1])
 
-
-class TestExport:
-    def test_pace_format(self):
-        g = path_graph(3)
-        tw, td = exact_treewidth(g)
-        text = decomposition_to_pace(g, td)
-        header = text.splitlines()[0].split()
-        assert header[:2] == ["s", "td"] and int(header[3]) == tw + 1
-        assert int(header[4]) == 3
-
-    def test_json_contains_width(self):
-        g = cycle_graph(4)
-        tw, td = exact_treewidth(g)
-        obj = decomposition_to_json_obj(td)
-        assert obj["width"] == tw == width(td)
