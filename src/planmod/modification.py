@@ -237,11 +237,13 @@ def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
 
 
 def _branch_vr(g: Graph, k: int, scope: frozenset | None) -> frozenset | None:
+    if k == 0:
+        # nothing to branch on, so only planarity matters: the memoised test
+        # answers it without building a Kuratowski witness
+        return frozenset() if is_planar(g) else None
     witness = kuratowski(g)
     if witness is None:
         return frozenset()
-    if k == 0:
-        return None
     for v in sorted(witness.vertices, key=vertex_key):
         if scope is not None and v not in scope:
             continue

@@ -8,6 +8,7 @@ min-fill decomposition, which is an upper bound, never a treewidth claim.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -158,21 +159,60 @@ def decomposition_from_order(g: Graph, order: list) -> TreeDecomposition:
 
 
 def minfill_order(g: Graph) -> list:
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    """Greedy min-fill elimination order.
+
+    Each step eliminates the remaining vertex with the least
+    (missing, degree, vertex_key): `missing` counts the non-adjacent pairs
+    among its remaining neighbours (the fill edges its elimination adds),
+    `degree` counts those neighbours, and vertex_key breaks the remaining
+    ties, so the order is deterministic.
+
+    The scores sit in a heap with lazy deletion. Eliminating v drops v and
+    turns its remaining neighbourhood N(v) into a clique. A degree changes
+    only inside N(v), and a missing count only at a vertex adjacent to a new
+    fill edge's ends, that is inside N(N(v)). So only the remaining vertices
+    of N(v) ∪ N(N(v)) are re-scored; every other score is unchanged, and the
+    order is the one that re-scoring every vertex at every step would give.
+    Scoring a vertex of degree d costs O(d^2) set work, so with D the largest
+    degree in the filled graph a step costs O(D^4 + D^2 log n) instead of
+    O(n D^2).
+    """
+    adj = {v: set(g.adj[v]) for v in g.vertices}   # remaining vertices only
+    verts = list(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    keys = {v: vertex_key(v) for v in verts}
+
+    def score(v):
+        nb = adj[v]
+        # each non-adjacent pair {a, b} is seen from a and from b; a itself
+        # is in nb - adj[a] once per a
+        missing = (sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2
+        return (missing, len(nb), keys[v])
+
+    current = {v: score(v) for v in verts}
+    heap = [(current[v], i) for i, v in enumerate(verts)]
+    heapq.heapify(heap)
     order = []
-    remaining = set(g.vertices)
-    while remaining:
-        def fill_cost(v):
-            nb = adj[v] & remaining
-            missing = sum(1 for a in nb for b in nb
-                          if vertex_key(a) < vertex_key(b) and b not in adj[a])
-            return (missing, len(nb), vertex_key(v))
-        v = min(remaining, key=fill_cost)
-        nb = adj[v] & remaining
-        for a in nb:
-            adj[a] |= nb - {a}
-        remaining.remove(v)
+    while heap:
+        s, i = heapq.heappop(heap)
+        v = verts[i]
+        if current.get(v) != s:
+            continue
+        del current[v]
         order.append(v)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+            adj[a] |= nb
+            adj[a].discard(a)
+        touched = set(nb)
+        for a in nb:
+            touched |= adj[a]
+        for u in touched:
+            s = score(u)
+            if s != current[u]:
+                current[u] = s
+                heapq.heappush(heap, (s, index[u]))
     return order
 
 

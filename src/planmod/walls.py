@@ -442,6 +442,24 @@ def wall_candidates(g: Graph, q: int, node_budget: int = 200_000) -> Iterator[Wa
             continue
 
 
+def _distances_within(g: Graph, source, r: int) -> dict:
+    """Breadth-first distances from `source` to the vertices within distance
+    r of it; farther vertices are absent."""
+    dist = {source: 0}
+    frontier = [source]
+    for d in range(1, r + 1):
+        reached = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        if not reached:
+            break
+        frontier = reached
+    return dist
+
+
 def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
                            max_path: int = 12) -> Iterator[Wall]:
     """Exhaustive-with-caps search for a subdivision of the elementary q-wall.
@@ -450,6 +468,17 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
     edge to an already-placed neighbor is routed as a host path, enumerated by
     depth-first extension, all internally disjoint. Exceeding the node budget
     raises instead of silently reporting absence.
+
+    Host vertices are tried in `g.sorted_vertices()` order (their rank), and
+    path extensions nearest the goal first, then by rank. Three caches live
+    for one call: the distances from each goal or anchor, the ranked
+    neighbour list per (goal, vertex), and the candidate list per anchor.
+    The distances come from a breadth-first search that stops at depth
+    max_path. The search reads a distance only to compare it with max_path,
+    and a vertex farther away fails that comparison whatever its exact
+    distance, before any node is spent on it. So the truncation, and leaving
+    such vertices out of the cached lists, leaves the node order, the point
+    where the budget fires and the walls yielded unchanged.
     """
     verts, edges = elementary_positions(q)
     if len(verts) > 120:
@@ -475,9 +504,15 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
             if nb not in seen:
                 seen.add(nb)
                 queue.append(nb)
+    # the pattern edges from order[i] to the neighbours placed before it
+    backs = [[(p, nb, norm_edge(p, nb)) for nb in sorted(padj[p]) if nb in order[:i]]
+             for i, p in enumerate(order)]
     hosts = g.sorted_vertices()
-    budget = [node_budget]
-    dist_cache: dict = {}
+    rank = {v: i for i, v in enumerate(hosts)}
+    budget = node_budget
+    dist_cache: dict = {}    # host vertex -> distances <= max_path from it
+    ranked_cache: dict = {}  # (goal, vertex) -> [(neighbour, distance to goal)]
+    cand_cache: dict = {}    # anchor -> hosts within max_path of it, by rank
 
     placed: dict = {}        # pattern position -> host vertex
     images: set = set()      # host vertices used as branch images
@@ -485,29 +520,38 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
     paths: dict = {}
 
     def spend():
-        budget[0] -= 1
-        if budget[0] < 0:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
             raise ResourceLimitError(
                 "wall subdivision search exceeded its node budget; raise cap-wall-nodes")
+
+    def distances(v) -> dict:
+        if v not in dist_cache:
+            dist_cache[v] = _distances_within(g, v, max_path)
+        return dist_cache[v]
 
     def route(edge_list, k) -> Iterator[None]:
         """Place internally-disjoint paths for edge_list[k:], then recurse."""
         if k == len(edge_list):
             yield from place(len(placed))
             return
-        p_from, p_to = edge_list[k]
+        p_from, p_to, key = edge_list[k]
         start, goal = placed[p_from], placed[p_to]
-        key = norm_edge(p_from, p_to)
-        if goal not in dist_cache:
-            dist_cache[goal] = g.bfs_distances(goal)
-        to_goal = dist_cache[goal]
+        to_goal = distances(goal)
 
         def extend(path):
             spend()
             last = path[-1]
-            ranked = sorted(g.adj[last],
-                            key=lambda u: (to_goal.get(u, max_path + 1), vertex_key(u)))
-            for nxt in ranked:
+            ranked = ranked_cache.get((goal, last))
+            if ranked is None:
+                # a path holds at least one vertex, so a neighbour farther
+                # than max_path - 1 from the goal can never extend it
+                near = [u for u in g.adj[last]
+                        if u == goal or to_goal.get(u, max_path) < max_path]
+                near.sort(key=lambda u: (to_goal[u], rank[u]))
+                ranked = ranked_cache[(goal, last)] = [(u, to_goal[u]) for u in near]
+            for nxt, d in ranked:
                 if nxt == goal:
                     full = tuple(path) + (goal,)
                     inner = full[1:-1]
@@ -516,8 +560,9 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
                     yield from route(edge_list, k + 1)
                     interior.difference_update(inner)
                     del paths[key]
-                elif (len(path) + to_goal.get(nxt, max_path + 1) <= max_path
-                        and nxt not in interior and nxt not in images):
+                elif len(path) + d > max_path:
+                    break  # the list is sorted by d, so no later one fits
+                elif nxt not in interior and nxt not in images:
                     path.append(nxt)
                     yield from extend(path)
                     path.pop()
@@ -529,20 +574,22 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
             yield None
             return
         p = order[i]
-        back = [(p, nb) for nb in sorted(padj[p]) if nb in placed]
+        back = backs[i]
         if back:
             anchor = placed[back[0][1]]
-            if anchor not in dist_cache:
-                dist_cache[anchor] = g.bfs_distances(anchor)
-            dmap = dist_cache[anchor]
-            cands = [h for h in hosts if dmap.get(h, max_path + 1) <= max_path]
+            cands = cand_cache.get(anchor)
+            if cands is None:
+                dmap = distances(anchor)
+                cands = cand_cache[anchor] = sorted(
+                    (h for h in dmap if dmap[h] <= max_path), key=rank.__getitem__)
         else:
             cands = hosts
+        need_degree = len(padj[p])
         for h in cands:
             spend()
             if h in images or h in interior:
                 continue
-            if len(g.adj[h]) < len(padj[p]):
+            if len(g.adj[h]) < need_degree:
                 continue
             placed[p] = h
             images.add(h)

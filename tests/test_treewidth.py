@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from minfill_reference import minfill_order_reference
 
 from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph, complete_graph, cycle_graph, make_grid, \
@@ -8,8 +11,10 @@ from planmod.graphs import Graph, complete_graph, cycle_graph, make_grid, \
 from planmod.treewidth import (TreeDecomposition, decomposition_from_order,
                                decomposition_violations, exact_treewidth,
                                exact_treewidth_bb, minfill_decomposition,
+                               minfill_order,
                                single_bag_decomposition, validate_decomposition,
                                width_witness)
+from planmod.walls import make_elementary_wall, subdivide_wall
 
 
 def _random_graph(seed, max_n=12, p=0.4):
@@ -109,3 +114,34 @@ class TestWitnessHelpers:
         with pytest.raises(InputError):
             decomposition_from_order(path_graph(3), [0, 1])
 
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Random graphs on at most 40 vertices, often disconnected and with
+    isolated vertices, under integer, string or mixed vertex ids."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["int", "str", "mixed"]))
+    ints = st.integers(-1000, 1000)
+    strs = st.text("abcxyz019", min_size=1, max_size=4)
+    ids = {"int": ints, "str": strs, "mixed": st.one_of(ints, strs)}[kind]
+    labels = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return Graph(labels, [(labels[i], labels[j]) for i in range(n)
+                          for j in range(i + 1, n) if rng.random() < p])
+
+
+class TestMinfillOrder:
+    # no shrinking: with the slow reference, hypothesis would spend its whole
+    # five-minute shrink allowance on a failure before reporting it
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(labelled_graphs())
+    def test_matches_reference_on_random_graphs(self, g):
+        assert minfill_order(g) == minfill_order_reference(g)
+
+    @pytest.mark.parametrize("height", [3, 5, 7, 9, 11])
+    def test_matches_reference_on_walls(self, height):
+        w = make_elementary_wall(height)
+        for g in (w.graph, subdivide_wall(w, rng=random.Random(height)).graph):
+            assert minfill_order(g) == minfill_order_reference(g)
