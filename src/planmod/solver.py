@@ -2,9 +2,10 @@
 irrelevant-vertex finder, the instance reducer, and the full pipeline.
 
 Desk-scale parameters void the theoretical guarantees, so the pipeline is
-sound by checking: with cross_check on (the default), every reduction step is
-committed only after an exhaustive oracle verification, and a failed check
-raises instead of answering.
+sound by checking. With the config's cross-check on (the default),
+`solve_pipeline` checks every reduction step against exhaustive search and
+raises instead of answering when a check fails. The finders and the reducer
+only propose steps.
 """
 
 from __future__ import annotations
@@ -406,8 +407,8 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
                 phi: GaifmanSentence, params: Parameters,
                 cfg: PipelineConfig | None = None) -> IrrelevantRegion:
     """Pick equivalent disjoint subwalls inside the given wall and declare the
-    chosen wall's inner compass irrelevant; with cross_check on, the produced
-    (X, v) is committed only after an exhaustive triple-equivalence check."""
+    chosen wall's inner compass irrelevant. The (X, v) it returns is a
+    proposal, which `solve_pipeline` checks against exhaustive search."""
     cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     rho = params.rho
@@ -436,10 +437,7 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
     def finish(ec, region: frozenset) -> IrrelevantRegion:
         v = min(analyze_wall(ec.wall).center, key=vertex_key)
         assert v in region
-        outcome = IrrelevantRegion(region, v)
-        if cfg.cross_check:
-            _verify_irrelevant_region(g, r_set, k, op, phi, outcome, cfg)
-        return outcome
+        return IrrelevantRegion(region, v)
 
     if rho >= 2:  # the early exit unannotates V(K^(rho-1))
         for ec in towers:
@@ -459,18 +457,6 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
             f"{len(towers)}; desk-scale parameters cannot justify a replacement here")
     chosen = buckets[big[0]][0]
     return finish(chosen, frozenset(chosen.level(params.r).graph.vertices))
-
-
-def _verify_irrelevant_region(g: Graph, r_set: frozenset, k: int, op: Operation,
-                              phi: GaifmanSentence, outcome: IrrelevantRegion,
-                              cfg: PipelineConfig):
-    before = is_triple(g, r_set, k, op, phi, **_triple_options(cfg))
-    after = is_triple(g.remove_vertices([outcome.vertex]), r_set - outcome.region,
-                      k, op, phi, **_triple_options(cfg))
-    if before != after:
-        raise SoundnessError(
-            f"irrelevant-region cross-check failed: removing {outcome.vertex!r} "
-            f"and unannotating {len(outcome.region)} vertices flips the answer")
 
 
 def _triple_options(cfg: PipelineConfig) -> dict:
@@ -501,7 +487,8 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
                     cfg: PipelineConfig | None = None):
     """One reduction step: obligatory structure, an irrelevant region (via the
-    area and vertex finders), or a bounded-width decomposition."""
+    area and vertex finders), or a bounded-width decomposition. Nothing here
+    is checked against exhaustive search; `solve_pipeline` does that."""
     cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
@@ -511,11 +498,6 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     if not isinstance(params.q, int):
         raise InputError("reduce_instance needs concrete (configured) parameters")
     outcome = find_area(k, params.q, g, s, op, cfg)
-    if isinstance(outcome, ObligatoryVertex) and cfg.cross_check:
-        _verify_obligatory(g, k, outcome.vertex, cfg)
-    if isinstance(outcome, NoInstance) and op in (Operation.ER, Operation.EC) \
-            and cfg.cross_check:
-        _verify_no_planarizer(g, k, op, cfg)
     if isinstance(outcome, WallArea):
         try:
             region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg)
@@ -569,8 +551,19 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
     """The reduction loop: planarize, shrink via irrelevant regions or
     obligatory vertices, finish on a bounded-width remainder by direct search.
 
-    With cross_check on, the final answer is also compared against the
-    brute-force oracle whenever the caps allow.
+    With cross_check on, every cross-check happens here. An irrelevant-region
+    step replaces the current question (G, R, k) by one that must be
+    equivalent; it raises unless exhaustive search answers both the same.
+    The checks form a chain: a step's "before" question is the previous
+    step's "after", whose answer is reused. An obligatory-vertex step is
+    checked on its own. Its u lies in R and every planarizer within the
+    budget contains u, so (G − u, R − u, k − 1) has the answer of (G, R, k)
+    and the chain runs through the step. The final search and the oracle on
+    the input stay separate solves; the closing trace entry compares their
+    answers, or says why the oracle's caps stopped it.
+
+    Obligatory vertices are removed from G and R; the reported witness holds
+    them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
     """
     cfg = cfg or PipelineConfig()
     if not isinstance(inst.phi, GaifmanSentence):
@@ -581,8 +574,11 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
     r_set = inst.scope()
     k = inst.k
     op = inst.op
+    options = _triple_options(cfg)
     trace: list = []
     result: PipelineResult | None = None
+    obligatory: set = set()
+    checked = None  # the current question's answer, once a step check solved it
 
     def log(outcome: str, detail: dict, t0: float):
         trace.append(TraceStep(len(trace) + 1, outcome, detail, k,
@@ -609,22 +605,40 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
         t0 = time.perf_counter()
         outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg)
         if isinstance(outcome, NoInstance):
+            if cfg.cross_check and op in (Operation.ER, Operation.EC):
+                _verify_no_planarizer(g, k, op, cfg)
             log("no-instance", {"reason": outcome.reason}, t0)
             result = PipelineResult(False, None, trace)
         elif isinstance(outcome, ObligatoryVertex):
-            log("obligatory-vertex", {"vertex": outcome.vertex,
-                                      "reason": outcome.reason}, t0)
-            g = g.remove_vertices([outcome.vertex])
-            s = ModificationSet(Operation.VR, s.elements - {outcome.vertex})
+            u = outcome.vertex
+            if cfg.cross_check:
+                _verify_obligatory(g, k, u, cfg)
+            log("obligatory-vertex", {"vertex": u, "reason": outcome.reason}, t0)
+            g = g.remove_vertices([u])
+            r_set = r_set - {u}
+            s = ModificationSet(Operation.VR, s.elements - {u})
             k -= 1
+            obligatory.add(u)
         elif isinstance(outcome, IrrelevantRegion):
+            smaller = g.remove_vertices([outcome.vertex])
+            r_smaller = r_set - outcome.region
+            if cfg.cross_check:
+                before = checked if checked is not None else \
+                    is_triple(g, r_set, k, op, inst.phi, **options)
+                checked = is_triple(smaller, r_smaller, k, op, inst.phi, **options)
+                if checked != before:
+                    raise SoundnessError(
+                        f"irrelevant-region cross-check failed: removing "
+                        f"{outcome.vertex!r} and unannotating {len(outcome.region)} "
+                        f"vertices flips the answer")
             log("irrelevant-region", {"vertex": outcome.vertex,
                                       "|X|": len(outcome.region)}, t0)
-            g = g.remove_vertices([outcome.vertex])
-            r_set = (r_set - outcome.region) & g.vertices
+            g, r_set = smaller, r_smaller
         else:
-            answer, witness = is_triple(g, r_set, k, op, inst.phi,
-                                        **_triple_options(cfg), want_witness=True)
+            answer, witness = is_triple(g, r_set, k, op, inst.phi, **options,
+                                        want_witness=True)
+            if obligatory and witness is not None:
+                witness = ModificationSet(Operation.VR, witness.elements | obligatory)
             log("bounded-treewidth",
                 {"width": outcome.decomposition.width(), "answer": answer}, t0)
             result = PipelineResult(answer, witness, trace)
@@ -644,4 +658,3 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
                                    {"agrees": True}, k, len(g.vertices),
                                    (time.perf_counter() - t0) * 1000))
     return result
-

@@ -216,17 +216,6 @@ def subdivide_wall(w: Wall, counts: Mapping | None = None, rng=None,
     return Wall(Graph(verts, edges), w.height, dict(w.branch_coords), new_paths)
 
 
-def relabel_wall(w: Wall, mapping: Mapping) -> Wall:
-    lift = lambda v: mapping.get(v, v)
-    graph = Graph((lift(v) for v in w.graph.vertices),
-                  ((lift(a), lift(b)) for a, b in w.graph.edges))
-    if len(graph.vertices) != len(w.graph.vertices):
-        raise InputError("relabeling is not injective")
-    coords = {lift(v): p for v, p in w.branch_coords.items()}
-    paths = {e: tuple(lift(v) for v in path) for e, path in w.paths.items()}
-    return Wall(graph, w.height, coords, paths)
-
-
 def _splice(w: Wall, cycle_positions: Iterable) -> tuple:
     """Map a cyclic sequence of elementary positions to the host cycle."""
     cycle = list(cycle_positions)

@@ -26,6 +26,18 @@ class TestSolve:
                      "--oracle", "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_obligatory_vertex_exit_zero(self, tmp_path):
+        # the hub of a (K5, 2)-star is obligatory at k=1
+        star = tmp_path / "k5star.json"
+        main(["gen", "k5star", "-r", "2", "--out", str(star)])
+        out = tmp_path / "report.json"
+        code = main(["solve", str(star), "--op", "vr", "-k", "1", "--phi", "true",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["witness"]["elements"] == [0]
+        assert "obligatory-vertex" in [t["outcome"] for t in report["trace"]]
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

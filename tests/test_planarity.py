@@ -4,11 +4,60 @@ import pytest
 
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph, cycle_graph, disjoint_union, \
-    make_grid, path_graph
+    make_grid, path_graph, vertex_key
 from planmod.modification import ModificationSet, Operation, apply
 from planmod.planarity import (embed, euler_ok, is_planar, kuratowski,
-                               kuratowski_kind, planar_with_additions,
-                               suppress_degree_two)
+                               planar_with_additions)
+
+
+def suppress_degree_two(g: Graph) -> Graph:
+    """Smooth out degree-2 vertices; the reverse of subdividing edges.
+
+    Fails on graphs where smoothing would create a loop or need a multi-edge
+    (e.g. pure cycles), which no Kuratowski witness ever is.
+    """
+    verts = set(g.vertices)
+    edges = {frozenset(e) for e in g.edges}
+    changed = True
+    while changed:
+        changed = False
+        adj = {v: set() for v in verts}
+        for e in edges:
+            u, v = tuple(e)
+            adj[u].add(v)
+            adj[v].add(u)
+        for v in sorted(verts, key=vertex_key):
+            if len(adj[v]) == 2:
+                a, b = sorted(adj[v], key=vertex_key)
+                if a == b or frozenset((a, b)) in edges:
+                    raise InputError("smoothing would create a loop or parallel edge")
+                edges -= {frozenset((v, a)), frozenset((v, b))}
+                edges.add(frozenset((a, b)))
+                verts.remove(v)
+                changed = True
+                break
+    return Graph(verts, (tuple(e) for e in edges))
+
+
+def kuratowski_kind(witness: Graph) -> str | None:
+    """'K5' or 'K33' when the graph is a subdivision of that graph, else None."""
+    if any(witness.degree(v) < 2 for v in witness.vertices):
+        return None
+    try:
+        core = suppress_degree_two(witness)
+    except InputError:
+        return None
+    n, m = len(core.vertices), len(core.edges)
+    degs = sorted(core.degree(v) for v in core.vertices)
+    if n == 5 and m == 10 and degs == [4] * 5:
+        return "K5"
+    if n == 6 and m == 9 and degs == [3] * 6:
+        # bipartite complement check: each side is an independent triple
+        side = next(iter(core.vertices))
+        far = core.vertices - core.neighbors(side) - {side}
+        if len(far) == 2 and all(not core.has_edge(u, v) for u in far | {side} for v in far | {side} if u != v):
+            return "K33"
+    return None
 
 
 def petersen():

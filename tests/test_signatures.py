@@ -7,7 +7,7 @@ import pytest
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import crafted_sig_instances
-from planmod.graphs import complete_graph, relabel
+from planmod.graphs import Graph, complete_graph, relabel
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
@@ -16,12 +16,24 @@ from planmod.signatures import (Parameters, SigEntry,
                                 compute_sig, is_triple, walls_equivalent,
                                 z_range)
 from planmod.sigoracle import char_oracle, sig_oracle
-from planmod.walls import extended_compass, make_elementary_wall
+from planmod.walls import Wall, extended_compass, make_elementary_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI1 = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
 PHI2 = GaifmanSentence((BasicSentence(2, 1, NB),), parse_combination("1"))
 PHI_TRUE = GaifmanSentence((BasicSentence(1, 1, TRUE),), parse_combination("1 | ~1"))
+
+
+def relabel_wall(w: Wall, mapping: dict) -> Wall:
+    """The same wall with its host vertices renamed through `mapping`."""
+    lift = lambda v: mapping.get(v, v)
+    graph = Graph((lift(v) for v in w.graph.vertices),
+                  ((lift(a), lift(b)) for a, b in w.graph.edges))
+    if len(graph.vertices) != len(w.graph.vertices):
+        raise InputError("relabeling is not injective")
+    coords = {lift(v): p for v, p in w.branch_coords.items()}
+    paths = {e: tuple(lift(v) for v in path) for e, path in w.paths.items()}
+    return Wall(graph, w.height, coords, paths)
 
 
 class TestParameters:
@@ -188,8 +200,6 @@ class TestEquivalence:
     def test_isomorphic_walls_equivalent(self):
         cfg, params, wall, g, r_set, ec = _setup(rho=2, d=2)
         shift = {v: v + 10_000 for v in g.vertices}
-        wall2 = None
-        from planmod.walls import relabel_wall
         wall2 = relabel_wall(wall, shift)
         g2 = wall2.graph
         ec2 = extended_compass(g2, wall2, 2)

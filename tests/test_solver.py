@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from planmod import solver
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
-from planmod.fixtures import HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE, random_instances
+from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
+                              fixed_sentences, random_instances)
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
                             make_grid, make_triangulated_grid, path_graph,
                             relabel, verify_minor_model)
@@ -228,8 +230,7 @@ class TestFindVertex:
         g = wall.graph
         out = find_vertex(1, g, g.vertices, wall, Operation.VR, PHI_NB, params, cfg)
         assert out.vertex in out.region
-        # the cross-check inside find_vertex already verified equivalence;
-        # re-verify explicitly
+        # find_vertex only proposes the step; check the equivalence here
         assert is_triple(g, g.vertices, 1, Operation.VR, PHI_NB) == \
             is_triple(g.remove_vertices([out.vertex]),
                       frozenset(g.vertices) - out.region, 1, Operation.VR, PHI_NB)
@@ -346,7 +347,7 @@ class TestReduceInstance:
 
     def test_big_wall_instance_yields_irrelevant_region(self):
         # the composed flow: find_area certifies a flat area, find_vertex
-        # returns an oracle-verified (X, v)
+        # proposes (X, v), checked here as solve_pipeline would
         cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
         params = compute_parameters(1, PHI_NB, "configured", cfg)
         wall = make_elementary_wall(7)
@@ -430,9 +431,79 @@ class TestPipeline:
         assert done >= count * 0.9
 
     def test_obligatory_vertex_trace(self):
-        g, hub = k5_star(2)
-        res = solve_pipeline(Instance(g, 2, Operation.VR, TRIVIALLY_TRUE))
-        assert res.answer
-        outcomes = [t.outcome for t in res.trace]
-        assert "obligatory-vertex" in outcomes or "bounded-treewidth" in outcomes
+        # the hub of a (K5, k+1)-star is obligatory: it leaves G and R, and
+        # the reported witness holds it again
+        sentences = [TRIVIALLY_TRUE] + [phi for _, phi in fixed_sentences()]
+        for copies, k in ((2, 1), (3, 1), (3, 2)):
+            g, hub = k5_star(copies)
+            for phi in sentences:
+                inst = Instance(g, k, Operation.VR, phi)
+                for cfg in (PipelineConfig(), PipelineConfig(cross_check=False)):
+                    res = solve_pipeline(inst, cfg)
+                    assert "obligatory-vertex" in [t.outcome for t in res.trace]
+                    assert res.answer == solve_oracle(inst, cfg)
+                    if res.answer:
+                        h = apply(g, res.witness)
+                        assert len(res.witness) <= k and hub in res.witness.elements
+                        assert is_planar(h) and eval_gaifman(h, h.vertices, phi)
 
+    def test_cap_fired_while_checking_a_step_propagates(self, monkeypatch):
+        # a cap that stops the check of an irrelevant-region step raises; the
+        # run does not fall back to the decomposition branch
+        wall = make_elementary_wall(7).graph
+        real = solver.is_triple
+
+        def capped(g, *args, **kwargs):
+            if len(g.vertices) < len(wall.vertices):
+                raise ResourceLimitError("capped for the test")
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "is_triple", capped)
+        with pytest.raises(ResourceLimitError):
+            solve_pipeline(Instance(wall, 1, Operation.VR, PHI_NB),
+                           PipelineConfig(rho_hat=1, d_hat=1, q_hat=7))
+
+    # Two K5s sharing the hub 0, a third K5 on 9-13 and isolated vertices 14
+    # and 15: at vr with k=2 the answer is yes, the hub is obligatory, and
+    # unannotating the third K5 leaves nothing that can planarize it.
+    FLIP_G = disjoint_union(k5_star(2)[0], complete_graph(5, offset=9), Graph([14, 15]))
+    SOUND = IrrelevantRegion(frozenset({15}), 15)
+    FLIP = IrrelevantRegion(frozenset(range(9, 15)), 14)
+
+    def _scripted(self, monkeypatch, steps):
+        """Make `reduce_instance` propose `steps` first, then reduce as usual;
+        count the exhaustive step checks."""
+        real_reduce, real_triple = solver.reduce_instance, solver.is_triple
+        script, solves = iter(steps), []
+
+        def triple(*args, **kwargs):
+            solves.append(args[:2])
+            return real_triple(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "reduce_instance",
+                            lambda *args: next(script, None) or real_reduce(*args))
+        monkeypatch.setattr(solver, "is_triple", triple)
+        return solves
+
+    @pytest.mark.parametrize("steps", [
+        [FLIP],  # nothing checked yet: "before" is solved
+        [SOUND, FLIP],  # "before" is the answer the first step's check found
+        [ObligatoryVertex(0, "scripted"), FLIP],  # k drops before the step
+    ], ids=["first-step", "chained", "after-obligatory"])
+    def test_step_that_flips_the_answer_raises(self, monkeypatch, steps):
+        from planmod.errors import SoundnessError
+        inst = Instance(self.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
+        assert solve_oracle(inst)
+        self._scripted(monkeypatch, steps)
+        with pytest.raises(SoundnessError, match="removing 14 and unannotating 6"):
+            solve_pipeline(inst)
+
+    def test_step_checks_solve_each_question_once(self, monkeypatch):
+        inst = Instance(self.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
+        solves = self._scripted(monkeypatch, [self.SOUND, IrrelevantRegion(
+            frozenset({14}), 14)])
+        res = solve_pipeline(inst)
+        assert res.answer and res.cross_checked
+        assert [t.outcome for t in res.trace][:2] == ["irrelevant-region"] * 2
+        # the input, the two reduced questions, and the final search
+        assert [len(g.vertices) for g, _ in solves] == [16, 15, 14, 14]
