@@ -1,5 +1,5 @@
-"""Partially disk-embedded graphs, annulus-boundaried graphs, wall-components,
-and the planarity gluing equivalence across annulus-embedded separators.
+"""Annulus-boundaried graphs, wall-components, and the planarity gluing
+equivalence across annulus-embedded separators.
 
 Topological statements are operationalized combinatorially: "the compass is
 the part of the graph inside the region" becomes "no vertex strictly inside
@@ -12,60 +12,12 @@ import random
 from dataclasses import dataclass
 from .errors import InputError
 from .graphs import Graph, complete_graph, norm_edge
-from .planarity import Embedding, embed, is_planar
-from .walls import Wall, WallAnnulus, make_elementary_wall, wall_annulus
-
-
-def _is_cycle(g: Graph, cycle: tuple) -> bool:
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+from .planarity import embed, is_planar
+from .walls import WallAnnulus, make_elementary_wall, wall_annulus
 
 
 def _cycle_edges(cycle: tuple) -> frozenset:
     return frozenset(norm_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-
-
-# -- partially disk-embedded graphs --------------------------------------------
-
-@dataclass(frozen=True)
-class PartialDiskEmbedding:
-    """A graph with a designated compass K drawn in a closed disk whose
-    boundary is a cycle of K."""
-
-    graph: Graph
-    compass: Graph
-    boundary_cycle: tuple
-    embedding: Embedding | None = None
-
-    def interior(self) -> frozenset:
-        return self.compass.vertices - set(self.boundary_cycle)
-
-
-def disk_embedding_violations(pde: PartialDiskEmbedding) -> list:
-    out = []
-    if not pde.compass.is_subgraph_of(pde.graph):
-        out.append("compass is not a subgraph")
-    if not _is_cycle(pde.compass, pde.boundary_cycle):
-        out.append("boundary is not a cycle of the compass")
-    if not is_planar(pde.compass):
-        out.append("compass is not planar")
-    inside = pde.compass.vertices - set(pde.boundary_cycle)
-    outside = pde.graph.vertices - pde.compass.vertices
-    for u, v in pde.graph.edges:
-        if (u in inside and v in outside) or (v in inside and u in outside):
-            out.append(f"edge {{{u!r},{v!r}}} crosses the disk boundary")
-            break
-    return out
-
-
-def make_partial_disk_embedding(g: Graph, compass: Graph,
-                                boundary_cycle: tuple) -> PartialDiskEmbedding:
-    pde = PartialDiskEmbedding(g, compass, tuple(boundary_cycle), embed(compass))
-    bad = disk_embedding_violations(pde)
-    if bad:
-        raise InputError("; ".join(bad))
-    return pde
 
 
 # -- annulus-boundaried graphs ---------------------------------------------------
@@ -81,10 +33,6 @@ class AnnulusBoundariedGraph:
     annulus: WallAnnulus
     inner_cycle: tuple
     outer_cycle: tuple
-
-    def rev(self) -> "AnnulusBoundariedGraph":
-        return AnnulusBoundariedGraph(self.graph, self.compass, self.annulus,
-                                      self.outer_cycle, self.inner_cycle)
 
 
 @dataclass(frozen=True)
@@ -130,10 +78,6 @@ def annulus_violations(abg: AnnulusBoundariedGraph) -> list:
                 out.append(f"vertex strictly inside the annulus has the outside neighbor {w!r}")
                 break
     return out
-
-
-def validate_annulus_boundaried(abg: AnnulusBoundariedGraph) -> bool:
-    return not annulus_violations(abg)
 
 
 def wall_components(abg: AnnulusBoundariedGraph) -> list:
@@ -223,16 +167,13 @@ def separator_violations(sep: AnnulusEmbeddedSeparator) -> list:
     return out
 
 
-def glue_equivalence(sep: AnnulusEmbeddedSeparator, *, hard_assert: bool = False) -> tuple:
+def glue_equivalence(sep: AnnulusEmbeddedSeparator) -> tuple:
     """(planar G, planar G_in, planar G_out); across a valid separator the
     first equals the conjunction of the other two."""
     bad = separator_violations(sep)
     if bad:
         raise InputError("invalid separator: " + "; ".join(bad))
-    triple = (is_planar(sep.graph), is_planar(sep.g_in), is_planar(sep.g_out))
-    if hard_assert and triple[0] != (triple[1] and triple[2]):
-        raise AssertionError(f"gluing equivalence violated: {triple}")
-    return triple
+    return is_planar(sep.graph), is_planar(sep.g_in), is_planar(sep.g_out)
 
 
 # -- random separator generator -----------------------------------------------------

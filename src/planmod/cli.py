@@ -1,9 +1,9 @@
-"""Command-line front end: instance I/O, generators, solve/check/bench, and
+"""Command-line front end: instance I/O, generators, solve/check, and
 deterministic JSON reports.
 
 Exit codes for solve: 0 = YES, 1 = NO, 2 = error or cap exceeded. Reports are
-byte-identical for identical (instance, config, seed); wall-clock timings are
-only included when --timings is passed.
+byte-identical for identical (instance, config); wall-clock timings are only
+included when --timings is passed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .fixtures import (TRIVIALLY_TRUE, crafted_sig_instances, fixed_sentences,
                        random_annotated, random_graph, random_instances,
                        shipped_local_formulas)
 from .graphs import Graph, complete_graph, disjoint_union, k5_star, make_grid, \
-    make_triangulated_grid
+    make_triangulated_grid, vertex_key
 from .logic import (GaifmanSentence, eval_gaifman, eval_gaifman_expanded,
                     parse_formula, verify_locality)
 from .modification import Operation
@@ -50,9 +50,19 @@ def _write_out(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _read_json(path: str):
+    """The JSON value in the file at `path`; unreadable files and malformed
+    JSON are input errors."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _config_from_args(args) -> PipelineConfig:
     kwargs = {}
-    for name in ("c1", "c2", "rho_hat", "w_hat", "q_hat", "d_hat"):
+    for name in ("rho_hat", "q_hat", "d_hat"):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = val
@@ -69,8 +79,7 @@ def _config_from_args(args) -> PipelineConfig:
 
 def _load_sentence(args):
     if args.gaifman:
-        with open(args.gaifman) as fh:
-            return GaifmanSentence.from_json(fh.read())
+        return GaifmanSentence.from_json_obj(_read_json(args.gaifman))
     if args.phi is not None:
         if args.phi.strip() == "true":
             # "true" runs under both engines as a trivial Gaifman sentence
@@ -83,12 +92,13 @@ def _load_sentence(args):
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    with open(args.instance) as fh:
-        g = Graph.from_json(fh.read())
+    g = Graph.from_json_obj(_read_json(args.instance))
     r_set = None
     if args.annotated:
-        with open(args.annotated) as fh:
-            r_set = frozenset(json.load(fh))
+        ids = _read_json(args.annotated)
+        if not isinstance(ids, list) or any(isinstance(v, (list, dict)) for v in ids):
+            raise InputError(f"{args.annotated} must hold a JSON list of vertex ids")
+        r_set = frozenset(ids)
     phi = _load_sentence(args)
     op = Operation.parse(args.op)
     inst = Instance(g, args.k, op, phi, r_set)
@@ -108,13 +118,12 @@ def cmd_solve(args) -> int:
                     "op": op.value, "k": args.k,
                     "digest": _digest({"graph": g.to_json_obj(),
                                        "op": op.value, "k": args.k,
-                                       "r_set": sorted(r_set) if r_set else None,
+                                       "r_set": sorted(r_set, key=vertex_key) if r_set else None,
                                        "phi": phi_obj})}
     report = {
         "instance": instance_obj,
         "phi": phi_obj,
         "config": cfg.to_json_obj(),
-        "seed": args.seed,
         "mode": mode,
         "answer": "yes" if result.answer else "no",
         "witness": result.witness.to_json_obj() if result.witness else None,
@@ -263,9 +272,6 @@ SUITES = {
 
 def cmd_check(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    budget = None
-    if args.budget:
-        budget = float(args.budget.rstrip("s"))
     lines = []
 
     def report(text, good):
@@ -282,61 +288,23 @@ def cmd_check(args) -> int:
             report(f"{name}: soundness violation: {exc}", False)
             good = False
         all_ok = all_ok and good
-        if budget and time.perf_counter() - started > budget:
-            lines.append(f"NOTE  budget {args.budget} exhausted after {name}")
+        if args.budget and time.perf_counter() - started > args.budget:
+            lines.append(f"NOTE  budget {args.budget:g}s exhausted after {name}")
             break
     out = "\n".join(lines) + "\n"
     _write_out(out, args.out)
     return 0 if all_ok else 1
 
 
-# -- bench -------------------------------------------------------------------------
-
-def _clear_caches():
-    """Empty every memo in the package, so that no engine is timed on the
-    planarity tests and wall structures another engine already computed."""
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("planmod."):
-            for fn in vars(mod).values():
-                if hasattr(fn, "cache_clear"):
-                    fn.cache_clear()
-
-
-def cmd_bench(args) -> int:
-    cfg_checked = PipelineConfig()
-    cfg_fast = PipelineConfig(cross_check=False)
-    rows = []
-    for g, k, op, phi, name in random_instances(args.seed, args.n):
-        inst = Instance(g, k, op, phi)
-        _clear_caches()
-        t0 = time.perf_counter()
-        oracle_ans = solve_oracle(inst, cfg_checked)
-        oracle_ms = (time.perf_counter() - t0) * 1000
-        _clear_caches()
-        t1 = time.perf_counter()
-        try:
-            fast = solve_pipeline(inst, cfg_fast)
-            pipe_ans, pipe_ms = fast.answer, (time.perf_counter() - t1) * 1000
-        except ResourceLimitError:
-            pipe_ans, pipe_ms = None, float("nan")
-        rows.append((f"{op.value} k={k} n={len(g.vertices)} {name}",
-                     oracle_ans, oracle_ms, pipe_ans, pipe_ms))
-    header = f"{'instance':44s} {'oracle':>7s} {'ms':>8s} {'pipeline':>9s} {'ms':>8s} agree"
-    lines = [header, "-" * len(header)]
-    for label, oans, oms, pans, pms in rows:
-        agree = "-" if pans is None else ("yes" if oans == pans else "NO")
-        lines.append(f"{label:44s} {str(oans):>7s} {oms:8.1f} {str(pans):>9s} {pms:8.1f} {agree}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
-
-
 # -- argument parsing -----------------------------------------------------------------
 
+def _seconds(text: str) -> float:
+    """A duration like 60s or 60, in seconds."""
+    return float(text.rstrip("s"))
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--c1", type=int, default=None)
-    p.add_argument("--c2", type=int, default=None)
     p.add_argument("--rho-hat", dest="rho_hat", type=int, default=None)
-    p.add_argument("--w-hat", dest="w_hat", type=int, default=None)
     p.add_argument("--q-hat", dest="q_hat", type=int, default=None)
     p.add_argument("--d-hat", dest="d_hat", type=int, default=None)
     p.add_argument("--size-mode", choices=("at-most", "exact"), default=None)
@@ -361,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gaifman", default=None, help="Gaifman sentence JSON file")
     ps.add_argument("--annotated", default=None, help="JSON list of annotated vertices")
     ps.add_argument("--oracle", action="store_true", help="brute force instead of the pipeline")
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--timings", action="store_true")
     ps.add_argument("--out", default=None)
     _add_config_flags(ps)
@@ -388,15 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("suite", choices=tuple(SUITES) + ("all",))
     pc.add_argument("--seed", type=int, default=7)
     pc.add_argument("-n", type=int, default=None, help="override the unit count")
-    pc.add_argument("--budget", default=None, help="wall-clock budget like 60s")
+    pc.add_argument("--budget", type=_seconds, default=None,
+                    help="wall-clock budget like 60s")
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_check)
-
-    pb = sub.add_parser("bench", help="oracle vs pipeline timings")
-    pb.add_argument("--seed", type=int, default=7)
-    pb.add_argument("-n", type=int, default=20)
-    pb.add_argument("--out", default=None)
-    pb.set_defaults(fn=cmd_bench)
     return ap
 
 
@@ -404,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

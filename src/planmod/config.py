@@ -1,5 +1,6 @@
-"""Run configuration: the constants the source material leaves symbolic, the
-desk-scale parameter overrides, and the enumeration caps."""
+"""Run configuration: the desk-scale parameter overrides, the solver's mode
+switches, and the enumeration caps. The constants the source material leaves
+symbolic (c1, c2) are fixed in `signatures`, not configured here."""
 
 from __future__ import annotations
 
@@ -10,19 +11,13 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # cited-but-never-quantified constants; any value keeps the contracts
-    # internally consistent because both branches are verified directly
-    c1: int = 9
-    c2: int = 9
     # desk-scale parameter overrides (None = use the defining formula)
     rho_hat: int | None = None
-    w_hat: int | None = None
     q_hat: int | None = 3
     d_hat: int | None = None
     # solver behaviour
     size_mode: str = "at_most"          # or "exact"
     cross_check: bool = True            # False is for benchmarking only: unsound
-    bucket_threshold: int = 2           # equivalent walls needed before replacing
     # enumeration caps; searches raise ResourceLimitError instead of guessing
     cap_oracle_subsets: int = 2_000_000
     cap_char_subsets: int = 200_000
@@ -41,10 +36,6 @@ class PipelineConfig:
 
     def to_json_obj(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PipelineConfig":
-        return cls(**obj)
 
 
 # the enumeration caps' field names, in declaration order

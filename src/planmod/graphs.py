@@ -1,4 +1,4 @@
-"""Immutable simple graphs, metrics, separations, contractions, and grid generators.
+"""Immutable simple graphs, metrics, vertex merging, minor models, and generators.
 
 Vertex ids are opaque (ints or strings in practice) and stable: derived graphs
 reuse the ids of the host so annotations survive modification.
@@ -6,7 +6,6 @@ reuse the ids of the host so annotations survive modification.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from math import inf
@@ -187,23 +186,17 @@ class Graph:
         return {"vertices": self.sorted_vertices(),
                 "edges": [list(e) for e in self.sorted_edges()]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
         try:
-            return cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
-        except (KeyError, TypeError) as exc:
+            g = cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad graph object: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad graph JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
+        if None in g.vertices:
+            raise InputError("bad graph object: null vertex id")
+        return g
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"graph {name} {{"]
@@ -290,73 +283,7 @@ def is_scattered(g: Graph, xs: Iterable, ell: int, r: int) -> bool:
     return True
 
 
-# -- separations -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Separation:
-    a: frozenset
-    b: frozenset
-
-    def __init__(self, a: Iterable, b: Iterable):
-        object.__setattr__(self, "a", frozenset(a))
-        object.__setattr__(self, "b", frozenset(b))
-
-
-def is_separation(g: Graph, sep: Separation) -> bool:
-    """Checks a ∪ b = V and no edge joins a\\b to b\\a."""
-    if sep.a | sep.b != g.vertices:
-        return False
-    left, right = sep.a - sep.b, sep.b - sep.a
-    return not any((u in left and v in right) or (u in right and v in left)
-                   for u, v in g.edges)
-
-
-# -- contractions -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """A claimed contraction of `host` onto `image` via the total map `rho`."""
-
-    host: Graph
-    image: Graph
-    rho: Mapping
-
-    def preimage(self, v) -> frozenset:
-        return frozenset(u for u, w in self.rho.items() if w == v)
-
-
-def contraction_violations(cm: ContractionMap) -> list:
-    """Which contraction conditions fail; empty means valid."""
-    out = []
-    if set(cm.rho) != set(cm.host.vertices):
-        out.append("rho is not a total map on the host vertices")
-        return out
-    if set(cm.rho.values()) != set(cm.image.vertices):
-        out.append("rho is not surjective onto the image vertices")
-    models = {}
-    for u, w in cm.rho.items():
-        models.setdefault(w, set()).add(u)
-    for w, model in models.items():
-        if not cm.host.induced(model).is_connected():
-            out.append(f"model of {w!r} does not induce a connected subgraph")
-    for u, v in cm.image.edges:
-        both = models.get(u, set()) | models.get(v, set())
-        if both and not cm.host.induced(both).is_connected():
-            out.append(f"edge model of {{{u!r},{v!r}}} is not connected")
-    for a, b in cm.host.edges:
-        ia, ib = cm.rho[a], cm.rho[b]
-        if ia != ib and not cm.image.has_edge(ia, ib):
-            out.append(f"host edge {{{a!r},{b!r}}} maps to the non-edge {{{ia!r},{ib!r}}}")
-    return out
-
-
-def verify_contraction(cm: ContractionMap) -> bool:
-    return not contraction_violations(cm)
-
-
-def identity_contraction(g: Graph) -> ContractionMap:
-    return ContractionMap(g, g, {v: v for v in g.vertices})
-
+# -- minors -------------------------------------------------------------------
 
 def merge_groups(g: Graph, groups: Iterable) -> Graph:
     """Merge each vertex group into its lexicographically least id.
@@ -441,34 +368,6 @@ def make_grid(k: int, r: int) -> Grid:
                 edges.append((v, v + r))
     coords = {i * r + j: (i, j) for i in range(k) for j in range(r)}
     return Grid(Graph(verts, edges), k, r, coords)
-
-
-def grid_layer(grid: Grid, i: int) -> frozenset:
-    """Vertices of the i-th layer (1-based; layer 1 is the perimeter)."""
-    if grid.rows != grid.cols:
-        raise InputError("layers are defined for square grids")
-    k = grid.rows
-    lo, hi = i - 1, k - i
-    if lo > hi:
-        return frozenset()
-    return frozenset(v for v, (a, b) in grid.coords.items()
-                     if min(a, b, k - 1 - a, k - 1 - b) == lo)
-
-
-def central_grid(grid: Grid, q: int) -> Grid:
-    """The central q-grid: peel the (r-q)/2 outermost layers of an r-grid."""
-    if grid.rows != grid.cols:
-        raise InputError("central grid is defined for square grids")
-    r = grid.rows
-    if q % 2 != r % 2:
-        raise InputError(f"parity violation: central {q}-grid of an {r}-grid")
-    if not 1 <= q <= r:
-        raise InputError("q must satisfy 1 <= q <= r")
-    off = (r - q) // 2
-    keep = {v for v, (a, b) in grid.coords.items()
-            if off <= a < r - off and off <= b < r - off}
-    coords = {v: (grid.coords[v][0] - off, grid.coords[v][1] - off) for v in keep}
-    return Grid(grid.graph.induced(keep), q, q, coords)
 
 
 def make_triangulated_grid(k: int) -> tuple:

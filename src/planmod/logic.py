@@ -8,7 +8,6 @@ annotation set R, and the constants true/false.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from math import inf
@@ -455,6 +454,9 @@ class BasicSentence:
     psi: Formula
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (self.ell, self.r)):
+            raise InputError(f"basic sentences need integer ell and r, got "
+                             f"{self.ell!r} and {self.r!r}")
         if self.ell < 1 or self.r < 1:
             raise InputError("basic sentences need ell >= 1 and r >= 1")
         if len(self.psi.free_variables()) > 1:
@@ -613,18 +615,12 @@ class GaifmanSentence:
             basics = tuple(BasicSentence(b["ell"], b["r"], parse_formula(b["psi"]))
                            for b in obj["basics"])
             comb = parse_combination(obj["combination"])
-            annotated = bool(obj.get("annotated", True))
+            annotated = obj.get("annotated", True)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad Gaifman sentence object: {exc}") from exc
+        if not isinstance(annotated, bool):
+            raise InputError(f"'annotated' must be true or false, got {annotated!r}")
         return cls(basics, comb, annotated)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaifmanSentence":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad Gaifman JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
 
 
 class LocalValues:
@@ -783,27 +779,3 @@ def eval_gaifman_expanded(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
         values[h] = check_fol(g, r_set, expanded,
                               max_vertices=max_vertices, max_depth=max_depth)
     return eval_combination(phi.combination, values)
-
-
-def degree_atom(var: str, d: int) -> Formula:
-    """Sugar: 'the degree of var is exactly d', desugared to adjacency/equality."""
-    if d < 0:
-        raise InputError("degree must be non-negative")
-    ys = [f"{var}_n{i}" for i in range(1, d + 1)]
-    parts = []
-    for y in ys:
-        parts.append(Adj(var, y))
-    for i in range(d):
-        for j in range(i + 1, d):
-            parts.append(Not(Eq(ys[i], ys[j])))
-    z = f"{var}_z"
-    others = Const(True)
-    for y in ys:
-        others = And(others, Not(Eq(z, y)))
-    no_more = Forall(z, Not(And(Adj(var, z), others)))
-    body = no_more
-    for p in reversed(parts):
-        body = And(p, body)
-    for y in reversed(ys):
-        body = Exists(y, body)
-    return body

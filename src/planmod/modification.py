@@ -60,14 +60,6 @@ class ModificationSet:
             elems = [list(e) for e in self.sorted_elements()]
         return {"op": self.op.value, "elements": elems}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ModificationSet":
-        op = Operation.parse(obj["op"])
-        elems = obj["elements"]
-        if op in VERTEX_OPS:
-            return cls(op, elems)
-        return cls(op, (tuple(e) for e in elems))
-
 
 def application_domain(op: Operation, g: Graph, r_set: Iterable) -> frozenset:
     """Elements the operation may touch when restricted to the scope r_set."""

@@ -30,6 +30,10 @@ from .planarity import is_planar, planar_with_additions  # noqa: F401
 from .walls import ExtendedCompass, Wall, extended_compass
 
 EXACT_W_EXPONENT_LIMIT = 1 << 21  # bits; beyond this w is rendered, not computed
+# The constants c1 and c2 of the area argument, which the source cites but never
+# quantifies. Any value keeps the contracts internally consistent, because both
+# branches of the trichotomy are verified directly.
+C1 = C2 = 9
 
 
 # -- parameters -----------------------------------------------------------------
@@ -57,14 +61,6 @@ class Parameters:
     f2: int | str
     mode: str
 
-    def describe(self) -> dict:
-        out = {}
-        for name in ("k", "m", "r", "ell", "d", "rho", "w", "q", "q_area",
-                     "r_area", "z_area", "ell_area", "b", "f1", "f2", "mode"):
-            val = getattr(self, name)
-            out[name] = val if isinstance(val, (int, str)) else str(val)
-        return out
-
 
 def _exact_w(k: int, ell: int, rho: int) -> int | str:
     inner = (2 ** ell) * rho
@@ -83,16 +79,16 @@ def _ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def area_family(k: int, q: int, c1: int, c2: int) -> dict:
+def area_family(k: int, q: int) -> dict:
     """The area-side parameter family for a concrete wall height q."""
     m = 3 * (2 * k + 1)
     r_area = 2 * (2 * m + q) + 1
-    z_area = c1 * r_area + 2
+    z_area = C1 * r_area + 2
     f2 = z_area - 2
     ell_area = 4 * _ceil_sqrt(k + 1) - 1
     # the side count of the block grid is rounded up to stay integral
     b = 2 * ell_area + _ceil_sqrt(ell_area ** 4 * k) * z_area
-    f1 = max(c2 * b + k, c1 * q)
+    f1 = max(C2 * b + k, C1 * q)
     return {"m": m, "r_area": r_area, "z_area": z_area, "f2": f2,
             "ell_area": ell_area, "b": b, "f1": f1}
 
@@ -109,35 +105,27 @@ def compute_parameters(k: int, phi: GaifmanSentence, mode: str = "configured",
     ell = phi.total_ell()
     m = phi.m
     d_formula = 2 * (r + (ell + 1) * r + r)
-    if mode == "theoretical":
-        d = d_formula
-        rho = (2 * k + 1) * d
-        w = _exact_w(k, ell, rho)
-        if isinstance(w, int):
-            q = _ceil_of_scaled_sqrt(2 * rho + 1, w)
-        else:
-            q = f"ceil({2 * rho + 1}*sqrt({w}))"
+    configured = mode == "configured"
+    d = cfg.d_hat if configured and cfg.d_hat is not None else d_formula
+    rho = cfg.rho_hat if configured and cfg.rho_hat is not None else (2 * k + 1) * d
+    w = _exact_w(k, ell, rho)
+    if configured and cfg.q_hat is not None:
+        q = cfg.q_hat
+    elif isinstance(w, int):
+        q = _ceil_of_scaled_sqrt(2 * rho + 1, w)
     else:
-        d = cfg.d_hat if cfg.d_hat is not None else d_formula
-        rho = cfg.rho_hat if cfg.rho_hat is not None else (2 * k + 1) * d
-        w = cfg.w_hat if cfg.w_hat is not None else _exact_w(k, ell, rho)
-        if cfg.q_hat is not None:
-            q = cfg.q_hat
-        elif isinstance(w, int):
-            q = _ceil_of_scaled_sqrt(2 * rho + 1, w)
-        else:
-            q = f"ceil({2 * rho + 1}*sqrt({w}))"
+        q = f"ceil({2 * rho + 1}*sqrt({w}))"
     if isinstance(q, int):
-        fam = area_family(k, q, cfg.c1, cfg.c2)
+        fam = area_family(k, q)
         q_area = q
     else:
         mm = 3 * (2 * k + 1)
         q_area = q
         fam = {"m": mm, "r_area": f"2*(2*{mm}+Q)+1 with Q={q}",
-               "z_area": f"{cfg.c1}*R+2 with R=r_area", "f2": f"{cfg.c1}*r_area",
+               "z_area": f"{C1}*R+2 with R=r_area", "f2": f"{C1}*r_area",
                "ell_area": 4 * _ceil_sqrt(k + 1) - 1,
                "b": "2*ell_area+ceil(sqrt(ell_area^4*k))*z_area",
-               "f1": f"max({cfg.c2}*b+{k}, {cfg.c1}*Q)"}
+               "f1": f"max({C2}*b+{k}, {C1}*Q)"}
     return Parameters(k=k, m=m, r=r, ell=ell, d=d, rho=rho, w=w, q=q,
                       q_area=q_area, r_area=fam["r_area"], z_area=fam["z_area"],
                       ell_area=fam["ell_area"], b=fam["b"], f1=fam["f1"],
@@ -197,10 +185,6 @@ class Characteristic:
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-
-def walls_equivalent(char1: Characteristic, char2: Characteristic) -> bool:
-    return char1.entries == char2.entries
 
 
 # -- shared semantics helpers (used by this module and by sigoracle) ----------------

@@ -35,6 +35,9 @@ from .signatures import area_family
 # the wall branch gives up after this many candidate walls and falls back to
 # the decomposition branch
 MAX_WALL_CANDIDATES = 16
+# find_vertex replaces a subwall only when at least this many subwalls share
+# its characteristic
+BUCKET_THRESHOLD = 2
 
 
 # -- instances -------------------------------------------------------------------
@@ -355,7 +358,7 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     cfg = cfg or PipelineConfig()
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")
-    fam = area_family(k, q, cfg.c1, cfg.c2)
+    fam = area_family(k, q)
     f1, f2 = fam["f1"], fam["f2"]
     if op is Operation.EA:
         if not is_planar(g):
@@ -450,10 +453,10 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
     buckets: dict = {}
     for ec, char in zip(towers, chars):
         buckets.setdefault(char.canonical_json(), []).append(ec)
-    big = [b for b in sorted(buckets) if len(buckets[b]) >= cfg.bucket_threshold]
+    big = [b for b in sorted(buckets) if len(buckets[b]) >= BUCKET_THRESHOLD]
     if not big:
         raise ResourceLimitError(
-            f"no bucket of {cfg.bucket_threshold} equivalent subwalls among "
+            f"no bucket of {BUCKET_THRESHOLD} equivalent subwalls among "
             f"{len(towers)}; desk-scale parameters cannot justify a replacement here")
     chosen = buckets[big[0]][0]
     return finish(chosen, frozenset(chosen.level(params.r).graph.vertices))
@@ -503,7 +506,7 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
             region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg)
         except ResourceLimitError:
             # the trichotomy allows the decomposition branch instead
-            fam = area_family(k, params.q, cfg.c1, cfg.c2)
+            fam = area_family(k, params.q)
             td = width_witness(g, fam["f1"], cfg.cap_exact_tw)
             if td is None:
                 raise

@@ -126,16 +126,10 @@ class Wall:
     branch_coords: Mapping  # branch vertex -> elementary position
     paths: Mapping          # elementary edge (normalized) -> tuple of vertices
 
-    def position_of(self, v):
-        return self.branch_coords[v]
-
     def vertex_at(self, pos):
         if not hasattr(self, "_inv"):
             object.__setattr__(self, "_inv", {p: v for v, p in self.branch_coords.items()})
         return self._inv[pos]
-
-    def branch_vertices(self) -> frozenset:
-        return frozenset(self.branch_coords)
 
 
 def validate_wall(w: Wall) -> bool:
@@ -285,9 +279,6 @@ class WallAnnulus:
     outer_cycle: tuple   # layer p-ell+1 counted from the center of the host wall
     inner_cycle: tuple   # layer p counted from the center
     bricks: tuple        # brick cycles fully inside the annulus
-
-    def extremal_cycles(self) -> tuple:
-        return self.outer_cycle, self.inner_cycle
 
 
 def wall_annulus(w: Wall, p: int, ell: int) -> WallAnnulus:

@@ -160,7 +160,7 @@ def test_criterion_8_parameter_formulas():
     phi = GaifmanSentence((BasicSentence(2, 1, parse_formula("exists y. adj(x,y)")),),
                           parse_combination("1"))
     p = compute_parameters(1, phi, "theoretical")
-    fam = area_family(1, 3, 9, 9)
+    fam = area_family(1, 3)
     ok = (p.d == 10 and p.rho == 30 and fam["m"] == 9 and fam["r_area"] == 43
           and isinstance(p.w, str) and "2^" in p.w)
     _report(8, ok, f"d={p.d}, rho={p.rho}, m={fam['m']}, r_area(q=3)="

@@ -1,7 +1,11 @@
 import json
+from dataclasses import fields
 
-from planmod.cli import main
-from planmod.graphs import Graph, complete_graph, make_grid
+import pytest
+
+from planmod.cli import _config_from_args, build_parser, main
+from planmod.config import PipelineConfig
+from planmod.graphs import Graph, complete_graph, make_grid, path_graph
 
 
 def _write_graph(path, g):
@@ -55,7 +59,7 @@ class TestSolve:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             main(["solve", k5, "--op", "vr", "-k", "1", "--phi", "true",
-                  "--seed", "3", "--out", str(out)])
+                  "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -82,6 +86,13 @@ class TestSolve:
                      "--out", str(tmp_path / "o.json")])
         assert code == 1  # empty scope: nothing may be removed
 
+    def test_mixed_vertex_ids_in_the_annotation(self, tmp_path):
+        g = _write_graph(tmp_path / "g.json", Graph(["a", 1, 2], [("a", 1), (1, 2)]))
+        ann = tmp_path / "r.json"
+        ann.write_text('["a", 1]')
+        code = main(["solve", g, "--op", "vr", "-k", "0", "--phi", "true",
+                     "--oracle", "--annotated", str(ann), "--out", str(tmp_path / "o.json")])
+        assert code == 0
 
     def test_unannotated_sentence_with_annotation_exits_two(self, tmp_path, capsys):
         g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
@@ -110,20 +121,20 @@ class TestGen:
     def test_wall_matches_constructor(self, tmp_path):
         out = tmp_path / "w.json"
         main(["gen", "wall", "--height", "7", "--out", str(out)])
-        g = Graph.from_json(out.read_text())
+        g = Graph.from_json_obj(json.loads(out.read_text()))
         assert len(g.vertices) == 2 * 7 * 7 - 2
 
     def test_k5star(self, tmp_path):
         out = tmp_path / "s.json"
         main(["gen", "k5star", "-r", "3", "--out", str(out)])
-        g = Graph.from_json(out.read_text())
+        g = Graph.from_json_obj(json.loads(out.read_text()))
         assert len(g.vertices) == 1 + 12
         assert g.degree(0) == 12
 
     def test_tri_grid(self, tmp_path):
         out = tmp_path / "t.json"
         main(["gen", "tri-grid", "-k", "5", "--out", str(out)])
-        g = Graph.from_json(out.read_text())
+        g = Graph.from_json_obj(json.loads(out.read_text()))
         assert len(g.vertices) == 25
 
     def test_dot_output(self, tmp_path):
@@ -170,25 +181,65 @@ class TestCheck:
         assert len(calls) == 4
 
 
-class TestBench:
-    def test_bench_runs(self, tmp_path):
-        out = tmp_path / "b.txt"
-        code = main(["bench", "--seed", "5", "-n", "4", "--out", str(out)])
-        assert code == 0
-        assert "oracle" in out.read_text()
+def _sentence(annotated=True, **basic):
+    return json.dumps({"basics": [{"ell": 1, "r": 1, "psi": "exists y. adj(x,y)", **basic}],
+                       "combination": "1", "annotated": annotated})
 
-    def test_each_engine_starts_on_cold_caches(self, tmp_path, monkeypatch):
-        from planmod import cli
-        from planmod.planarity import is_planar
-        sizes = []
 
-        def spy(engine):
-            def run(*args, **kwargs):
-                sizes.append(is_planar.cache_info().currsize)
-                return engine(*args, **kwargs)
-            return run
+def _solve_argv(tmp_path, graph=None, annotated=None, sentence=None):
+    """`planmod solve` on a 10-vertex path, with any of its files replaced."""
+    instance = tmp_path / "g.json"
+    instance.write_text(graph or json.dumps(path_graph(10).to_json_obj()))
+    argv = ["solve", str(instance), "--op", "vr", "-k", "1"]
+    if sentence is None:
+        argv += ["--phi", "true"]
+    else:
+        (tmp_path / "phi.json").write_text(sentence)
+        argv += ["--gaifman", str(tmp_path / "phi.json")]
+    if annotated is not None:
+        (tmp_path / "r.json").write_text(annotated)
+        argv += ["--annotated", str(tmp_path / "r.json")]
+    return argv + ["--out", str(tmp_path / "report.json")]
 
-        monkeypatch.setattr(cli, "solve_oracle", spy(cli.solve_oracle))
-        monkeypatch.setattr(cli, "solve_pipeline", spy(cli.solve_pipeline))
-        main(["bench", "--seed", "5", "-n", "3", "--out", str(tmp_path / "b.txt")])
-        assert sizes == [0] * 6
+
+MALFORMED = {
+    "annotated-number": lambda t: _solve_argv(t, annotated="5"),
+    "annotated-nested-list": lambda t: _solve_argv(t, annotated="[[1,2]]"),
+    "annotated-not-json": lambda t: _solve_argv(t, annotated="one, two"),
+    "edge-one-endpoint": lambda t: _solve_argv(t, graph='{"vertices":[0,1],"edges":[[0]]}'),
+    "edge-three-endpoints": lambda t: _solve_argv(
+        t, graph='{"vertices":[0,1,2],"edges":[[0,1,2]]}'),
+    "null-vertex": lambda t: _solve_argv(t, graph='{"vertices":[null,1],"edges":[[null,1]]}'),
+    "instance-is-directory": lambda t: ["solve", str(t), "--op", "vr", "-k", "1",
+                                        "--phi", "true"],
+    "budget-not-a-number": lambda t: ["check", "all", "--budget", "abc"],
+    "ell-fraction": lambda t: _solve_argv(t, sentence=_sentence(ell=2.5)),
+    "ell-float": lambda t: _solve_argv(t, sentence=_sentence(ell=3.0)),
+    "r-bool": lambda t: _solve_argv(t, sentence=_sentence(r=True)),
+    "annotated-flag-string": lambda t: _solve_argv(t, sentence=_sentence(annotated="no")),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_two_with_an_error_line(self, case, tmp_path, capsys):
+        try:
+            code = main(MALFORMED[case](tmp_path))
+        except SystemExit as exc:  # argparse rejects a bad flag value this way
+            code = exc.code
+        assert code == 2
+        assert any(line.startswith("error:") or ": error:" in line
+                   for line in capsys.readouterr().err.splitlines())
+
+
+def test_every_config_field_has_a_solve_flag():
+    # one flag per field, each set away from its default, so a field that no
+    # run can set fails here
+    argv = ["solve", "g.json", "--op", "vr", "-k", "1",
+            "--size-mode", "exact", "--no-cross-check"]
+    for f in fields(PipelineConfig):
+        if f.name not in ("size_mode", "cross_check"):
+            argv += [f"--{f.name.replace('_', '-')}", str((f.default or 0) + 1)]
+    cfg = _config_from_args(build_parser().parse_args(argv))
+    for f in fields(PipelineConfig):
+        assert getattr(cfg, f.name) != f.default, f.name

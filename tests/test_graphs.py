@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmod.errors import InputError
-from planmod.graphs import (ContractionMap, Graph, Separation, central_grid,
-                            contraction_violations, cycle_graph,
-                            disjoint_union, distance, grid_layer,
-                            identity_contraction, is_scattered, is_separation,
-                            make_grid, make_triangulated_grid, merge_groups,
-                            neighborhood, path_graph, relabel, vertex_key,
-                            verify_contraction, verify_minor_model)
+from planmod.graphs import (Graph, cycle_graph, disjoint_union, distance,
+                            is_scattered, make_grid, make_triangulated_grid,
+                            merge_groups, neighborhood, path_graph, relabel,
+                            vertex_key, verify_minor_model)
 
 
 def small_graphs(max_n=8, p=0.4):
@@ -43,7 +41,7 @@ class TestGraphBasics:
 
     def test_json_round_trip(self):
         g = Graph(["a", 1, 2], [(1, 2), ("a", 2)])
-        assert Graph.from_json(g.to_json()) == g
+        assert Graph.from_json_obj(json.loads(json.dumps(g.to_json_obj()))) == g
 
     def test_dot_round_trip(self):
         g = Graph([0, 1, "hub"], [(0, 1), (1, "hub")])
@@ -140,23 +138,6 @@ class TestScattered:
 
 
 class TestContraction:
-    def test_identity(self):
-        g = cycle_graph(5)
-        assert verify_contraction(identity_contraction(g))
-
-    def test_triangle_to_edge(self):
-        tri = cycle_graph(3)
-        edge = Graph([0, 2], [(0, 2)])
-        cm = ContractionMap(tri, edge, {0: 0, 1: 0, 2: 2})
-        assert verify_contraction(cm)
-
-    def test_disconnected_model_fails(self):
-        p3 = path_graph(3)
-        img = Graph([0, 1], [(0, 1)])
-        cm = ContractionMap(p3, img, {0: 0, 2: 0, 1: 1})
-        bad = contraction_violations(cm)
-        assert bad and "connected" in bad[0]
-
     def test_merge_groups_uses_least_id(self):
         g = path_graph(3)
         merged = merge_groups(g, [{1, 2}])
@@ -171,46 +152,11 @@ class TestContraction:
         assert not verify_minor_model(host, pattern, model, must_intersect={99})
 
 
-class TestSeparation:
-    def test_valid(self):
-        g = path_graph(4)
-        assert is_separation(g, Separation({0, 1}, {1, 2, 3}))
-
-    def test_crossing_edge(self):
-        g = path_graph(4)
-        assert not is_separation(g, Separation({0, 1}, {2, 3}))
-
-
 class TestGrids:
     def test_two_grid_is_four_cycle(self):
         g = make_grid(2, 2).graph
         assert len(g.vertices) == 4 and len(g.edges) == 4
         assert all(g.degree(v) == 2 for v in g.vertices)
-
-    def test_central_grid_identity(self):
-        g5 = make_grid(5, 5)
-        assert central_grid(g5, 5).graph == g5.graph
-
-    def test_central_grid_peels(self):
-        g5 = make_grid(5, 5)
-        c3 = central_grid(g5, 3)
-        assert len(c3.graph.vertices) == 9
-        assert central_grid(make_grid(7, 7), 3).rows == 3
-
-    def test_parity_violation(self):
-        with pytest.raises(InputError):
-            central_grid(make_grid(5, 5), 4)
-
-    def test_layer_sizes_up_to_11(self):
-        # the i-th layer of a k-grid is the perimeter of the central
-        # (k-2(i-1))-grid: 4(k-2(i-1))-4 vertices while that grid has >= 2 side
-        for k in range(2, 12):
-            grid = make_grid(k, k)
-            for i in range(1, k // 2 + 1):
-                side = k - 2 * (i - 1)
-                if side < 2:
-                    break
-                assert len(grid_layer(grid, i)) == 4 * side - 4
 
 
 class TestTriangulatedGrid:

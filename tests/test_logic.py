@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from planmod.errors import FormulaSyntaxError, InputError
 from planmod.graphs import Graph, complete_graph, cycle_graph, is_scattered, path_graph
 from planmod.logic import (TRUE, And, BasicSentence, Exists, GaifmanSentence,
-                           InR, check_fol, check_local, degree_atom,
+                           InR, check_fol, check_local,
                            distance_atom, eval_gaifman, eval_gaifman_expanded,
                            eval_with_env, parse_combination, parse_formula,
                            pretty, scattered_sets, verify_locality)
@@ -126,7 +126,8 @@ class TestCheckLocal:
         assert not check_local(Graph([0]), [], 0, psi, 1)
 
     def test_degree_two_matches_global(self):
-        psi = degree_atom("x", 2)
+        psi = parse_formula("exists a. exists b. adj(x,a) & adj(x,b) & ~(a = b) & "
+                            "(forall z. ~(adj(x,z) & ~(z = a) & ~(z = b)))")
         g = path_graph(9)
         local = check_local(g, [], 4, psi, 1)
         full = eval_with_env(g, [], psi, {"x": 4})
@@ -240,7 +241,7 @@ class TestGaifman:
     def test_json_round_trip(self):
         import json
         for _, phi in fixed_sentences():
-            again = GaifmanSentence.from_json(json.dumps(phi.to_json_obj()))
+            again = GaifmanSentence.from_json_obj(json.loads(json.dumps(phi.to_json_obj())))
             assert again.to_json_obj() == phi.to_json_obj()
 
 

@@ -233,7 +233,3 @@ class TestIrrelevance:
     def test_k5_vertices_are_relevant(self):
         g = complete_graph(5)
         assert not is_planarization_irrelevant(g, Operation.VR, 1, {3})
-
-    def test_json_round_trip(self):
-        s = ModificationSet(Operation.EC, [(2, 1), (3, 4)])
-        assert ModificationSet.from_json_obj(s.to_json_obj()) == s
