@@ -1,5 +1,5 @@
-"""Annulus-boundaried graphs, wall-components, and the planarity gluing
-equivalence across annulus-embedded separators.
+"""Annulus-boundaried graphs and the planarity gluing equivalence across
+annulus-embedded separators.
 
 Topological statements are operationalized combinatorially: "the compass is
 the part of the graph inside the region" becomes "no vertex strictly inside
@@ -35,16 +35,6 @@ class AnnulusBoundariedGraph:
     outer_cycle: tuple
 
 
-@dataclass(frozen=True)
-class WallComponent:
-    """A chord over V(Y) or a connected piece of K minus V(Y), with the set of
-    Y-vertices it attaches to."""
-
-    kind: str            # "edge" or "piece"
-    vertices: frozenset  # endpoints for a chord, the piece's vertices otherwise
-    attached: frozenset
-
-
 def annulus_violations(abg: AnnulusBoundariedGraph) -> list:
     out = []
     y = abg.annulus.graph
@@ -78,53 +68,6 @@ def annulus_violations(abg: AnnulusBoundariedGraph) -> list:
                 out.append(f"vertex strictly inside the annulus has the outside neighbor {w!r}")
                 break
     return out
-
-
-def wall_components(abg: AnnulusBoundariedGraph) -> list:
-    """Chords over V(Y) plus maximal connected pieces of K \\ V(Y), each with
-    its attachment set."""
-    y = abg.annulus.graph
-    comps = []
-    for u, v in abg.graph.sorted_edges():
-        if u in y.vertices and v in y.vertices and not y.has_edge(u, v):
-            comps.append(WallComponent("edge", frozenset((u, v)), frozenset((u, v))))
-    rest = abg.compass.remove_vertices(y.vertices)
-    for piece in rest.components():
-        attached = frozenset(w for v in piece for w in abg.graph.adj[v]
-                             if w in y.vertices)
-        comps.append(WallComponent("piece", piece, attached))
-    return comps
-
-
-def is_brick_component(abg: AnnulusBoundariedGraph, comp: WallComponent) -> bool:
-    return any(comp.attached <= set(brick) for brick in abg.annulus.bricks)
-
-
-def att(abg: AnnulusBoundariedGraph, h: Graph) -> Graph:
-    """Subgraph of G induced by V(H) plus the wall-components attached only
-    to H."""
-    if not h.is_subgraph_of(abg.annulus.graph):
-        raise InputError("att expects a subgraph of the wall-annulus")
-    verts = set(h.vertices)
-    for comp in wall_components(abg):
-        if comp.attached and comp.attached <= h.vertices:
-            verts |= comp.vertices
-    return abg.graph.induced(verts)
-
-
-def attachment_observation_holds(abg: AnnulusBoundariedGraph, h: Graph) -> bool:
-    """If att(H) is planar, every wall-component inside att(H) attaches only
-    to extremal-cycle vertices or is a brick-component."""
-    region = att(abg, h)
-    if not is_planar(region):
-        return True
-    boundary = set(abg.inner_cycle) | set(abg.outer_cycle)
-    for comp in wall_components(abg):
-        if comp.vertices <= region.vertices:
-            if comp.attached <= boundary or is_brick_component(abg, comp):
-                continue
-            return False
-    return True
 
 
 # -- annulus-embedded separators ---------------------------------------------------

@@ -196,6 +196,9 @@ class Graph:
             raise InputError(f"bad graph object: {exc}") from exc
         if None in g.vertices:
             raise InputError("bad graph object: null vertex id")
+        if len(g.vertices) != len(obj["vertices"]):
+            # true == 1 == 1.0 in Python, so such ids would silently merge
+            raise InputError("bad graph object: repeated or colliding vertex ids")
         return g
 
     def to_dot(self, name: str = "G") -> str:
@@ -207,43 +210,8 @@ class Graph:
         lines.append("}")
         return "\n".join(lines)
 
-    @classmethod
-    def from_dot(cls, text: str) -> "Graph":
-        """Minimal DOT reader for the subset to_dot emits (quoted ids, -- edges)."""
-        import re
-
-        body = text[text.index("{") + 1:text.rindex("}")]
-        verts, edges = set(), []
-        for stmt in body.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            m = re.match(r'^"([^"]*)"\s*--\s*"([^"]*)"$', stmt)
-            if m:
-                u, v = (_undot(m.group(1)), _undot(m.group(2)))
-                verts |= {u, v}
-                edges.append((u, v))
-                continue
-            m = re.match(r'^"([^"]*)"$', stmt)
-            if m:
-                verts.add(_undot(m.group(1)))
-                continue
-            raise InputError(f"cannot parse DOT statement {stmt!r}")
-        return cls(verts, edges)
-
-
-def _undot(token: str):
-    return int(token) if token.lstrip("-").isdigit() else token
-
 
 # -- spec operations --------------------------------------------------------
-
-def distance(g: Graph, u, v):
-    """Shortest-path length between u and v; math.inf when disconnected."""
-    g._require(u)
-    g._require(v)
-    return g.bfs_distances(u).get(v, inf)
-
 
 def neighborhood(g: Graph, v, r: int) -> frozenset:
     """All vertices at distance <= r from v (contains v).
@@ -398,18 +366,6 @@ def complete_graph(n: int, offset: int = 0) -> Graph:
     return Graph(verts, ((u, v) for u in verts for v in verts if u < v))
 
 
-def path_graph(n: int, offset: int = 0) -> Graph:
-    verts = range(offset, offset + n)
-    return Graph(verts, ((v, v + 1) for v in range(offset, offset + n - 1)))
-
-
-def cycle_graph(n: int, offset: int = 0) -> Graph:
-    if n < 3:
-        raise InputError("cycle needs >= 3 vertices")
-    g = path_graph(n, offset)
-    return g.add_edges([(offset, offset + n - 1)])
-
-
 def disjoint_union(*graphs: Graph) -> Graph:
     """Union that relabels nothing: ids must already be disjoint."""
     verts, edges = set(), set()
@@ -419,15 +375,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
         verts |= g.vertices
         edges |= g.edges
     return Graph(verts, edges)
-
-
-def relabel(g: Graph, mapping: Mapping) -> Graph:
-    """Injective relabeling of vertex ids."""
-    lift = lambda v: mapping.get(v, v)
-    new_verts = [lift(v) for v in g.vertices]
-    if len(set(new_verts)) != len(new_verts):
-        raise InputError("relabeling is not injective")
-    return Graph(new_verts, ((lift(u), lift(v)) for u, v in g.edges))
 
 
 def k5_star(r: int) -> tuple:

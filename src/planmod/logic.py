@@ -3,7 +3,9 @@ r-local evaluation, and Gaifman-sentence evaluation via scattered-set search.
 
 Evaluation is plain quantifier expansion over the vertex set; the n^depth
 cost is accepted and capped. Atoms: adjacency, equality, membership in the
-annotation set R, and the constants true/false.
+annotation set R, and the constants true/false. A Gaifman sentence's Boolean
+combination is a formula too, over one more atom: the index of a basic
+sentence.
 """
 
 from __future__ import annotations
@@ -112,6 +114,17 @@ class Const(Formula):
         return frozenset()
 
 
+@dataclass(frozen=True)
+class Basic(Formula):
+    """The truth value of a Gaifman sentence's index-th basic sentence
+    (1-based). It occurs only in combinations, where the indices are the
+    free variables and `_eval` reads their values from its env."""
+    index: int
+
+    def free_variables(self):
+        return frozenset((self.index,))
+
+
 TRUE = Const(True)
 FALSE = Const(False)
 
@@ -137,6 +150,8 @@ def pretty(f: Formula) -> str:
         return f"{f.x} in R"
     if isinstance(f, Const):
         return "true" if f.value else "false"
+    if isinstance(f, Basic):
+        return str(f.index)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -152,7 +167,13 @@ def quantifier_depth(f: Formula) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-_TOKEN = re.compile(r"(exists|forall|in|adj|true|false)\b|([A-Za-z_]\w*)|([().,=&|~])")
+_TOKEN = re.compile(r"(exists|forall|in|adj|true|false)\b|([A-Za-z_]\w*)|(\d+)|([().,=&|~])")
+_COMBINATION_TOKENS = frozenset(("true", "false", "~", "&", "|", "(", ")"))
+
+
+def _shown(tok) -> str:
+    """A token as it was written, for error messages."""
+    return "end of input" if tok is None else repr(tok.split(":", 1)[-1])
 
 
 class _Tokens:
@@ -167,15 +188,23 @@ class _Tokens:
             m = _TOKEN.match(text, pos)
             if not m:
                 raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            kw, ident, punct = m.groups()
+            kw, ident, index, punct = m.groups()
             if kw is not None:
                 self.toks.append((kw, pos))
             elif ident is not None:
                 self.toks.append(("IDENT:" + ident, pos))
+            elif index is not None:
+                self.toks.append(("INDEX:" + index, pos))
             else:
                 self.toks.append((punct, pos))
             pos = m.end()
         self.i = 0
+
+    def reject(self, bad, what: str):
+        """Raise at the first token for which bad(token) holds."""
+        for tok, pos in self.toks:
+            if bad(tok):
+                raise FormulaSyntaxError(f"{_shown(tok)} {what}", pos)
 
     def peek(self):
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -188,7 +217,7 @@ class _Tokens:
         if tok is None:
             raise FormulaSyntaxError(f"unexpected end of input (wanted {expected})", len(self.text))
         if expected is not None and tok != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, found {tok!r}", self.pos())
+            raise FormulaSyntaxError(f"expected {expected!r}, found {_shown(tok)}", self.pos())
         self.i += 1
         return tok
 
@@ -211,12 +240,31 @@ def parse_formula(text: str) -> Formula:
     bool    := term (("&"|"|") term)*
     term    := "~" term | "(" formula ")" | atom
     atom    := "adj(" IDENT "," IDENT ")" | IDENT "=" IDENT | IDENT "in R"
-             | "true" | "false"
-    """
+             | "true" | "false" | INDEX
+
+    "&" and "|" bind left to right with no precedence. INDEX atoms (1-based
+    basic-sentence indices) belong to combinations only and are rejected
+    here."""
     toks = _Tokens(text)
+    toks.reject(lambda tok: tok.startswith("INDEX:"),
+                "is a basic-sentence index; it belongs in a combination")
+    return _parse_all(toks)
+
+
+def parse_combination(text: str) -> Formula:
+    """Parse a Gaifman sentence's Boolean combination: the formula grammar
+    restricted to INDEX atoms, "true", "false", "~", "&", "|" and
+    parentheses."""
+    toks = _Tokens(text)
+    toks.reject(lambda tok: not tok.startswith("INDEX:") and tok not in _COMBINATION_TOKENS,
+                "cannot appear in a combination")
+    return _parse_all(toks)
+
+
+def _parse_all(toks: _Tokens) -> Formula:
     f = _parse_formula(toks, scope=[])
     if toks.peek() is not None:
-        raise FormulaSyntaxError(f"trailing input {toks.peek()!r}", toks.pos())
+        raise FormulaSyntaxError(f"trailing input {_shown(toks.peek())}", toks.pos())
     return f
 
 
@@ -262,6 +310,9 @@ def _parse_atom(toks: _Tokens, scope: list) -> Formula:
     if tok == "false":
         toks.take()
         return FALSE
+    if tok is not None and tok.startswith("INDEX:"):
+        toks.take()
+        return Basic(int(tok[6:]))
     if tok == "adj":
         toks.take()
         toks.take("(")
@@ -270,6 +321,8 @@ def _parse_atom(toks: _Tokens, scope: list) -> Formula:
         y = toks.take_ident()
         toks.take(")")
         return Adj(x, y)
+    if tok is None or not tok.startswith("IDENT:"):
+        raise FormulaSyntaxError(f"expected an atom, found {_shown(tok)}", toks.pos())
     x = toks.take_ident()
     nxt = toks.peek()
     if nxt == "=":
@@ -351,6 +404,8 @@ def _eval(f: Formula, g: Graph, r_set: frozenset, env: dict, order: list) -> boo
         return env[f.x] in r_set
     if isinstance(f, Const):
         return f.value
+    if isinstance(f, Basic):
+        return env[f.index]
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -468,127 +523,19 @@ class BasicSentence:
         return free[0] if free else "x"
 
 
-class Combination:
-    """Boolean expression tree over 1-based basic-sentence indices."""
-
-
-@dataclass(frozen=True)
-class CLeaf(Combination):
-    index: int
-
-
-@dataclass(frozen=True)
-class CConst(Combination):
-    value: bool
-
-
-@dataclass(frozen=True)
-class CNot(Combination):
-    body: Combination
-
-
-@dataclass(frozen=True)
-class CAnd(Combination):
-    left: Combination
-    right: Combination
-
-
-@dataclass(frozen=True)
-class COr(Combination):
-    left: Combination
-    right: Combination
-
-
-def parse_combination(text: str) -> Combination:
-    toks = re.findall(r"\d+|[()&|~]|true|false|\S", text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take():
-        t = peek()
-        pos[0] += 1
-        return t
-
-    def expr():
-        node = term()
-        while peek() in ("&", "|"):
-            op = take()
-            rhs = term()
-            node = CAnd(node, rhs) if op == "&" else COr(node, rhs)
-        return node
-
-    def term():
-        t = peek()
-        if t == "~":
-            take()
-            return CNot(term())
-        if t == "(":
-            take()
-            node = expr()
-            if take() != ")":
-                raise InputError(f"unbalanced parenthesis in combination {text!r}")
-            return node
-        if t in ("true", "false"):
-            take()
-            return CConst(t == "true")
-        if t is not None and t.isdigit():
-            take()
-            return CLeaf(int(t))
-        raise InputError(f"cannot parse combination {text!r} at token {t!r}")
-
-    node = expr()
-    if peek() is not None:
-        raise InputError(f"trailing input in combination {text!r}")
-    return node
-
-
-def combination_leaves(c: Combination) -> set:
-    if isinstance(c, CLeaf):
-        return {c.index}
-    if isinstance(c, CNot):
-        return combination_leaves(c.body)
-    if isinstance(c, (CAnd, COr)):
-        return combination_leaves(c.left) | combination_leaves(c.right)
-    return set()
-
-
-def eval_combination(c: Combination, values: Mapping) -> bool:
-    if isinstance(c, CLeaf):
-        return values[c.index]
-    if isinstance(c, CConst):
-        return c.value
-    if isinstance(c, CNot):
-        return not eval_combination(c.body, values)
-    if isinstance(c, CAnd):
-        return eval_combination(c.left, values) and eval_combination(c.right, values)
-    if isinstance(c, COr):
-        return eval_combination(c.left, values) or eval_combination(c.right, values)
-    raise TypeError(f"not a combination node: {c!r}")
-
-
-def combination_text(c: Combination) -> str:
-    if isinstance(c, CLeaf):
-        return str(c.index)
-    if isinstance(c, CConst):
-        return "true" if c.value else "false"
-    if isinstance(c, CNot):
-        return "~" + combination_text(c.body)
-    op = "&" if isinstance(c, CAnd) else "|"
-    return f"({combination_text(c.left)} {op} {combination_text(c.right)})"
-
-
 @dataclass(frozen=True)
 class GaifmanSentence:
+    """A Boolean combination of basic sentences. The combination is a
+    formula over `Basic` index atoms, `true`, `false`, `~`, `&` and `|`."""
+
     basics: tuple
-    combination: Combination
+    combination: Formula
     annotated: bool = True
 
     def __post_init__(self):
         if not self.basics:
             raise InputError("a Gaifman sentence needs at least one basic sentence")
-        bad = combination_leaves(self.combination) - set(range(1, len(self.basics) + 1))
+        bad = self.combination.free_variables() - set(range(1, len(self.basics) + 1))
         if bad:
             raise InputError(f"combination references unknown basic indices {sorted(bad)}")
 
@@ -602,10 +549,22 @@ class GaifmanSentence:
     def total_ell(self) -> int:
         return sum(b.ell for b in self.basics)
 
+    def scope(self, g: Graph, r_set: Iterable) -> frozenset:
+        """The vertices the sentence is read under on g: R when annotated,
+        all of V otherwise."""
+        return frozenset(r_set) if self.annotated else g.vertices
+
+    def combine(self, holds) -> bool:
+        """The combination's truth when each basic sentence b it names has
+        truth holds(b); holds is called once per named index, in order."""
+        values = {h: holds(self.basics[h - 1])
+                  for h in sorted(self.combination.free_variables())}
+        return _eval(self.combination, None, frozenset(), values, [])
+
     def to_json_obj(self) -> dict:
         return {
             "basics": [{"ell": b.ell, "r": b.r, "psi": pretty(b.psi)} for b in self.basics],
-            "combination": combination_text(self.combination),
+            "combination": pretty(self.combination),
             "annotated": self.annotated,
         }
 
@@ -639,14 +598,14 @@ class LocalValues:
     brute-force cap fires on the same set and vertex, with the same message,
     as evaluating every vertex on g ⊠ S does.
 
-    `r_set` is the scope the sentence is read under on g: R when the
-    sentence is annotated, all of V otherwise, as in `eval_gaifman`."""
+    `r_set` is read under the sentence's scope on g (`GaifmanSentence.scope`):
+    R when the sentence is annotated, all of V otherwise."""
 
     def __init__(self, g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
                  max_vertices: int = MAX_BRUTE_VERTICES,
                  max_depth: int = MAX_QUANT_DEPTH):
         self.g = g
-        self.r_set = frozenset(r_set) if phi.annotated else g.vertices
+        self.r_set = phi.scope(g, r_set)
         self.max_vertices = max_vertices
         self.max_depth = max_depth
         self._values: dict = {}
@@ -731,15 +690,12 @@ def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
     the r_h-ball is unchanged (see `LocalValues`). The answer is the same
     as without `base`; the scattered-set search still reads distances on
     g."""
-    r_set = frozenset(r_set) if phi.annotated else frozenset(g.vertices)
+    r_set = phi.scope(g, r_set)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
-    needed = combination_leaves(phi.combination)
-    values = {h: basic_witness(g, r_set, phi.basics[h - 1], max_vertices=max_vertices,
-                               max_depth=max_depth, base=base,
-                               touched=touched) is not None
-              for h in needed}
-    return eval_combination(phi.combination, values)
+    return phi.combine(lambda basic: basic_witness(
+        g, r_set, basic, max_vertices=max_vertices, max_depth=max_depth,
+        base=base, touched=touched) is not None)
 
 
 def expand_basic(basic: BasicSentence, annotated: bool) -> Formula:
@@ -771,11 +727,7 @@ def eval_gaifman_expanded(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
                           max_depth: int = MAX_QUANT_DEPTH) -> bool:
     """Evaluate each basic sentence via its delta-encoded plain-FOL expansion
     and brute force, then apply the combination. An oracle for eval_gaifman."""
-    r_set = frozenset(r_set) if phi.annotated else frozenset(g.vertices)
-    needed = combination_leaves(phi.combination)
-    values = {}
-    for h in needed:
-        expanded = expand_basic(phi.basics[h - 1], phi.annotated)
-        values[h] = check_fol(g, r_set, expanded,
-                              max_vertices=max_vertices, max_depth=max_depth)
-    return eval_combination(phi.combination, values)
+    r_set = phi.scope(g, r_set)
+    return phi.combine(lambda basic: check_fol(
+        g, r_set, expand_basic(basic, phi.annotated),
+        max_vertices=max_vertices, max_depth=max_depth))

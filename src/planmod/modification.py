@@ -27,7 +27,6 @@ class Operation(Enum):
 
 
 VERTEX_OPS = {Operation.VR}
-EDGE_OPS = {Operation.ER, Operation.EC, Operation.EA}
 
 
 @dataclass(frozen=True)

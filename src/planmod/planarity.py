@@ -86,10 +86,6 @@ def _component_faces(emb, g: Graph, comp) -> list:
     return faces
 
 
-def euler_ok(g: Graph, emb: Embedding) -> bool:
-    return len(g.vertices) - len(g.edges) + emb.face_count() == 1 + len(g.components())
-
-
 def planar_with_additions(g: Graph, pairs: Iterable) -> bool:
     """Planarity of g with the given non-edges added.
 

@@ -269,10 +269,6 @@ def exact_treewidth_bb(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
     return best
 
 
-def single_bag_decomposition(g: Graph) -> TreeDecomposition:
-    return TreeDecomposition(Graph([0]), {0: frozenset(g.vertices)})
-
-
 def width_witness(g: Graph, bound: int, exact_cap: int = DEFAULT_EXACT_CAP) -> TreeDecomposition | None:
     """A validated decomposition of width <= bound, or None if we cannot
     produce one under the caps (which proves nothing about treewidth)."""

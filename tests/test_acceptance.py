@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they go.
 import random
 import time
 
+from graph_helpers import path_graph
 from wall_oracle import derive_central_subwall, derive_wall_annulus
 
 from planmod.config import PipelineConfig
@@ -13,8 +14,7 @@ from planmod.errors import ResourceLimitError
 from planmod.fixtures import (TRIVIALLY_TRUE, crafted_sig_instances,
                               fixed_sentences, random_annotated,
                               random_instances, shipped_local_formulas)
-from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, \
-    path_graph
+from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            eval_gaifman_expanded, parse_combination,
                            parse_formula, verify_locality)

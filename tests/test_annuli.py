@@ -1,13 +1,71 @@
+from dataclasses import dataclass
+
 import pytest
 
-from planmod.annuli import (AnnulusBoundariedGraph, annulus_violations, att,
-                            attachment_observation_holds, glue_equivalence,
-                            is_brick_component, random_separator,
-                            separator_violations, wall_components)
+from planmod.annuli import (AnnulusBoundariedGraph, annulus_violations,
+                            glue_equivalence, random_separator,
+                            separator_violations)
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph
 from planmod.planarity import is_planar
 from planmod.walls import analyze_wall, make_elementary_wall, wall_annulus
+
+
+@dataclass(frozen=True)
+class WallComponent:
+    """A chord over V(Y) or a connected piece of K minus V(Y), with the set of
+    Y-vertices it attaches to."""
+
+    kind: str            # "edge" or "piece"
+    vertices: frozenset  # endpoints for a chord, the piece's vertices otherwise
+    attached: frozenset
+
+
+def wall_components(abg: AnnulusBoundariedGraph) -> list:
+    """Chords over V(Y) plus maximal connected pieces of K \\ V(Y), each with
+    its attachment set."""
+    y = abg.annulus.graph
+    comps = []
+    for u, v in abg.graph.sorted_edges():
+        if u in y.vertices and v in y.vertices and not y.has_edge(u, v):
+            comps.append(WallComponent("edge", frozenset((u, v)), frozenset((u, v))))
+    rest = abg.compass.remove_vertices(y.vertices)
+    for piece in rest.components():
+        attached = frozenset(w for v in piece for w in abg.graph.adj[v]
+                             if w in y.vertices)
+        comps.append(WallComponent("piece", piece, attached))
+    return comps
+
+
+def is_brick_component(abg: AnnulusBoundariedGraph, comp: WallComponent) -> bool:
+    return any(comp.attached <= set(brick) for brick in abg.annulus.bricks)
+
+
+def att(abg: AnnulusBoundariedGraph, h: Graph) -> Graph:
+    """Subgraph of G induced by V(H) plus the wall-components attached only
+    to H."""
+    if not h.is_subgraph_of(abg.annulus.graph):
+        raise InputError("att expects a subgraph of the wall-annulus")
+    verts = set(h.vertices)
+    for comp in wall_components(abg):
+        if comp.attached and comp.attached <= h.vertices:
+            verts |= comp.vertices
+    return abg.graph.induced(verts)
+
+
+def attachment_observation_holds(abg: AnnulusBoundariedGraph, h: Graph) -> bool:
+    """If att(H) is planar, every wall-component inside att(H) attaches only
+    to extremal-cycle vertices or is a brick-component."""
+    region = att(abg, h)
+    if not is_planar(region):
+        return True
+    boundary = set(abg.inner_cycle) | set(abg.outer_cycle)
+    for comp in wall_components(abg):
+        if comp.vertices <= region.vertices:
+            if comp.attached <= boundary or is_brick_component(abg, comp):
+                continue
+            return False
+    return True
 
 
 def plain_abg(height=7, p=3, ell=3):

@@ -2,10 +2,11 @@ import json
 from dataclasses import fields
 
 import pytest
+from graph_helpers import path_graph
 
 from planmod.cli import _config_from_args, build_parser, main
 from planmod.config import PipelineConfig
-from planmod.graphs import Graph, complete_graph, make_grid, path_graph
+from planmod.graphs import Graph, complete_graph, make_grid
 
 
 def _write_graph(path, g):
@@ -141,7 +142,7 @@ class TestGen:
         out = tmp_path / "g.dot"
         main(["gen", "grid", "--rows", "2", "--cols", "2", "--dot",
               "--out", str(out)])
-        assert Graph.from_dot(out.read_text()) == make_grid(2, 2).graph
+        assert out.read_text() == make_grid(2, 2).graph.to_dot() + "\n"
 
 
 class TestCheck:
@@ -181,9 +182,9 @@ class TestCheck:
         assert len(calls) == 4
 
 
-def _sentence(annotated=True, **basic):
+def _sentence(annotated=True, combination="1", **basic):
     return json.dumps({"basics": [{"ell": 1, "r": 1, "psi": "exists y. adj(x,y)", **basic}],
-                       "combination": "1", "annotated": annotated})
+                       "combination": combination, "annotated": annotated})
 
 
 def _solve_argv(tmp_path, graph=None, annotated=None, sentence=None):
@@ -210,6 +211,12 @@ MALFORMED = {
     "edge-three-endpoints": lambda t: _solve_argv(
         t, graph='{"vertices":[0,1,2],"edges":[[0,1,2]]}'),
     "null-vertex": lambda t: _solve_argv(t, graph='{"vertices":[null,1],"edges":[[null,1]]}'),
+    # true == 1.0 == 1 in Python, so these ids would merge into one vertex
+    "vertex-true-and-one": lambda t: _solve_argv(
+        t, graph='{"vertices":[true,1,2],"edges":[[1,2]]}'),
+    "vertex-float-and-int": lambda t: _solve_argv(
+        t, graph='{"vertices":[1.0,1,2],"edges":[[1,2]]}'),
+    "vertex-repeated": lambda t: _solve_argv(t, graph='{"vertices":[1,1,2],"edges":[[1,2]]}'),
     "instance-is-directory": lambda t: ["solve", str(t), "--op", "vr", "-k", "1",
                                         "--phi", "true"],
     "budget-not-a-number": lambda t: ["check", "all", "--budget", "abc"],
@@ -217,6 +224,7 @@ MALFORMED = {
     "ell-float": lambda t: _solve_argv(t, sentence=_sentence(ell=3.0)),
     "r-bool": lambda t: _solve_argv(t, sentence=_sentence(r=True)),
     "annotated-flag-string": lambda t: _solve_argv(t, sentence=_sentence(annotated="no")),
+    "combination-dangling-and": lambda t: _solve_argv(t, sentence=_sentence(combination="1 &")),
 }
 
 

@@ -2,17 +2,18 @@ import random
 from itertools import combinations
 
 import pytest
+from graph_helpers import cycle_graph, distance, path_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmod.errors import FormulaSyntaxError, InputError
-from planmod.graphs import Graph, complete_graph, cycle_graph, is_scattered, path_graph
-from planmod.logic import (TRUE, And, BasicSentence, Exists, GaifmanSentence,
-                           InR, check_fol, check_local,
+from planmod.graphs import Graph, complete_graph, is_scattered
+from planmod.logic import (FALSE, TRUE, And, Basic, BasicSentence, Exists,
+                           GaifmanSentence, InR, Not, Or, check_fol, check_local,
                            distance_atom, eval_gaifman, eval_gaifman_expanded,
                            eval_with_env, parse_combination, parse_formula,
                            pretty, scattered_sets, verify_locality)
-from planmod.fixtures import fixed_sentences, random_annotated
+from planmod.fixtures import TRIVIALLY_TRUE, fixed_sentences, random_annotated
 
 
 def _random_graph(rng, n, p=0.4):
@@ -53,6 +54,12 @@ class TestParser:
     def test_unexpected_character(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("exists x. adj(x,y) @")
+
+    def test_error_shows_the_token_as_written(self):
+        with pytest.raises(FormulaSyntaxError, match="trailing input 'x'"):
+            parse_formula("true x")
+        with pytest.raises(FormulaSyntaxError, match=r"expected '\)', found '2'"):
+            parse_combination("(1 2)")
 
     def test_shadowing_rejected(self):
         with pytest.raises(FormulaSyntaxError):
@@ -173,7 +180,6 @@ class TestDistanceAtom:
         assert eval_with_env(path_graph(3), [], d2, {"x": 0, "y": 2})
 
     def test_agrees_with_bfs_on_random_graphs(self):
-        from planmod.graphs import distance
         rng = random.Random(5)
         checked = 0
         for _ in range(200):
@@ -243,6 +249,39 @@ class TestGaifman:
         for _, phi in fixed_sentences():
             again = GaifmanSentence.from_json_obj(json.loads(json.dumps(phi.to_json_obj())))
             assert again.to_json_obj() == phi.to_json_obj()
+
+
+class TestCombination:
+    combinations = st.recursive(
+        st.integers(1, 12).map(Basic) | st.sampled_from([TRUE, FALSE]),
+        lambda sub: (st.builds(Not, sub) | st.builds(And, sub, sub)
+                     | st.builds(Or, sub, sub)),
+        max_leaves=12)
+
+    @settings(max_examples=200)
+    @given(combinations)
+    def test_round_trip(self, c):
+        assert parse_combination(pretty(c)) == c
+
+    def test_same_ast_as_formulas(self):
+        assert parse_combination("1 & ~(2 | true)") == And(Basic(1), Not(Or(Basic(2), TRUE)))
+        # "&" and "|" read left to right with no precedence
+        assert parse_combination("1 | 2 & 3") == And(Or(Basic(1), Basic(2)), Basic(3))
+
+    def test_pinned_json_text(self):
+        texts = [phi.to_json_obj()["combination"] for _, phi in fixed_sentences()]
+        assert texts == ["1", "1", "(1 & ~2)", "1", "(1 | 2)"]
+        assert TRIVIALLY_TRUE.to_json_obj()["combination"] == "(1 | ~1)"
+
+    @pytest.mark.parametrize("text", ["1", "adj(x,y) & 2"])
+    def test_formula_rejects_indices(self, text):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("text", ["exists x. 1", "x = y", "adj(x,y)", "1 &", "(1"])
+    def test_combination_rejects_formula_syntax(self, text):
+        with pytest.raises(FormulaSyntaxError):
+            parse_combination(text)
 
 
 class TestScatteredSets:

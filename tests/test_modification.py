@@ -2,12 +2,12 @@ import random
 import re
 
 import pytest
+from graph_helpers import cycle_graph, path_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmod.errors import InputError
-from planmod.graphs import Graph, complete_graph, cycle_graph, disjoint_union, \
-    path_graph
+from planmod.graphs import Graph, complete_graph, disjoint_union
 from planmod.modification import (ModificationSet, Operation, affected,
                                   application_domain, apply,
                                   find_vr_planarizer, is_planarization_irrelevant,

@@ -1,13 +1,18 @@
 import random
 
 import pytest
+from graph_helpers import cycle_graph, path_graph
 
 from planmod.errors import InputError
-from planmod.graphs import Graph, complete_graph, cycle_graph, disjoint_union, \
-    make_grid, path_graph, vertex_key
+from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
 from planmod.modification import ModificationSet, Operation, apply
-from planmod.planarity import (embed, euler_ok, is_planar, kuratowski,
+from planmod.planarity import (embed, is_planar, kuratowski,
                                planar_with_additions)
+
+
+def euler_ok(g: Graph, emb) -> bool:
+    """Euler's formula V - E + F = 1 + C for the embedding's face count."""
+    return len(g.vertices) - len(g.edges) + emb.face_count() == 1 + len(g.components())
 
 
 def suppress_degree_two(g: Graph) -> Graph:

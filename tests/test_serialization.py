@@ -1,3 +1,5 @@
+from graph_helpers import relabel
+
 from planmod.graphs import make_grid, verify_minor_model
 
 
@@ -6,7 +8,6 @@ def test_grid_minor_witness_checker():
     host = make_grid(4, 4)
     pattern = make_grid(2, 2)
     pat = pattern.graph
-    from planmod.graphs import Graph, relabel
     pat = relabel(pat, {v: f"g{v}" for v in pat.vertices})
     model = {"g0": {host.vertex_at(0, 0), host.vertex_at(0, 1)},
              "g1": {host.vertex_at(0, 2), host.vertex_at(0, 3)},
@@ -20,3 +21,4 @@ def test_grid_minor_witness_checker():
     broken = dict(model)
     broken["g0"] = {host.vertex_at(0, 0), host.vertex_at(2, 2)}  # disconnected
     assert not verify_minor_model(host.graph, pat, broken)
+

@@ -7,7 +7,7 @@ import pytest
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import crafted_sig_instances
-from planmod.graphs import Graph, complete_graph, relabel
+from planmod.graphs import Graph, complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from graph_helpers import path_graph, relabel
 
 from planmod import solver
 from planmod.config import PipelineConfig
@@ -10,8 +11,7 @@ from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
                               fixed_sentences, random_instances)
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
-                            make_grid, make_triangulated_grid, path_graph,
-                            relabel, verify_minor_model)
+                            make_grid, make_triangulated_grid, verify_minor_model)
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,

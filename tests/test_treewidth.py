@@ -1,18 +1,17 @@
 import random
 
 import pytest
+from graph_helpers import cycle_graph, path_graph
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from minfill_reference import minfill_order_reference
 
 from planmod.errors import ResourceLimitError
-from planmod.graphs import Graph, complete_graph, cycle_graph, make_grid, \
-    path_graph
+from planmod.graphs import Graph, complete_graph, make_grid
 from planmod.treewidth import (TreeDecomposition, decomposition_from_order,
                                decomposition_violations, exact_treewidth,
                                exact_treewidth_bb, minfill_decomposition,
-                               minfill_order,
-                               single_bag_decomposition, validate_decomposition,
+                               minfill_order, validate_decomposition,
                                width_witness)
 from planmod.walls import make_elementary_wall, subdivide_wall
 
@@ -28,7 +27,8 @@ def _random_graph(seed, max_n=12, p=0.4):
 class TestValidation:
     def test_single_bag_always_valid(self):
         for g in (complete_graph(5), path_graph(4), Graph([0, 1])):
-            assert validate_decomposition(g, single_bag_decomposition(g))
+            single_bag = TreeDecomposition(Graph([0]), {0: frozenset(g.vertices)})
+            assert validate_decomposition(g, single_bag)
 
     def test_path_decomposition(self):
         g = path_graph(4)

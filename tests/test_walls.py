@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from graph_helpers import path_graph
 from wall_oracle import (derive_central_subwall, derive_layers,
                          derive_wall_annulus)
 
 from planmod.errors import InputError
-from planmod.graphs import complete_graph, make_grid, path_graph
+from planmod.graphs import complete_graph, make_grid
 from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
 from planmod.solver import BoundedTreewidth, WallArea, find_area
