@@ -60,21 +60,32 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+# the config fields set by one integer flag each
+INT_FIELDS = ("rho_hat", "q_hat", "d_hat") + CAPS
+
+
 def _config_from_args(args) -> PipelineConfig:
-    kwargs = {}
-    for name in ("rho_hat", "q_hat", "d_hat"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
+    kwargs = {name: getattr(args, name) for name in INT_FIELDS
+              if getattr(args, name, None) is not None}
     if getattr(args, "size_mode", None):
         kwargs["size_mode"] = args.size_mode.replace("-", "_")
     if getattr(args, "no_cross_check", False):
         kwargs["cross_check"] = False
-    for cap in CAPS:
-        val = getattr(args, cap, None)
-        if val is not None:
-            kwargs[cap] = val
     return PipelineConfig(**kwargs)
+
+
+def _load_annotation(path: str, g: Graph) -> frozenset:
+    """The annotation set R in the file at `path`: a JSON list of vertex ids,
+    each naming a vertex of g by an id of the same type, none repeated."""
+    ids = _read_json(path)
+    if not isinstance(ids, list) or any(isinstance(v, (list, dict)) for v in ids):
+        raise InputError(f"{path} must hold a JSON list of vertex ids")
+    vertex = {v: v for v in g.vertices}
+    # true == 1 == 1.0 in Python, so such ids would silently name vertex 1
+    if len(set(ids)) != len(ids) or any(
+            v in vertex and type(v) is not type(vertex[v]) for v in ids):
+        raise InputError(f"{path}: repeated or colliding vertex ids")
+    return frozenset(ids)
 
 
 def _load_sentence(args):
@@ -93,12 +104,7 @@ def _load_sentence(args):
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
     g = Graph.from_json_obj(_read_json(args.instance))
-    r_set = None
-    if args.annotated:
-        ids = _read_json(args.annotated)
-        if not isinstance(ids, list) or any(isinstance(v, (list, dict)) for v in ids):
-            raise InputError(f"{args.annotated} must hold a JSON list of vertex ids")
-        r_set = frozenset(ids)
+    r_set = None if args.annotated is None else _load_annotation(args.annotated, g)
     phi = _load_sentence(args)
     op = Operation.parse(args.op)
     inst = Instance(g, args.k, op, phi, r_set)
@@ -118,7 +124,8 @@ def cmd_solve(args) -> int:
                     "op": op.value, "k": args.k,
                     "digest": _digest({"graph": g.to_json_obj(),
                                        "op": op.value, "k": args.k,
-                                       "r_set": sorted(r_set, key=vertex_key) if r_set else None,
+                                       "r_set": None if r_set is None
+                                       else sorted(r_set, key=vertex_key),
                                        "phi": phi_obj})}
     report = {
         "instance": instance_obj,
@@ -304,14 +311,11 @@ def _seconds(text: str) -> float:
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--rho-hat", dest="rho_hat", type=int, default=None)
-    p.add_argument("--q-hat", dest="q_hat", type=int, default=None)
-    p.add_argument("--d-hat", dest="d_hat", type=int, default=None)
+    for name in INT_FIELDS:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=int, default=None)
     p.add_argument("--size-mode", choices=("at-most", "exact"), default=None)
     p.add_argument("--no-cross-check", action="store_true",
                    help="skip oracle verification (unsound; benchmarking only)")
-    for cap in CAPS:
-        p.add_argument(f"--{cap.replace('_', '-')}", dest=cap, type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

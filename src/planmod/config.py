@@ -1,6 +1,8 @@
 """Run configuration: the desk-scale parameter overrides, the solver's mode
-switches, and the enumeration caps. The constants the source material leaves
-symbolic (c1, c2) are fixed in `signatures`, not configured here."""
+switches, and the enumeration caps. This is the one home of every cap and
+hat; a library call made without a config runs under `DEFAULTS`. The
+constants the source material leaves symbolic (c1, c2) are fixed in
+`signatures`, not configured here."""
 
 from __future__ import annotations
 
@@ -11,7 +13,8 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # desk-scale parameter overrides (None = use the defining formula)
+    # desk-scale parameter overrides (None = use the defining formula; with
+    # all three None the parameters are the source's)
     rho_hat: int | None = None
     q_hat: int | None = 3
     d_hat: int | None = None
@@ -40,3 +43,6 @@ class PipelineConfig:
 
 # the enumeration caps' field names, in declaration order
 CAPS = tuple(f.name for f in fields(PipelineConfig) if f.name.startswith("cap_"))
+
+# the configuration of every call that is not given one
+DEFAULTS = PipelineConfig()

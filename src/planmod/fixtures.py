@@ -122,7 +122,7 @@ def crafted_sig_instances() -> list:
                 r_set = frozenset(v for i, v in enumerate(verts)
                                   if (i + case) % 3 != 0)
                 k = 1 if variant != 1 else 0
-                params = compute_parameters(k, phi, "configured", cfg)
+                params = compute_parameters(k, phi, cfg)
                 instances.append({
                     "name": f"case{case}-{op.value}",
                     "wall": wall, "graph": g, "r_set": r_set,

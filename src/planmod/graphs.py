@@ -92,7 +92,7 @@ class Graph:
         return sorted(self.vertices, key=vertex_key)
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+        return sorted(self.edges, key=vertex_key)
 
     def neighbors(self, v) -> frozenset:
         self._require(v)
@@ -142,9 +142,6 @@ class Graph:
         # each edge once, from the endpoint its canonical form lists first
         return Graph(keep, ((u, w) for u in keep for w in adj[u]
                             if w in keep and (u, w) in edges))
-
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self.vertices | other.vertices, self.edges | other.edges)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and self.edges <= other.edges

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Iterator, Mapping
 
+from .config import DEFAULTS, PipelineConfig
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
 from .graphs import Graph, neighborhood
-
-# default brute-force caps; PipelineConfig's cap_brute_vertices and
-# cap_quant_depth are passed down explicitly as max_vertices and max_depth
-MAX_BRUTE_VERTICES = 128
-MAX_QUANT_DEPTH = 16
 
 
 # -- AST -----------------------------------------------------------------------
@@ -409,23 +405,23 @@ def _eval(f: Formula, g: Graph, r_set: frozenset, env: dict, order: list) -> boo
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _check_caps(g: Graph, f: Formula, max_vertices: int, max_depth: int):
-    if len(g.vertices) > max_vertices:
+def _check_caps(g: Graph, f: Formula, cfg: PipelineConfig):
+    if len(g.vertices) > cfg.cap_brute_vertices:
         raise ResourceLimitError(
-            f"brute-force evaluation capped at {max_vertices} vertices, got {len(g.vertices)}")
+            f"brute-force evaluation capped at {cfg.cap_brute_vertices} vertices, "
+            f"got {len(g.vertices)}")
     d = quantifier_depth(f)
-    if d > max_depth:
-        raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {max_depth}")
+    if d > cfg.cap_quant_depth:
+        raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
 
 
 def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
-              max_vertices: int = MAX_BRUTE_VERTICES,
-              max_depth: int = MAX_QUANT_DEPTH) -> bool:
+              cfg: PipelineConfig = DEFAULTS) -> bool:
     """Brute-force truth of a closed formula on (g, r_set)."""
     free = phi.free_variables()
     if free:
         raise InputError(f"formula has free variables {sorted(free)}")
-    _check_caps(g, phi, max_vertices, max_depth)
+    _check_caps(g, phi, cfg)
     r_set = frozenset(r_set)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
@@ -433,19 +429,17 @@ def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
 
 
 def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
-                  max_vertices: int = MAX_BRUTE_VERTICES,
-                  max_depth: int = MAX_QUANT_DEPTH) -> bool:
+                  cfg: PipelineConfig = DEFAULTS) -> bool:
     """Truth of a formula whose free variables are bound by env."""
     missing = phi.free_variables() - set(env)
     if missing:
         raise InputError(f"unbound free variables {sorted(missing)}")
-    _check_caps(g, phi, max_vertices, max_depth)
+    _check_caps(g, phi, cfg)
     return _eval(phi, g, frozenset(r_set), dict(env), g.sorted_vertices())
 
 
 def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
-                max_vertices: int = MAX_BRUTE_VERTICES,
-                max_depth: int = MAX_QUANT_DEPTH) -> bool:
+                cfg: PipelineConfig = DEFAULTS) -> bool:
     """Evaluate psi at v on the induced r-neighborhood, with the annotation
     restricted to it. psi has one free variable (or none, e.g. `true`).
 
@@ -459,8 +453,7 @@ def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
     ball = neighborhood(g, v, r)
     sub = g.induced(ball)
     env = {free[0]: v} if free else {}
-    return eval_with_env(sub, frozenset(r_set) & ball, psi, env,
-                         max_vertices=max_vertices, max_depth=max_depth)
+    return eval_with_env(sub, frozenset(r_set) & ball, psi, env, cfg=cfg)
 
 
 def verify_locality(corpus: Iterable, psi: Formula, r: int) -> bool:
@@ -602,12 +595,10 @@ class LocalValues:
     R when the sentence is annotated, all of V otherwise."""
 
     def __init__(self, g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
-                 max_vertices: int = MAX_BRUTE_VERTICES,
-                 max_depth: int = MAX_QUANT_DEPTH):
+                 cfg: PipelineConfig = DEFAULTS):
         self.g = g
         self.r_set = phi.scope(g, r_set)
-        self.max_vertices = max_vertices
-        self.max_depth = max_depth
+        self.cfg = cfg
         self._values: dict = {}
 
     def near(self, touched: Iterable, r: int) -> set:
@@ -621,15 +612,12 @@ class LocalValues:
         """ψ(v) on g under the scope, for the basic sentence's ψ and r."""
         memo = self._values.setdefault((basic.psi, basic.r), {})
         if v not in memo:
-            memo[v] = check_local(self.g, self.r_set, v, basic.psi, basic.r,
-                                  max_vertices=self.max_vertices,
-                                  max_depth=self.max_depth)
+            memo[v] = check_local(self.g, self.r_set, v, basic.psi, basic.r, cfg=self.cfg)
         return memo[v]
 
 
 def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
-                  max_vertices: int = MAX_BRUTE_VERTICES,
-                  max_depth: int = MAX_QUANT_DEPTH,
+                  cfg: PipelineConfig = DEFAULTS,
                   base: LocalValues | None = None,
                   touched: frozenset = frozenset()) -> tuple | None:
     """The first (in lexicographic order) (ell, r)-scattered witness set in
@@ -641,9 +629,7 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
     read on g."""
     fresh = g.vertices if base is None else base.near(touched, basic.r)
     candidates = [v for v in g.sorted_vertices()
-                  if v in r_set and (check_local(g, r_set, v, basic.psi, basic.r,
-                                                 max_vertices=max_vertices,
-                                                 max_depth=max_depth)
+                  if v in r_set and (check_local(g, r_set, v, basic.psi, basic.r, cfg=cfg)
                                      if v in fresh else base(v, basic))]
     if len(candidates) < basic.ell:
         return None
@@ -676,13 +662,12 @@ def scattered_sets(g: Graph, candidates: list, r: int, ell: int) -> Iterator[tup
 
 
 def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
-                 max_vertices: int = MAX_BRUTE_VERTICES,
-                 max_depth: int = MAX_QUANT_DEPTH,
+                 cfg: PipelineConfig = DEFAULTS,
                  base: LocalValues | None = None,
                  touched: frozenset = frozenset()) -> bool:
     """Truth of the (annotated) Gaifman sentence on (g, r_set); when the
     sentence is unannotated the scope is all of V. Each local formula is
-    evaluated under the brute-force caps max_vertices and max_depth.
+    evaluated under the config's brute-force caps.
 
     With `base`, g must be base.g ⊠ S and `touched` must be affected(S):
     each ψ_h is then evaluated on g only at the vertices within base-graph
@@ -694,8 +679,7 @@ def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
     return phi.combine(lambda basic: basic_witness(
-        g, r_set, basic, max_vertices=max_vertices, max_depth=max_depth,
-        base=base, touched=touched) is not None)
+        g, r_set, basic, cfg=cfg, base=base, touched=touched) is not None)
 
 
 def expand_basic(basic: BasicSentence, annotated: bool) -> Formula:
@@ -723,11 +707,9 @@ def expand_basic(basic: BasicSentence, annotated: bool) -> Formula:
 
 
 def eval_gaifman_expanded(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
-                          max_vertices: int = MAX_BRUTE_VERTICES,
-                          max_depth: int = MAX_QUANT_DEPTH) -> bool:
+                          cfg: PipelineConfig = DEFAULTS) -> bool:
     """Evaluate each basic sentence via its delta-encoded plain-FOL expansion
     and brute force, then apply the combination. An oracle for eval_gaifman."""
     r_set = phi.scope(g, r_set)
     return phi.combine(lambda basic: check_fol(
-        g, r_set, expand_basic(basic, phi.annotated),
-        max_vertices=max_vertices, max_depth=max_depth))
+        g, r_set, expand_basic(basic, phi.annotated), cfg=cfg))

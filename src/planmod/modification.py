@@ -48,9 +48,7 @@ class ModificationSet:
         return len(self.elements)
 
     def sorted_elements(self) -> list:
-        if self.op in VERTEX_OPS:
-            return sorted(self.elements, key=vertex_key)
-        return sorted(self.elements, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+        return sorted(self.elements, key=vertex_key)
 
     def to_json_obj(self) -> dict:
         if self.op in VERTEX_OPS:
@@ -110,8 +108,7 @@ def apply(g: Graph, s: ModificationSet) -> Graph:
 
 def subsets_up_to(domain: Iterable, k: int, cap: int | None = None) -> Iterator[frozenset]:
     """All subsets of the domain of size 0..k, smallest first, in stable order."""
-    domain = sorted(domain, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))
-                    if isinstance(e, tuple) else vertex_key(e))
+    domain = sorted(domain, key=vertex_key)
     count = 0
     for size in range(min(k, len(domain)) + 1):
         for combo in combinations(domain, size):

@@ -15,12 +15,11 @@ from itertools import combinations, product
 from math import isqrt
 from typing import Iterable
 
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
-from .logic import (MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, Formula, GaifmanSentence,
-                    LocalValues, check_fol, check_local, eval_gaifman,
-                    scattered_sets)
+from .logic import (Formula, GaifmanSentence, LocalValues, check_fol, check_local,
+                    eval_gaifman, scattered_sets)
 # is_planar, planar_with_additions and subsets_up_to are not called here but
 # stay bound: the benchmark's tracer (perfbench/spans.py) wraps them in this
 # module
@@ -40,26 +39,17 @@ C1 = C2 = 9
 
 @dataclass(frozen=True)
 class Parameters:
-    """Derived quantities of (k, phi): the replacement-side d, rho, w, q and
-    the area-side family. Values too large to materialize are strings showing
-    the exponent tower."""
+    """Derived quantities of (k, phi): the largest radius r, the total ell,
+    and the replacement-side d, rho, w and q. Values too large to
+    materialize are strings showing the exponent tower. The area-side
+    family is `area_family`'s, for a concrete q."""
 
-    k: int
-    m: int
     r: int
     ell: int
     d: int
     rho: int
     w: int | str
     q: int | str
-    q_area: int | str
-    r_area: int | str
-    z_area: int | str
-    ell_area: int
-    b: int | str
-    f1: int | str
-    f2: int | str
-    mode: str
 
 
 def _exact_w(k: int, ell: int, rho: int) -> int | str:
@@ -93,43 +83,24 @@ def area_family(k: int, q: int) -> dict:
             "ell_area": ell_area, "b": b, "f1": f1}
 
 
-def compute_parameters(k: int, phi: GaifmanSentence, mode: str = "configured",
-                       cfg: PipelineConfig | None = None) -> Parameters:
-    """Theoretical mode evaluates the defining formulas exactly (big integers
-    or rendered towers); configured mode substitutes the desk-scale hats while
-    keeping the formula for d unless d_hat is set."""
-    cfg = cfg or PipelineConfig()
-    if mode not in ("theoretical", "configured"):
-        raise InputError("mode must be 'theoretical' or 'configured'")
+def compute_parameters(k: int, phi: GaifmanSentence,
+                       cfg: PipelineConfig = DEFAULTS) -> Parameters:
+    """The defining formulas, evaluated exactly (big integers or rendered
+    towers), with each desk-scale hat the config sets in place of its
+    formula: d_hat for d, rho_hat for rho, q_hat for q. With no hat set the
+    parameters are the source's."""
     r = phi.max_r()
     ell = phi.total_ell()
-    m = phi.m
-    d_formula = 2 * (r + (ell + 1) * r + r)
-    configured = mode == "configured"
-    d = cfg.d_hat if configured and cfg.d_hat is not None else d_formula
-    rho = cfg.rho_hat if configured and cfg.rho_hat is not None else (2 * k + 1) * d
+    d = cfg.d_hat if cfg.d_hat is not None else 2 * (r + (ell + 1) * r + r)
+    rho = cfg.rho_hat if cfg.rho_hat is not None else (2 * k + 1) * d
     w = _exact_w(k, ell, rho)
-    if configured and cfg.q_hat is not None:
+    if cfg.q_hat is not None:
         q = cfg.q_hat
     elif isinstance(w, int):
         q = _ceil_of_scaled_sqrt(2 * rho + 1, w)
     else:
         q = f"ceil({2 * rho + 1}*sqrt({w}))"
-    if isinstance(q, int):
-        fam = area_family(k, q)
-        q_area = q
-    else:
-        mm = 3 * (2 * k + 1)
-        q_area = q
-        fam = {"m": mm, "r_area": f"2*(2*{mm}+Q)+1 with Q={q}",
-               "z_area": f"{C1}*R+2 with R=r_area", "f2": f"{C1}*r_area",
-               "ell_area": 4 * _ceil_sqrt(k + 1) - 1,
-               "b": "2*ell_area+ceil(sqrt(ell_area^4*k))*z_area",
-               "f1": f"max({C2}*b+{k}, {C1}*Q)"}
-    return Parameters(k=k, m=m, r=r, ell=ell, d=d, rho=rho, w=w, q=q,
-                      q_area=q_area, r_area=fam["r_area"], z_area=fam["z_area"],
-                      ell_area=fam["ell_area"], b=fam["b"], f1=fam["f1"],
-                      f2=fam["f2"], mode=mode)
+    return Parameters(r=r, ell=ell, d=d, rho=rho, w=w, q=q)
 
 
 def _ceil_of_scaled_sqrt(a: int, w: int) -> int:
@@ -139,12 +110,10 @@ def _ceil_of_scaled_sqrt(a: int, w: int) -> int:
 
 
 def z_range(params: Parameters, warn: bool = True) -> range:
-    """The z indices [d, rho]; configured parameters may invert the bounds,
-    in which case the range is clamped (theoretical mode never clamps)."""
+    """The z indices [d, rho]. Only hats can invert the bounds, since the
+    formulas give rho = (2k+1)d >= d; an inverted range is clamped."""
     d, rho = params.d, params.rho
     if d > rho:
-        if params.mode == "theoretical":
-            raise InputError(f"empty z range [{d}, {rho}] in theoretical mode")
         if warn:
             warnings.warn(f"z range [{d}, {rho}] is empty; clamped to [{rho}, {rho}]",
                           stacklevel=2)
@@ -212,11 +181,10 @@ def level_pair(ec: ExtendedCompass, t: int, r: int):
 
 def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
                 phi: GaifmanSentence, params: Parameters, *,
-                max_vertices: int = MAX_BRUTE_VERTICES,
-                max_depth: int = MAX_QUANT_DEPTH) -> frozenset:
+                cfg: PipelineConfig = DEFAULTS) -> frozenset:
     """All (Y_1..Y_m, t) with t <= z realizable by scattered local witnesses
-    in the modified compass tower; exhaustive search driven by check_local,
-    whose brute-force caps are max_vertices and max_depth."""
+    in the modified compass tower; exhaustive search driven by check_local
+    under the config's brute-force caps."""
     r_set = frozenset(r_set)
     rho = min(params.rho, ec.rho)
     if not 1 <= z <= ec.rho:
@@ -234,8 +202,7 @@ def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet
         allowed = (ktr_mod.vertices - ptr) & r_set & kt_mod.vertices
         feasible = []
         for basic in phi.basics:
-            feasible.append(_feasible_sizes(kt_mod, r_set, allowed, basic,
-                                            max_vertices, max_depth))
+            feasible.append(_feasible_sizes(kt_mod, r_set, allowed, basic, cfg))
         for ys in product(*(_subsets_of_sizes(basic.ell, sizes)
                             for basic, sizes in zip(phi.basics, feasible))):
             entries.add(SigEntry(tuple(ys), t))
@@ -251,13 +218,13 @@ def _subsets_of_sizes(ell: int, sizes: set) -> list:
 
 
 def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
-                    max_vertices: int, max_depth: int) -> set:
+                    cfg: PipelineConfig = DEFAULTS) -> set:
     """Witness-set sizes y for which an (y, r_h)-scattered set of psi_h
     vertices exists inside `allowed`; downward closed, so one search for the
     largest size up to ell_h settles them all."""
     candidates = [v for v in sorted(allowed, key=vertex_key)
                   if check_local(kt_mod, r_set & kt_mod.vertices, v, basic.psi, basic.r,
-                                 max_vertices=max_vertices, max_depth=max_depth)]
+                                 cfg=cfg)]
     top = 0
     for xs in scattered_sets(kt_mod, candidates, basic.r, basic.ell):
         top = max(top, len(xs))
@@ -268,7 +235,7 @@ def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
 
 def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
                  phi: GaifmanSentence, params: Parameters,
-                 cfg: PipelineConfig | None = None,
+                 cfg: PipelineConfig = DEFAULTS,
                  ec: ExtendedCompass | None = None) -> Characteristic:
     """All realizable (z, sig, s): some S inside the z-anchored region of the
     compass, of size exactly s, keeping the compass planar, with that sig.
@@ -276,7 +243,6 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
     Planarity is decided by `PlanarSets` over the whole compass, so no
     vr/er/ec set is tested once the compass or a tested subset of it is
     planar; every ea set is tested."""
-    cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     if ec is None:
         ec = extended_compass(g, w, min(params.rho, (w.height - 1) // 2))
@@ -294,8 +260,7 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
         anchor_idx = max(1, z - params.d + 1)
         anchor = ec.level(anchor_idx).graph.vertices & r_k
         domain = [e for e in sorted(application_domain(op, compass_graph, r_k),
-                                    key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))
-                                    if isinstance(e, tuple) else vertex_key(e))
+                                    key=vertex_key)
                   if (affected(ModificationSet(op, [e])) <= anchor)]
         for size in range(0, k + 1):
             for combo in combinations(domain, size):
@@ -306,9 +271,7 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
                 ms = ModificationSet(op, combo)
                 if not planar(ms):
                     continue
-                sig = compute_sig(ec, r_k, z, ms, phi, params,
-                                  max_vertices=cfg.cap_brute_vertices,
-                                  max_depth=cfg.cap_quant_depth)
+                sig = compute_sig(ec, r_k, z, ms, phi, params, cfg=cfg)
                 entries.add((z, sig, size))
     return Characteristic(frozenset(entries))
 
@@ -316,36 +279,33 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
 # -- triples -----------------------------------------------------------------------
 
 def first_model(g: Graph, scope: frozenset, k: int, op: Operation,
-                phi: GaifmanSentence | Formula, *, size_mode: str = "at_most",
-                cap: int | None = None, max_vertices: int = MAX_BRUTE_VERTICES,
-                max_depth: int = MAX_QUANT_DEPTH) -> ModificationSet | None:
+                phi: GaifmanSentence | Formula,
+                cfg: PipelineConfig = DEFAULTS) -> ModificationSet | None:
     """The first S of `planar_sets` (smallest first) whose G ⊠ S models
-    phi, or None. The sentence is evaluated under the brute-force caps
-    max_vertices and max_depth.
+    phi, or None. The config gives the size mode, the subset cap
+    (cap_oracle_subsets) and the brute-force caps.
 
     A Gaifman sentence's local formulas are evaluated once per vertex of
     the scope on G, and on G ⊠ S only within distance r_h of affected(S):
     elsewhere the r_h-ball is the same in both graphs, so `LocalValues`
     supplies the value. A plain formula is checked by brute force on every
     planar G ⊠ S."""
-    caps = {"max_vertices": max_vertices, "max_depth": max_depth}
     gaifman = isinstance(phi, GaifmanSentence)
-    base = LocalValues(g, scope, phi, **caps) if gaifman else None
-    for ms, h in planar_sets(g, scope, k, op, exact=size_mode == "exact", cap=cap):
+    base = LocalValues(g, scope, phi, cfg=cfg) if gaifman else None
+    for ms, h in planar_sets(g, scope, k, op, exact=cfg.size_mode == "exact",
+                             cap=cfg.cap_oracle_subsets):
         r_here = scope & h.vertices
-        if (eval_gaifman(h, r_here, phi, base=base, touched=affected(ms), **caps)
-                if gaifman else check_fol(h, r_here, phi, **caps)):
+        if (eval_gaifman(h, r_here, phi, cfg=cfg, base=base, touched=affected(ms))
+                if gaifman else check_fol(h, r_here, phi, cfg=cfg)):
             return ms
     return None
 
 
 def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
-              phi: GaifmanSentence, *, size_mode: str = "at_most",
-              cap: int | None = None, max_vertices: int = MAX_BRUTE_VERTICES,
-              max_depth: int = MAX_QUANT_DEPTH, want_witness: bool = False):
+              phi: GaifmanSentence, cfg: PipelineConfig = DEFAULTS, *,
+              want_witness: bool = False):
     """Does some S ⊆ op⟨G, R⟩ within the budget make G ⊠ S planar and a model
     of the annotated sentence? `first_model` under the annotated reading."""
     annotated = phi if phi.annotated else GaifmanSentence(phi.basics, phi.combination, True)
-    witness = first_model(g, frozenset(r_set), k, op, annotated, size_mode=size_mode,
-                          cap=cap, max_vertices=max_vertices, max_depth=max_depth)
+    witness = first_model(g, frozenset(r_set), k, op, annotated, cfg)
     return (witness is not None, witness) if want_witness else witness is not None

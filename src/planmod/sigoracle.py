@@ -12,10 +12,10 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable
 
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .errors import InputError
 from .graphs import Graph, is_scattered, vertex_key
-from .logic import MAX_BRUTE_VERTICES, MAX_QUANT_DEPTH, GaifmanSentence, eval_with_env
+from .logic import GaifmanSentence, eval_with_env
 from .modification import ModificationSet, Operation, affected, application_domain, apply
 from .planarity import is_planar
 from .signatures import (Characteristic, Parameters, SigEntry, apply_within,
@@ -25,11 +25,9 @@ from .walls import ExtendedCompass
 
 def sig_oracle(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
                phi: GaifmanSentence, params: Parameters, *,
-               max_vertices: int = MAX_BRUTE_VERTICES,
-               max_depth: int = MAX_QUANT_DEPTH) -> frozenset:
+               cfg: PipelineConfig = DEFAULTS) -> frozenset:
     """Literal transcription of the signature comprehension; each local
-    formula is evaluated under the brute-force caps max_vertices and
-    max_depth."""
+    formula is evaluated under the config's brute-force caps."""
     r_set = frozenset(r_set)
     if not 1 <= z <= ec.rho:
         raise InputError(f"z={z} outside the tower range [1, {ec.rho}]")
@@ -50,22 +48,20 @@ def sig_oracle(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
                       key=vertex_key)
         r_here = r_set & kt_mod.vertices
         for ys in product(*all_ys):
-            if all(_witness_exists(kt_mod, r_here, pool, phi.basics[h], len(ys[h]),
-                                   max_vertices, max_depth)
+            if all(_witness_exists(kt_mod, r_here, pool, phi.basics[h], len(ys[h]), cfg)
                    for h in range(len(ys))):
                 entries.add(SigEntry(tuple(ys), t))
     return frozenset(entries)
 
 
 def _witness_exists(kt_mod: Graph, r_here: frozenset, pool: list, basic, size: int,
-                    max_vertices: int, max_depth: int) -> bool:
+                    cfg: PipelineConfig = DEFAULTS) -> bool:
     var = basic.psi_var
     for combo in combinations(pool, size):
         if not is_scattered(kt_mod, combo, size, basic.r):
             continue
         if all(eval_with_env(kt_mod, r_here, basic.psi,
-                             {var: x} if basic.psi.free_variables() else {},
-                             max_vertices=max_vertices, max_depth=max_depth)
+                             {var: x} if basic.psi.free_variables() else {}, cfg=cfg)
                for x in combo):
             return True
     return False
@@ -73,16 +69,13 @@ def _witness_exists(kt_mod: Graph, r_here: frozenset, pool: list, basic, size: i
 
 def char_oracle(g: Graph, ec: ExtendedCompass, r_set: Iterable, op: Operation,
                 k: int, phi: GaifmanSentence, params: Parameters,
-                cfg: PipelineConfig | None = None) -> Characteristic:
+                cfg: PipelineConfig = DEFAULTS) -> Characteristic:
     """Literal transcription of the characteristic comprehension, under the
     config's brute-force caps."""
-    cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     compass_graph = ec.compass
     r_k = r_set & compass_graph.vertices
-    domain = sorted(application_domain(op, compass_graph, r_k),
-                    key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))
-                    if isinstance(e, tuple) else vertex_key(e))
+    domain = sorted(application_domain(op, compass_graph, r_k), key=vertex_key)
     rows = set()
     for z in z_range(params, warn=False):
         if z > ec.rho:
@@ -95,7 +88,5 @@ def char_oracle(g: Graph, ec: ExtendedCompass, r_set: Iterable, op: Operation,
                     continue
                 if not is_planar(apply(compass_graph, ms)):
                     continue
-                rows.add((z, sig_oracle(ec, r_k, z, ms, phi, params,
-                                        max_vertices=cfg.cap_brute_vertices,
-                                        max_depth=cfg.cap_quant_depth), size))
+                rows.add((z, sig_oracle(ec, r_k, z, ms, phi, params, cfg=cfg), size))
     return Characteristic(frozenset(rows))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
 
-from .config import PipelineConfig
+from .config import DEFAULTS, PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
 from .graphs import Graph, k5_star, vertex_key
 # apply, eval_gaifman and subsets_up_to are not called here but stay bound:
@@ -100,15 +100,13 @@ class BoundedTreewidth:
 
 # -- oracle ------------------------------------------------------------------------
 
-def solve_oracle(inst: Instance, cfg: PipelineConfig | None = None,
+def solve_oracle(inst: Instance, cfg: PipelineConfig = DEFAULTS,
                  want_witness: bool = False):
     """Definitional semantics: the first modification set within the budget,
     smallest first, whose modified graph is planar and models the sentence
     (`first_model`), under the config's caps and size mode. Plain formulas
     are accepted as well as Gaifman sentences."""
-    cfg = cfg or PipelineConfig()
-    witness = first_model(inst.graph, inst.scope(), inst.k, inst.op, inst.phi,
-                          **_triple_options(cfg))
+    witness = first_model(inst.graph, inst.scope(), inst.k, inst.op, inst.phi, cfg)
     return (witness is not None, witness) if want_witness else witness is not None
 
 
@@ -186,7 +184,7 @@ def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
 
 
 def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
-                     node_budget: int = 100_000) -> dict | None:
+                     node_budget: int = DEFAULTS.cap_wall_nodes) -> dict | None:
     """A minor model of `pattern` in `host` (connected disjoint branch sets,
     host edge behind every pattern edge) whose branch sets contain the
     `forced` ones. None means none exists or none was found within the
@@ -323,7 +321,7 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
 
 
 def has_k5_star_minor(g: Graph, center, copies: int,
-                      node_budget: int = 100_000) -> bool:
+                      node_budget: int = DEFAULTS.cap_wall_nodes) -> bool:
     """Does g contain a (K5, copies)-star minor with `center` in the central
     branch set?
 
@@ -348,14 +346,13 @@ def has_k5_star_minor(g: Graph, center, copies: int,
 # -- Find_Area ------------------------------------------------------------------------
 
 def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
-              cfg: PipelineConfig | None = None):
+              cfg: PipelineConfig = DEFAULTS):
     """Trichotomy: an answer about obligatory structure, a q-wall whose compass
     is certified flat/irrelevant, or a bounded-width decomposition.
 
     The irrelevance bullet is verified by the planarizer-enumeration oracle
     rather than trusted.
     """
-    cfg = cfg or PipelineConfig()
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")
     fam = area_family(k, q)
@@ -408,15 +405,14 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
 
 def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
                 phi: GaifmanSentence, params: Parameters,
-                cfg: PipelineConfig | None = None) -> IrrelevantRegion:
+                cfg: PipelineConfig = DEFAULTS) -> IrrelevantRegion:
     """Pick equivalent disjoint subwalls inside the given wall and declare the
     chosen wall's inner compass irrelevant. The (X, v) it returns is a
     proposal, which `solve_pipeline` checks against exhaustive search."""
-    cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     rho = params.rho
     if not isinstance(params.q, int):
-        raise InputError("find_vertex needs concrete (configured) parameters")
+        raise InputError("find_vertex needs a concrete q; set q_hat")
     if params.r > rho:
         raise InputError(f"tower of height {rho} cannot host X = V(K^(r)) with r={params.r}")
     sub_height = 2 * rho + 1
@@ -462,12 +458,6 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
     return finish(chosen, frozenset(chosen.level(params.r).graph.vertices))
 
 
-def _triple_options(cfg: PipelineConfig) -> dict:
-    """The keyword options `first_model` and `is_triple` take from the config."""
-    return {"size_mode": cfg.size_mode, "cap": cfg.cap_oracle_subsets,
-            "max_vertices": cfg.cap_brute_vertices, "max_depth": cfg.cap_quant_depth}
-
-
 def _verify_obligatory(g: Graph, k: int, u, cfg: PipelineConfig):
     found = next(planar_sets(g, g.vertices - {u}, k, Operation.VR,
                              cap=cfg.cap_oracle_subsets), None)
@@ -488,18 +478,17 @@ def _verify_no_planarizer(g: Graph, k: int, op: Operation, cfg: PipelineConfig):
 
 def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
-                    cfg: PipelineConfig | None = None):
+                    cfg: PipelineConfig = DEFAULTS):
     """One reduction step: obligatory structure, an irrelevant region (via the
     area and vertex finders), or a bounded-width decomposition. Nothing here
     is checked against exhaustive search; `solve_pipeline` does that."""
-    cfg = cfg or PipelineConfig()
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
     if not is_planar(g.remove_vertices(s.elements)):
         raise InputError("the supplied set is not a vr-planarizer")
     if not isinstance(params.q, int):
-        raise InputError("reduce_instance needs concrete (configured) parameters")
+        raise InputError("reduce_instance needs a concrete q; set q_hat")
     outcome = find_area(k, params.q, g, s, op, cfg)
     if isinstance(outcome, WallArea):
         try:
@@ -550,7 +539,7 @@ class PipelineResult:
         return [t.to_json_obj(timings) for t in self.trace]
 
 
-def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> PipelineResult:
+def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineResult:
     """The reduction loop: planarize, shrink via irrelevant regions or
     obligatory vertices, finish on a bounded-width remainder by direct search.
 
@@ -568,16 +557,14 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
     Obligatory vertices are removed from G and R; the reported witness holds
     them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
     """
-    cfg = cfg or PipelineConfig()
     if not isinstance(inst.phi, GaifmanSentence):
         raise InputError("the pipeline needs a Gaifman sentence; "
                          "plain formulas run under the oracle only")
-    params = compute_parameters(inst.k, inst.phi, "configured", cfg)
+    params = compute_parameters(inst.k, inst.phi, cfg)
     g = inst.graph
     r_set = inst.scope()
     k = inst.k
     op = inst.op
-    options = _triple_options(cfg)
     trace: list = []
     result: PipelineResult | None = None
     obligatory: set = set()
@@ -627,8 +614,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
             r_smaller = r_set - outcome.region
             if cfg.cross_check:
                 before = checked if checked is not None else \
-                    is_triple(g, r_set, k, op, inst.phi, **options)
-                checked = is_triple(smaller, r_smaller, k, op, inst.phi, **options)
+                    is_triple(g, r_set, k, op, inst.phi, cfg)
+                checked = is_triple(smaller, r_smaller, k, op, inst.phi, cfg)
                 if checked != before:
                     raise SoundnessError(
                         f"irrelevant-region cross-check failed: removing "
@@ -638,7 +625,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig | None = None) -> Pipelin
                                       "|X|": len(outcome.region)}, t0)
             g, r_set = smaller, r_smaller
         else:
-            answer, witness = is_triple(g, r_set, k, op, inst.phi, **options,
+            answer, witness = is_triple(g, r_set, k, op, inst.phi, cfg,
                                         want_witness=True)
             if obligatory and witness is not None:
                 witness = ModificationSet(Operation.VR, witness.elements | obligatory)

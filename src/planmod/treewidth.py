@@ -12,10 +12,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
+from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
-
-DEFAULT_EXACT_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -27,10 +26,6 @@ class TreeDecomposition:
         if not self.bags:
             return -1
         return max(len(b) for b in self.bags.values()) - 1
-
-
-def width(td: TreeDecomposition) -> int:
-    return td.width()
 
 
 def decomposition_violations(g: Graph, td: TreeDecomposition) -> list:
@@ -89,7 +84,7 @@ def _component_boundary(adjm, allowed_mask, v) -> int:
     return reach & ~inside
 
 
-def exact_treewidth(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> tuple[int, TreeDecomposition]:
+def exact_treewidth(g: Graph, cap: int = DEFAULTS.cap_exact_tw) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a validating witness decomposition.
 
     Subset dynamic programming over elimination prefixes; exponential, so the
@@ -223,7 +218,7 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
-def exact_treewidth_bb(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
+def exact_treewidth_bb(g: Graph, cap: int = DEFAULTS.cap_exact_tw) -> int:
     """Exact treewidth by branch-and-bound over elimination orders.
 
     Independent of the subset DP; used as its cross-check oracle.
@@ -269,7 +264,7 @@ def exact_treewidth_bb(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> int:
     return best
 
 
-def width_witness(g: Graph, bound: int, exact_cap: int = DEFAULT_EXACT_CAP) -> TreeDecomposition | None:
+def width_witness(g: Graph, bound: int, exact_cap: int = DEFAULTS.cap_exact_tw) -> TreeDecomposition | None:
     """A validated decomposition of width <= bound, or None if we cannot
     produce one under the caps (which proves nothing about treewidth)."""
     td = minfill_decomposition(g)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, norm_edge, vertex_key
 # is_planar and width_witness are not called here but stay bound: the
@@ -191,7 +192,7 @@ def subdivide_wall(w: Wall, counts: Mapping | None = None, rng=None,
         used = [v for v in w.graph.vertices if isinstance(v, int)]
         next_id = (max(used) + 1) if used else 0
     new_paths = {}
-    for e in sorted(w.paths, key=lambda e: (vertex_key(e[0]), vertex_key(e[1]))):
+    for e in sorted(w.paths, key=vertex_key):
         path = w.paths[e]
         if counts is not None:
             extra = counts.get(e, 0)
@@ -405,7 +406,8 @@ def disjoint_subwalls(w: Wall, s: int, gap: int = 1) -> list:
 
 # -- wall search ----------------------------------------------------------------
 
-def wall_candidates(g: Graph, q: int, node_budget: int = 200_000) -> Iterator[Wall]:
+def wall_candidates(g: Graph, q: int,
+                    node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
     """Candidate q-walls of g, deduplicated: a cheap direct-edge pass (which
     alone is a complete subgraph-embedding search) and then the general
     subdivision search. Budget exhaustion moves on rather than raising, so an
@@ -440,7 +442,7 @@ def _distances_within(g: Graph, source, r: int) -> dict:
     return dist
 
 
-def find_wall_subdivisions(g: Graph, q: int, node_budget: int = 200_000,
+def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wall_nodes,
                            max_path: int = 12) -> Iterator[Wall]:
     """Exhaustive-with-caps search for a subdivision of the elementary q-wall.
 

@@ -159,7 +159,7 @@ def test_criterion_7_signature_oracle_equivalence():
 def test_criterion_8_parameter_formulas():
     phi = GaifmanSentence((BasicSentence(2, 1, parse_formula("exists y. adj(x,y)")),),
                           parse_combination("1"))
-    p = compute_parameters(1, phi, "theoretical")
+    p = compute_parameters(1, phi, PipelineConfig(q_hat=None))
     fam = area_family(1, 3)
     ok = (p.d == 10 and p.rho == 30 and fam["m"] == 9 and fam["r_area"] == 43
           and isinstance(p.w, str) and "2^" in p.w)
@@ -191,7 +191,7 @@ def test_criterion_10_replacement_experiment():
     checked = 0
     ok = True
     for op in (Operation.VR, Operation.ER, Operation.EC):
-        params = compute_parameters(1, phi_nb, "configured", cfg)
+        params = compute_parameters(1, phi_nb, cfg)
         wall = make_elementary_wall(11)
         g = wall.graph
         r_set = g.vertices

@@ -95,6 +95,21 @@ class TestSolve:
                      "--oracle", "--annotated", str(ann), "--out", str(tmp_path / "o.json")])
         assert code == 0
 
+    def test_empty_annotation_is_its_own_instance(self, tmp_path):
+        # R = {} and no --annotated (R = V) answer differently on the path
+        # 1-2-3, so their reports must not share an instance digest
+        graph = json.dumps(Graph([1, 2, 3], [(1, 2), (2, 3)]).to_json_obj())
+        codes, digests = [], []
+        for name, annotated in (("all", None), ("empty", "[]")):
+            (tmp_path / name).mkdir()
+            argv = _solve_argv(tmp_path / name, graph=graph, annotated=annotated,
+                               sentence=_sentence())
+            codes.append(main(argv))
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            digests.append(report["instance"]["digest"])
+        assert codes == [0, 1]
+        assert digests[0] != digests[1]
+
     def test_unannotated_sentence_with_annotation_exits_two(self, tmp_path, capsys):
         g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
         path = _write_graph(tmp_path / "p4.json", g)
@@ -207,6 +222,10 @@ MALFORMED = {
     "annotated-number": lambda t: _solve_argv(t, annotated="5"),
     "annotated-nested-list": lambda t: _solve_argv(t, annotated="[[1,2]]"),
     "annotated-not-json": lambda t: _solve_argv(t, annotated="one, two"),
+    # true and 1.0 only compare equal to vertex 1; a repeat would merge
+    "annotated-true-for-one": lambda t: _solve_argv(t, annotated="[true]"),
+    "annotated-float-for-int": lambda t: _solve_argv(t, annotated="[1.0, 2]"),
+    "annotated-repeated": lambda t: _solve_argv(t, annotated="[1, 1]"),
     "edge-one-endpoint": lambda t: _solve_argv(t, graph='{"vertices":[0,1],"edges":[[0]]}'),
     "edge-three-endpoints": lambda t: _solve_argv(
         t, graph='{"vertices":[0,1,2],"edges":[[0,1,2]]}'),

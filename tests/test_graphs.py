@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from planmod.errors import InputError
 from planmod.graphs import (Graph, disjoint_union, is_scattered, make_grid,
                             make_triangulated_grid, merge_groups, neighborhood,
-                            vertex_key, verify_minor_model)
+                            norm_edge, vertex_key, verify_minor_model)
 
 
 def small_graphs(max_n=8, p=0.4):
@@ -201,3 +201,19 @@ class TestRelabel:
 def test_vertex_key_total_order(g):
     vs = g.sorted_vertices()
     assert sorted(vs, key=vertex_key) == vs
+
+
+_IDS = {"int": st.integers(-3, 12), "str": st.text("abc01", max_size=2),
+        "mixed": st.one_of(st.integers(-3, 12), st.text("abc01", max_size=2))}
+
+
+@settings(max_examples=60)
+@given(data=st.data(), kind=st.sampled_from(sorted(_IDS)))
+def test_vertex_key_orders_edges_componentwise(data, kind):
+    # vertex_key orders a tuple component by component, so one key sorts
+    # vertices, edges and modification-set elements alike
+    ids = _IDS[kind]
+    edges = data.draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1])
+                               .map(lambda e: norm_edge(*e)), unique=True, max_size=12))
+    assert sorted(edges, key=vertex_key) == \
+        sorted(edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))

@@ -89,10 +89,10 @@ def test_is_triple_matches_reference(size_mode, cap):
     for label, g, scope, k, op, phi in CASES:
         annotated = GaifmanSentence(phi.basics, phi.combination, True)
         expect = _outcome(_reference_search, g, scope, k, op, annotated, size_mode, cap)
-        options = {"size_mode": size_mode, "max_vertices": cap}
-        assert _outcome(is_triple, g, scope, k, op, phi, want_witness=True,
-                        **options) == expect, label
-        plain = _outcome(is_triple, g, scope, k, op, phi, **options)
+        cfg = PipelineConfig(size_mode=size_mode, cap_brute_vertices=cap)
+        assert _outcome(is_triple, g, scope, k, op, phi, cfg,
+                        want_witness=True) == expect, label
+        plain = _outcome(is_triple, g, scope, k, op, phi, cfg)
         assert plain == (expect if expect[0] == "raised" else expect[0]), label
 
 
@@ -114,7 +114,8 @@ def test_solve_oracle_matches_reference(size_mode, cap):
 def test_nonplanar_sets_are_never_evaluated():
     g = complete_graph(6)
     for op in (Operation.VR, Operation.ER, Operation.EC):
-        assert is_triple(g, g.vertices, 1, op, ISOLATED, max_vertices=2,
+        assert is_triple(g, g.vertices, 1, op, ISOLATED,
+                         PipelineConfig(cap_brute_vertices=2),
                          want_witness=True) == (False, None)
 
 

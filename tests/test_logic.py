@@ -94,12 +94,13 @@ class TestCheckFol:
         assert not check_fol(g, [], f)
 
     def test_caps_enforced(self):
+        from planmod.config import PipelineConfig
         from planmod.errors import ResourceLimitError
         f = parse_formula("exists x. exists y. adj(x,y)")
         with pytest.raises(ResourceLimitError):
-            check_fol(path_graph(5), [], f, max_vertices=4)
+            check_fol(path_graph(5), [], f, cfg=PipelineConfig(cap_brute_vertices=4))
         with pytest.raises(ResourceLimitError):
-            check_fol(path_graph(3), [], f, max_depth=1)
+            check_fol(path_graph(3), [], f, cfg=PipelineConfig(cap_quant_depth=1))
 
     def test_caps_come_from_the_config(self):
         # the brute-force caps reach every evaluation through the config, and

@@ -98,13 +98,13 @@ def test_planar_modification_stays_planar_on_supersets(op, data):
 # -- reference loops: every set is tested ----------------------------------------
 
 def _reference_search(g, scope, k, op, phi, size_mode, max_vertices=128):
+    cfg = PipelineConfig(cap_brute_vertices=max_vertices)
     for sub in subsets_up_to(application_domain(op, g, scope), k):
         if size_mode == "exact" and len(sub) != k:
             continue
         ms = ModificationSet(op, sub)
         h = apply(g, ms)
-        if is_planar(h) and eval_gaifman(h, scope & h.vertices, phi,
-                                         max_vertices=max_vertices):
+        if is_planar(h) and eval_gaifman(h, scope & h.vertices, phi, cfg=cfg):
             return True, ms
     return False, None
 
@@ -155,8 +155,7 @@ def test_is_triple_and_oracle_match_reference(size_mode):
     cfg = PipelineConfig(size_mode=size_mode)
     for label, g, scope, k, op, phi in CASES:
         expect = _reference_search(g, scope, k, op, phi, size_mode)
-        assert is_triple(g, scope, k, op, phi, size_mode=size_mode,
-                         want_witness=True) == expect, label
+        assert is_triple(g, scope, k, op, phi, cfg, want_witness=True) == expect, label
         assert solve_oracle(Instance(g, k, op, phi, scope), cfg,
                             want_witness=True) == expect, label
 

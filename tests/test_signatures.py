@@ -3,6 +3,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
@@ -11,15 +13,15 @@ from planmod.graphs import Graph, complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
-from planmod.signatures import (Parameters, SigEntry,
-                                area_family, compute_char, compute_parameters,
-                                compute_sig, is_triple,
-                                z_range)
+from planmod.signatures import (SigEntry, area_family, compute_char, compute_parameters,
+                                compute_sig, is_triple, z_range)
 from planmod.sigoracle import char_oracle, sig_oracle
 from planmod.walls import Wall, extended_compass, make_elementary_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI1 = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
+# no desk-scale hat set: the source's parameters
+NO_HATS = PipelineConfig(q_hat=None)
 PHI2 = GaifmanSentence((BasicSentence(2, 1, NB),), parse_combination("1"))
 PHI_TRUE = GaifmanSentence((BasicSentence(1, 1, TRUE),), parse_combination("1 | ~1"))
 
@@ -39,21 +41,21 @@ def relabel_wall(w: Wall, mapping: dict) -> Wall:
 class TestParameters:
     def test_replacement_side_formulas(self):
         phi = GaifmanSentence((BasicSentence(2, 1, NB),), parse_combination("1"))
-        p = compute_parameters(1, phi, "theoretical")
+        p = compute_parameters(1, phi, NO_HATS)
         assert (p.r, p.ell) == (1, 2)
         assert p.d == 2 * (1 + 3 * 1 + 1) == 10
         assert p.rho == 3 * 10 == 30
 
     def test_w_renders_tower(self):
         phi = GaifmanSentence((BasicSentence(2, 1, NB),), parse_combination("1"))
-        p = compute_parameters(1, phi, "theoretical")
+        p = compute_parameters(1, phi, NO_HATS)
         assert isinstance(p.w, str)
         assert p.w == "2^(30*2*2^120)*15"
         assert isinstance(p.q, str) and p.q.startswith("ceil(61*sqrt(")
 
     def test_small_w_is_exact(self):
         phi = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
-        p = compute_parameters(0, phi, "theoretical")
+        p = compute_parameters(0, phi, NO_HATS)
         # k=0, ell=1, r=1: d=8, rho=8, inner=16, exponent=8*2^16
         assert p.d == 8 and p.rho == 8
         assert isinstance(p.w, int)
@@ -70,30 +72,35 @@ class TestParameters:
 
     def test_configured_overrides(self):
         cfg = PipelineConfig(rho_hat=3, d_hat=2, q_hat=3)
-        p = compute_parameters(1, PHI1, "configured", cfg)
+        p = compute_parameters(1, PHI1, cfg)
         assert (p.d, p.rho, p.q) == (2, 3, 3)
-        assert p.mode == "configured"
 
     def test_z_range_clamps_with_warning(self):
         cfg = PipelineConfig(rho_hat=3, q_hat=3)  # formula d=8 exceeds rho
-        p = compute_parameters(1, PHI1, "configured", cfg)
+        p = compute_parameters(1, PHI1, cfg)
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
             rng = z_range(p)
         assert list(rng) == [3]
         assert got and "clamped" in str(got[0].message)
 
-    def test_theoretical_never_clamps(self):
-        bad = Parameters(k=0, m=1, r=1, ell=1, d=5, rho=3, w=1, q=3, q_area=3,
-                         r_area=1, z_area=1, ell_area=1, b=1, f1=1, f2=1,
-                         mode="theoretical")
-        with pytest.raises(InputError):
-            z_range(bad)
+    @settings(max_examples=60)
+    @given(k=st.integers(0, 3),
+           shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    def test_no_hats_never_clamp(self, k, shapes):
+        # the formulas give rho = (2k+1)d >= d, so only a hat can invert the range
+        phi = GaifmanSentence(tuple(BasicSentence(ell, r, NB) for ell, r in shapes),
+                              parse_combination("1"))
+        p = compute_parameters(k, phi, NO_HATS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert z_range(p) == range(p.d, p.rho + 1)
 
 
 def _setup(height=7, rho=3, d=2, phi=PHI1, k=1, annotate=None):
     cfg = PipelineConfig(rho_hat=rho, d_hat=d, q_hat=3)
-    params = compute_parameters(k, phi, "configured", cfg)
+    params = compute_parameters(k, phi, cfg)
     wall = make_elementary_wall(height)
     g = wall.graph
     r_set = g.vertices if annotate is None else annotate(g)
@@ -239,13 +246,12 @@ class TestIsTriple:
     def test_exact_size_mode(self):
         g = complete_graph(4)
         # planar already; exact mode must spend exactly k removals
-        assert is_triple(g, g.vertices, 1, Operation.VR, PHI_TRUE,
-                         size_mode="exact")
+        exact = PipelineConfig(size_mode="exact")
+        assert is_triple(g, g.vertices, 1, Operation.VR, PHI_TRUE, exact)
         phi_iso = GaifmanSentence(
             (BasicSentence(1, 1, parse_formula("~(exists y. adj(x,y))")),),
             parse_combination("1"))
-        assert not is_triple(g, g.vertices, 0, Operation.VR, phi_iso,
-                             size_mode="exact")
+        assert not is_triple(g, g.vertices, 0, Operation.VR, phi_iso, exact)
 
 
 class TestCanonicalJson:

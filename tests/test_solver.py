@@ -219,7 +219,7 @@ class TestFindArea:
 
 def _wall_instance(height=11, rho=2, phi=PHI_NB, k=1):
     cfg = PipelineConfig(rho_hat=rho, d_hat=2, q_hat=height)
-    params = compute_parameters(k, phi, "configured", cfg)
+    params = compute_parameters(k, phi, cfg)
     wall = make_elementary_wall(height)
     return cfg, params, wall
 
@@ -322,7 +322,7 @@ class TestStepVerification:
 class TestReduceInstance:
     def test_bounded_treewidth_branch(self):
         cfg = PipelineConfig()
-        params = compute_parameters(1, PHI_NB, "configured", cfg)
+        params = compute_parameters(1, PHI_NB, cfg)
         g = complete_graph(4)
         out = reduce_instance(1, g, ModificationSet(Operation.VR, []),
                               g.vertices, Operation.VR, PHI_NB, params, cfg)
@@ -331,7 +331,7 @@ class TestReduceInstance:
 
     def test_star_no_instance_for_er(self):
         cfg = PipelineConfig()
-        params = compute_parameters(1, PHI_NB, "configured", cfg)
+        params = compute_parameters(1, PHI_NB, cfg)
         g, hub = k5_star(2)
         out = reduce_instance(1, g, ModificationSet(Operation.VR, [hub]),
                               g.vertices, Operation.ER, PHI_NB, params, cfg)
@@ -339,7 +339,7 @@ class TestReduceInstance:
 
     def test_precondition_checked(self):
         cfg = PipelineConfig()
-        params = compute_parameters(1, PHI_NB, "configured", cfg)
+        params = compute_parameters(1, PHI_NB, cfg)
         with pytest.raises(InputError):
             reduce_instance(1, complete_graph(5), ModificationSet(Operation.VR, []),
                             complete_graph(5).vertices, Operation.VR, PHI_NB,
@@ -349,7 +349,7 @@ class TestReduceInstance:
         # the composed flow: find_area certifies a flat area, find_vertex
         # proposes (X, v), checked here as solve_pipeline would
         cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
-        params = compute_parameters(1, PHI_NB, "configured", cfg)
+        params = compute_parameters(1, PHI_NB, cfg)
         wall = make_elementary_wall(7)
         g = wall.graph
         out = reduce_instance(1, g, ModificationSet(Operation.VR, []),
