@@ -254,13 +254,20 @@ def _suite_pipeline(seed: int, count: int, report):
     capped = 0
     disagreements = 0
     for g, k, op, phi, name in random_instances(seed, count):
+        inst = Instance(g, k, op, phi)
+        # the pipeline raises when a step check fails; its answer is also
+        # compared with an oracle call of this suite's own
         try:
-            solve_pipeline(Instance(g, k, op, phi), cfg)
-            done += 1
+            answer = solve_pipeline(inst, cfg).answer
+            expect = solve_oracle(inst, cfg)
         except ResourceLimitError:
             capped += 1
+            continue
         except SoundnessError:
             disagreements += 1
+            continue
+        done += 1
+        disagreements += answer != expect
     good = disagreements == 0
     report(f"pipeline-vs-oracle: {done} completed, {capped} capped, "
            f"{disagreements} disagreements", good)

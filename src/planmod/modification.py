@@ -122,43 +122,59 @@ def subsets_up_to(domain: Iterable, k: int, cap: int | None = None) -> Iterator[
 class PlanarSets:
     """Decides "is g ⊠ S planar?" for the sets of one enumeration over g.
 
-    vr, er and ec only ever make minors of g, and every minor of a planar
-    graph is planar (Wagner). So for these operations g ⊠ S is planar as
-    soon as g ⊠ S' is for some S' ⊆ S, and such an S is answered True
-    without a test: when g itself is planar (S' = ∅; the first query of a
-    nonempty set tests g), or when a subset of S that this enumeration
-    already tested was planar. The answer is exact, never a guess. ea makes
-    supergraphs, not minors, so every ea set is tested.
+    A test of one set settles its supersets in one direction, by the
+    operation. vr, er and ec only ever make minors of g, and every minor of
+    a planar graph is planar (Wagner): g ⊠ S is planar as soon as g ⊠ S' is
+    for some S' ⊆ S. ea makes supergraphs: g + S is a subgraph of g + S'
+    for S ⊆ S', so g + S' is nonplanar as soon as g + S is. The first query
+    of a nonempty set tests g (S' = ∅), and a set that a set already tested
+    settles is answered without a test. The answer is exact, never a guess.
 
     `minimal` keeps only the sets that were tested and found planar with no
     such set inside them; when the enumeration goes smallest first, these
-    are its inclusion-minimal planar sets."""
+    are its inclusion-minimal planar sets. `nonplanar` keeps the ea sets
+    that were tested and found nonplanar."""
 
     def __init__(self, g: Graph, op: Operation):
         self.g = g
         self.op = op
         self.minimal: list = []
+        self.nonplanar: set = set()
         self._g_tested = False
 
     def covers(self, sub: frozenset) -> bool:
         """Some kept planar set lies inside sub."""
         return any(prev <= sub for prev in self.minimal)
 
+    def known(self, sub: frozenset) -> bool | None:
+        """The answer for g ⊠ sub that the sets tested so far settle, or
+        None when it needs a test."""
+        if sub and not self._g_tested:
+            self.test(frozenset(), self.g)
+        if self.op is Operation.EA:
+            # a set inside sub holds at most |sub| pairs, so look each up
+            if any(frozenset(part) in self.nonplanar
+                   for size in range(len(sub) + 1) for part in combinations(sub, size)):
+                return False
+            return None
+        return True if self.covers(sub) else None
+
     def __call__(self, s: ModificationSet, h: Graph | None = None) -> bool:
         """Is g ⊠ s planar? Pass h when apply(g, s) is already built."""
-        if self.op is not Operation.EA:
-            if s.elements and not self._g_tested:
-                self._test(frozenset(), self.g)
-            if self.covers(s.elements):
-                return True
-        return self._test(s.elements, apply(self.g, s) if h is None else h)
+        planar = self.known(s.elements)
+        if planar is not None:
+            return planar
+        return self.test(s.elements, apply(self.g, s) if h is None else h)
 
-    def _test(self, sub: frozenset, h: Graph) -> bool:
+    def test(self, sub: frozenset, h: Graph) -> bool:
+        """Test h = g ⊠ sub and keep what the answer settles."""
         if not sub:
             self._g_tested = True
         planar = is_planar(h)
         if planar and not self.covers(sub):
             self.minimal.append(sub)
+        elif not planar and self.op is Operation.EA:
+            self.nonplanar.add(sub)
         return planar
 
 
@@ -168,7 +184,8 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
     """(S, g ⊠ S) for every S ⊆ op⟨g, scope⟩ with |S| ≤ k (exactly k when
     `exact`) that makes g planar, smallest first, in `subsets_up_to` order.
     `cap` bounds the subsets enumerated, those of other sizes included;
-    `PlanarSets` decides planarity.
+    `PlanarSets` decides planarity, and g ⊠ S is not built for an ea set
+    that holds a set already found nonplanar.
 
     This is the one search behind the oracle, the final search and every
     cross-check. Two loops stay apart on purpose: `minimal_planarizers` and
@@ -180,9 +197,12 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
     for sub in subsets_up_to(application_domain(op, g, scope), k, cap):
         if exact and len(sub) != k:
             continue
+        known = planar.known(sub)
+        if known is False:
+            continue
         ms = ModificationSet(op, sub)
         h = apply(g, ms)
-        if planar(ms, h):
+        if known or planar.test(sub, h):
             yield ms, h
 
 
@@ -225,14 +245,13 @@ def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
 
 
 def _branch_vr(g: Graph, k: int, scope: frozenset | None) -> frozenset | None:
-    if k == 0:
-        # nothing to branch on, so only planarity matters: the memoised test
-        # answers it without building a Kuratowski witness
-        return frozenset() if is_planar(g) else None
-    witness = kuratowski(g)
-    if witness is None:
+    # the memoised test answers planarity; a Kuratowski witness is built
+    # only for a nonplanar g with budget left to branch on
+    if is_planar(g):
         return frozenset()
-    for v in sorted(witness.vertices, key=vertex_key):
+    if k == 0:
+        return None
+    for v in sorted(kuratowski(g).vertices, key=vertex_key):
         if scope is not None and v not in scope:
             continue
         rest = _branch_vr(g.remove_vertices([v]), k - 1, scope)

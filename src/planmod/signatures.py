@@ -242,7 +242,8 @@ def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
 
     Planarity is decided by `PlanarSets` over the whole compass, so no
     vr/er/ec set is tested once the compass or a tested subset of it is
-    planar; every ea set is tested."""
+    planar, and no ea set once the compass or a tested subset of it is
+    nonplanar."""
     r_set = frozenset(r_set)
     if ec is None:
         ec = extended_compass(g, w, min(params.rho, (w.height - 1) // 2))

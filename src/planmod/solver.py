@@ -550,9 +550,17 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     step's "after", whose answer is reused. An obligatory-vertex step is
     checked on its own. Its u lies in R and every planarizer within the
     budget contains u, so (G − u, R − u, k − 1) has the answer of (G, R, k)
-    and the chain runs through the step. The final search and the oracle on
-    the input stay separate solves; the closing trace entry compares their
-    answers, or says why the oracle's caps stopped it.
+    and the chain runs through the step.
+
+    The closing trace entry compares the pipeline's answer with exhaustive
+    search on the input question, or says why the oracle's caps stopped it.
+    When a search of the run already answered the input question (the
+    final search when no step was taken, or the first irrelevant-region
+    step's "before"), its answer is compared: `is_triple` on the input
+    enumerates the same sets as `solve_oracle` and reads the sentence the
+    same way, so asking the oracle again would repeat it. Otherwise (an
+    obligatory-vertex step came first, or the run ended without a search)
+    the oracle is called.
 
     Obligatory vertices are removed from G and R; the reported witness holds
     them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
@@ -569,6 +577,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     result: PipelineResult | None = None
     obligatory: set = set()
     checked = None  # the current question's answer, once a step check solved it
+    answered = None  # the input question's answer, once a search solved it
 
     def log(outcome: str, detail: dict, t0: float):
         trace.append(TraceStep(len(trace) + 1, outcome, detail, k,
@@ -615,6 +624,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             if cfg.cross_check:
                 before = checked if checked is not None else \
                     is_triple(g, r_set, k, op, inst.phi, cfg)
+                if not trace:  # no step yet: this is the input question
+                    answered = before
                 checked = is_triple(smaller, r_smaller, k, op, inst.phi, cfg)
                 if checked != before:
                     raise SoundnessError(
@@ -627,6 +638,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         else:
             answer, witness = is_triple(g, r_set, k, op, inst.phi, cfg,
                                         want_witness=True)
+            if not trace:
+                answered = answer
             if obligatory and witness is not None:
                 witness = ModificationSet(Operation.VR, witness.elements | obligatory)
             log("bounded-treewidth",
@@ -635,7 +648,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     if cfg.cross_check:
         t0 = time.perf_counter()
         try:
-            expect = solve_oracle(inst, cfg)
+            expect = answered if answered is not None else solve_oracle(inst, cfg)
         except ResourceLimitError as exc:
             trace.append(TraceStep(len(trace) + 1, "cross-check-skipped",
                                    {"reason": str(exc)}, k, len(g.vertices)))

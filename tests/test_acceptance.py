@@ -168,20 +168,28 @@ def test_criterion_8_parameter_formulas():
 
 
 def test_criterion_9_pipeline_soundness():
+    # the pipeline raises when a step check fails; its answer is compared
+    # here with an oracle call of its own, which the pipeline skips when a
+    # search of the run already answered the input question
     cfg = PipelineConfig()
-    total = completed = capped = 0
+    total = completed = capped = disagreements = 0
     t0 = time.perf_counter()
     for g, k, op, phi, _ in random_instances(9000, 500):
         total += 1
+        inst = Instance(g, k, op, phi)
         try:
-            solve_pipeline(Instance(g, k, op, phi), cfg)  # raises on disagreement
-            completed += 1
+            answer = solve_pipeline(inst, cfg).answer
+            expect = solve_oracle(inst, cfg)
         except ResourceLimitError:
             capped += 1
+            continue
+        completed += 1
+        disagreements += answer != expect
     dt = time.perf_counter() - t0
-    _report(9, total == 500 and completed + capped == 500 and completed > 0,
-            f"{completed}/{total} pipeline runs completed and agreed with the "
-            f"oracle, {capped} hit caps, 0 disagreements, {dt:.1f}s")
+    _report(9, total == 500 and completed + capped == 500 and completed > 0
+            and disagreements == 0,
+            f"{completed}/{total} pipeline runs completed, {capped} hit caps, "
+            f"{disagreements} disagreements with the oracle, {dt:.1f}s")
 
 
 def test_criterion_10_replacement_experiment():

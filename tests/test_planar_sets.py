@@ -1,9 +1,10 @@
-"""Deciding planarity of modified graphs by minor-closure.
+"""Deciding planarity of modified graphs from the sets already tested.
 
 vr, er and ec make minors, and minors of planar graphs are planar, so the
-exhaustive searches answer a superset of a planar set without a test. The
-property below checks the theorem itself with networkx; the differential
-tests compare the searches with reference loops that test every set."""
+exhaustive searches answer a superset of a planar set without a test. ea
+makes supergraphs, so a superset of a nonplanar ea set is nonplanar. The
+properties check both rules with networkx; the differential tests compare
+the searches with reference loops that test every set."""
 
 import random
 from itertools import combinations
@@ -215,8 +216,63 @@ def test_planar_wall_is_tested_once(monkeypatch):
 
 
 def test_edge_additions_are_each_tested(monkeypatch):
+    # on a planar G that no single addition makes nonplanar, every set is
+    # tested
     calls = _count_is_planar(monkeypatch)
     g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
     domain = application_domain(Operation.EA, g, g.vertices)
     assert not is_triple(g, g.vertices, 1, Operation.EA, ISOLATED)
     assert len(calls) == 1 + len(domain)
+
+
+# -- ea: a nonplanar set rules out its supersets ------------------------------------
+
+@st.composite
+def _ea_graph(draw):
+    """A random graph on at most 9 vertices, or K6 short of one edge, which
+    is nonplanar."""
+    if draw(st.booleans()):
+        return Graph(range(6), [e for e in combinations(range(6), 2) if e != (0, 1)])
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(n), [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=120)
+@given(g=_ea_graph(), k=st.integers(0, 2), exact=st.booleans())
+def test_ea_sets_agree_with_networkx(g, k, exact):
+    # every set planar_sets yields is planar and every set it skips is not,
+    # by networkx on g + S
+    got = [ms.elements for ms, _ in planar_sets(g, g.vertices, k, Operation.EA,
+                                                 exact=exact)]
+    domain = application_domain(Operation.EA, g, g.vertices)
+    expect = [sub for sub in subsets_up_to(domain, k)
+              if (not exact or len(sub) == k)
+              and _nx_planar(g.add_edges(sub))]
+    assert got == expect
+
+
+def test_nonplanar_additions_rule_out_their_supersets(monkeypatch):
+    # the octahedron short of the edge 02 is planar with one quadrilateral
+    # face 0425: adding 02 or 45 keeps it planar, adding 01 or 23 does not.
+    # So of the six pairs only {02, 45} is built and tested
+    calls = _count_is_planar(monkeypatch)
+    built = []
+    real_apply = modification.apply
+    monkeypatch.setattr(modification, "apply",
+                        lambda g, s: built.append(s.elements) or real_apply(g, s))
+    antipodal = {(0, 1), (2, 3), (4, 5)}
+    g = Graph(range(6), [e for e in combinations(range(6), 2)
+                         if e not in antipodal and e != (0, 2)])
+    got = [ms.elements for ms, _ in planar_sets(g, g.vertices, 2, Operation.EA)]
+    assert got == [frozenset(), {(0, 2)}, {(4, 5)}]
+    assert len(calls) == len(built) == 1 + 4 + 1
+    assert built[-1] == {(0, 2), (4, 5)}
+
+
+def test_nonplanar_graph_takes_one_ea_test(monkeypatch):
+    calls = _count_is_planar(monkeypatch)
+    g = complete_graph(6).remove_edges([(0, 1), (2, 3)])
+    assert list(planar_sets(g, g.vertices, 2, Operation.EA, exact=True)) == []
+    assert len(calls) == 1

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from graph_helpers import path_graph, relabel
 
 from planmod import solver
@@ -387,6 +389,22 @@ def _golden_reports() -> bytes:
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _scripted(monkeypatch, steps):
+    """Make `reduce_instance` propose `steps` first, then reduce as usual;
+    count the exhaustive step checks."""
+    real_reduce, real_triple = solver.reduce_instance, solver.is_triple
+    script, solves = iter(steps), []
+
+    def triple(*args, **kwargs):
+        solves.append(args[:2])
+        return real_triple(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "reduce_instance",
+                        lambda *args: next(script, None) or real_reduce(*args))
+    monkeypatch.setattr(solver, "is_triple", triple)
+    return solves
+
+
 class TestPipeline:
     def test_reports_match_pinned_digest(self):
         assert hashlib.sha256(_golden_reports()).hexdigest() == GOLDEN_SHA256
@@ -470,21 +488,6 @@ class TestPipeline:
     SOUND = IrrelevantRegion(frozenset({15}), 15)
     FLIP = IrrelevantRegion(frozenset(range(9, 15)), 14)
 
-    def _scripted(self, monkeypatch, steps):
-        """Make `reduce_instance` propose `steps` first, then reduce as usual;
-        count the exhaustive step checks."""
-        real_reduce, real_triple = solver.reduce_instance, solver.is_triple
-        script, solves = iter(steps), []
-
-        def triple(*args, **kwargs):
-            solves.append(args[:2])
-            return real_triple(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "reduce_instance",
-                            lambda *args: next(script, None) or real_reduce(*args))
-        monkeypatch.setattr(solver, "is_triple", triple)
-        return solves
-
     @pytest.mark.parametrize("steps", [
         [FLIP],  # nothing checked yet: "before" is solved
         [SOUND, FLIP],  # "before" is the answer the first step's check found
@@ -494,16 +497,94 @@ class TestPipeline:
         from planmod.errors import SoundnessError
         inst = Instance(self.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
         assert solve_oracle(inst)
-        self._scripted(monkeypatch, steps)
+        _scripted(monkeypatch, steps)
         with pytest.raises(SoundnessError, match="removing 14 and unannotating 6"):
             solve_pipeline(inst)
 
     def test_step_checks_solve_each_question_once(self, monkeypatch):
         inst = Instance(self.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
-        solves = self._scripted(monkeypatch, [self.SOUND, IrrelevantRegion(
+        solves = _scripted(monkeypatch, [self.SOUND, IrrelevantRegion(
             frozenset({14}), 14)])
         res = solve_pipeline(inst)
         assert res.answer and res.cross_checked
         assert [t.outcome for t in res.trace][:2] == ["irrelevant-region"] * 2
         # the input, the two reduced questions, and the final search
         assert [len(g.vertices) for g, _ in solves] == [16, 15, 14, 14]
+
+
+# -- the closing cross-check reuses the input question's answer ------------------
+
+@st.composite
+def _question(draw):
+    """(g, R, k, op, phi, cfg) over the whole input space: R ⊂ V with an
+    annotated sentence, or R = V with an unannotated one; both size modes."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(range(n), [e for e, k in zip(pairs, keep) if k])
+    phi = draw(st.sampled_from([TRIVIALLY_TRUE] + [phi for _, phi in fixed_sentences()]))
+    if draw(st.booleans()):
+        r_set = g.vertices
+        phi = GaifmanSentence(phi.basics, phi.combination, False)
+    else:
+        inside = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        r_set = frozenset(v for v, i in zip(range(n), inside) if i)
+    cfg = PipelineConfig(size_mode=draw(st.sampled_from(["at_most", "exact"])))
+    return g, r_set, draw(st.integers(0, 2)), draw(st.sampled_from(list(Operation))), phi, cfg
+
+
+@settings(max_examples=150)
+@given(_question())
+def test_is_triple_on_the_input_is_the_oracle(question):
+    # the identity the reuse rests on: the pipeline's search on the input
+    # question gives the oracle's answer and witness
+    g, r_set, k, op, phi, cfg = question
+    assert is_triple(g, r_set, k, op, phi, cfg, want_witness=True) == \
+        solve_oracle(Instance(g, k, op, phi, r_set), cfg, want_witness=True)
+
+
+class TestOracleCalls:
+    """The oracle runs only when no search of the run answered the input
+    question."""
+
+    def _count(self, monkeypatch) -> list:
+        calls, real = [], solver.solve_oracle
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_oracle", spy)
+        return calls
+
+    @pytest.mark.parametrize("inst, outcome, expect", [
+        (Instance(path_graph(6), 1, Operation.VR, PHI_NB), "bounded-treewidth", 0),
+        (Instance(complete_graph(6), 1, Operation.VR, TRIVIALLY_TRUE), "no-planarizer", 1),
+        (Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE), "no-instance", 1),
+    ], ids=["no-step", "no-planarizer", "ea-nonplanar"])
+    def test_calls_by_outcome(self, monkeypatch, inst, outcome, expect):
+        calls = self._count(monkeypatch)
+        res = solve_pipeline(inst)
+        assert res.trace[0].outcome == outcome and res.cross_checked
+        assert res.trace[-1].outcome == "cross-check"
+        assert len(calls) == expect
+
+    @pytest.mark.parametrize("first, expect", [
+        (TestPipeline.SOUND, 0),  # step 1's "before" is the input question
+        (ObligatoryVertex(0, "scripted"), 1),  # no search asks the input question
+    ], ids=["irrelevant-region", "obligatory-vertex"])
+    def test_calls_by_first_step(self, monkeypatch, first, expect):
+        calls = self._count(monkeypatch)
+        _scripted(monkeypatch, [first])
+        res = solve_pipeline(Instance(TestPipeline.FLIP_G, 2, Operation.VR,
+                                      TRIVIALLY_TRUE))
+        assert res.answer and res.cross_checked
+        assert len(calls) == expect
+
+    def test_no_calls_without_cross_check(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        res = solve_pipeline(Instance(complete_graph(6), 1, Operation.VR,
+                                      TRIVIALLY_TRUE),
+                             PipelineConfig(cross_check=False))
+        assert not res.answer and not res.cross_checked
+        assert calls == []
