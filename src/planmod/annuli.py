@@ -139,13 +139,13 @@ def _random_gadget(rng: random.Random, first_id: int, nonplanar: bool) -> Graph:
     return Graph(verts, edges)
 
 
-def random_separator(seed: int, wall_height: int = 7,
-                     p_nonplanar: float = 0.25) -> AnnulusEmbeddedSeparator:
-    """A valid annulus-embedded separator built from a wall-annulus with
-    random attachments: single-brick components inside the compass, arbitrary
-    (possibly nonplanar) gadgets hanging off the inner and outer cycles."""
+def random_separator(seed: int) -> AnnulusEmbeddedSeparator:
+    """A valid annulus-embedded separator built from the (3, 3)-annulus of
+    the 7-wall with random attachments: single-brick components inside the
+    compass, arbitrary gadgets hanging off the inner and outer cycles, each
+    nonplanar with probability 1/4."""
     rng = random.Random(seed)
-    wall = make_elementary_wall(wall_height)
+    wall = make_elementary_wall(7)
     ann = wall_annulus(wall, 3, 3)
     y = ann.graph
     inner, outer = ann.inner_cycle, ann.outer_cycle
@@ -169,7 +169,7 @@ def random_separator(seed: int, wall_height: int = 7,
 
     def hang(cycle: tuple, g_acc: Graph, nonlocal_next: int) -> tuple:
         for _ in range(rng.randint(0, 2)):
-            gadget = _random_gadget(rng, nonlocal_next, rng.random() < p_nonplanar)
+            gadget = _random_gadget(rng, nonlocal_next, rng.random() < 0.25)
             nonlocal_next += len(gadget.vertices) + 1
             hooks = rng.sample(list(cycle), k=rng.randint(1, min(3, len(cycle))))
             hook_edges = [(rng.choice(gadget.sorted_vertices()), h) for h in hooks]

@@ -236,10 +236,9 @@ def _suite_sig_oracle(seed: int, count: int, report):
     cases = crafted_sig_instances()
     for case in cases:
         ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
-        mine = compute_char(case["graph"], case["wall"], case["r_set"], case["op"],
-                            case["k"], case["phi"], case["params"], case["cfg"], ec=ec)
-        orc = char_oracle(case["graph"], ec, case["r_set"], case["op"],
-                          case["k"], case["phi"], case["params"], case["cfg"])
+        args = (ec, case["r_set"], case["op"], case["k"], case["phi"],
+                case["params"], case["cfg"])
+        mine, orc = compute_char(*args), char_oracle(*args)
         good = mine.canonical_json() == orc.canonical_json()
         ok = ok and good
         if not good:

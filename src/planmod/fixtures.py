@@ -64,24 +64,23 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     return Graph(verts, edges)
 
 
-def random_annotated(rng: random.Random, n_max: int = 7,
-                     p: float = 0.4) -> tuple:
+def random_annotated(rng: random.Random, n_max: int) -> tuple:
     n = rng.randint(1, n_max)
-    g = random_graph(rng, n, p)
+    g = random_graph(rng, n)
     r_set = frozenset(v for v in g.vertices if rng.random() < 0.6)
     return g, r_set
 
 
-def random_instances(seed: int, count: int, n_max: int = 9, k_max: int = 2):
+def random_instances(seed: int, count: int):
     """Deterministic stream of (graph, k, op, sentence) for the soundness
-    battery."""
+    battery: 3-9 vertices, k <= 2."""
     rng = random.Random(seed)
     sentences = fixed_sentences()
     ops = list(Operation)
     for _ in range(count):
-        n = rng.randint(3, n_max)
+        n = rng.randint(3, 9)
         g = random_graph(rng, n, rng.choice((0.3, 0.45, 0.6)))
-        k = rng.randint(0, k_max)
+        k = rng.randint(0, 2)
         op = rng.choice(ops)
         name, phi = sentences[rng.randrange(len(sentences))]
         yield g, k, op, phi, name

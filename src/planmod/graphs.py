@@ -6,7 +6,6 @@ reuse the ids of the host so annotations survive modification.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import inf
 from typing import Hashable, Iterable, Mapping
@@ -148,16 +147,24 @@ class Graph:
 
     # -- metrics -----------------------------------------------------------
 
-    def bfs_distances(self, source) -> dict:
+    def bfs_distances(self, source, radius=inf) -> dict:
+        """Breadth-first distances from `source` to the vertices within
+        `radius` of it; farther vertices are absent. The search stops at
+        depth `radius`, so it visits only that ball and its edges."""
         self._require(source)
+        adj = self.adj
         dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        frontier = [source]
+        d = 0
+        while frontier and d < radius:
+            d += 1
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        reached.append(w)
+            frontier = reached
         return dist
 
     def components(self) -> list:
@@ -198,8 +205,8 @@ class Graph:
             raise InputError("bad graph object: repeated or colliding vertex ids")
         return g
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph G {"]
         for v in self.sorted_vertices():
             lines.append(f'  "{v}";')
         for u, v in self.sorted_edges():
@@ -211,22 +218,11 @@ class Graph:
 # -- spec operations --------------------------------------------------------
 
 def neighborhood(g: Graph, v, r: int) -> frozenset:
-    """All vertices at distance <= r from v (contains v).
-
-    A BFS that stops at depth r: it visits only the r-ball and the edges
-    leaving its vertices, not the rest of the graph."""
-    g._require(v)
+    """All vertices at distance <= r from v (contains v), from a BFS that
+    stops at depth r."""
     if r < 0:
         raise InputError("radius must be non-negative")
-    adj = g.adj
-    ball = {v}
-    frontier = ball
-    for _ in range(r):
-        frontier = {w for u in frontier for w in adj[u]} - ball
-        if not frontier:
-            break
-        ball |= frontier
-    return frozenset(ball)
+    return frozenset(g.bfs_distances(v, r))
 
 
 def is_scattered(g: Graph, xs: Iterable, ell: int, r: int) -> bool:

@@ -645,8 +645,8 @@ def scattered_sets(g: Graph, candidates: list, r: int, ell: int) -> Iterator[tup
     dist = {}
 
     def far(u, v):
-        if u not in dist:
-            dist[u] = g.bfs_distances(u)
+        if u not in dist:  # only the 2r-ball matters
+            dist[u] = g.bfs_distances(u, 2 * r)
         return dist[u].get(v, inf) > 2 * r
 
     def grow(chosen, start):

@@ -26,9 +26,6 @@ class Operation(Enum):
             raise InputError(f"unknown operation {text!r}; expected vr, er, ec or ea")
 
 
-VERTEX_OPS = {Operation.VR}
-
-
 @dataclass(frozen=True)
 class ModificationSet:
     """An operation plus the set of vertices (vr) or vertex pairs (er/ec/ea)."""
@@ -38,7 +35,7 @@ class ModificationSet:
 
     def __init__(self, op: Operation, elements: Iterable = ()):
         object.__setattr__(self, "op", op)
-        if op in VERTEX_OPS:
+        if op is Operation.VR:
             object.__setattr__(self, "elements", frozenset(elements))
         else:
             object.__setattr__(self, "elements",
@@ -51,7 +48,7 @@ class ModificationSet:
         return sorted(self.elements, key=vertex_key)
 
     def to_json_obj(self) -> dict:
-        if self.op in VERTEX_OPS:
+        if self.op is Operation.VR:
             elems = self.sorted_elements()
         else:
             elems = [list(e) for e in self.sorted_elements()]
@@ -63,7 +60,7 @@ def application_domain(op: Operation, g: Graph, r_set: Iterable) -> frozenset:
     r_set = frozenset(r_set)
     if not r_set <= g.vertices:
         raise InputError("scope contains unknown vertices")
-    if op in VERTEX_OPS:
+    if op is Operation.VR:
         return r_set
     pairs = frozenset(norm_edge(u, v) for u, v in combinations(sorted(r_set, key=vertex_key), 2))
     if op is Operation.EA:
@@ -73,7 +70,7 @@ def application_domain(op: Operation, g: Graph, r_set: Iterable) -> frozenset:
 
 def affected(s: ModificationSet) -> frozenset:
     """Vertices touched by the set: the set itself for vr, endpoints otherwise."""
-    if s.op in VERTEX_OPS:
+    if s.op is Operation.VR:
         return s.elements
     return frozenset(v for e in s.elements for v in e)
 
@@ -87,7 +84,7 @@ def apply(g: Graph, s: ModificationSet) -> Graph:
     Each element is checked against the application domain over all of V on
     its own, without building that domain, so the check costs |S|, not n².
     """
-    if s.op in VERTEX_OPS:
+    if s.op is Operation.VR:
         bad = s.elements - g.vertices
     elif s.op is Operation.EA:
         bad = {e for e in s.elements
@@ -159,12 +156,12 @@ class PlanarSets:
             return None
         return True if self.covers(sub) else None
 
-    def __call__(self, s: ModificationSet, h: Graph | None = None) -> bool:
-        """Is g ⊠ s planar? Pass h when apply(g, s) is already built."""
+    def __call__(self, s: ModificationSet) -> bool:
+        """Is g ⊠ s planar?"""
         planar = self.known(s.elements)
         if planar is not None:
             return planar
-        return self.test(s.elements, apply(self.g, s) if h is None else h)
+        return self.test(s.elements, apply(self.g, s))
 
     def test(self, sub: frozenset, h: Graph) -> bool:
         """Test h = g ⊠ sub and keep what the answer settles."""

@@ -26,7 +26,9 @@ from .logic import (Formula, GaifmanSentence, LocalValues, check_fol, check_loca
 from .modification import (ModificationSet, Operation, PlanarSets, affected,  # noqa: F401
                            application_domain, apply, planar_sets, subsets_up_to)
 from .planarity import is_planar, planar_with_additions  # noqa: F401
-from .walls import ExtendedCompass, Wall, extended_compass
+# extended_compass is not called here but stays bound: the benchmark's tracer
+# (perfbench/spans.py) wraps it in this module
+from .walls import ExtendedCompass, extended_compass  # noqa: F401
 
 EXACT_W_EXPONENT_LIMIT = 1 << 21  # bits; beyond this w is rendered, not computed
 # The constants c1 and c2 of the area argument, which the source cites but never
@@ -61,7 +63,7 @@ def _exact_w(k: int, ell: int, rho: int) -> int | str:
     exponent = rho * (k + 1) * (2 ** inner)
     if exponent > EXACT_W_EXPONENT_LIMIT:
         return display
-    return (2 ** exponent) * factor
+    return factor << exponent
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -233,20 +235,18 @@ def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
     return set(range(0, top + 1))
 
 
-def compute_char(g: Graph, w: Wall, r_set: Iterable, op: Operation, k: int,
+def compute_char(ec: ExtendedCompass, r_set: Iterable, op: Operation, k: int,
                  phi: GaifmanSentence, params: Parameters,
-                 cfg: PipelineConfig = DEFAULTS,
-                 ec: ExtendedCompass | None = None) -> Characteristic:
-    """All realizable (z, sig, s): some S inside the z-anchored region of the
-    compass, of size exactly s, keeping the compass planar, with that sig.
+                 cfg: PipelineConfig = DEFAULTS) -> Characteristic:
+    """All realizable (z, sig, s) of the extended compass: some S inside
+    the z-anchored region of the compass, of size exactly s, keeping the
+    compass planar, with that sig.
 
     Planarity is decided by `PlanarSets` over the whole compass, so no
     vr/er/ec set is tested once the compass or a tested subset of it is
     planar, and no ea set once the compass or a tested subset of it is
     nonplanar."""
     r_set = frozenset(r_set)
-    if ec is None:
-        ec = extended_compass(g, w, min(params.rho, (w.height - 1) // 2))
     if len(ec.compass.vertices) > cfg.cap_compass:
         raise ResourceLimitError(
             f"compass has {len(ec.compass.vertices)} vertices, cap is {cfg.cap_compass}")

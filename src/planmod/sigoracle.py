@@ -67,7 +67,7 @@ def _witness_exists(kt_mod: Graph, r_here: frozenset, pool: list, basic, size: i
     return False
 
 
-def char_oracle(g: Graph, ec: ExtendedCompass, r_set: Iterable, op: Operation,
+def char_oracle(ec: ExtendedCompass, r_set: Iterable, op: Operation,
                 k: int, phi: GaifmanSentence, params: Parameters,
                 cfg: PipelineConfig = DEFAULTS) -> Characteristic:
     """Literal transcription of the characteristic comprehension, under the

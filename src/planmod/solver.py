@@ -27,7 +27,7 @@ from .modification import (ModificationSet, Operation, apply,  # noqa: F401
 from .planarity import is_planar
 from .signatures import (Parameters, compute_char, compute_parameters,
                          first_model, is_triple)
-from .treewidth import TreeDecomposition, validate_decomposition, width_witness
+from .treewidth import TreeDecomposition, width_witness
 from .walls import (Wall, analyze_wall, compass, disjoint_subwalls,
                     extended_compass, wall_candidates, _may_contain_wall)
 from .signatures import area_family
@@ -135,12 +135,12 @@ def _connected_sets(host: Graph, starts: list, allowed: set, max_size: int):
                          if w in allowed and w not in banned], set(banned))
 
 
-def _placement_order(pattern: Graph, hub, forced: dict) -> tuple:
+def _placement_order(pattern: Graph, hub) -> tuple:
     """(order, twin_of): the pattern vertices other than the hub, each with
     as many earlier neighbours as possible, and for each vertex the previous
-    one of its twin class. A twin class holds unforced vertices that
-    pairwise have the same other neighbours, so permuting its branch sets
-    gives another model and the search may keep them in increasing order."""
+    one of its twin class. A twin class holds vertices that pairwise have
+    the same other neighbours, so permuting its branch sets gives another
+    model and the search may keep them in increasing order."""
     order, rest = [], [p for p in pattern.sorted_vertices() if p != hub]
     while rest:
         p = max(rest, key=lambda q: len(pattern.adj[q] & set(order)))
@@ -148,8 +148,6 @@ def _placement_order(pattern: Graph, hub, forced: dict) -> tuple:
         rest.remove(p)
     classes, twin_of = [], {}
     for p in order:
-        if p in forced:
-            continue
         for cls in classes:
             if all(pattern.adj[p] - {q} == pattern.adj[q] - {p} for q in cls):
                 twin_of[p] = cls[-1]
@@ -160,9 +158,9 @@ def _placement_order(pattern: Graph, hub, forced: dict) -> tuple:
     return order, twin_of
 
 
-def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
-    """Exact reasons why `host` has no minor model of `pattern` whose branch
-    sets contain the nonempty `forced` ones. True is a proof, never a guess."""
+def _cannot_host(host: Graph, pattern: Graph, hub, center) -> bool:
+    """Exact reasons why `host` has no minor model of `pattern` whose `hub`
+    branch set contains `center`. True is a proof, never a guess."""
     if len(host.vertices) < len(pattern.vertices) \
             or len(host.edges) < len(pattern.edges):
         return True
@@ -170,11 +168,10 @@ def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
     if is_planar(host) and not is_planar(pattern):
         return True
     if len(host.vertices) == len(pattern.vertices):
-        # every branch set is one vertex, so the model is a subgraph: each
-        # forced vertex needs its pattern vertex's degree, and the degree
-        # sequence of the host must dominate the pattern's
-        if any(len(vs) == 1 and host.degree(next(iter(vs))) < pattern.degree(p)
-               for p, vs in forced.items()):
+        # every branch set is one vertex, so the model is a subgraph: the
+        # centre needs the hub's degree, and the degree sequence of the
+        # host must dominate the pattern's
+        if host.degree(center) < pattern.degree(hub):
             return True
         host_deg = sorted((len(ns) for ns in host.adj.values()), reverse=True)
         pattern_deg = sorted((len(ns) for ns in pattern.adj.values()), reverse=True)
@@ -183,37 +180,31 @@ def _cannot_host(host: Graph, pattern: Graph, forced: dict) -> bool:
     return False
 
 
-def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
+def find_minor_model(host: Graph, pattern: Graph, hub, center,
                      node_budget: int = DEFAULTS.cap_wall_nodes) -> dict | None:
     """A minor model of `pattern` in `host` (connected disjoint branch sets,
-    host edge behind every pattern edge) whose branch sets contain the
-    `forced` ones. None means none exists or none was found within the
-    budget; the caller must not read absence as a proof.
+    host edge behind every pattern edge) whose `hub` branch set contains the
+    host vertex `center`. None means none exists or none was found within
+    the budget; the caller must not read absence as a proof.
 
-    A connected pattern with forced branch sets is searched for only in the
-    component that holds them, and `_cannot_host` rules out hosts that are
-    too small, planar, or too sparse in degree. The search then places one
-    final branch set at a time, each connected and touching the sets of the
-    pattern neighbours placed before it, under a cap on the size of a set
-    that rises until it no longer cuts anything off. The first forced branch
-    set, the hub, is never chosen: it is everything connected to its seed
-    outside the other sets, which contains any other choice and so loses no
-    model. Every branch set considered costs one node of `node_budget`."""
-    forced = {p: frozenset(vs) for p, vs in (forced or {}).items() if vs}
-    seeds = frozenset().union(*forced.values())
-    if seeds and pattern.is_connected():
-        comp = host.component_of(next(iter(seeds)))
-        if not seeds <= comp:
-            return None
-        host = host.induced(comp)
-    if _cannot_host(host, pattern, forced):
+    A connected pattern is searched for only in the centre's component, and
+    `_cannot_host` rules out hosts that are too small, planar, or too sparse
+    in degree. The search then places one branch set at a time for the
+    pattern vertices other than the hub, each connected and touching the
+    sets of the pattern neighbours placed before it, under a cap on the size
+    of a set that rises until it no longer cuts anything off. The hub's set
+    is never chosen: it is everything connected to the centre outside the
+    other sets, which contains any other choice and so loses no model.
+    Every branch set considered costs one node of `node_budget`."""
+    if pattern.is_connected():
+        host = host.induced(host.component_of(center))
+    if _cannot_host(host, pattern, hub, center):
         return None
-    hub = min(forced, key=vertex_key) if forced else None
-    order, twin_of = _placement_order(pattern, hub, forced)
+    order, twin_of = _placement_order(pattern, hub)
     earlier = {p: [q for q in order[:i] if q in pattern.adj[p]]
                for i, p in enumerate(order)}
     sets: dict = {}
-    used = set(seeds)
+    used = {center}
     budget = [node_budget]
     cap = [0]
     capped = [False]
@@ -221,21 +212,19 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
     def touching(a, b) -> bool:
         return any(host.adj[x] & b for x in a)
 
-    def hub_set():
-        # everything reachable from the hub's seed outside the other sets
-        seed = forced[hub]
-        start = next(iter(seed))
-        reach, stack = {start}, [start]
+    def hub_set() -> frozenset:
+        # everything reachable from the centre outside the other sets
+        reach, stack = {center}, [center]
         while stack:
             for b in host.adj[stack.pop()]:
-                if b not in reach and (b in seed or b not in used):
+                if b not in reach and b not in used:
                     reach.add(b)
                     stack.append(b)
-        return frozenset(reach) if seed <= reach else None
+        return frozenset(reach)
 
     def stranded(later: list) -> bool:
-        # an unplaced unforced set lies in one component of the unused
-        # vertices, which must touch the sets of its placed neighbours
+        # an unplaced set lies in one component of the unused vertices,
+        # which must touch the sets of its placed neighbours
         comp = {}
         for v in host.vertices:
             if v in used or v in comp:
@@ -249,43 +238,34 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
                         stack.append(b)
         touches = {q: {comp[w] for a in vs for w in host.adj[a] if w in comp}
                    for q, vs in sets.items()}
-        open_sets = {q for q in later if q not in forced}
+        open_sets = set(later)
         for q in open_sets:
             need = [touches[w] for w in pattern.adj[q] if w in sets]
             if need and not set.intersection(*need):
                 return True
-        # a placed set meets each unplaced unforced neighbour in an unused
-        # vertex of its own
+        # a placed set meets each unplaced neighbour in an unused vertex of
+        # its own
         return any(len({w for a in vs for w in host.adj[a] if w in comp})
                    < len(pattern.adj[q] & open_sets) for q, vs in sets.items())
 
     def hub_ok() -> bool:
-        if hub is None:
-            return True
         now = hub_set()
-        return now is not None and all(touching(now, sets[q])
-                                       for q in pattern.adj[hub] if q in sets)
+        return all(touching(now, sets[q]) for q in pattern.adj[hub] if q in sets)
 
     def place(i: int) -> dict | None:
         if i == len(order):
-            if hub is None:
-                return dict(sets)
-            now = hub_set()
-            return None if now is None else {**sets, hub: now}
+            return {**sets, hub: hub_set()}
         p = order[i]
-        own = forced.get(p, frozenset())
-        allowed = (host.vertices - used) | own
-        after = sum(1 for q in order[i + 1:] if q not in forced)
+        allowed = host.vertices - used
+        after = len(order) - i - 1
         # each empty branch set needs an unused vertex of its own
-        if len(allowed - own) < after + (0 if own else 1):
+        if len(allowed) < after + 1:
             return None
         room = len(allowed) - after
         if cap[0] < room:
             capped[0] = True
         near = [sets[q] for q in earlier[p]]
-        if own:
-            starts = [min(own, key=vertex_key)]
-        elif near:
+        if near:
             starts = sorted({w for a in near[0] for w in host.adj[a]} & allowed,
                             key=vertex_key)
         else:
@@ -295,7 +275,7 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
             budget[0] -= 1
             if budget[0] < 0:
                 raise ResourceLimitError("minor-model search exceeded its node budget")
-            if not own <= cand or not all(touching(cand, e) for e in near):
+            if not all(touching(cand, e) for e in near):
                 continue
             if low is not None and vertex_key(min(cand, key=vertex_key)) < low:
                 continue
@@ -305,7 +285,7 @@ def find_minor_model(host: Graph, pattern: Graph, forced: dict | None = None,
                 model = place(i + 1)
                 if model is not None:
                     return model
-            used.difference_update(cand - own)
+            used.difference_update(cand)
             del sets[p]
         return None
 
@@ -338,8 +318,7 @@ def has_k5_star_minor(g: Graph, center, copies: int,
     pattern, hub = k5_star(copies)
     pattern = Graph({f"p{v}" for v in pattern.vertices},
                     ((f"p{u}", f"p{v}") for u, v in pattern.edges))
-    model = find_minor_model(g, pattern, forced={f"p{hub}": {center}},
-                             node_budget=node_budget)
+    model = find_minor_model(g, pattern, f"p{hub}", center, node_budget)
     return model is not None
 
 
@@ -445,7 +424,7 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
 
     chars = []
     for ec in towers:
-        chars.append(compute_char(g, ec.wall, r_set, op, k, phi, params, cfg, ec=ec))
+        chars.append(compute_char(ec, r_set, op, k, phi, params, cfg))
     buckets: dict = {}
     for ec, char in zip(towers, chars):
         buckets.setdefault(char.canonical_json(), []).append(ec)
@@ -504,8 +483,6 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
             if not s.elements <= r_set - region.region:
                 raise SoundnessError("planarizer is not preserved outside the region")
             return region
-    if isinstance(outcome, BoundedTreewidth):
-        assert validate_decomposition(g, outcome.decomposition)
     return outcome
 
 

@@ -10,6 +10,7 @@ subdivision paths.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -174,32 +175,25 @@ def wall_violations(w: Wall) -> list:
     return out
 
 
-def make_elementary_wall(r: int, first_id: int = 0) -> Wall:
-    """The elementary r-wall with integer ids, all finite faces hexagonal."""
+def make_elementary_wall(r: int) -> Wall:
+    """The elementary r-wall with integer ids from 0, all finite faces
+    hexagonal."""
     verts, edges = elementary_positions(r)
     order = sorted(verts)
-    vid = {p: first_id + i for i, p in enumerate(order)}
+    vid = {p: i for i, p in enumerate(order)}
     graph = Graph(vid.values(), ((vid[a], vid[b]) for a, b in edges))
     paths = {e: (vid[e[0]], vid[e[1]]) for e in edges}
     return Wall(graph, r, {vid[p]: p for p in order}, paths)
 
 
-def subdivide_wall(w: Wall, counts: Mapping | None = None, rng=None,
-                   max_extra: int = 2, next_id=None) -> Wall:
-    """Subdivide paths: `counts` maps elementary edges to how many vertices to
-    insert, or draw counts in [0, max_extra] from rng. New ids are ints."""
-    if next_id is None:
-        used = [v for v in w.graph.vertices if isinstance(v, int)]
-        next_id = (max(used) + 1) if used else 0
+def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
+    """Insert a number of new vertices drawn from [0, max_extra] by rng into
+    each path. New ids are the ints above the largest int id of w."""
+    next_id = max((v for v in w.graph.vertices if isinstance(v, int)), default=-1) + 1
     new_paths = {}
     for e in sorted(w.paths, key=vertex_key):
         path = w.paths[e]
-        if counts is not None:
-            extra = counts.get(e, 0)
-        elif rng is not None:
-            extra = rng.randint(0, max_extra)
-        else:
-            extra = 0
+        extra = rng.randint(0, max_extra)
         fresh = list(range(next_id, next_id + extra))
         next_id += extra
         new_paths[e] = (path[0], *fresh, *path[1:])
@@ -366,8 +360,10 @@ def extended_compass(g: Graph, w: Wall, rho: int) -> ExtendedCompass:
     comp = compass(g, w)
     tower = []
     for t in range(1, rho + 1):
+        # the top level's subwall is w itself when 2 rho + 1 = height
         sub = central_subwall(w, 2 * t + 1)
-        level = CompassLevel(compass(g, sub), frozenset(analyze_wall(sub).perimeter))
+        level = CompassLevel(comp if sub is w else compass(g, sub),
+                             frozenset(analyze_wall(sub).perimeter))
         tower.append(level)
     for lower, upper in zip(tower, tower[1:]):
         assert lower.graph.vertices <= upper.graph.vertices, "compass tower is not nested"
@@ -386,14 +382,14 @@ def subwall_at(w: Wall, x0: int, y0: int, s: int) -> Wall:
                             for x, y in elementary_positions(s)[0]})
 
 
-def disjoint_subwalls(w: Wall, s: int, gap: int = 1) -> list:
-    """Vertex-disjoint s-subwalls tiled across the wall, `gap` rows/columns
+def disjoint_subwalls(w: Wall, s: int) -> list:
+    """Vertex-disjoint s-subwalls tiled across the wall, one row or column
     apart so their compasses can stay disjoint in the host."""
     if s % 2 == 0 or s < 3:
         raise InputError("subwall height must be odd and >= 3")
     out = []
-    step_x = 2 * s + 2 * gap
-    step_y = s + gap
+    step_x = 2 * s + 2
+    step_y = s + 1
     y0 = 0
     while y0 + s <= w.height:
         x0 = 0 if y0 % 2 == 0 else 1
@@ -424,38 +420,23 @@ def wall_candidates(g: Graph, q: int,
             continue
 
 
-def _distances_within(g: Graph, source, r: int) -> dict:
-    """Breadth-first distances from `source` to the vertices within distance
-    r of it; farther vertices are absent."""
-    dist = {source: 0}
-    frontier = [source]
-    for d in range(1, r + 1):
-        reached = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    reached.append(w)
-        if not reached:
-            break
-        frontier = reached
-    return dist
-
-
 def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wall_nodes,
                            max_path: int = 12) -> Iterator[Wall]:
     """Exhaustive-with-caps search for a subdivision of the elementary q-wall.
 
     Branch vertices are placed in breadth-first pattern order; each pattern
     edge to an already-placed neighbor is routed as a host path, enumerated by
-    depth-first extension, all internally disjoint. Exceeding the node budget
-    raises instead of silently reporting absence.
+    depth-first extension, all internally disjoint. The extension runs on an
+    explicit stack, so generators nest once per placed vertex and routed
+    edge, not once per path vertex, and the default recursion limit
+    suffices. Exceeding the node budget raises instead of silently
+    reporting absence.
 
     Host vertices are tried in `g.sorted_vertices()` order (their rank), and
     path extensions nearest the goal first, then by rank. Three caches live
     for one call: the distances from each goal or anchor, the ranked
     neighbour list per (goal, vertex), and the candidate list per anchor.
-    The distances come from a breadth-first search that stops at depth
+    The distances come from a breadth-first search that stops at radius
     max_path. The search reads a distance only to compare it with max_path,
     and a vertex farther away fails that comparison whatever its exact
     distance, before any node is spent on it. So the truncation, and leaving
@@ -467,10 +448,6 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
         raise ResourceLimitError(
             f"subdivision search is capped at 120 pattern vertices "
             f"(q={q} needs {len(verts)})")
-    import sys
-    need = 4000 + 40 * len(verts)
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
     pverts = sorted(verts)
     padj = {p: set() for p in pverts}
     for a, b in edges:
@@ -510,21 +487,21 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
 
     def distances(v) -> dict:
         if v not in dist_cache:
-            dist_cache[v] = _distances_within(g, v, max_path)
+            dist_cache[v] = g.bfs_distances(v, max_path)
         return dist_cache[v]
 
     def route(edge_list, k) -> Iterator[None]:
-        """Place internally-disjoint paths for edge_list[k:], then recurse."""
-        if k == len(edge_list):
-            yield from place(len(placed))
-            return
+        """Place internally-disjoint paths for edge_list[k:], then the rest
+        of the pattern. The paths of one edge are walked depth first, one
+        budget node per vertex a path is extended to; stack[i] iterates the
+        neighbours of path[i] that can still extend it."""
         p_from, p_to, key = edge_list[k]
         start, goal = placed[p_from], placed[p_to]
         to_goal = distances(goal)
 
-        def extend(path):
-            spend()
-            last = path[-1]
+        def fits(last, room) -> Iterator:
+            # the neighbours of `last` within room of the goal, nearest the
+            # goal first, then by rank; the goal itself sits at 0
             ranked = ranked_cache.get((goal, last))
             if ranked is None:
                 # a path holds at least one vertex, so a neighbour farther
@@ -532,24 +509,31 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
                 near = [u for u in g.adj[last]
                         if u == goal or to_goal.get(u, max_path) < max_path]
                 near.sort(key=lambda u: (to_goal[u], rank[u]))
-                ranked = ranked_cache[(goal, last)] = [(u, to_goal[u]) for u in near]
-            for nxt, d in ranked:
+                ranked = ranked_cache[(goal, last)] = (near, [to_goal[u] for u in near])
+            near, dist = ranked
+            return iter(near[:bisect_right(dist, room)])
+
+        spend()
+        path, stack = [start], [fits(start, max_path - 1)]
+        while stack:
+            for nxt in stack[-1]:
                 if nxt == goal:
-                    full = tuple(path) + (goal,)
+                    full = (*path, goal)
                     inner = full[1:-1]
                     paths[key] = full
                     interior.update(inner)
-                    yield from route(edge_list, k + 1)
+                    yield from (route(edge_list, k + 1) if k + 1 < len(edge_list)
+                                else place(len(placed)))
                     interior.difference_update(inner)
                     del paths[key]
-                elif len(path) + d > max_path:
-                    break  # the list is sorted by d, so no later one fits
                 elif nxt not in interior and nxt not in images:
+                    spend()
                     path.append(nxt)
-                    yield from extend(path)
-                    path.pop()
-
-        yield from extend([start])
+                    stack.append(fits(nxt, max_path - len(path)))
+                    break
+            else:
+                stack.pop()
+                path.pop()
 
     def place(i) -> Iterator[None]:
         if i == len(order):
@@ -561,9 +545,8 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
             anchor = placed[back[0][1]]
             cands = cand_cache.get(anchor)
             if cands is None:
-                dmap = distances(anchor)
-                cands = cand_cache[anchor] = sorted(
-                    (h for h in dmap if dmap[h] <= max_path), key=rank.__getitem__)
+                cands = cand_cache[anchor] = sorted(distances(anchor),
+                                                    key=rank.__getitem__)
         else:
             cands = hosts
         need_degree = len(padj[p])
@@ -575,7 +558,7 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
                 continue
             placed[p] = h
             images.add(h)
-            yield from route(back, 0)
+            yield from route(back, 0) if back else place(i + 1)
             images.remove(h)
             del placed[p]
 

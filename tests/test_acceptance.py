@@ -146,11 +146,9 @@ def test_criterion_7_signature_oracle_equivalence():
     for case in cases:
         ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
         ok = ok and len(ec.compass.vertices) <= 40
-        mine = compute_char(case["graph"], case["wall"], case["r_set"],
-                            case["op"], case["k"], case["phi"], case["params"],
-                            case["cfg"], ec=ec)
-        orc = char_oracle(case["graph"], ec, case["r_set"], case["op"],
-                          case["k"], case["phi"], case["params"], case["cfg"])
+        args = (ec, case["r_set"], case["op"], case["k"], case["phi"],
+                case["params"], case["cfg"])
+        mine, orc = compute_char(*args), char_oracle(*args)
         ok = ok and mine.canonical_json() == orc.canonical_json()
     _report(7, ok, f"{len(cases)} crafted instances: characteristic equals the "
                    f"raw-comprehension oracle, byte-equal canonical JSON")

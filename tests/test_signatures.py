@@ -154,14 +154,13 @@ class TestComputeSig:
 class TestComputeChar:
     def test_s0_rows_for_every_z(self):
         cfg, params, wall, g, r_set, ec = _setup(rho=2, d=2)
-        char = compute_char(g, wall, r_set, Operation.VR, 1, PHI1, params, cfg, ec=ec)
+        char = compute_char(ec, r_set, Operation.VR, 1, PHI1, params, cfg)
         zs_with_s0 = {z for (z, sig, s) in char.entries if s == 0}
         assert zs_with_s0 == {2}
 
     def test_empty_annotation_only_s0(self):
         cfg, params, wall, g, _, ec = _setup(rho=2, d=2)
-        char = compute_char(g, wall, frozenset(), Operation.VR, 1, PHI1, params,
-                            cfg, ec=ec)
+        char = compute_char(ec, frozenset(), Operation.VR, 1, PHI1, params, cfg)
         assert {s for (_, _, s) in char.entries} == {0}
 
     def test_matches_oracle_all_ops(self):
@@ -169,19 +168,17 @@ class TestComputeChar:
             rho=2, d=2, annotate=lambda g: frozenset(v for v in g.vertices
                                                      if v % 3 != 0))
         for op in Operation:
-            mine = compute_char(g, wall, r_set, op, 1, PHI1, params, cfg, ec=ec)
-            orc = char_oracle(g, ec, r_set, op, 1, PHI1, params, cfg)
+            mine = compute_char(ec, r_set, op, 1, PHI1, params, cfg)
+            orc = char_oracle(ec, r_set, op, 1, PHI1, params, cfg)
             assert mine.canonical_json() == orc.canonical_json()
 
     def test_crafted_suite_byte_equality(self):
         for case in crafted_sig_instances()[:8]:
             ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
             assert len(ec.compass.vertices) <= 40
-            mine = compute_char(case["graph"], case["wall"], case["r_set"],
-                                case["op"], case["k"], case["phi"],
-                                case["params"], case["cfg"], ec=ec)
-            orc = char_oracle(case["graph"], ec, case["r_set"], case["op"],
-                              case["k"], case["phi"], case["params"], case["cfg"])
+            args = (ec, case["r_set"], case["op"], case["k"], case["phi"],
+                    case["params"], case["cfg"])
+            mine, orc = compute_char(*args), char_oracle(*args)
             assert mine.canonical_json() == orc.canonical_json()
 
     def test_oracle_obeys_the_config_caps(self):
@@ -191,18 +188,18 @@ class TestComputeChar:
         cfg = dataclasses.replace(case["cfg"], cap_brute_vertices=2)
         ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
         with pytest.raises(ResourceLimitError, match="capped at 2 vertices"):
-            compute_char(case["graph"], case["wall"], case["r_set"], case["op"],
-                         case["k"], case["phi"], case["params"], cfg, ec=ec)
+            compute_char(ec, case["r_set"], case["op"], case["k"], case["phi"],
+                         case["params"], cfg)
         with pytest.raises(ResourceLimitError, match="capped at 2 vertices"):
-            char_oracle(case["graph"], ec, case["r_set"], case["op"], case["k"],
-                        case["phi"], case["params"], cfg)
+            char_oracle(ec, case["r_set"], case["op"], case["k"], case["phi"],
+                        case["params"], cfg)
 
 
 class TestEquivalence:
     def test_self(self):
         cfg, params, wall, g, r_set, ec = _setup(rho=2, d=2)
-        first, again = (compute_char(g, wall, r_set, Operation.VR, 1, PHI1, params,
-                                     cfg, ec=ec) for _ in range(2))
+        first, again = (compute_char(ec, r_set, Operation.VR, 1, PHI1, params, cfg)
+                        for _ in range(2))
         assert first.canonical_json() == again.canonical_json()
 
     def test_isomorphic_walls_equivalent(self):
@@ -211,9 +208,9 @@ class TestEquivalence:
         wall2 = relabel_wall(wall, shift)
         g2 = wall2.graph
         ec2 = extended_compass(g2, wall2, 2)
-        char1 = compute_char(g, wall, r_set, Operation.VR, 1, PHI1, params, cfg, ec=ec)
-        char2 = compute_char(g2, wall2, {shift[v] for v in r_set}, Operation.VR,
-                             1, PHI1, params, cfg, ec=ec2)
+        char1 = compute_char(ec, r_set, Operation.VR, 1, PHI1, params, cfg)
+        char2 = compute_char(ec2, {shift[v] for v in r_set}, Operation.VR,
+                             1, PHI1, params, cfg)
         assert char1.canonical_json() == char2.canonical_json()
 
     def test_center_annotation_differs(self):
@@ -221,11 +218,9 @@ class TestEquivalence:
         # scattered pair, so the witness entries differ from full annotation
         from planmod.walls import analyze_wall
         cfg, params, wall, g, _, ec = _setup(rho=2, d=2, phi=PHI2)
-        char_all = compute_char(g, wall, g.vertices, Operation.VR, 1, PHI2,
-                                params, cfg, ec=ec)
+        char_all = compute_char(ec, g.vertices, Operation.VR, 1, PHI2, params, cfg)
         center = set(analyze_wall(wall).center)
-        char_center = compute_char(g, wall, center, Operation.VR, 1, PHI2,
-                                   params, cfg, ec=ec)
+        char_center = compute_char(ec, center, Operation.VR, 1, PHI2, params, cfg)
         assert char_all.canonical_json() != char_center.canonical_json()
 
 
@@ -257,7 +252,7 @@ class TestIsTriple:
 class TestCanonicalJson:
     def test_sorted_and_stable(self):
         cfg, params, wall, g, r_set, ec = _setup(rho=2, d=2)
-        char = compute_char(g, wall, r_set, Operation.VR, 1, PHI1, params, cfg, ec=ec)
+        char = compute_char(ec, r_set, Operation.VR, 1, PHI1, params, cfg)
         text = char.canonical_json()
         assert text == char.canonical_json()
         rows = json.loads(text)

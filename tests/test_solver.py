@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from graph_helpers import path_graph, relabel
+from graph_helpers import path_graph, planted_star, relabel
 
 from planmod import solver
 from planmod.config import PipelineConfig
@@ -30,28 +30,6 @@ from planmod.walls import analyze_wall, make_elementary_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
-
-
-def _planted_star(rng, copies):
-    """A host with a planted (K5, copies)-star model: random connected branch
-    sets of 1-3 vertices, one edge behind each pattern edge, random extra
-    edges, a disjoint extra component and shuffled ids. Returns (host, the
-    centre, pattern, hub)."""
-    pattern, hub = k5_star(copies)
-    branch, edges, nxt = {}, [], 0
-    for p in pattern.sorted_vertices():
-        members = list(range(nxt, nxt + rng.randint(1, 3)))
-        nxt += len(members)
-        edges += [(v, rng.choice(members[:i])) for i, v in enumerate(members) if i]
-        branch[p] = members
-    edges += [(rng.choice(branch[p]), rng.choice(branch[q])) for p, q in pattern.edges]
-    edges += [tuple(rng.sample(range(nxt), 2)) for _ in range(rng.randint(0, 6))]
-    extra = list(range(nxt, nxt + rng.randint(3, 8)))
-    edges += [(v, rng.choice(extra[:i])) for i, v in enumerate(extra) if i]
-    ids = list(range(extra[-1] + 1))
-    rng.shuffle(ids)
-    host = relabel(Graph(range(len(ids)), edges), dict(enumerate(ids)))
-    return host, ids[rng.choice(branch[hub])], pattern, hub
 
 
 class TestOracle:
@@ -111,7 +89,7 @@ class TestMinorModels:
         pattern, phub = k5_star(1)
         pattern = Graph({f"p{v}" for v in pattern.vertices},
                         ((f"p{u}", f"p{v}") for u, v in pattern.edges))
-        model = find_minor_model(g, pattern, forced={f"p{phub}": {hub}})
+        model = find_minor_model(g, pattern, f"p{phub}", hub)
         assert model is not None
         assert verify_minor_model(g, pattern, model, must_intersect=None)
 
@@ -126,9 +104,9 @@ class TestMinorModels:
         rng = random.Random(20211)
         for trial in range(24):
             copies = 1 + trial % 2
-            host, center, pattern, hub = _planted_star(rng, copies)
+            host, center, pattern, hub = planted_star(rng, copies)
             assert has_k5_star_minor(host, center, copies)
-            model = find_minor_model(host, pattern, forced={hub: {center}})
+            model = find_minor_model(host, pattern, hub, center)
             assert model is not None and center in model[hub]
             assert verify_minor_model(host, pattern, model)
 
@@ -138,7 +116,7 @@ class TestMinorModels:
             for center in g.sorted_vertices()[::7]:
                 assert not has_k5_star_minor(g, center, 1)
                 assert not has_k5_star_minor(g, center, 2)
-            assert _cannot_host(g, pattern, {hub: {0}})
+            assert _cannot_host(g, pattern, hub, 0)
 
     def test_absent_one_edge_short(self):
         pattern, hub = k5_star(2)
@@ -149,7 +127,7 @@ class TestMinorModels:
         for g in (short, spread):
             assert len(g.edges) == len(pattern.edges) - 1 and not is_planar(g)
             assert not has_k5_star_minor(g, hub, 2)
-            assert _cannot_host(g, pattern, {hub: {hub}})
+            assert _cannot_host(g, pattern, hub, hub)
 
     def test_absent_when_same_size_degrees_too_low(self):
         pattern, hub = k5_star(2)
@@ -163,7 +141,7 @@ class TestMinorModels:
         for g in (low_center, low_rest):
             assert len(g.vertices) == 9 and len(g.edges) >= 20 and not is_planar(g)
             assert not has_k5_star_minor(g, 0, 2)
-            assert _cannot_host(g, pattern, {hub: {0}})
+            assert _cannot_host(g, pattern, hub, 0)
         assert low_rest.degree(0) == 8
 
     def test_star_beside_large_grid_found_on_small_budget(self):
@@ -389,6 +367,26 @@ def _golden_reports() -> bytes:
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
 
+# sha256 of `_wall_golden_reports()`, pinned like GOLDEN_SHA256
+WALL_GOLDEN_SHA256 = "9f955ef358e3e34fe1d78bbab1d09d57d5c7d415a9e4d0134c5a33bdfbf75c00"
+
+
+def _wall_golden_reports() -> bytes:
+    """(answer, witness, untimed trace) of the pipeline on the 9-wall under
+    vr with a YES and a NO sentence (cross-check off), as canonical JSON.
+    Each run takes 5 irrelevant-region steps, so the pin covers the wall
+    search, the compass towers and the characteristics of every step."""
+    cfg = PipelineConfig(cross_check=False, rho_hat=1, d_hat=1, q_hat=7)
+    wall = make_elementary_wall(9).graph
+    rows = []
+    for psi in (HAS_NEIGHBOR, IS_ISOLATED):
+        phi = GaifmanSentence((BasicSentence(1, 1, psi),), parse_combination("1"))
+        res = solve_pipeline(Instance(wall, 1, Operation.VR, phi), cfg)
+        witness = None if res.witness is None else res.witness.to_json_obj()
+        rows.append([res.answer, witness, res.trace_json_obj()])
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _scripted(monkeypatch, steps):
     """Make `reduce_instance` propose `steps` first, then reduce as usual;
     count the exhaustive step checks."""
@@ -408,6 +406,9 @@ def _scripted(monkeypatch, steps):
 class TestPipeline:
     def test_reports_match_pinned_digest(self):
         assert hashlib.sha256(_golden_reports()).hexdigest() == GOLDEN_SHA256
+
+    def test_wall_reports_match_pinned_digest(self):
+        assert hashlib.sha256(_wall_golden_reports()).hexdigest() == WALL_GOLDEN_SHA256
 
     def test_matches_direct_evaluation_at_k0(self):
         g = path_graph(6)

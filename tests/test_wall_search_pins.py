@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph
-from planmod.walls import (_distances_within, find_wall_subdivisions,
-                           make_elementary_wall, subdivide_wall)
+from planmod.walls import (find_wall_subdivisions, make_elementary_wall,
+                           subdivide_wall)
 
 PINS = os.path.join(os.path.dirname(__file__), "wall_search_pins.json")
 HOSTS = ("elementary-5", "elementary-7", "subdivided-5", "elementary-7-minus-2")
@@ -117,7 +117,7 @@ def graph_and_source(draw):
 def test_depth_bounded_bfs_is_truncated_bfs(case):
     g, source, r = case
     full = g.bfs_distances(source)
-    assert _distances_within(g, source, r) == {v: d for v, d in full.items() if d <= r}
+    assert g.bfs_distances(source, r) == {v: d for v, d in full.items() if d <= r}
 
 
 if __name__ == "__main__":

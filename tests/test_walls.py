@@ -1,11 +1,13 @@
+import inspect
 import random
+import sys
 
 import pytest
 from graph_helpers import path_graph
 from wall_oracle import (derive_central_subwall, derive_layers,
                          derive_wall_annulus)
 
-from planmod.errors import InputError
+from planmod.errors import InputError, ResourceLimitError
 from planmod.graphs import complete_graph, make_grid
 from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
@@ -13,9 +15,10 @@ from planmod.solver import BoundedTreewidth, WallArea, find_area
 from planmod.treewidth import validate_decomposition
 from planmod.walls import (analyze_wall, central_subwall, compass,
                            disjoint_subwalls,
-                           extended_compass, layer_count,
-                           make_elementary_wall, subdivide_wall, subwall_at,
-                           validate_wall, wall_annulus, wall_violations)
+                           extended_compass, find_wall_subdivisions,
+                           layer_count, make_elementary_wall, subdivide_wall,
+                           subwall_at, validate_wall, wall_annulus,
+                           wall_candidates, wall_violations)
 
 
 def coord_adjacency(wall):
@@ -247,3 +250,38 @@ class TestFindWall:
         out = _find_wall(host.graph)
         assert isinstance(out, WallArea) and validate_wall(out.wall)
         assert validate_decomposition(out.compass, out.tw_witness)
+
+
+class TestWallSearchDepth:
+    """The wall search nests one generator per placed pattern vertex and
+    routed edge, however long the paths, and leaves the interpreter's
+    recursion limit alone."""
+
+    def test_q7_search_runs_to_its_budget_under_the_default_limit(self):
+        g = make_elementary_wall(9).graph.remove_vertices([5])
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(ResourceLimitError):
+                for _ in find_wall_subdivisions(g, 7, max_path=12):
+                    pass
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_long_paths_do_not_deepen_the_search(self):
+        # one 5-wall whose paths hold up to 10 subdivision vertices: a
+        # frame per path vertex would need several hundred more levels
+        g = subdivide_wall(make_elementary_wall(5), rng=random.Random(1),
+                           max_extra=10).graph
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 200)
+        try:
+            wall = next(find_wall_subdivisions(g, 5, max_path=12))
+        finally:
+            sys.setrecursionlimit(old)
+        assert validate_wall(wall) and max(map(len, wall.paths.values())) > 8
+
+    def test_wall_candidates_leaves_the_recursion_limit(self):
+        old = sys.getrecursionlimit()
+        assert next(wall_candidates(make_elementary_wall(7).graph, 5), None) is not None
+        assert sys.getrecursionlimit() == old
