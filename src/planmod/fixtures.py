@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from .config import PipelineConfig
+from .errors import InputError
 from .graphs import Graph
 from .logic import BasicSentence, GaifmanSentence, parse_combination, parse_formula
 from .modification import Operation
@@ -59,6 +60,10 @@ TRIVIALLY_TRUE = GaifmanSentence((BasicSentence(1, 1, ALWAYS),),
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
+    if n < 0:
+        raise InputError(f"vertex count must be >= 0, got {n}")
+    if not 0 <= p <= 1:
+        raise InputError(f"edge probability must lie in [0, 1], got {p}")
     verts = list(range(n))
     edges = [(u, v) for u in verts for v in verts if u < v and rng.random() < p]
     return Graph(verts, edges)

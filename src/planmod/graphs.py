@@ -355,6 +355,8 @@ def make_triangulated_grid(k: int) -> tuple:
 # -- graph zoo ---------------------------------------------------------------
 
 def complete_graph(n: int, offset: int = 0) -> Graph:
+    if n < 0:
+        raise InputError(f"vertex count must be >= 0, got {n}")
     verts = range(offset, offset + n)
     return Graph(verts, ((u, v) for u in verts for v in verts if u < v))
 

@@ -1,8 +1,16 @@
 """Planarity testing, combinatorial embeddings, and Kuratowski witnesses.
 
-The planarity decision itself is delegated to networkx's left-right test;
-the contract here is only boolean + witness + rotation system, all of which
-are re-verified by the callers that care.
+A planarity question is first shrunk by reductions that keep its answer:
+vertices of degree at most 1 go, vertices of degree 2 are smoothed, and the
+parallel edges smoothing creates are merged. What remains is answered at once
+when it has fewer than 9 edges (planar: every Kuratowski subdivision has at
+least 9), more than 3n - 6 (nonplanar, by Euler's bound) or fewer than 6
+vertices (planar: the only nonplanar graph that small is K5, which has more
+than 3n - 6 edges); only the rest goes to networkx's left-right test.
+Kuratowski witnesses are networkx's, built by its deletion loop with each
+step decided the same way. Embeddings come from networkx directly. The
+contract here is only boolean + witness + rotation system, all of which are
+re-verified by the callers that care.
 """
 
 from __future__ import annotations
@@ -24,18 +32,78 @@ def _to_nx(g: Graph) -> nx.Graph:
     return h
 
 
+def _reduce(edges: Iterable) -> dict:
+    """Adjacency of the graph with these edges after deleting vertices of
+    degree <= 1 and smoothing vertices of degree 2 until neither applies;
+    planar exactly when the input is. Isolated vertices never matter."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    todo = [v for v, ns in adj.items() if len(ns) <= 2]
+    while todo:
+        v = todo.pop()
+        ns = adj.get(v)
+        if ns is None or len(ns) > 2:
+            continue
+        del adj[v]
+        for u in ns:
+            adj[u].discard(v)
+        if len(ns) == 2:
+            # the smoothed edge a-b; when it exists already the two merge
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+        todo.extend(u for u in ns if len(adj[u]) <= 2)
+    return adj
+
+
+def _planar(edges: Iterable) -> bool:
+    """Planarity of the graph with these edges: the reduced graph's size
+    decides it (see the module docstring), or networkx decides that graph."""
+    adj = _reduce(edges)
+    m = sum(map(len, adj.values())) // 2
+    if m < 9:
+        return True
+    if m > 3 * len(adj) - 6:
+        return False
+    if len(adj) < 6:
+        return True
+    h = nx.Graph()
+    h.add_edges_from((u, v) for u, ns in adj.items() for v in ns)
+    return nx.check_planarity(h)[0]
+
+
 @lru_cache(maxsize=1 << 16)
 def is_planar(g: Graph) -> bool:
-    ok, _ = nx.check_planarity(_to_nx(g), counterexample=False)
-    return ok
+    # from g.edges, not g.adj: the memo keeps g, and with it any adjacency
+    return _planar(g.edges)
 
 
 def kuratowski(g: Graph) -> Graph | None:
-    """A K5- or K3,3-subdivision subgraph of g, or None when g is planar."""
-    ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
-    if ok:
+    """A K5- or K3,3-subdivision subgraph of g, or None when g is planar.
+
+    The same witness as networkx's `get_counterexample` on `_to_nx(g)`: visit
+    each edge once in its order (nodes in order, later neighbours in
+    adjacency order) and keep it iff removing it leaves the rest planar.
+    networkx also re-tests kept edges from their far end, but the rest has
+    only lost edges since, so the answer is again "planar" and is skipped.
+    The opening test bypasses the `is_planar` memo, whose hit counts stay
+    those of the callers.
+    """
+    if _planar(g.edges):
         return None
-    return Graph(cert.nodes(), cert.edges())
+    h = _to_nx(g)
+    rank = {v: i for i, v in enumerate(h)}
+    order = [(u, v) for u in h for v in h[u] if rank[v] > rank[u]]
+    rest = set(order)
+    kept = []
+    for e in order:
+        rest.remove(e)
+        if _planar(rest):
+            rest.add(e)
+            kept.append(e)
+    return Graph({v for e in kept for v in e}, kept)
 
 
 @dataclass(frozen=True)

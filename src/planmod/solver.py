@@ -96,6 +96,7 @@ class IrrelevantRegion:
 @dataclass(frozen=True)
 class BoundedTreewidth:
     decomposition: TreeDecomposition
+    fallback: str | None = None  # the cap that stopped the wall branch, if one did
 
 
 # -- oracle ------------------------------------------------------------------------
@@ -472,13 +473,13 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     if isinstance(outcome, WallArea):
         try:
             region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg)
-        except ResourceLimitError:
+        except ResourceLimitError as exc:
             # the trichotomy allows the decomposition branch instead
             fam = area_family(k, params.q)
             td = width_witness(g, fam["f1"], cfg.cap_exact_tw)
             if td is None:
                 raise
-            outcome = BoundedTreewidth(td)
+            outcome = BoundedTreewidth(td, fallback=str(exc))
         else:
             if not s.elements <= r_set - region.region:
                 raise SoundnessError("planarizer is not preserved outside the region")
@@ -619,8 +620,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
                 answered = answer
             if obligatory and witness is not None:
                 witness = ModificationSet(Operation.VR, witness.elements | obligatory)
-            log("bounded-treewidth",
-                {"width": outcome.decomposition.width(), "answer": answer}, t0)
+            detail = {"width": outcome.decomposition.width(), "answer": answer}
+            if outcome.fallback is not None:
+                detail["fallback"] = outcome.fallback
+            log("bounded-treewidth", detail, t0)
             result = PipelineResult(answer, witness, trace)
     if cfg.cross_check:
         t0 = time.perf_counter()

@@ -189,6 +189,8 @@ def make_elementary_wall(r: int) -> Wall:
 def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
     """Insert a number of new vertices drawn from [0, max_extra] by rng into
     each path. New ids are the ints above the largest int id of w."""
+    if max_extra < 0:
+        raise InputError(f"subdivision count must be >= 0, got {max_extra}")
     next_id = max((v for v in w.graph.vertices if isinstance(v, int)), default=-1) + 1
     new_paths = {}
     for e in sorted(w.paths, key=vertex_key):

@@ -159,6 +159,17 @@ class TestGen:
               "--out", str(out)])
         assert out.read_text() == make_grid(2, 2).graph.to_dot() + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["wall", "--subdivide", "-1"],
+        ["complete", "-n", "-3"],
+        ["random", "-n", "-2"],
+        ["random", "-p", "1.5"],
+    ], ids=["wall-subdivide", "complete-n", "random-n", "random-p"])
+    def test_bad_size_exits_two(self, argv, capsys):
+        assert main(["gen", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
 
 class TestCheck:
     def test_single_suite(self, tmp_path):

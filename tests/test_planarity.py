@@ -1,12 +1,15 @@
 import random
 
+import networkx as nx
 import pytest
-from graph_helpers import cycle_graph, path_graph
+from graph_helpers import cycle_graph, path_graph, relabel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
 from planmod.modification import ModificationSet, Operation, apply
-from planmod.planarity import (embed, is_planar, kuratowski,
+from planmod.planarity import (_to_nx, embed, is_planar, kuratowski,
                                planar_with_additions)
 
 
@@ -78,6 +81,119 @@ def _random_graph(seed, max_n=8, p=0.45):
     verts = list(range(n))
     return Graph(verts, [(u, v) for u in verts for v in verts
                          if u < v and rng.random() < p])
+
+
+def _subdivide(rng, edges, nxt):
+    """Each edge as a path with 0-2 new inner vertices, some doubled by a
+    second path, so that smoothing leaves parallel edges to merge."""
+    out = []
+    for u, v in edges:
+        for _ in range(1 + (rng.random() < 0.2)):
+            inner = list(range(nxt, nxt + rng.randint(0, 2)))
+            nxt += len(inner)
+            path = [u, *inner, v]
+            out += zip(path, path[1:])
+    return out, nxt
+
+
+def _hang_trees(rng, verts, edges):
+    """verts and edges with 0-5 pendant tree vertices hung off them."""
+    verts = list(verts)
+    nxt = max(verts, default=-1) + 1
+    for _ in range(rng.randint(0, 5) if verts else 0):
+        edges = [*edges, (rng.choice(verts), nxt)]
+        verts.append(nxt)
+        nxt += 1
+    return verts, edges
+
+
+def _kuratowski_host(rng):
+    if rng.random() < 0.5:
+        core = complete_graph(5)
+    else:
+        core = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
+    edges, nxt = _subdivide(rng, core.edges, 6)
+    edges += [tuple(rng.sample(range(nxt), 2)) for _ in range(rng.randint(0, 2))]
+    return _hang_trees(rng, range(nxt), edges)
+
+
+def _theta(rng):
+    # two poles joined by 2-5 paths, at most one of them a direct edge
+    edges, nxt = [], 2
+    for i in range(rng.randint(2, 5)):
+        inner = list(range(nxt, nxt + rng.randint(1 if i else 0, 3)))
+        nxt += len(inner)
+        path = [0, *inner, 1]
+        edges += zip(path, path[1:])
+    return range(nxt), edges
+
+
+def _random(rng, max_n, p):
+    n = rng.randint(1, max_n)
+    return range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p]
+
+
+def _two_random(rng):
+    (va, ea), (vb, eb) = _random(rng, 8, 0.6), _random(rng, 8, 0.6)
+    return [*va, *(v + 20 for v in vb)], [*ea, *((u + 20, v + 20) for u, v in eb)]
+
+
+def _cycle(rng):
+    n = rng.randint(3, 9)
+    return range(n), [(i, (i + 1) % n) for i in range(n)]
+
+
+FAMILIES = {
+    "dense": lambda rng: _random(rng, 9, 0.7),
+    "sparse": lambda rng: _random(rng, 12, 0.25),
+    "disconnected": _two_random,
+    "kuratowski": _kuratowski_host,
+    "pendant-trees": lambda rng: _hang_trees(rng, *_random(rng, 8, 0.55)),
+    "cycle": _cycle,
+    "theta": _theta,
+}
+
+
+def _build(family, seed, str_ids):
+    verts, edges = FAMILIES[family](random.Random(seed))
+    g = Graph(verts, edges)
+    return relabel(g, {v: f"v{v}" for v in g.vertices}) if str_ids else g
+
+
+graphs = st.builds(_build, st.sampled_from(sorted(FAMILIES)),
+                   st.integers(0, 2 ** 16), st.booleans())
+
+
+class TestAgainstNetworkx:
+    """The reductions and the deletion loop answer exactly as networkx."""
+
+    @settings(max_examples=400)
+    @given(graphs)
+    def test_is_planar(self, g):
+        assert is_planar(g) == nx.check_planarity(_to_nx(g))[0]
+
+    @settings(max_examples=150)
+    @given(graphs)
+    def test_kuratowski_is_networkx_counterexample(self, g):
+        ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        if ok:
+            assert kuratowski(g) is None
+        else:
+            assert kuratowski(g) == Graph(cert.nodes(), cert.edges())
+
+    def test_kuratowski_runs_fewer_lr_tests(self, monkeypatch):
+        # networkx runs two opening tests, one per edge and a second one per
+        # witness edge: |E| + |K| + 2 left-right runs
+        g = petersen()
+        _, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        runs = []
+        lr = nx.algorithms.planarity.LRPlanarity
+        real = lr.lr_planarity
+        monkeypatch.setattr(lr, "lr_planarity", lambda self: runs.append(1) or real(self))
+        w = kuratowski(g)
+        assert w == Graph(cert.nodes(), cert.edges())
+        assert 0 < len(runs) < len(g.edges) + len(w.edges) + 2
 
 
 class TestPlanarity:

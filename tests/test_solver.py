@@ -482,6 +482,20 @@ class TestPipeline:
             solve_pipeline(Instance(wall, 1, Operation.VR, PHI_NB),
                            PipelineConfig(rho_hat=1, d_hat=1, q_hat=7))
 
+    def test_wall_branch_fallback_is_traced(self, monkeypatch):
+        # a cap fired in find_vertex sends the step to the decomposition
+        # branch, and the bounded-treewidth step says which cap it was
+        def capped(*args):
+            raise ResourceLimitError("scripted cap")
+
+        monkeypatch.setattr(solver, "find_vertex", capped)
+        wall = make_elementary_wall(7).graph
+        res = solve_pipeline(Instance(wall, 1, Operation.VR, PHI_NB),
+                             PipelineConfig(rho_hat=1, d_hat=1, q_hat=7))
+        assert res.answer and res.cross_checked
+        steps = [t for t in res.trace if t.outcome == "bounded-treewidth"]
+        assert [t.detail["fallback"] for t in steps] == ["scripted cap"]
+
     # Two K5s sharing the hub 0, a third K5 on 9-13 and isolated vertices 14
     # and 15: at vr with k=2 the answer is yes, the hub is obligatory, and
     # unannotating the third K5 leaves nothing that can planarize it.
