@@ -244,6 +244,70 @@ def is_scattered(g: Graph, xs: Iterable, ell: int, r: int) -> bool:
     return True
 
 
+# -- topological reduct ---------------------------------------------------------
+
+def smooth_degree_two(g: Graph) -> tuple:
+    """The degree-2 reduct of g, with the path of g behind each reduct edge.
+
+    Every vertex of degree 2 is smoothed, that is replaced with an edge
+    between its two neighbours, except where that edge would be a loop or
+    parallel to an edge already there: then the vertex stays. Returns the
+    reduct and a dict that maps each reduct edge (a, b), in `norm_edge`
+    form, to the path of g from a to b that it stands for. The inner
+    vertices of these paths are exactly the smoothed vertices, each on one
+    path, and smoothing changes no other vertex's degree.
+
+    The edges of g between two vertices of degree other than 2 go in first.
+    Then each maximal path of degree-2 vertices is walked once, from its
+    first end in vertex order (a cycle of degree-2 vertices from its least
+    vertex), and split at its first inner vertex for as long as it would
+    close a loop or a parallel edge. So the work is linear after one sort of
+    the vertices.
+    """
+    adj = g.adj
+    order = g.sorted_vertices()
+    rank = {v: i for i, v in enumerate(order)}
+    ends = [v for v in order if len(adj[v]) != 2]
+    verts = set(ends)
+    walked: set = set()
+    paths: dict = {}
+
+    def add(chain: list) -> None:
+        while len(chain) > 2 and (chain[0] == chain[-1]
+                                  or norm_edge(chain[0], chain[-1]) in paths):
+            verts.add(chain[1])
+            e = norm_edge(chain[0], chain[1])
+            paths[e] = e
+            chain = chain[1:]
+        e = norm_edge(chain[0], chain[-1])
+        paths[e] = tuple(chain if e[0] == chain[0] else reversed(chain))
+
+    def walk(start, first) -> None:
+        chain, prev, cur = [start], start, first
+        while cur not in verts:
+            chain.append(cur)
+            walked.add(cur)
+            u, w = adj[cur]
+            prev, cur = cur, (w if u == prev else u)
+        chain.append(cur)
+        add(chain)
+
+    for a in ends:
+        for b in adj[a]:
+            if b in verts and rank[a] < rank[b]:
+                e = norm_edge(a, b)
+                paths[e] = e
+    for a in ends:
+        for b in sorted(adj[a], key=rank.__getitem__):
+            if b not in verts and b not in walked:
+                walk(a, b)
+    for v in order:
+        if v not in verts and v not in walked:
+            verts.add(v)
+            walk(v, min(adj[v], key=rank.__getitem__))
+    return Graph(verts, paths), paths
+
+
 # -- minors -------------------------------------------------------------------
 
 def merge_groups(g: Graph, groups: Iterable) -> Graph:
@@ -266,37 +330,6 @@ def merge_groups(g: Graph, groups: Iterable) -> Graph:
     verts = {lift(v) for v in g.vertices}
     edges = {norm_edge(lift(u), lift(v)) for u, v in g.edges if lift(u) != lift(v)}
     return Graph(verts, edges)
-
-
-def verify_minor_model(host: Graph, pattern: Graph, model: Mapping,
-                       must_intersect: Iterable | None = None) -> bool:
-    """Checks a claimed minor model: disjoint connected branch sets, one per
-    pattern vertex, with a host edge behind every pattern edge.
-
-    When `must_intersect` is given, every branch set must also hit that set.
-    """
-    if set(model) != set(pattern.vertices):
-        return False
-    seen = set()
-    sets = {}
-    for pv, branch in model.items():
-        branch = set(branch)
-        if not branch or not branch <= host.vertices:
-            return False
-        if branch & seen:
-            return False
-        seen |= branch
-        if not host.induced(branch).is_connected():
-            return False
-        sets[pv] = branch
-    if must_intersect is not None:
-        need = set(must_intersect)
-        if any(not (b & need) for b in sets.values()):
-            return False
-    for pu, pv in pattern.edges:
-        if not any(host.has_edge(a, b) for a in sets[pu] for b in sets[pv]):
-            return False
-    return True
 
 
 # -- grid generators ----------------------------------------------------------

@@ -114,9 +114,6 @@ class Embedding:
     faces: tuple       # tuple of faces; a face is a tuple of vertices
     outer_face: int
 
-    def face_count(self) -> int:
-        return len(self.faces)
-
 
 def embed(g: Graph) -> Embedding | None:
     """A combinatorial embedding of g, or None when g is nonplanar.

@@ -6,18 +6,25 @@ positions of the elementary wall of its height, and one subdivision path per
 elementary edge. Layer and subwall combinatorics are computed once per height
 on the elementary wall (by definitional peeling) and then mapped through the
 subdivision paths.
+
+The wall search is one direct-edge subgraph-embedding kernel, run on the
+host and on its degree-2 reduct (`graphs.smooth_degree_two`); walls found on
+the reduct are lifted back through the host paths its edges stand for. Two
+facts make the reduct enough for subdivided walls, proved in the
+`wall_candidates` docstring: smoothing a subdivided h-wall turns its central
+(h - 2)-wall into direct edges, and the reduct of a subdivided q-wall is the
+skeleton of W_q (its own reduct) with every path at least as long.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, norm_edge, vertex_key
+from .graphs import Graph, norm_edge, smooth_degree_two, vertex_key
 # is_planar and width_witness are not called here but stay bound: the
 # benchmark's tracer (perfbench/spans.py) wraps them in this module
 from .planarity import embed, is_planar  # noqa: F401
@@ -404,176 +411,225 @@ def disjoint_subwalls(w: Wall, s: int) -> list:
 
 # -- wall search ----------------------------------------------------------------
 
-def wall_candidates(g: Graph, q: int,
-                    node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
-    """Candidate q-walls of g, deduplicated: a cheap direct-edge pass (which
-    alone is a complete subgraph-embedding search) and then the general
-    subdivision search. Budget exhaustion moves on rather than raising, so an
-    exhausted pass only costs completeness, never soundness."""
-    seen: set = set()
-    for max_path, budget in ((1, max(node_budget // 4, 2000)), (12, node_budget)):
-        try:
-            for wall in find_wall_subdivisions(g, q, node_budget=budget,
-                                               max_path=max_path):
-                if wall.graph.vertices not in seen:
-                    seen.add(wall.graph.vertices)
-                    yield wall
-        except ResourceLimitError:
-            continue
+_BUDGET_FIRED = "wall subdivision search exceeded its node budget; raise cap-wall-nodes"
 
 
-def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wall_nodes,
-                           max_path: int = 12) -> Iterator[Wall]:
-    """Exhaustive-with-caps search for a subdivision of the elementary q-wall.
+@dataclass(frozen=True)
+class _Pattern:
+    """A pattern graph laid out for the embedding kernel."""
 
-    Branch vertices are placed in breadth-first pattern order; each pattern
-    edge to an already-placed neighbor is routed as a host path, enumerated by
-    depth-first extension, all internally disjoint. The extension runs on an
-    explicit stack, so generators nest once per placed vertex and routed
-    edge, not once per path vertex, and the default recursion limit
-    suffices. Exceeding the node budget raises instead of silently
-    reporting absence.
+    order: tuple   # pattern vertices in breadth-first placement order
+    degree: tuple  # degree[i]: the pattern degree of order[i]
+    # backs[i]: one (j, need, chain) per pattern neighbour order[j] with
+    # j < i, in position order; chain lists the elementary-wall positions of
+    # the path from order[i] to order[j], and need = len(chain) - 2 is the
+    # least number of inner vertices the host edge's path must hold
+    backs: tuple
 
-    Host vertices are tried in `g.sorted_vertices()` order (their rank), and
-    path extensions nearest the goal first, then by rank. Three caches live
-    for one call: the distances from each goal or anchor, the ranked
-    neighbour list per (goal, vertex), and the candidate list per anchor.
-    The distances come from a breadth-first search that stops at radius
-    max_path. The search reads a distance only to compare it with max_path,
-    and a vertex farther away fails that comparison whatever its exact
-    distance, before any node is spent on it. So the truncation, and leaving
-    such vertices out of the cached lists, leaves the node order, the point
-    where the budget fires and the walls yielded unchanged.
+
+@lru_cache(maxsize=None)
+def _wall_pattern(q: int, skeleton: bool) -> _Pattern:
+    """W_q itself, or its skeleton: the degree-2 reduct of W_q, whose edges
+    stand for paths of W_q. Vertices are placed breadth first from the least
+    position, neighbours in position order."""
+    g = _position_graph(q)
+    chains = {e: e for e in g.edges}
+    if skeleton:
+        g, chains = smooth_degree_two(g)
+    order = [min(g.vertices)]
+    at = {order[0]: 0}
+    for p in order:
+        for nb in sorted(g.adj[p]):
+            if nb not in at:
+                at[nb] = len(order)
+                order.append(nb)
+    backs = []
+    for i, p in enumerate(order):
+        row = []
+        for nb in sorted(g.adj[p]):
+            if at[nb] < i:
+                chain = chains[norm_edge(p, nb)]
+                chain = chain if chain[0] == p else chain[::-1]
+                row.append((at[nb], len(chain) - 2, chain))
+        backs.append(tuple(row))
+    return _Pattern(tuple(order), tuple(len(g.adj[p]) for p in order), tuple(backs))
+
+
+@lru_cache(maxsize=None)
+def _branch_positions(q: int) -> int:
+    """The number of degree-3 positions of the elementary q-wall."""
+    g = _position_graph(q)
+    return sum(1 for p in g.vertices if len(g.adj[p]) >= 3)
+
+
+def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
+                node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[list]:
+    """Every injective map of the pattern's vertices into the host's that
+    sends each pattern edge to a host edge whose path (`host_paths`, or the
+    edge itself when None) holds at least `need` inner vertices, as the
+    list of host images in placement order.
+
+    The search places order[0] at every host vertex by rank
+    (`host.sorted_vertices()`), and each later order[i] at its anchor's
+    image or a neighbour of it, by rank, where the anchor is the first entry
+    of backs[i]. It spends one budget node per candidate and one per back
+    edge it checks, stopping at the first that fails; exceeding the budget
+    raises instead of silently reporting absence. The search runs on one
+    flat loop: levels[i] holds the candidates order[i] has left.
     """
-    verts, edges = elementary_positions(q)
+    hosts = host.sorted_vertices()
+    rank = {v: i for i, v in enumerate(hosts)}
+    # links[h]: neighbour rank -> inner vertices on the host path between them
+    links = [dict.fromkeys([rank[u] for u in host.adj[v]], 0) for v in hosts]
+    if host_paths is not None:
+        for (a, b), path in host_paths.items():
+            links[rank[a]][rank[b]] = links[rank[b]][rank[a]] = len(path) - 2
+    degree = [len(link) for link in links]
+    closed: dict = {}  # anchor rank -> the anchor and its neighbours, by rank
+    m = len(pat.order)
+    image = [0] * m
+    used = [False] * len(hosts)
+    levels = [iter(range(len(hosts)))] + [None] * (m - 1)
+    budget = node_budget
+    i = 0
+    while True:
+        need_degree, back = pat.degree[i], pat.backs[i]
+        for h in levels[i]:
+            budget -= 1
+            if budget < 0:
+                raise ResourceLimitError(_BUDGET_FIRED)
+            if used[h] or degree[h] < need_degree:
+                continue
+            link = links[h]
+            for j, need, _ in back:
+                budget -= 1
+                if budget < 0:
+                    raise ResourceLimitError(_BUDGET_FIRED)
+                if link.get(image[j], -1) < need:
+                    break
+            else:
+                break
+        else:
+            if i == 0:
+                return
+            i -= 1
+            used[image[i]] = False
+            continue
+        image[i] = h
+        if i + 1 == m:
+            yield [hosts[x] for x in image]
+            continue
+        used[h] = True
+        i += 1
+        anchor = image[pat.backs[i][0][0]]
+        if anchor not in closed:
+            closed[anchor] = sorted([anchor, *links[anchor]])
+        levels[i] = iter(closed[anchor])
+
+
+def _walls(host: Graph, q: int, skeleton: bool, host_paths: Mapping | None,
+           node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
+    """The q-walls that `_embeddings` finds for W_q or its skeleton in the
+    host, each lifted to the graph behind `host_paths`: a pattern path's
+    inner positions go to the first inner vertices of its host path, and
+    its last edge takes the rest of that path."""
+    verts, _ = elementary_positions(q)
     if len(verts) > 120:
         raise ResourceLimitError(
             f"subdivision search is capped at 120 pattern vertices "
             f"(q={q} needs {len(verts)})")
-    pverts = sorted(verts)
-    padj = {p: set() for p in pverts}
-    for a, b in edges:
-        padj[a].add(b)
-        padj[b].add(a)
-    order = []
-    seen = {pverts[0]}
-    queue = [pverts[0]]
-    while queue:
-        p = queue.pop(0)
-        order.append(p)
-        for nb in sorted(padj[p]):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    # the pattern edges from order[i] to the neighbours placed before it
-    backs = [[(p, nb, norm_edge(p, nb)) for nb in sorted(padj[p]) if nb in order[:i]]
-             for i, p in enumerate(order)]
-    hosts = g.sorted_vertices()
-    rank = {v: i for i, v in enumerate(hosts)}
-    budget = node_budget
-    dist_cache: dict = {}    # host vertex -> distances <= max_path from it
-    ranked_cache: dict = {}  # (goal, vertex) -> [(neighbour, distance to goal)]
-    cand_cache: dict = {}    # anchor -> hosts within max_path of it, by rank
+    pat = _wall_pattern(q, skeleton)
+    for image in _embeddings(pat, host, host_paths, node_budget):
+        coords = dict(zip(image, pat.order))
+        paths = {}
+        for i, row in enumerate(pat.backs):
+            for j, need, chain in row:
+                a, b = image[i], image[j]
+                path = (a, b) if host_paths is None else host_paths[norm_edge(a, b)]
+                path = path if path[0] == a else path[::-1]
+                for t in range(1, need + 1):
+                    coords[path[t]] = chain[t]
+                    paths[norm_edge(chain[t - 1], chain[t])] = path[t - 1:t + 1]
+                paths[norm_edge(chain[-2], chain[-1])] = path[need:]
+        edges = {norm_edge(u, v) for path in paths.values() for u, v in zip(path, path[1:])}
+        yield Wall(Graph({v for e in edges for v in e}, edges), q, coords, paths)
 
-    placed: dict = {}        # pattern position -> host vertex
-    images: set = set()      # host vertices used as branch images
-    interior: set = set()    # host vertices used inside paths
-    paths: dict = {}
 
-    def spend():
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ResourceLimitError(
-                "wall subdivision search exceeded its node budget; raise cap-wall-nodes")
+def find_wall_subdivisions(g: Graph, q: int,
+                           node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
+    """The q-walls of g whose every path is one edge of g: the embeddings
+    of the elementary q-wall as a subgraph, in the kernel's order. Each
+    path runs from the image of its later-placed end."""
+    yield from _walls(g, q, False, None, node_budget)
 
-    def distances(v) -> dict:
-        if v not in dist_cache:
-            dist_cache[v] = g.bfs_distances(v, max_path)
-        return dist_cache[v]
 
-    def route(edge_list, k) -> Iterator[None]:
-        """Place internally-disjoint paths for edge_list[k:], then the rest
-        of the pattern. The paths of one edge are walked depth first, one
-        budget node per vertex a path is extended to; stack[i] iterates the
-        neighbours of path[i] that can still extend it."""
-        p_from, p_to, key = edge_list[k]
-        start, goal = placed[p_from], placed[p_to]
-        to_goal = distances(goal)
+def wall_candidates(g: Graph, q: int,
+                    node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
+    """Candidate q-walls of g, deduplicated by vertex set, from three passes
+    of the direct-edge kernel, each with budget max(node_budget // 4, 2000):
 
-        def fits(last, room) -> Iterator:
-            # the neighbours of `last` within room of the goal, nearest the
-            # goal first, then by rank; the goal itself sits at 0
-            ranked = ranked_cache.get((goal, last))
-            if ranked is None:
-                # a path holds at least one vertex, so a neighbour farther
-                # than max_path - 1 from the goal can never extend it
-                near = [u for u in g.adj[last]
-                        if u == goal or to_goal.get(u, max_path) < max_path]
-                near.sort(key=lambda u: (to_goal[u], rank[u]))
-                ranked = ranked_cache[(goal, last)] = (near, [to_goal[u] for u in near])
-            near, dist = ranked
-            return iter(near[:bisect_right(dist, room)])
+    1. W_q in g (`find_wall_subdivisions`), so elementary walls are found
+       as before;
+    2. the skeleton of W_q in the degree-2 reduct R of g
+       (`smooth_degree_two`), every skeleton edge on an edge of R whose
+       path holds at least as many inner vertices; this finds subdivisions
+       of a whole q-wall;
+    3. W_q in R, which finds the q-walls inside a subdivided h-wall for
+       q <= h - 2.
 
-        spend()
-        path, stack = [start], [fits(start, max_path - 1)]
-        while stack:
-            for nxt in stack[-1]:
-                if nxt == goal:
-                    full = (*path, goal)
-                    inner = full[1:-1]
-                    paths[key] = full
-                    interior.update(inner)
-                    yield from (route(edge_list, k + 1) if k + 1 < len(edge_list)
-                                else place(len(placed)))
-                    interior.difference_update(inner)
-                    del paths[key]
-                elif nxt not in interior and nxt not in images:
-                    spend()
-                    path.append(nxt)
-                    stack.append(fits(nxt, max_path - len(path)))
-                    break
-            else:
-                stack.pop()
-                path.pop()
+    Passes 2 and 3 run only when smoothing changed g, since on g itself
+    they find nothing pass 1 does not, and a wall they find is lifted to g
+    through R's paths and yielded only if `validate_wall` accepts it and it
+    is a subgraph of g. Budget exhaustion ends a pass rather than raising,
+    so an exhausted pass only costs completeness, never soundness.
 
-    def place(i) -> Iterator[None]:
-        if i == len(order):
-            yield None
+    Why passes 2 and 3 find these walls. In the elementary h-wall W_h only
+    perimeter vertices have degree 2, and a perimeter vertex with a
+    neighbour off the perimeter has degree 3.
+
+    - Pass 3. Let S be a subdivision of W_h and G = S. The central
+      (h - 2)-wall lies off the perimeter, so its vertices and all their
+      W_h-neighbours have degree 3 in W_h and in S, and smoothing never
+      removes them. From such a vertex a, every maximal path of degree-2
+      vertices of S is the subdivision of one edge of W_h at a and ends at
+      that edge's other end, so a has no two such paths, and no such path
+      and edge, to the same vertex, and none back to itself. So smoothing
+      turns the path behind each edge ab of the central (h - 2)-wall into
+      the edge ab of R, whatever the walk order: that wall, and with it
+      every central q-subwall for q <= h - 2, is a subgraph of R made of
+      direct edges, and lifting it through R's paths gives back the
+      subwall of S.
+    - Pass 2. Let S be a subdivision of W_q and G = S. The vertices of S
+      of degree other than 2 are the images of the degree-3 positions,
+      and each maximal path of degree-2 vertices of S runs through the
+      images of a maximal path of degree-2 positions of W_q and through
+      the subdivision vertices of its edges, so it has the same ends and
+      at least as many inner vertices. For q >= 3 these paths of W_q have
+      distinct end pairs and no loops (its skeleton is simple and cubic),
+      so neither has S's, smoothing keeps none of their inner vertices,
+      and the position-to-image map embeds the skeleton in R with room
+      enough on every edge.
+    """
+    seen: set = set()
+
+    def fresh(walls: Iterator[Wall]) -> Iterator[Wall]:
+        try:
+            for wall in walls:
+                if wall.graph.vertices in seen:
+                    continue
+                if not (validate_wall(wall) and wall.graph.is_subgraph_of(g)):
+                    continue
+                seen.add(wall.graph.vertices)
+                yield wall
+        except ResourceLimitError:
             return
-        p = order[i]
-        back = backs[i]
-        if back:
-            anchor = placed[back[0][1]]
-            cands = cand_cache.get(anchor)
-            if cands is None:
-                cands = cand_cache[anchor] = sorted(distances(anchor),
-                                                    key=rank.__getitem__)
-        else:
-            cands = hosts
-        need_degree = len(padj[p])
-        for h in cands:
-            spend()
-            if h in images or h in interior:
-                continue
-            if len(g.adj[h]) < need_degree:
-                continue
-            placed[p] = h
-            images.add(h)
-            yield from route(back, 0) if back else place(i + 1)
-            images.remove(h)
-            del placed[p]
 
-    for _ in place(0):
-        graph_verts = set(images)
-        pedges = set()
-        for path in paths.values():
-            graph_verts.update(path)
-            pedges.update(norm_edge(a, b) for a, b in zip(path, path[1:]))
-        wall = Wall(Graph(graph_verts, pedges), q,
-                    {v: p for p, v in placed.items()}, dict(paths))
-        if validate_wall(wall):
-            yield wall
+    budget = max(node_budget // 4, 2000)
+    yield from fresh(find_wall_subdivisions(g, q, budget))
+    reduct, paths = smooth_degree_two(g)
+    if len(reduct.vertices) < len(g.vertices):
+        yield from fresh(_walls(reduct, q, True, paths, budget))
+        yield from fresh(_walls(reduct, q, False, paths, budget))
 
 
 def _may_contain_wall(g: Graph, q: int) -> bool:
@@ -581,7 +637,5 @@ def _may_contain_wall(g: Graph, q: int) -> bool:
     verts, edges = elementary_positions(q)
     if len(g.vertices) < len(verts) or len(g.edges) < len(edges):
         return False
-    need_deg3 = sum(1 for p in verts
-                    if sum(1 for e in edges if p in e) >= 3)
     have_deg3 = sum(1 for v in g.vertices if len(g.adj[v]) >= 3)
-    return have_deg3 >= need_deg3
+    return have_deg3 >= _branch_positions(q)

@@ -1,8 +1,8 @@
-"""Small graph builders, a planted star-minor host and a distance helper
-that only the tests use."""
+"""Small graph builders, a planted star-minor host, a distance helper and a
+minor-model checker that only the tests use."""
 
 from math import inf
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from planmod.errors import InputError
 from planmod.graphs import Graph, k5_star
@@ -56,3 +56,34 @@ def planted_star(rng, copies):
     rng.shuffle(ids)
     host = relabel(Graph(range(len(ids)), edges), dict(enumerate(ids)))
     return host, ids[rng.choice(branch[hub])], pattern, hub
+
+
+def verify_minor_model(host: Graph, pattern: Graph, model: Mapping,
+                       must_intersect: Iterable | None = None) -> bool:
+    """Checks a claimed minor model: disjoint connected branch sets, one per
+    pattern vertex, with a host edge behind every pattern edge.
+
+    When `must_intersect` is given, every branch set must also hit that set.
+    """
+    if set(model) != set(pattern.vertices):
+        return False
+    seen = set()
+    sets = {}
+    for pv, branch in model.items():
+        branch = set(branch)
+        if not branch or not branch <= host.vertices:
+            return False
+        if branch & seen:
+            return False
+        seen |= branch
+        if not host.induced(branch).is_connected():
+            return False
+        sets[pv] = branch
+    if must_intersect is not None:
+        need = set(must_intersect)
+        if any(not (b & need) for b in sets.values()):
+            return False
+    for pu, pv in pattern.edges:
+        if not any(host.has_edge(a, b) for a in sets[pu] for b in sets[pv]):
+            return False
+    return True

@@ -3,14 +3,15 @@ import math
 import random
 
 import pytest
-from graph_helpers import cycle_graph, distance, path_graph, relabel
+from graph_helpers import (cycle_graph, distance, path_graph, relabel,
+                           verify_minor_model)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmod.errors import InputError
 from planmod.graphs import (Graph, disjoint_union, is_scattered, make_grid,
                             make_triangulated_grid, merge_groups, neighborhood,
-                            norm_edge, vertex_key, verify_minor_model)
+                            norm_edge, smooth_degree_two, vertex_key)
 
 
 def small_graphs(max_n=8, p=0.4):
@@ -194,6 +195,76 @@ class TestRelabel:
     def test_disjoint_union_guards(self):
         with pytest.raises(InputError):
             disjoint_union(path_graph(2), path_graph(2))
+
+
+@st.composite
+def subdivided_multigraphs(draw):
+    """Simple graphs with long degree-2 paths: a few base vertices joined by
+    paths of fresh vertices, loops and repeated pairs included (each given
+    enough inner vertices to stay simple), plus some bare cycles."""
+    n = draw(st.integers(1, 5))
+    nxt = n
+    edges = []
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        inner = list(range(nxt, nxt + draw(st.integers(2 if a == b else 0, 4))))
+        nxt += len(inner)
+        chain = [a, *inner, b]
+        edges += [e for e in zip(chain, chain[1:]) if e[0] != e[1]]
+    for length in draw(st.lists(st.integers(3, 6), max_size=2)):
+        cycle = list(range(nxt, nxt + length))
+        nxt += length
+        edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    return Graph(range(nxt), edges)
+
+
+class TestSmoothing:
+    @settings(max_examples=200)
+    @given(st.one_of(subdivided_multigraphs(), small_graphs(p=0.25)))
+    def test_reduct_paths_partition_the_graph(self, g):
+        r, paths = smooth_degree_two(g)
+        assert r.edges == set(paths)
+        covered, inner = [], []
+        for (a, b), path in paths.items():
+            assert path[0] == a and path[-1] == b and len(path) >= 2
+            assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+            covered += [norm_edge(u, v) for u, v in zip(path, path[1:])]
+            inner += path[1:-1]
+        # each edge of g on one path, each smoothed vertex inside one path
+        assert sorted(covered, key=vertex_key) == g.sorted_edges()
+        assert len(inner) == len(set(inner))
+        assert set(inner) == g.vertices - r.vertices
+        assert all(g.degree(v) == 2 for v in inner)
+        assert all(r.degree(v) == g.degree(v) for v in r.vertices)
+
+    @settings(max_examples=200)
+    @given(st.one_of(subdivided_multigraphs(), small_graphs(p=0.25)))
+    def test_kept_degree_two_vertices_would_close_a_parallel_edge(self, g):
+        r, _ = smooth_degree_two(g)
+        for v in r.vertices:
+            if r.degree(v) == 2:
+                a, b = r.adj[v]
+                assert r.has_edge(a, b)
+
+    def test_graph_without_degree_two_is_its_own_reduct(self):
+        g = Graph(range(4), [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        r, paths = smooth_degree_two(g)
+        assert r == g and all(path == e for e, path in paths.items())
+
+    def test_cycle_keeps_a_triangle(self):
+        # walked from its least vertex 3 towards 4: the edges 3-4 and 4-5
+        # stay, and the rest of the cycle becomes the edge 3-5
+        r, paths = smooth_degree_two(cycle_graph(7, offset=3))
+        assert r.vertices == {3, 4, 5}
+        assert paths == {(3, 4): (3, 4), (4, 5): (4, 5), (3, 5): (3, 9, 8, 7, 6, 5)}
+
+    def test_parallel_paths_keep_their_first_inner_vertex(self):
+        # 0-1 is an edge of g, so neither 0-2-3-1 nor 0-5-1 can become a
+        # second one: each keeps the vertex after 0
+        g = Graph([0, 1, 2, 3, 5], [(0, 1), (0, 2), (2, 3), (3, 1), (0, 5), (5, 1)])
+        r, paths = smooth_degree_two(g)
+        assert paths == {(0, 1): (0, 1), (0, 2): (0, 2), (1, 2): (1, 3, 2),
+                         (0, 5): (0, 5), (1, 5): (1, 5)}
 
 
 @settings(max_examples=30)

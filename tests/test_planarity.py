@@ -15,7 +15,7 @@ from planmod.planarity import (_to_nx, embed, is_planar, kuratowski,
 
 def euler_ok(g: Graph, emb) -> bool:
     """Euler's formula V - E + F = 1 + C for the embedding's face count."""
-    return len(g.vertices) - len(g.edges) + emb.face_count() == 1 + len(g.components())
+    return len(g.vertices) - len(g.edges) + len(emb.faces) == 1 + len(g.components())
 
 
 def suppress_degree_two(g: Graph) -> Graph:

@@ -1,6 +1,6 @@
-from graph_helpers import relabel
+from graph_helpers import relabel, verify_minor_model
 
-from planmod.graphs import make_grid, verify_minor_model
+from planmod.graphs import make_grid
 
 
 def test_grid_minor_witness_checker():

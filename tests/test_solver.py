@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from graph_helpers import path_graph, planted_star, relabel
+from graph_helpers import path_graph, planted_star, relabel, verify_minor_model
 
 from planmod import solver
 from planmod.config import PipelineConfig
@@ -13,7 +13,7 @@ from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
                               fixed_sentences, random_instances)
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
-                            make_grid, make_triangulated_grid, verify_minor_model)
+                            make_grid, make_triangulated_grid)
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
@@ -26,7 +26,7 @@ from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
                             has_k5_star_minor, reduce_instance, solve_oracle,
                             solve_pipeline)
 from planmod.treewidth import validate_decomposition
-from planmod.walls import analyze_wall, make_elementary_wall
+from planmod.walls import analyze_wall, make_elementary_wall, subdivide_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
@@ -385,6 +385,21 @@ def _wall_golden_reports() -> bytes:
         witness = None if res.witness is None else res.witness.to_json_obj()
         rows.append([res.answer, witness, res.trace_json_obj()])
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestSubdividedWall:
+    @pytest.mark.parametrize("psi", [HAS_NEIGHBOR, IS_ISOLATED],
+                             ids=["has-neighbour", "isolated"])
+    def test_checked_run_takes_an_irrelevant_region_step(self, psi):
+        # the wall search finds the central 7-wall of a subdivided 9-wall on
+        # its degree-2 reduct, so the run shrinks it before the final search
+        wall = subdivide_wall(make_elementary_wall(9), rng=random.Random(1), max_extra=1)
+        phi = GaifmanSentence((BasicSentence(1, 1, psi),), parse_combination("1"))
+        res = solve_pipeline(Instance(wall.graph, 1, Operation.VR, phi),
+                             PipelineConfig(rho_hat=1, d_hat=1, q_hat=7))
+        outcomes = [t.outcome for t in res.trace]
+        assert "irrelevant-region" in outcomes and outcomes[-1] == "cross-check"
+        assert res.cross_checked and res.answer == (psi is HAS_NEIGHBOR)
 
 
 def _scripted(monkeypatch, steps):

@@ -1,10 +1,14 @@
-"""Pins the node order of `walls.find_wall_subdivisions`.
+"""Pins the node order of the wall searches.
 
 `wall_search_pins.json` holds, for a few fixed hosts, both values of q and
 each (max_path, node_budget) run below, the digests of the walls the search
-yields (in order) and whether its node budget fired. The walls feed the
-pipeline's irrelevant-region branch, so any change to the search that moves
-one of them, or moves the node at which the budget fires, changes traces.
+yields (in order) and whether its node budget fired. The max_path 1 runs
+are the production kernel `walls.find_wall_subdivisions`, whose walls feed
+the pipeline's irrelevant-region branch, so any change to it that moves one
+of them, or moves the node at which the budget fires, changes traces. The
+max_path 3 and 12 runs are the general reference search of
+`wall_reference.py`, which at max_path 1 visits the kernel's nodes in the
+kernel's order.
 
 Regenerate (only when such a change is intended) with
 
@@ -19,6 +23,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from wall_reference import find_wall_subdivisions as reference_search
 
 from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph
@@ -58,8 +63,10 @@ def wall_digest(w) -> str:
 def run(g: Graph, q: int, max_path: int, budget: int) -> dict:
     digests = []
     raised = False
+    walls = (find_wall_subdivisions(g, q, node_budget=budget) if max_path == 1
+             else reference_search(g, q, node_budget=budget, max_path=max_path))
     try:
-        for w in find_wall_subdivisions(g, q, node_budget=budget, max_path=max_path):
+        for w in walls:
             digests.append(wall_digest(w))
     except ResourceLimitError:
         raised = True

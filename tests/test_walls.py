@@ -1,14 +1,18 @@
 import inspect
 import random
 import sys
+from itertools import islice
 
 import pytest
 from graph_helpers import path_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from wall_reference import find_wall_subdivisions as reference_search
 from wall_oracle import (derive_central_subwall, derive_layers,
                          derive_wall_annulus)
 
 from planmod.errors import InputError, ResourceLimitError
-from planmod.graphs import complete_graph, make_grid
+from planmod.graphs import complete_graph, make_grid, norm_edge, smooth_degree_two
 from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
 from planmod.solver import BoundedTreewidth, WallArea, find_area
@@ -252,10 +256,99 @@ class TestFindWall:
         assert validate_decomposition(out.compass, out.tw_witness)
 
 
+@st.composite
+def wall_hosts(draw):
+    """Elementary walls with random vertices removed, subdivided walls and
+    grids."""
+    kind = draw(st.sampled_from(("cut", "subdivided", "grid")))
+    if kind == "cut":
+        g = make_elementary_wall(draw(st.sampled_from((5, 7, 9)))).graph
+        return g.remove_vertices(draw(st.lists(st.sampled_from(sorted(g.vertices)),
+                                               max_size=4)))
+    if kind == "subdivided":
+        wall = make_elementary_wall(draw(st.sampled_from((3, 5, 7))))
+        return subdivide_wall(wall, rng=random.Random(draw(st.integers(0, 2 ** 16))),
+                              max_extra=draw(st.integers(0, 3))).graph
+    return make_grid(draw(st.integers(3, 9)), draw(st.integers(3, 12))).graph
+
+
+def _outcome(walls) -> tuple:
+    """Each wall's coordinates and paths in insertion order, and whether the
+    budget fired."""
+    out = []
+    try:
+        for w in walls:
+            out.append((w.height, list(w.branch_coords.items()), list(w.paths.items())))
+    except ResourceLimitError:
+        return out, True
+    return out, False
+
+
+# (h, q): the q-walls inside a subdivided h-wall, and whole subdivided walls
+INNER_AND_WHOLE = [(h, q) for h in (5, 7, 9, 11) for q in range(3, min(h - 2, 7) + 1, 2)] \
+    + [(5, 5), (7, 7)]
+
+
+class TestWallSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(g=wall_hosts(), q=st.sampled_from((3, 5, 7)),
+           budget=st.integers(0, 30).map(lambda i: round(50 * 1000 ** (i / 30))))
+    def test_kernel_is_the_direct_edge_reference(self, g, q, budget):
+        assert _outcome(find_wall_subdivisions(g, q, budget)) == \
+            _outcome(reference_search(g, q, node_budget=budget, max_path=1))
+
+    @pytest.mark.parametrize("h,q", INNER_AND_WHOLE,
+                             ids=[f"h{h}-q{q}" for h, q in INNER_AND_WHOLE])
+    @settings(max_examples=6, deadline=None)
+    @given(extra=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+    def test_subdivided_walls_yield_a_q_wall(self, h, q, extra, seed):
+        g = subdivide_wall(make_elementary_wall(h), rng=random.Random(seed),
+                           max_extra=extra).graph
+        wall = next(wall_candidates(g, q), None)
+        assert wall is not None and wall.height == q
+        assert validate_wall(wall) and wall.graph.is_subgraph_of(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=wall_hosts(), q=st.sampled_from((3, 5, 7)))
+    def test_every_candidate_is_a_new_wall_of_the_host(self, g, q):
+        seen = set()
+        for wall in islice(wall_candidates(g, q, node_budget=8000), 40):
+            assert wall.height == q and validate_wall(wall), wall_violations(wall)
+            assert wall.graph.is_subgraph_of(g)
+            assert wall.graph.vertices not in seen
+            seen.add(wall.graph.vertices)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+    def test_skeleton_is_simple_and_cubic(self, q):
+        g = make_elementary_wall(q).graph
+        r, _ = smooth_degree_two(g)
+        assert all(r.degree(v) == 3 for v in r.vertices)
+        assert r.vertices == {v for v in g.vertices if g.degree(v) == 3}
+
+    @pytest.mark.parametrize("h", [5, 7, 9])
+    def test_subdivided_wall_reduct_is_the_stretched_skeleton(self, h):
+        # the reduct's edges join the branch vertices of a skeleton edge,
+        # through at least as many inner vertices as the pattern path
+        pattern, pattern_paths = smooth_degree_two(make_elementary_wall(h).graph)
+        w = subdivide_wall(make_elementary_wall(h), rng=random.Random(h), max_extra=3)
+        r, paths = smooth_degree_two(w.graph)
+        assert r.vertices == pattern.vertices
+        assert r.edges == pattern.edges
+        assert all(len(paths[e]) >= len(pattern_paths[e]) for e in r.edges)
+
+    @pytest.mark.parametrize("h", [5, 7, 9, 11])
+    def test_central_subwall_survives_smoothing_as_direct_edges(self, h):
+        w = subdivide_wall(make_elementary_wall(h), rng=random.Random(h), max_extra=3)
+        _, paths = smooth_degree_two(w.graph)
+        for path in central_subwall(w, h - 2).paths.values():
+            e = norm_edge(path[0], path[-1])
+            assert paths[e] in (path, path[::-1])
+
+
 class TestWallSearchDepth:
-    """The wall search nests one generator per placed pattern vertex and
-    routed edge, however long the paths, and leaves the interpreter's
-    recursion limit alone."""
+    """The reference search nests one generator per placed pattern vertex
+    and routed edge, however long the paths, and the production search
+    leaves the interpreter's recursion limit alone."""
 
     def test_q7_search_runs_to_its_budget_under_the_default_limit(self):
         g = make_elementary_wall(9).graph.remove_vertices([5])
@@ -263,7 +356,7 @@ class TestWallSearchDepth:
         sys.setrecursionlimit(1000)
         try:
             with pytest.raises(ResourceLimitError):
-                for _ in find_wall_subdivisions(g, 7, max_path=12):
+                for _ in reference_search(g, 7, max_path=12):
                     pass
         finally:
             sys.setrecursionlimit(old)
@@ -276,7 +369,7 @@ class TestWallSearchDepth:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 200)
         try:
-            wall = next(find_wall_subdivisions(g, 5, max_path=12))
+            wall = next(reference_search(g, 5, max_path=12))
         finally:
             sys.setrecursionlimit(old)
         assert validate_wall(wall) and max(map(len, wall.paths.values())) > 8
