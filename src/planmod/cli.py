@@ -312,8 +312,19 @@ def cmd_check(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 def _seconds(text: str) -> float:
-    """A duration like 60s or 60, in seconds."""
-    return float(text.rstrip("s"))
+    """A positive duration like 60s or 60, in seconds."""
+    seconds = float(text.rstrip("s"))
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive duration, got {text!r}")
+    return seconds
+
+
+def _positive(text: str) -> int:
+    """A positive integer."""
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return n
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
@@ -364,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run a property battery")
     pc.add_argument("suite", choices=tuple(SUITES) + ("all",))
     pc.add_argument("--seed", type=int, default=7)
-    pc.add_argument("-n", type=int, default=None, help="override the unit count")
+    pc.add_argument("-n", type=_positive, default=None, help="override the unit count")
     pc.add_argument("--budget", type=_seconds, default=None,
                     help="wall-clock budget like 60s")
     pc.add_argument("--out", default=None)

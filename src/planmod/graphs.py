@@ -192,15 +192,20 @@ class Graph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Graph":
+        """The graph of a JSON object: a list of vertex ids and a list of
+        edges, each a list of two ids."""
         try:
-            g = cls(obj["vertices"], [tuple(e) for e in obj["edges"]])
-        except InputError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+            vertices, edges = obj["vertices"], obj["edges"]
+            if not isinstance(vertices, list) or not isinstance(edges, list) or any(
+                    not isinstance(e, list) or len(e) != 2 for e in edges):
+                raise InputError("bad graph object: vertices must be a list of ids "
+                                 "and edges a list of two-id lists")
+            g = cls(vertices, [tuple(e) for e in edges])
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad graph object: {exc}") from exc
         if None in g.vertices:
             raise InputError("bad graph object: null vertex id")
-        if len(g.vertices) != len(obj["vertices"]):
+        if len(g.vertices) != len(vertices):
             # true == 1 == 1.0 in Python, so such ids would silently merge
             raise InputError("bad graph object: repeated or colliding vertex ids")
         return g

@@ -1,11 +1,18 @@
 """First-order formulas over graphs: parsing, brute-force model checking,
 r-local evaluation, and Gaifman-sentence evaluation via scattered-set search.
 
-Evaluation is plain quantifier expansion over the vertex set; the n^depth
-cost is accepted and capped. Atoms: adjacency, equality, membership in the
-annotation set R, and the constants true/false. A Gaifman sentence's Boolean
-combination is a formula too, over one more atom: the index of a basic
-sentence.
+Evaluation is plain quantifier expansion over a vertex domain, all of V
+unless a caller narrows it, in the one evaluator `eval_with_env`; the
+n^depth cost is accepted and capped. Atoms: adjacency, equality, membership
+in the annotation set R, and the constants true/false. A Gaifman sentence's
+Boolean combination is a formula too, over one more atom: the index of a
+basic sentence.
+
+A basic sentence's psi is read as Gaifman's psi^(r)(x), with every
+quantifier bounded to the r-ball of x: `check_local` narrows the domain to
+the ball, and `relativize` writes the bound into the formula for the
+brute-force authorities. So r is part of the sentence, and a psi that is
+not r-local means the same thing to the pipeline and to its authorities.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
-from .graphs import Graph, neighborhood
+from .graphs import Graph, neighborhood, vertex_key
 
 
 # -- AST -----------------------------------------------------------------------
@@ -354,38 +361,18 @@ def rename(f: Formula, mapping: Mapping) -> Formula:
     return f
 
 
-def rename_bound(f: Formula, suffix: str) -> Formula:
-    """Freshen every bound variable with a suffix (for copies side by side)."""
-    if isinstance(f, (Exists, Forall)):
-        fresh = f.var + suffix
-        body = rename_bound(rename(f.body, {f.var: fresh}), suffix)
-        return type(f)(fresh, body)
-    if isinstance(f, (And, Or)):
-        return type(f)(rename_bound(f.left, suffix), rename_bound(f.right, suffix))
-    if isinstance(f, Not):
-        return Not(rename_bound(f.body, suffix))
-    return f
-
-
 # -- evaluation -------------------------------------------------------------------
 
-def _eval(f: Formula, g: Graph, r_set: frozenset, env: dict, order: list) -> bool:
-    if isinstance(f, Exists):
+def _eval(f: Formula, g: Graph, r_set: frozenset, env: Mapping, order: list) -> bool:
+    if isinstance(f, (Exists, Forall)):
+        # bind in a copy, so that a name bound again (psi may quantify over
+        # its own free variable's name) keeps its outer value outside
+        exists, env = isinstance(f, Exists), dict(env)
         for v in order:
             env[f.var] = v
-            if _eval(f.body, g, r_set, env, order):
-                del env[f.var]
-                return True
-        env.pop(f.var, None)
-        return False
-    if isinstance(f, Forall):
-        for v in order:
-            env[f.var] = v
-            if not _eval(f.body, g, r_set, env, order):
-                del env[f.var]
-                return False
-        env.pop(f.var, None)
-        return True
+            if _eval(f.body, g, r_set, env, order) == exists:
+                return exists
+        return not exists
     if isinstance(f, And):
         return _eval(f.left, g, r_set, env, order) and _eval(f.right, g, r_set, env, order)
     if isinstance(f, Or):
@@ -405,60 +392,61 @@ def _eval(f: Formula, g: Graph, r_set: frozenset, env: dict, order: list) -> boo
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _check_caps(g: Graph, f: Formula, cfg: PipelineConfig):
-    if len(g.vertices) > cfg.cap_brute_vertices:
-        raise ResourceLimitError(
-            f"brute-force evaluation capped at {cfg.cap_brute_vertices} vertices, "
-            f"got {len(g.vertices)}")
-    d = quantifier_depth(f)
-    if d > cfg.cap_quant_depth:
-        raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
-
-
 def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
               cfg: PipelineConfig = DEFAULTS) -> bool:
     """Brute-force truth of a closed formula on (g, r_set)."""
-    free = phi.free_variables()
-    if free:
-        raise InputError(f"formula has free variables {sorted(free)}")
-    _check_caps(g, phi, cfg)
     r_set = frozenset(r_set)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
-    return _eval(phi, g, r_set, {}, g.sorted_vertices())
+    return eval_with_env(g, r_set, phi, {}, cfg=cfg)
 
 
 def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
+                  domain: Iterable | None = None,
                   cfg: PipelineConfig = DEFAULTS) -> bool:
-    """Truth of a formula whose free variables are bound by env."""
+    """Truth of a formula on (g, r_set) whose free variables are bound by
+    env and whose quantifiers range over `domain` (all of V when None).
+
+    Every formula is evaluated here, under the config's brute-force caps:
+    the vertex cap reads the size of the domain, not of g."""
     missing = phi.free_variables() - set(env)
     if missing:
         raise InputError(f"unbound free variables {sorted(missing)}")
-    _check_caps(g, phi, cfg)
-    return _eval(phi, g, frozenset(r_set), dict(env), g.sorted_vertices())
+    order = g.sorted_vertices() if domain is None else sorted(domain, key=vertex_key)
+    if len(order) > cfg.cap_brute_vertices:
+        raise ResourceLimitError(
+            f"brute-force evaluation capped at {cfg.cap_brute_vertices} vertices, "
+            f"got {len(order)}")
+    d = quantifier_depth(phi)
+    if d > cfg.cap_quant_depth:
+        raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
+    return _eval(phi, g, frozenset(r_set), env, order)
 
 
 def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
                 cfg: PipelineConfig = DEFAULTS) -> bool:
-    """Evaluate psi at v on the induced r-neighborhood, with the annotation
-    restricted to it. psi has one free variable (or none, e.g. `true`).
+    """psi^(r)(v): psi at v with every quantifier ranging over the r-ball
+    N_r(v) of g, and the annotation restricted to the ball. psi has one
+    free variable (or none, e.g. `true`).
 
-    Reads g only inside the r-ball N_r(v): finding the ball and building its
-    subgraph cost what the ball and its vertices' edges hold, not |V| or |E|.
-    Pass r_set as a frozenset, so that restricting it to the ball copies
-    nothing outside the ball."""
+    This is psi evaluated on the induced subgraph g[N_r(v)], since two ball
+    vertices are adjacent in g iff they are in g[N_r(v)]; but no subgraph
+    is built: psi is read on g itself, with the ball as its domain. So it
+    reads g only inside the ball and costs what the ball and its vertices'
+    edges hold, not |V| or |E|. Pass r_set as a frozenset, so that
+    restricting it to the ball copies nothing outside the ball."""
     free = sorted(psi.free_variables())
     if len(free) > 1:
         raise InputError(f"psi must have at most one free variable, has {free}")
     ball = neighborhood(g, v, r)
-    sub = g.induced(ball)
     env = {free[0]: v} if free else {}
-    return eval_with_env(sub, frozenset(r_set) & ball, psi, env, cfg=cfg)
+    return eval_with_env(g, frozenset(r_set) & ball, psi, env, domain=ball, cfg=cfg)
 
 
 def verify_locality(corpus: Iterable, psi: Formula, r: int) -> bool:
     """Empirical audit that psi is r-local over the corpus of (graph, r_set):
-    full evaluation equals local evaluation at every vertex."""
+    psi on all of g equals psi^(r) (`check_local`) at every vertex, so
+    reading psi on its r-ball loses nothing."""
     free = sorted(psi.free_variables())
     if len(free) > 1:
         raise InputError("psi must have at most one free variable")
@@ -472,15 +460,18 @@ def verify_locality(corpus: Iterable, psi: Formula, r: int) -> bool:
     return True
 
 
-def distance_atom(r: int) -> Formula:
-    """delta_r(x, y): distance(x, y) <= r, via r-1 intermediate existentials."""
+def distance_atom(r: int, x: str = "x", y: str = "y") -> Formula:
+    """delta_r(x, y): distance(x, y) <= r, via r-1 intermediate existentials.
+    Their names hold at least two primes, which neither a parsed name nor
+    one that `relativize` primed does, so they capture no variable of a
+    formula the atom is put into."""
     if r < 0:
         raise InputError("radius must be non-negative")
     if r == 0:
-        return Eq("x", "y")
+        return Eq(x, y)
     step = lambda a, b: Or(Eq(a, b), Adj(a, b))
-    inner = ["w%d" % i for i in range(1, r)]
-    chain = ["x"] + inner + ["y"]
+    inner = [f"w{i}'{x}'{y}" for i in range(1, r)]
+    chain = [x] + inner + [y]
     body: Formula | None = None
     for a, b in zip(chain, chain[1:]):
         clause = step(a, b)
@@ -490,12 +481,32 @@ def distance_atom(r: int) -> Formula:
     return body
 
 
+def relativize(psi: Formula, x: str, r: int) -> Formula:
+    """psi^(r)(x): psi with every quantifier bounded to the r-ball of x, as
+    in Gaifman's basic local sentences. ∃y. φ becomes ∃y. (δ_r(x, y) ∧ φ)
+    and ∀y. φ becomes ∀y. (¬δ_r(x, y) ∨ φ), so on any graph its truth at x
+    is `check_local`'s. Each bound variable takes a prime, which no parsed
+    name holds, so none is x even when psi binds x's name again."""
+    if isinstance(psi, (Exists, Forall)):
+        y = psi.var + "'"
+        near = distance_atom(r, x, y)
+        body = relativize(rename(psi.body, {psi.var: y}), x, r)
+        return (Exists(y, And(near, body)) if isinstance(psi, Exists)
+                else Forall(y, Or(Not(near), body)))
+    if isinstance(psi, (And, Or)):
+        return type(psi)(relativize(psi.left, x, r), relativize(psi.right, x, r))
+    if isinstance(psi, Not):
+        return Not(relativize(psi.body, x, r))
+    return psi
+
+
 # -- Gaifman sentences -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BasicSentence:
-    """exists x_1..x_ell (pairwise distance > 2r, each satisfying the r-local psi);
-    in annotated form the witnesses must also lie in R."""
+    """exists x_1..x_ell (pairwise distance > 2r, each satisfying psi^(r),
+    psi read on its r-ball); in annotated form the witnesses must also lie
+    in R."""
 
     ell: int
     r: int
@@ -579,10 +590,11 @@ class LocalValues:
     """The values ψ_h(v) on a base graph g and its scope, for the modified
     graphs g ⊠ S of one enumeration over g.
 
-    Each ψ_h is r_h-local, so ψ_h(v) is read off the r_h-ball of v alone.
-    When v lies at g-distance more than r_h from the touched vertices
-    A = affected(S), that ball, its induced subgraph and its part of the
-    scope are the same in g and in g ⊠ S: vr and er only delete at A, ec
+    ψ_h(v) is ψ_h^(r_h)(v), read on the r_h-ball of v alone whatever ψ_h
+    is, so the reuse below is exact for every formula. When v lies at
+    g-distance more than r_h from the touched vertices A = affected(S),
+    that ball, the edges among its vertices and its part of the scope are
+    the same in g and in g ⊠ S: vr and er only delete at A, ec
     merges vertices of A into their least id, and ea only adds edges inside
     A, so a path of length at most r_h from v that met a changed element
     would be a path of g from v to A. Such a value is computed on g the
@@ -683,21 +695,20 @@ def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
 
 
 def expand_basic(basic: BasicSentence, annotated: bool) -> Formula:
-    """The basic sentence as a plain closed formula with distance atoms
-    (for cross-checking eval_gaifman against brute force)."""
+    """The basic sentence as a plain closed formula with distance atoms,
+    each copy of psi read as psi^(r) (for cross-checking eval_gaifman
+    against brute force)."""
     ell, r = basic.ell, basic.r
     xs = [f"x{i}" for i in range(1, ell + 1)]
     parts = []
     if annotated:
         parts += [InR(x) for x in xs]
-    delta = distance_atom(2 * r)
     for i in range(ell):
         for j in range(i + 1, ell):
-            far = Not(rename(rename_bound(delta, f"_d{i}_{j}"), {"x": xs[i], "y": xs[j]}))
-            parts.append(far)
+            parts.append(Not(distance_atom(2 * r, xs[i], xs[j])))
     var = basic.psi_var
-    for i, x in enumerate(xs):
-        parts.append(rename(rename_bound(basic.psi, f"_p{i}"), {var: x}))
+    for x in xs:
+        parts.append(rename(relativize(basic.psi, var, r), {var: x}))
     body = parts[0]
     for p in parts[1:]:
         body = And(body, p)

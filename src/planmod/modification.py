@@ -176,23 +176,25 @@ class PlanarSets:
 
 
 def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
-                exact: bool = False, cap: int | None = None
+                exact: bool = False, minimal: bool = False, cap: int | None = None
                 ) -> Iterator[tuple[ModificationSet, Graph]]:
     """(S, g ⊠ S) for every S ⊆ op⟨g, scope⟩ with |S| ≤ k (exactly k when
     `exact`) that makes g planar, smallest first, in `subsets_up_to` order.
+    With `minimal`, only the inclusion-minimal such S: a set that holds a
+    planar set already found is skipped before anything is built.
     `cap` bounds the subsets enumerated, those of other sizes included;
     `PlanarSets` decides planarity, and g ⊠ S is not built for an ea set
     that holds a set already found nonplanar.
 
-    This is the one search behind the oracle, the final search and every
-    cross-check. Two loops stay apart on purpose: `minimal_planarizers` and
-    `compute_char` skip a set covered by a planar subset before they build
-    g ⊠ S, which on a planar wall is every set, and `compute_char` also
-    shares one `PlanarSets` and one cumulative cap across its z loop. `sigoracle.char_oracle` and the
-    tests' reference loops are independent by design."""
+    This is the one search behind the oracle, the final search, every
+    cross-check and `minimal_planarizers`. One loop stays apart on purpose:
+    `compute_char` shares one `PlanarSets` and one cumulative cap across
+    its z loop, and skips a set covered by a planar subset before it builds
+    g ⊠ S, which on a planar wall is every set. `sigoracle.char_oracle`
+    and the tests' reference loops are independent by design."""
     planar = PlanarSets(g, op)
     for sub in subsets_up_to(application_domain(op, g, scope), k, cap):
-        if exact and len(sub) != k:
+        if exact and len(sub) != k or minimal and planar.covers(sub):
             continue
         known = planar.known(sub)
         if known is False:
@@ -207,13 +209,7 @@ def minimal_planarizers(g: Graph, op: Operation, k: int,
                         cap: int | None = None) -> Iterator[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, by exhaustive
     enumeration; supersets of a planarizer already found are skipped."""
-    planar = PlanarSets(g, op)
-    for sub in subsets_up_to(application_domain(op, g, g.vertices), k, cap):
-        if planar.covers(sub):
-            continue
-        s = ModificationSet(op, sub)
-        if planar(s):
-            yield s
+    return (ms for ms, _ in planar_sets(g, g.vertices, k, op, minimal=True, cap=cap))
 
 
 def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable,

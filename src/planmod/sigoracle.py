@@ -1,10 +1,10 @@
 """Raw set-comprehension evaluators for signatures and characteristics.
 
 Deliberately naive: every candidate tuple is enumerated and every local
-formula is evaluated on the whole modified level by plain quantifier
-expansion (never through check_local), so this module shares only the
-semantics helpers with `signatures`, not its search strategy. It is the
-authority that module is tested against.
+formula psi is evaluated on the whole modified level by plain quantifier
+expansion of psi^(r) (`logic.relativize`, never through check_local), so
+this module shares only the semantics helpers with `signatures`, not its
+search strategy. It is the authority that module is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable
 from .config import DEFAULTS, PipelineConfig
 from .errors import InputError
 from .graphs import Graph, is_scattered, vertex_key
-from .logic import GaifmanSentence, eval_with_env
+from .logic import GaifmanSentence, eval_with_env, relativize
 from .modification import ModificationSet, Operation, affected, application_domain, apply
 from .planarity import is_planar
 from .signatures import (Characteristic, Parameters, SigEntry, apply_within,
@@ -57,12 +57,11 @@ def sig_oracle(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
 def _witness_exists(kt_mod: Graph, r_here: frozenset, pool: list, basic, size: int,
                     cfg: PipelineConfig = DEFAULTS) -> bool:
     var = basic.psi_var
+    psi = relativize(basic.psi, var, basic.r)
     for combo in combinations(pool, size):
         if not is_scattered(kt_mod, combo, size, basic.r):
             continue
-        if all(eval_with_env(kt_mod, r_here, basic.psi,
-                             {var: x} if basic.psi.free_variables() else {}, cfg=cfg)
-               for x in combo):
+        if all(eval_with_env(kt_mod, r_here, psi, {var: x}, cfg=cfg) for x in combo):
             return True
     return False
 

@@ -247,9 +247,17 @@ MALFORMED = {
     "vertex-float-and-int": lambda t: _solve_argv(
         t, graph='{"vertices":[1.0,1,2],"edges":[[1,2]]}'),
     "vertex-repeated": lambda t: _solve_argv(t, graph='{"vertices":[1,1,2],"edges":[[1,2]]}'),
+    # a string or an object is not a list of vertices, nor a string an edge
+    "vertices-string": lambda t: _solve_argv(t, graph='{"vertices":"abc","edges":[["a","b"]]}'),
+    "vertices-object": lambda t: _solve_argv(
+        t, graph='{"vertices":{"a":1,"b":2},"edges":[["a","b"]]}'),
+    "edge-string": lambda t: _solve_argv(t, graph='{"vertices":["a","b"],"edges":["ab"]}'),
     "instance-is-directory": lambda t: ["solve", str(t), "--op", "vr", "-k", "1",
                                         "--phi", "true"],
     "budget-not-a-number": lambda t: ["check", "all", "--budget", "abc"],
+    "budget-zero": lambda t: ["check", "gluing", "--budget", "0s"],
+    "check-n-zero": lambda t: ["check", "gluing", "-n", "0"],
+    "check-n-negative": lambda t: ["check", "gluing", "-n", "-5"],
     "ell-fraction": lambda t: _solve_argv(t, sentence=_sentence(ell=2.5)),
     "ell-float": lambda t: _solve_argv(t, sentence=_sentence(ell=3.0)),
     "r-bool": lambda t: _solve_argv(t, sentence=_sentence(r=True)),

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from planmod.errors import FormulaSyntaxError, InputError
 from planmod.graphs import Graph, complete_graph, is_scattered
-from planmod.logic import (FALSE, TRUE, And, Basic, BasicSentence, Exists,
-                           GaifmanSentence, InR, Not, Or, check_fol, check_local,
-                           distance_atom, eval_gaifman, eval_gaifman_expanded,
-                           eval_with_env, parse_combination, parse_formula,
-                           pretty, scattered_sets, verify_locality)
+from planmod.logic import (FALSE, TRUE, Adj, And, Basic, BasicSentence, Eq, Exists,
+                           Forall, GaifmanSentence, InR, Not, Or, check_fol,
+                           check_local, distance_atom, eval_gaifman,
+                           eval_gaifman_expanded, eval_with_env, parse_combination,
+                           parse_formula, pretty, relativize, scattered_sets,
+                           verify_locality)
 from planmod.fixtures import TRIVIALLY_TRUE, fixed_sentences, random_annotated
 
 
@@ -145,6 +146,22 @@ class TestCheckLocal:
         with pytest.raises(InputError):
             check_local(path_graph(2), [], 0, parse_formula("adj(x,y)"), 1)
 
+    def test_builds_no_graph(self, monkeypatch):
+        # psi is read on g itself, its quantifiers over the ball
+        g = path_graph(9)
+        built = []
+        original = Graph.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", spy)
+        psi = parse_formula("exists y. exists z. adj(x,y) & adj(y,z) & ~(x = z)")
+        assert check_local(g, frozenset(g.vertices), 4, psi, 2)
+        assert not check_local(g, frozenset(), 4, parse_formula("x in R"), 1)
+        assert built == []
+
 
 class TestVerifyLocality:
     def test_one_local(self):
@@ -250,6 +267,87 @@ class TestGaifman:
         for _, phi in fixed_sentences():
             again = GaifmanSentence.from_json_obj(json.loads(json.dumps(phi.to_json_obj())))
             assert again.to_json_obj() == phi.to_json_obj()
+
+
+@st.composite
+def psis(draw, scope=("x",), size=4):
+    """Formulas free in x at most, of quantifier depth at most 2 (y, then
+    z), over adj, =, in R, ~, & and |; local or not."""
+    kinds = ["atom"]
+    if size:
+        kinds += ["~", "&", "|"] + (["exists", "forall"] if len(scope) < 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        u, v = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
+        return draw(st.sampled_from((Adj(u, v), Eq(u, v), InR(u))))
+    if kind == "~":
+        return Not(draw(psis(scope, size - 1)))
+    if kind in ("&", "|"):
+        left, right = draw(psis(scope, size - 1)), draw(psis(scope, size - 1))
+        return And(left, right) if kind == "&" else Or(left, right)
+    var = "yz"[len(scope) - 1]
+    body = draw(psis(scope + (var,), size - 1))
+    return Exists(var, body) if kind == "exists" else Forall(var, body)
+
+
+@st.composite
+def annotated_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    r_set = draw(st.frozensets(st.integers(0, n - 1)))
+    return Graph(range(n), [e for e, k in zip(pairs, keep) if k]), r_set
+
+
+def _one_basic(psi, ell=1, r=1, annotated=True):
+    return GaifmanSentence((BasicSentence(ell, r, psi),), parse_combination("1"), annotated)
+
+
+class TestBallReading:
+    """psi is read as psi^(r): by check_local on the ball, and by the
+    expansion through `relativize`, so the two agree on every psi."""
+
+    @settings(max_examples=300)
+    @given(psis(), annotated_graphs(), st.integers(1, 2), st.integers(1, 2), st.booleans())
+    def test_pipeline_equals_expansion(self, psi, graph, r, ell, annotated):
+        g, r_set = graph
+        phi = _one_basic(psi, ell, r, annotated)
+        assert eval_gaifman(g, r_set, phi) == eval_gaifman_expanded(g, r_set, phi)
+
+    @settings(max_examples=150)
+    @given(psis(), annotated_graphs(), st.integers(1, 2))
+    def test_relativized_equals_check_local(self, psi, graph, r):
+        g, r_set = graph
+        bounded = relativize(psi, "x", r)
+        for v in g.sorted_vertices():
+            assert eval_with_env(g, r_set, bounded, {"x": v}) == \
+                check_local(g, r_set, v, psi, r)
+
+    # on the path 0-1-2-3, every 1-ball holds x and its neighbours only:
+    # read on the whole path both formulas flip
+    P4_CASES = [("exists y. ~adj(x,y) & ~(x = y)", False),
+                ("forall y. adj(x,y) | x = y", True)]
+
+    @pytest.mark.parametrize("text, holds", P4_CASES)
+    def test_non_local_formula_on_p4(self, text, holds):
+        g = path_graph(4)
+        phi = _one_basic(parse_formula(text), annotated=False)
+        assert eval_gaifman(g, g.vertices, phi) is holds
+        assert eval_gaifman_expanded(g, g.vertices, phi) is holds
+        assert eval_with_env(g, g.vertices, parse_formula("exists x. " + text), {}) is not holds
+
+    @pytest.mark.parametrize("text", ["x in R & (exists x. ~(x in R))",
+                                      "(exists x. ~(x in R)) & x in R"])
+    def test_bound_names_never_capture_the_centre(self, text):
+        # psi rebinds its free variable's name; the bound one must still
+        # range over the ball of the free one, and the free one keep its
+        # value outside the quantifier
+        psi = parse_formula(text)
+        g = path_graph(5)
+        r_set = frozenset({0, 1, 2})
+        for v in g.sorted_vertices():
+            assert eval_with_env(g, r_set, relativize(psi, "x", 1), {"x": v}) == \
+                check_local(g, r_set, v, psi, 1) == (v == 2)
 
 
 class TestCombination:

@@ -24,6 +24,11 @@ PHI1 = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
 NO_HATS = PipelineConfig(q_hat=None)
 PHI2 = GaifmanSentence((BasicSentence(2, 1, NB),), parse_combination("1"))
 PHI_TRUE = GaifmanSentence((BasicSentence(1, 1, TRUE),), parse_combination("1 | ~1"))
+# not 1-local: another vertex that is not a neighbour; read on the 1-ball
+# it never holds, read on the whole level it does
+NON_LOCAL = GaifmanSentence(
+    (BasicSentence(1, 1, parse_formula("exists y. ~adj(x,y) & ~(x = y)")),),
+    parse_combination("1"))
 
 
 def relabel_wall(w: Wall, mapping: dict) -> Wall:
@@ -167,10 +172,11 @@ class TestComputeChar:
         cfg, params, wall, g, r_set, ec = _setup(
             rho=2, d=2, annotate=lambda g: frozenset(v for v in g.vertices
                                                      if v % 3 != 0))
-        for op in Operation:
-            mine = compute_char(ec, r_set, op, 1, PHI1, params, cfg)
-            orc = char_oracle(ec, r_set, op, 1, PHI1, params, cfg)
-            assert mine.canonical_json() == orc.canonical_json()
+        for phi in (PHI1, NON_LOCAL):
+            for op in Operation:
+                mine = compute_char(ec, r_set, op, 1, phi, params, cfg)
+                orc = char_oracle(ec, r_set, op, 1, phi, params, cfg)
+                assert mine.canonical_json() == orc.canonical_json(), (phi, op)
 
     def test_crafted_suite_byte_equality(self):
         for case in crafted_sig_instances()[:8]:
