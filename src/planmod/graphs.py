@@ -2,6 +2,13 @@
 
 Vertex ids are opaque (ints or strings in practice) and stable: derived graphs
 reuse the ids of the host so annotations survive modification.
+
+Input is normalised once, when a graph is built from outside: the public
+constructor puts every edge in `norm_edge` form and checks its endpoints.
+A derived graph (`remove_vertices`, `induced`, `remove_edges`, `add_edges`,
+`merge_groups`) trusts its valid parent: it reuses the parent's canonical
+edges and, where vertices go, the parent's adjacency, and normalises and
+checks only what is new, so it costs about what the change touches.
 """
 
 from __future__ import annotations
@@ -17,18 +24,27 @@ Edge = tuple
 
 
 def vertex_key(v) -> tuple:
-    """Total order over mixed int/str/tuple ids; ints first, then strings."""
-    if isinstance(v, bool):  # bool is an int subtype; keep it out of the int lane
-        return (1, 0, str(v))
-    if isinstance(v, int):
-        return (0, v, "")
-    if isinstance(v, tuple):
-        return (2, tuple(vertex_key(x) for x in v), "")
-    return (1, 0, str(v))
+    """Total order over vertex ids: ints, then strings, then tuples
+    (component by component), then every other type in a lane of its own,
+    by type name and then by value. Unequal ids of these types never share
+    a key. Exact ints take a fast path, so bools keep their own lane."""
+    kind = type(v)
+    if kind is int:
+        return (0, v)
+    if kind is str:
+        return (1, v)
+    if kind is tuple:
+        return (2, tuple(map(vertex_key, v)))
+    return (3, kind.__name__, v)
 
 
 def norm_edge(u, v) -> Edge:
     """Canonical (min, max) form of an undirected edge."""
+    if type(u) is int and type(v) is int:
+        if u < v:
+            return (u, v)
+        if v < u:
+            return (v, u)
     if u == v:
         raise InputError(f"loop edge on {u!r}")
     return (u, v) if vertex_key(u) <= vertex_key(v) else (v, u)
@@ -48,10 +64,24 @@ class Graph:
             if ne[0] not in vs or ne[1] not in vs:
                 raise InputError(f"edge {ne!r} has an endpoint outside the vertex set")
             es.add(ne)
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(es))
-        object.__setattr__(self, "_adj", None)
+        self._fill(vs, frozenset(es), None)
+
+    def _fill(self, vertices: frozenset, edges: frozenset, adj: dict | None):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _derived(cls, vertices: frozenset, edges: frozenset, adj: dict | None = None
+                 ) -> "Graph":
+        """A graph from sets a valid parent already holds in canonical form:
+        every edge is in `norm_edge` form with both ends in `vertices`, and
+        `adj`, when given, is the adjacency of these edges. Nothing is
+        normalised or checked."""
+        g = cls.__new__(cls)
+        g._fill(vertices, edges, adj)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -109,23 +139,37 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
+    def _edges_at(self, vs: Iterable) -> set:
+        """The edges with an end in vs, read off their adjacency."""
+        edges, adj = self.edges, self.adj
+        return {(u, w) if (u, w) in edges else (w, u) for u in vs for w in adj[u]}
+
     def remove_vertices(self, drop: Iterable) -> "Graph":
-        drop = set(drop)
-        keep = self.vertices - drop
-        return Graph(keep, (e for e in self.edges if e[0] in keep and e[1] in keep))
+        """g minus the vertices of `drop` that it has, and their edges. Only
+        the dropped vertices' edges are read, and only their neighbours get
+        a new adjacency set."""
+        drop = self.vertices.intersection(drop)
+        parent = self.adj
+        adj = dict(parent)
+        for u in drop:
+            del adj[u]
+        for w in {w for u in drop for w in parent[u]} - drop:
+            adj[w] = parent[w] - drop
+        return Graph._derived(self.vertices - drop, self.edges - self._edges_at(drop), adj)
 
     def remove_edges(self, drop: Iterable) -> "Graph":
         dropped = {norm_edge(*e) for e in drop}
-        return Graph(self.vertices, self.edges - dropped)
+        return Graph._derived(self.vertices, self.edges - dropped)
 
     def add_edges(self, new: Iterable) -> "Graph":
-        added = set(self.edges)
+        """g plus the pairs of `new`; only these are normalised and checked."""
+        added = set()
         for e in new:
             u, v = e
             self._require(u)
             self._require(v)
             added.add(norm_edge(u, v))
-        return Graph(self.vertices, added)
+        return Graph._derived(self.vertices, self.edges | added)
 
     def add_vertices(self, new: Iterable) -> "Graph":
         return Graph(self.vertices | set(new), self.edges)
@@ -133,14 +177,18 @@ class Graph:
     def induced(self, keep: Iterable) -> "Graph":
         """The subgraph induced by `keep`. Reads only the adjacency of the
         kept vertices, so it costs the sum of their degrees, not |E|."""
-        keep = set(keep)
+        keep = frozenset(keep)
         missing = keep - self.vertices
         if missing:
             raise InputError(f"unknown vertex ids {sorted(missing, key=vertex_key)!r}")
-        adj, edges = self.adj, self.edges
+        edges, parent = self.edges, self.adj
+        adj = {}
+        for u in keep:
+            ns = parent[u]
+            adj[u] = ns if ns <= keep else ns & keep
         # each edge once, from the endpoint its canonical form lists first
-        return Graph(keep, ((u, w) for u in keep for w in adj[u]
-                            if w in keep and (u, w) in edges))
+        return Graph._derived(keep, frozenset((u, w) for u in keep for w in adj[u]
+                                              if (u, w) in edges), adj)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and self.edges <= other.edges
@@ -331,10 +379,13 @@ def merge_groups(g: Graph, groups: Iterable) -> Graph:
             if v in rep:
                 raise InputError(f"vertex {v!r} appears in two merge groups")
             rep[v] = r
+    # only the edges at a vertex that takes a new id change; they alone are
+    # lifted and normalised, the rest stay as they are
+    moved = {v for v, r in rep.items() if v != r}
     lift = lambda v: rep.get(v, v)
-    verts = {lift(v) for v in g.vertices}
-    edges = {norm_edge(lift(u), lift(v)) for u, v in g.edges if lift(u) != lift(v)}
-    return Graph(verts, edges)
+    old = g._edges_at(moved)
+    new = {norm_edge(lift(u), lift(w)) for u, w in old if lift(u) != lift(w)}
+    return Graph._derived(g.vertices - moved, (g.edges - old) | new)
 
 
 # -- grid generators ----------------------------------------------------------

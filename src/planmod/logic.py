@@ -620,12 +620,17 @@ class LocalValues:
             out |= neighborhood(self.g, a, r)
         return out
 
-    def __call__(self, v, basic: BasicSentence) -> bool:
-        """ψ(v) on g under the scope, for the basic sentence's ψ and r."""
+    def reader(self, basic: BasicSentence):
+        """v ↦ ψ(v) on g under the scope, for the basic sentence's ψ and r.
+        Its table is looked up here, once, so a call hashes v alone."""
         memo = self._values.setdefault((basic.psi, basic.r), {})
-        if v not in memo:
-            memo[v] = check_local(self.g, self.r_set, v, basic.psi, basic.r, cfg=self.cfg)
-        return memo[v]
+        g, r_set, psi, r, cfg = self.g, self.r_set, basic.psi, basic.r, self.cfg
+
+        def value(v) -> bool:
+            if v not in memo:
+                memo[v] = check_local(g, r_set, v, psi, r, cfg=cfg)
+            return memo[v]
+        return value
 
 
 def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
@@ -639,10 +644,13 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
     `touched`: psi is evaluated on g only within distance r of them, and
     read from `base` elsewhere. Distances between witnesses are always
     read on g."""
-    fresh = g.vertices if base is None else base.near(touched, basic.r)
+    if base is None:
+        fresh, stored = g.vertices, None
+    else:
+        fresh, stored = base.near(touched, basic.r), base.reader(basic)
     candidates = [v for v in g.sorted_vertices()
                   if v in r_set and (check_local(g, r_set, v, basic.psi, basic.r, cfg=cfg)
-                                     if v in fresh else base(v, basic))]
+                                     if v in fresh else stored(v))]
     if len(candidates) < basic.ell:
         return None
     return next((xs for xs in scattered_sets(g, candidates, basic.r, basic.ell)

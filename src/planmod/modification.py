@@ -62,10 +62,10 @@ def application_domain(op: Operation, g: Graph, r_set: Iterable) -> frozenset:
         raise InputError("scope contains unknown vertices")
     if op is Operation.VR:
         return r_set
-    pairs = frozenset(norm_edge(u, v) for u, v in combinations(sorted(r_set, key=vertex_key), 2))
     if op is Operation.EA:
-        return pairs - g.edges
-    return pairs & g.edges
+        # pairs of ids in vertex_key order are already in norm_edge form
+        return frozenset(combinations(sorted(r_set, key=vertex_key), 2)) - g.edges
+    return frozenset(e for e in g.edges if e[0] in r_set and e[1] in r_set)
 
 
 def affected(s: ModificationSet) -> frozenset:

@@ -26,9 +26,13 @@ from .graphs import Graph, vertex_key
 
 
 def _to_nx(g: Graph) -> nx.Graph:
+    """g as a networkx graph, its vertices and edges added in `vertex_key`
+    order: networkx's embedding and its Kuratowski witness follow the order
+    they were added in, so this makes both depend on g alone, not on how
+    its sets were built."""
     h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
+    h.add_nodes_from(g.sorted_vertices())
+    h.add_edges_from(g.sorted_edges())
     return h
 
 

@@ -12,6 +12,7 @@ from planmod.errors import InputError
 from planmod.graphs import (Graph, disjoint_union, is_scattered, make_grid,
                             make_triangulated_grid, merge_groups, neighborhood,
                             norm_edge, smooth_degree_two, vertex_key)
+from planmod.modification import ModificationSet, Operation, apply
 
 
 def small_graphs(max_n=8, p=0.4):
@@ -288,3 +289,107 @@ def test_vertex_key_orders_edges_componentwise(data, kind):
                                .map(lambda e: norm_edge(*e)), unique=True, max_size=12))
     assert sorted(edges, key=vertex_key) == \
         sorted(edges, key=lambda e: (vertex_key(e[0]), vertex_key(e[1])))
+
+
+# ids of other types, and strings that print like them
+_LOOKALIKES = [True, False, 1.5, -0.5, (1, "a"), "True", "False", "1.5", "-0.5", "(1, 'a')"]
+
+
+class TestVertexKeyLanes:
+    """Unequal ids never share a key, so `norm_edge` is canonical for every
+    pair of them."""
+
+    @pytest.mark.parametrize("a, b", [(True, "True"), (1.5, "1.5"), (False, "False")])
+    def test_json_pair_of_lookalike_ids_is_one_edge(self, a, b):
+        g = Graph.from_json_obj({"vertices": [a, b], "edges": [[a, b], [b, a]]})
+        assert len(g.edges) == 1
+
+    def test_other_types_sort_after_ints_strings_and_tuples(self):
+        ids = [True, 1.5, (0, "a"), "b", 3, False, "True", -2]
+        assert sorted(ids, key=vertex_key) == [-2, 3, "True", "b", (0, "a"),
+                                               False, True, 1.5]
+
+    @settings(max_examples=200)
+    @given(st.lists(_IDS["mixed"] | st.sampled_from(_LOOKALIKES), min_size=2, max_size=2,
+                    unique=True))
+    def test_unequal_ids_get_unequal_keys(self, pair):
+        u, v = pair
+        assert vertex_key(u) != vertex_key(v)
+        assert norm_edge(u, v) == norm_edge(v, u)
+
+
+_ALL_IDS = {**_IDS, "mixed": _IDS["mixed"] | st.sampled_from(_LOOKALIKES)}
+
+
+@st.composite
+def id_graphs(draw, kind):
+    """A graph on drawn ids of one kind, built by the public constructor
+    from edges in drawn order and orientation."""
+    verts = draw(st.lists(_ALL_IDS[kind], min_size=1, max_size=9, unique=True))
+    pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(verts, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+
+
+def _as_built(h: Graph, expected: Graph):
+    """h is the graph the public constructor builds: same vertices, edges,
+    adjacency and hash."""
+    assert h.vertices == expected.vertices and h.edges == expected.edges
+    assert h.adj == expected.adj
+    assert hash(h) == hash(expected)
+
+
+class TestDerivedGraphs:
+    """Derived graphs skip normalisation and reuse their parent's sets; each
+    must equal the graph the public constructor builds from scratch."""
+
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(sorted(_ALL_IDS)))
+    def test_equal_to_public_construction(self, data, kind):
+        g = data.draw(id_graphs(kind))
+        verts, edges = g.sorted_vertices(), g.sorted_edges()
+        some = lambda xs: data.draw(st.lists(st.sampled_from(xs), unique=True)) if xs else []
+        keep = set(some(verts))
+        drop = set(verts) - keep
+        inside = lambda es: [e for e in es if e[0] in keep and e[1] in keep]
+        dropped = Graph(keep, inside(edges))
+        _as_built(g.remove_vertices(drop), dropped)
+        _as_built(g.induced(keep), dropped)
+        gone = some(edges)
+        fewer = Graph(verts, [e for e in edges if e not in gone])
+        _as_built(g.remove_edges([(v, u) for u, v in gone]), fewer)
+        # new pairs in reversed, non-canonical orientation
+        new = some([(v, u) for i, u in enumerate(verts) for v in verts[i + 1:]
+                    if not g.has_edge(u, v)])
+        more = Graph(verts, edges + new)
+        _as_built(g.add_edges(new), more)
+        _as_built(g.add_edges(new).remove_vertices(drop), Graph(keep, inside(edges + new)))
+        for op, elements, expected in ((Operation.VR, drop, dropped),
+                                       (Operation.ER, gone, fewer),
+                                       (Operation.EA, new, more),
+                                       (Operation.EC, gone, _contracted(g, gone))):
+            _as_built(apply(g, ModificationSet(op, elements)), expected)
+
+    def test_bad_input_still_raises(self):
+        g = Graph([1, 2, "a"], [(1, 2)])
+        for bad in (lambda: g.add_edges([(1, 3)]), lambda: g.add_edges([("a", "a")]),
+                    lambda: g.induced({1, "b"}), lambda: g.remove_edges([(2, 2)])):
+            with pytest.raises(InputError):
+                bad()
+
+
+def _contracted(g: Graph, pairs: list) -> Graph:
+    """g with every pair's ends merged into the least id of their
+    component, by union-find over the pairs."""
+    rep = {v: v for v in g.vertices}
+
+    def find(v):
+        while rep[v] != v:
+            v = rep[v]
+        return v
+
+    for u, v in pairs:
+        a, b = sorted((find(u), find(v)), key=vertex_key)
+        rep[b] = a
+    return Graph({find(v) for v in g.vertices},
+                 [(find(u), find(v)) for u, v in g.edges if find(u) != find(v)])

@@ -11,6 +11,7 @@ from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, ver
 from planmod.modification import ModificationSet, Operation, apply
 from planmod.planarity import (_to_nx, embed, is_planar, kuratowski,
                                planar_with_additions)
+from planmod.walls import make_elementary_wall
 
 
 def euler_ok(g: Graph, emb) -> bool:
@@ -194,6 +195,54 @@ class TestAgainstNetworkx:
         w = kuratowski(g)
         assert w == Graph(cert.nodes(), cert.edges())
         assert 0 < len(runs) < len(g.edges) + len(w.edges) + 2
+
+
+def _spread(g: Graph) -> Graph:
+    """g with every id times 8, so that its ids collide in a hash table and
+    the order its sets iterate in follows the order they were built in."""
+    return Graph([8 * v for v in g.vertices], [(8 * u, 8 * v) for u, v in g.edges])
+
+
+def _wall_with_chords(chords: int) -> Graph:
+    """The 7-wall plus `chords` long chords between far vertices; two make
+    it nonplanar."""
+    w = make_elementary_wall(7).graph
+    vs = w.sorted_vertices()
+    return w.add_edges([(vs[3 * i], vs[-1 - 5 * i]) for i in range(chords)])
+
+
+def _subdivided_k33_with_extras() -> Graph:
+    k33 = Graph(range(6), [(i, j) for i in range(3) for j in range(3, 6)])
+    return (k33.remove_edges([(0, 3)]).add_vertices([6, 7])
+            .add_edges([(0, 6), (6, 7), (7, 3), (1, 2), (4, 5), (6, 4)]))
+
+
+class TestOrderIndependence:
+    """Two equal graphs, built from one edge list and from its reverse, get
+    the same rotation, faces and Kuratowski witness: `_to_nx` adds vertices
+    and edges in sorted order, whatever order g's sets iterate in."""
+
+    @staticmethod
+    def _twins(g: Graph) -> tuple:
+        a = Graph(g.sorted_vertices(), g.sorted_edges())
+        b = Graph(g.sorted_vertices()[::-1], g.sorted_edges()[::-1])
+        assert a == b
+        return a, b
+
+    def test_embedding(self):
+        a, b = self._twins(_spread(_wall_with_chords(0)))
+        assert list(a.vertices) != list(b.vertices)  # the sets iterate differently
+        ea, eb = embed(a), embed(b)
+        assert ea.rotation == eb.rotation
+        assert ea.faces == eb.faces and ea.outer_face == eb.outer_face
+
+    @pytest.mark.parametrize("g", [_wall_with_chords(2), _subdivided_k33_with_extras()],
+                             ids=["wall-with-chords", "k33-subdivision"])
+    def test_kuratowski_witness(self, g):
+        a, b = self._twins(_spread(g))
+        wa, wb = kuratowski(a), kuratowski(b)
+        assert wa is not None and kuratowski_kind(wa) in ("K5", "K33")
+        assert wa == wb
 
 
 class TestPlanarity:
