@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Iterable, Iterator, Mapping
 
@@ -613,6 +614,13 @@ class LocalValues:
         self.cfg = cfg
         self._values: dict = {}
 
+    @cached_property
+    def order(self) -> list:
+        """g's vertices in `vertex_key` order, sorted once. Every g ⊠ S
+        keeps a subset of g's ids (vr and ec drop vertices, and ec merges
+        into the least id), so this list, filtered, is g ⊠ S's order."""
+        return self.g.sorted_vertices()
+
     def near(self, touched: Iterable, r: int) -> set:
         """The vertices within g-distance r of the touched ones."""
         out = set()
@@ -642,15 +650,18 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
 
     With `base`, g is base.g ⊠ S for a set S touching the vertices
     `touched`: psi is evaluated on g only within distance r of them, and
-    read from `base` elsewhere. Distances between witnesses are always
-    read on g."""
+    read from `base` elsewhere, and the vertices are walked in base's
+    order, filtered to g, instead of sorted again. Distances between
+    witnesses are always read on g."""
     if base is None:
-        fresh, stored = g.vertices, None
+        order, fresh, stored = g.sorted_vertices(), g.vertices, None
     else:
-        fresh, stored = base.near(touched, basic.r), base.reader(basic)
-    candidates = [v for v in g.sorted_vertices()
-                  if v in r_set and (check_local(g, r_set, v, basic.psi, basic.r, cfg=cfg)
-                                     if v in fresh else stored(v))]
+        order, fresh, stored = base.order, base.near(touched, basic.r), base.reader(basic)
+    verts = g.vertices
+    candidates = [v for v in order
+                  if v in r_set and v in verts
+                  and (check_local(g, r_set, v, basic.psi, basic.r, cfg=cfg)
+                       if v in fresh else stored(v))]
     if len(candidates) < basic.ell:
         return None
     return next((xs for xs in scattered_sets(g, candidates, basic.r, basic.ell)

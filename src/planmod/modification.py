@@ -1,4 +1,8 @@
-"""The four modification operations, application domains, and planarizers."""
+"""The four modification operations, application domains, and planarizers.
+
+`PlanarSets` decides planarity for the sets of one enumeration: from the
+sets already tested, by minor-closure (vr, er, ec) or supergraph-closure
+(ea), and, for one added pair, from the faces of one embedding of g."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, merge_groups, norm_edge, vertex_key
-from .planarity import is_planar, kuratowski
+from .planarity import embed, faces_are_fixed, is_planar, kuratowski
 
 
 class Operation(Enum):
@@ -127,10 +131,27 @@ class PlanarSets:
     of a nonempty set tests g (S' = ∅), and a set that a set already tested
     settles is answered without a test. The answer is exact, never a guess.
 
+    A one-pair ea set {uv} on a planar g is read off the faces of one
+    embedding of g (`planarity.embed`, built at the first such query):
+    (a) When u and v lie on one face f, g + uv is planar, for every
+        embedding: draw uv inside f, whose boundary holds both ends. The
+        merged outer face of a disconnected g also joins ends in two
+        components, and an edge between components never breaks planarity.
+    (b) When they share no face and g is a subdivision of a 3-connected
+        graph (`planarity.faces_are_fixed`, asked at most once), g + uv is
+        nonplanar. Suppose g + uv had a drawing. Deleting uv leaves a drawing
+        of g with uv's curve inside one face, so u and v share a face of
+        that drawing. By Whitney the 3-connected graph that g subdivides
+        has one embedding up to reflection, so every embedding of g has the
+        same faces as vertex sets, and u and v would share a face of ours.
+    Otherwise (a pendant vertex, a degree-2 vertex smoothing keeps, a 2-cut)
+    the set is tested. Sets of two or more pairs are always tested.
+
     `minimal` keeps only the sets that were tested and found planar with no
     such set inside them; when the enumeration goes smallest first, these
     are its inclusion-minimal planar sets. `nonplanar` keeps the ea sets
-    that were tested and found nonplanar."""
+    that were tested and found nonplanar. A set the faces decide is kept as
+    if it had been tested."""
 
     def __init__(self, g: Graph, op: Operation):
         self.g = g
@@ -138,23 +159,44 @@ class PlanarSets:
         self.minimal: list = []
         self.nonplanar: set = set()
         self._g_tested = False
+        self._faces: dict | None = None  # vertex -> indices of the faces on it
+        self._fixed: bool | None = None  # faces_are_fixed(g), once asked
 
     def covers(self, sub: frozenset) -> bool:
         """Some kept planar set lies inside sub."""
         return any(prev <= sub for prev in self.minimal)
 
     def known(self, sub: frozenset) -> bool | None:
-        """The answer for g ⊠ sub that the sets tested so far settle, or
-        None when it needs a test."""
+        """The answer for g ⊠ sub that the sets tested so far, or for one
+        pair g's faces, settle; None when it needs a test."""
         if sub and not self._g_tested:
             self.test(frozenset(), self.g)
         if self.op is Operation.EA:
-            # a set inside sub holds at most |sub| pairs, so look each up
+            # a set inside sub holds at most |sub| pairs, so look each up;
+            # the empty set is one of them, so past this g is planar
             if any(frozenset(part) in self.nonplanar
                    for size in range(len(sub) + 1) for part in combinations(sub, size)):
                 return False
-            return None
+            if len(sub) != 1:
+                return None
+            planar = self._by_faces(*next(iter(sub)))
+            if planar is not None:
+                self._keep(sub, planar)
+            return planar
         return True if self.covers(sub) else None
+
+    def _by_faces(self, u, v) -> bool | None:
+        """g + uv for the planar g by rules (a) and (b), or None."""
+        if self._faces is None:
+            self._faces = {}
+            for i, face in enumerate(embed(self.g).faces):
+                for x in face:
+                    self._faces.setdefault(x, set()).add(i)
+        if not self._faces.get(u, set()).isdisjoint(self._faces.get(v, ())):
+            return True
+        if self._fixed is None:
+            self._fixed = faces_are_fixed(self.g)
+        return False if self._fixed else None
 
     def __call__(self, s: ModificationSet) -> bool:
         """Is g ⊠ s planar?"""
@@ -168,11 +210,14 @@ class PlanarSets:
         if not sub:
             self._g_tested = True
         planar = is_planar(h)
+        self._keep(sub, planar)
+        return planar
+
+    def _keep(self, sub: frozenset, planar: bool) -> None:
         if planar and not self.covers(sub):
             self.minimal.append(sub)
         elif not planar and self.op is Operation.EA:
             self.nonplanar.add(sub)
-        return planar
 
 
 def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
@@ -184,7 +229,8 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
     planar set already found is skipped before anything is built.
     `cap` bounds the subsets enumerated, those of other sizes included;
     `PlanarSets` decides planarity, and g ⊠ S is not built for an ea set
-    that holds a set already found nonplanar.
+    that holds a set already found nonplanar, or for a pair that g's faces
+    rule out.
 
     This is the one search behind the oracle, the final search, every
     cross-check and `minimal_planarizers`. One loop stays apart on purpose:

@@ -8,9 +8,11 @@ least 9), more than 3n - 6 (nonplanar, by Euler's bound) or fewer than 6
 vertices (planar: the only nonplanar graph that small is K5, which has more
 than 3n - 6 edges); only the rest goes to networkx's left-right test.
 Kuratowski witnesses are networkx's, built by its deletion loop with each
-step decided the same way. Embeddings come from networkx directly. The
-contract here is only boolean + witness + rotation system, all of which are
-re-verified by the callers that care.
+step decided the same way. Embeddings come from networkx directly.
+`faces_are_fixed` says when the faces of one embedding are the faces of
+every embedding: `modification.PlanarSets` then reads "is g + uv planar?"
+off them. The contract here is only boolean + witness + rotation system,
+all of which are re-verified by the callers that care.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Mapping
 import networkx as nx
 
 from .errors import InputError
-from .graphs import Graph, vertex_key
+from .graphs import Graph, smooth_degree_two, vertex_key
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -153,6 +155,26 @@ def _component_faces(emb, g: Graph, comp) -> list:
             face = emb.traverse_face(u, v, mark_half_edges=seen)
             faces.append(tuple(face))
     return faces
+
+
+def faces_are_fixed(g: Graph) -> bool:
+    """Is g a subdivision of a 3-connected graph? Then a planar g has the
+    same faces, as vertex sets, in every embedding: a 3-connected planar
+    graph has one embedding up to reflection (Whitney), and g's embeddings
+    are its reduct's with each edge drawn as its path.
+
+    The subdivided graph is g's degree-2 reduct R (`smooth_degree_two`): it
+    is 3-connected when it has at least 4 vertices and R - x is connected
+    with no cut vertex for every x. A vertex of degree at most 1, or of
+    degree 2 that smoothing had to keep, leaves R with a vertex of degree at
+    most 2, so R is not 3-connected and g is no subdivision of one."""
+    reduct = _to_nx(smooth_degree_two(g)[0])
+
+    def without(x) -> nx.Graph:
+        h = reduct.copy()
+        h.remove_node(x)
+        return h
+    return len(reduct) >= 4 and all(nx.is_biconnected(without(x)) for x in reduct)
 
 
 def planar_with_additions(g: Graph, pairs: Iterable) -> bool:

@@ -29,25 +29,49 @@ class TreeDecomposition:
 
 
 def decomposition_violations(g: Graph, td: TreeDecomposition) -> list:
-    """Which of the three conditions fail; empty means valid."""
+    """Which of the three conditions fail; empty means valid.
+
+    Linear in the size of g and td: each vertex's tree nodes are indexed
+    once, an edge is covered when its ends' node sets meet, and a vertex's
+    nodes form a subtree when one search over the tree, kept to those
+    nodes, reaches them all."""
     out = []
     if set(td.bags) != set(td.tree.vertices):
         return ["bag map does not match the tree nodes"]
     if len(td.tree.edges) != max(len(td.tree.vertices) - 1, 0) or not td.tree.is_connected():
         out.append("tree is not a tree")
-    covered = set().union(*td.bags.values()) if td.bags else set()
-    if covered != set(g.vertices):
+    nodes_of: dict = {}
+    for t, bag in td.bags.items():
+        for v in bag:
+            nodes_of.setdefault(v, set()).add(t)
+    if nodes_of.keys() != g.vertices:
         out.append("bags do not cover the vertex set")
+    empty: set = set()
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if nodes_of.get(u, empty).isdisjoint(nodes_of.get(v, empty)):
             out.append(f"edge {{{u!r},{v!r}}} is in no bag")
             break
+    adj = td.tree.adj
     for v in g.vertices:
-        nodes = {t for t, bag in td.bags.items() if v in bag}
-        if nodes and not td.tree.induced(nodes).is_connected():
+        nodes = nodes_of.get(v)
+        if nodes and not _spans(adj, nodes):
             out.append(f"bags containing {v!r} do not induce a subtree")
             break
     return out
+
+
+def _spans(adj: Mapping, nodes: set) -> bool:
+    """Do `nodes` induce a connected subgraph? A search from one of them
+    that steps only onto nodes of the set."""
+    start = next(iter(nodes))
+    seen = {start}
+    todo = [start]
+    while todo:
+        for t in adj[todo.pop()]:
+            if t in nodes and t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return len(seen) == len(nodes)
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> bool:

@@ -3,9 +3,10 @@ wall search.
 
 A Wall carries explicit structure: a bijection from branch vertices to the
 positions of the elementary wall of its height, and one subdivision path per
-elementary edge. Layer and subwall combinatorics are computed once per height
-on the elementary wall (by definitional peeling) and then mapped through the
-subdivision paths.
+elementary edge. Layer and subwall combinatorics are written down once per
+height from the elementary wall's coordinates, with no embedding, and then
+mapped through the subdivision paths. Each layer is a cycle in a canonical
+form: from its least position, toward the lesser of its two neighbours.
 
 The wall search is one direct-edge subgraph-embedding kernel, run on the
 host and on its degree-2 reduct (`graphs.smooth_degree_two`); walls found on
@@ -27,7 +28,7 @@ from .errors import InputError, ResourceLimitError
 from .graphs import Graph, norm_edge, smooth_degree_two, vertex_key
 # is_planar and width_witness are not called here but stay bound: the
 # benchmark's tracer (perfbench/spans.py) wraps them in this module
-from .planarity import embed, is_planar  # noqa: F401
+from .planarity import is_planar  # noqa: F401
 from .treewidth import width_witness  # noqa: F401
 
 
@@ -56,24 +57,37 @@ def _position_graph(r: int) -> Graph:
     return Graph(verts, edges)
 
 
-def _outer_cycle(g: Graph) -> tuple:
-    """The boundary cycle of the outer face; for (subdivided) walls the face
-    set is unique, and the outer face is the strictly largest one."""
-    emb = embed(g)
-    if emb is None:
-        raise InputError("graph is not planar")
-    face = emb.faces[emb.outer_face]
-    if len(face) != len(set(face)):
-        raise InputError("outer face is not a simple cycle")
-    return face
-
-
 def _strip_debris(g: Graph) -> Graph:
     while True:
         bad = [v for v in g.vertices if len(g.adj[v]) <= 1]
         if not bad:
             return g
         g = g.remove_vertices(bad)
+
+
+def _perimeter(q: int) -> tuple:
+    """The perimeter of the elementary q-wall, its outer face's boundary, in
+    cyclic order: the bottom row left to right, up the right end, the top
+    row right to left and down the left end. Each inner row y ends in two
+    positions on either side, and the vertical edges there alternate with
+    y's parity (x + y even), so the perimeter zigzags through both."""
+    right, left = [], []
+    for y in range(2, q):
+        ends = [(2 * q - 1, y), (2 * q, y)]
+        right += ends if y % 2 == 0 else ends[::-1]
+    for y in range(q - 1, 1, -1):
+        ends = [(2, y), (1, y)]
+        left += ends if y % 2 == 0 else ends[::-1]
+    return tuple([(x, 1) for x in range(1, 2 * q)] + right
+                 + [(x, q) for x in range(2 * q, 1, -1)] + left)
+
+
+def _canonical_cycle(cycle: tuple) -> tuple:
+    """The cycle from its least position, toward the lesser of that
+    position's two neighbours on it."""
+    i = cycle.index(min(cycle))
+    cycle = cycle[i:] + cycle[:i]
+    return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
 @dataclass(frozen=True)
@@ -86,39 +100,32 @@ class _ElementaryStructure:
 
 @lru_cache(maxsize=None)
 def _elementary_structure(r: int) -> _ElementaryStructure:
-    g = _position_graph(r)
+    """Layers, center, central subwalls and bricks of the elementary r-wall,
+    written down from coordinates. Peeling the perimeter and the degree-one
+    debris of the r-wall leaves its central (r-2)-subwall, shifted two
+    columns right and one row up and, since the removed corners swap rows,
+    reflected top to bottom; so the i-th peel leaves the (r-2i)-subwall that
+    local_maps[i] places, and layer i is that subwall's perimeter, each
+    layer in `_canonical_cycle` form. The last peel leaves the two central
+    positions."""
+    verts, _ = elementary_positions(r)
     rho = (r - 1) // 2
-    layers = []
-    windows = [frozenset(g.vertices)]
-    h = g
-    for _ in range(rho):
-        cycle = _outer_cycle(h)
-        layers.append(cycle)
-        h = _strip_debris(h.remove_vertices(cycle))
-        windows.append(frozenset(h.vertices))
-    # center: the unique leftover component with two vertices
-    leftover = g.remove_vertices(set().union(*map(set, layers)))
-    two = [c for c in leftover.components() if len(c) == 2]
-    assert len(two) == 1, "expected exactly one two-vertex central component"
-    center = tuple(sorted(two[0], key=vertex_key))
-    # local coordinates of each central subwall; odd peel counts reflect
-    # vertically so the removed-corner convention matches the constructor
     local_maps = []
     for i in range(rho):
-        if i % 2 == 0:
-            lm = {(x, y): (x - 2 * i, y - i) for (x, y) in windows[i]}
-        else:
-            lm = {(x, y): (x - 2 * i, r - i + 1 - y) for (x, y) in windows[i]}
-        q = r - 2 * i
-        assert frozenset(lm.values()) == elementary_positions(q)[0]
-        local_maps.append(lm)
+        local_maps.append({(x + 2 * i, y + i if i % 2 == 0 else r - i + 1 - y): (x, y)
+                           for x, y in elementary_positions(r - 2 * i)[0]})
+    layers = []
+    for i, lm in enumerate(local_maps):
+        host = {lp: p for p, lp in lm.items()}
+        layers.append(_canonical_cycle(tuple(host[lp] for lp in _perimeter(r - 2 * i))))
+    center = ((r, (r + 1) // 2), (r + 1, (r + 1) // 2))
     bricks = []
     for x in range(1, 2 * r - 1):
         for y in range(1, r):
             if (x + y) % 2 != 0:
                 continue
             cell = {(x, y), (x + 1, y), (x + 2, y), (x, y + 1), (x + 1, y + 1), (x + 2, y + 1)}
-            if cell <= g.vertices:
+            if cell <= verts:
                 bricks.append(frozenset(cell))
     return _ElementaryStructure(tuple(layers), center, tuple(local_maps),
                                 tuple(bricks))
@@ -250,7 +257,8 @@ class WallAnalysis:
 
 
 def analyze_wall(w: Wall) -> WallAnalysis:
-    """Perimeter, layers (by iterated perimeter peeling), and the two central
+    """Perimeter, layers (the perimeters of the central subwalls, outermost
+    first, each from `_elementary_structure`), and the two central
     vertices; a (2p+1)-wall has exactly p layers."""
     st = _elementary_structure(w.height)
     layers = tuple(_splice(w, cyc) for cyc in st.layers)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from planmod import logic
 from planmod.config import PipelineConfig
 from planmod.errors import ResourceLimitError
-from planmod.fixtures import fixed_sentences, random_instances
+from planmod.fixtures import HAS_NEIGHBOR, fixed_sentences, random_instances
 from planmod.graphs import Graph, complete_graph, neighborhood
 from planmod.logic import GaifmanSentence, check_local
 from planmod.modification import ModificationSet, Operation, affected, application_domain, apply
@@ -133,3 +133,27 @@ def test_wall_evaluates_only_near_the_removed_vertex(monkeypatch):
     assert not is_triple(g, g.vertices, 1, Operation.VR, ISOLATED)
     bound = len(g.vertices) + sum(len(neighborhood(g, v, 1) - {v}) for v in g.vertices)
     assert len(calls) <= bound
+
+
+def test_witness_search_with_base_sorts_nothing(monkeypatch):
+    # every g ⊠ S keeps a subset of G's ids, so basic_witness walks G's
+    # order, sorted once per LocalValues, and never sorts g ⊠ S again
+    g = make_elementary_wall(5).graph
+    basic = logic.BasicSentence(2, 1, HAS_NEIGHBOR)
+    phi = GaifmanSentence((basic,), logic.parse_combination("1"))
+    cases = []
+    for op, elements in ((Operation.VR, [0]), (Operation.VR, [7, 20]),
+                         (Operation.EC, [sorted(g.edges)[3]]),
+                         (Operation.ER, sorted(g.edges)[:2])):
+        s = ModificationSet(op, elements)
+        h = apply(g, s)
+        cases.append((h, affected(s), logic.basic_witness(h, h.vertices, basic)))
+    base = logic.LocalValues(g, g.vertices, phi)
+    assert base.order == g.sorted_vertices()
+    sorts = []
+    real = Graph.sorted_vertices
+    monkeypatch.setattr(Graph, "sorted_vertices", lambda self: sorts.append(self) or real(self))
+    for h, touched, expect in cases:
+        assert expect is not None
+        assert logic.basic_witness(h, h.vertices, basic, base=base, touched=touched) == expect
+    assert sorts == []

@@ -25,7 +25,7 @@ from planmod.modification import (ModificationSet, Operation, application_domain
 from planmod.planarity import is_planar
 from planmod.signatures import is_triple
 from planmod.solver import Instance, solve_oracle
-from planmod.walls import make_elementary_wall
+from planmod.walls import central_subwall, compass, make_elementary_wall, subdivide_wall
 
 MINOR_OPS = [Operation.VR, Operation.ER, Operation.EC]
 ISOLATED = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
@@ -216,13 +216,12 @@ def test_planar_wall_is_tested_once(monkeypatch):
 
 
 def test_edge_additions_are_each_tested(monkeypatch):
-    # on a planar G that no single addition makes nonplanar, every set is
-    # tested
+    # a path has one face, which holds every pair, so after the test of G
+    # each one-pair set is answered planar from that face without a test
     calls = _count_is_planar(monkeypatch)
     g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
-    domain = application_domain(Operation.EA, g, g.vertices)
     assert not is_triple(g, g.vertices, 1, Operation.EA, ISOLATED)
-    assert len(calls) == 1 + len(domain)
+    assert len(calls) == 1
 
 
 # -- ea: a nonplanar set rules out its supersets ------------------------------------
@@ -256,7 +255,10 @@ def test_ea_sets_agree_with_networkx(g, k, exact):
 def test_nonplanar_additions_rule_out_their_supersets(monkeypatch):
     # the octahedron short of the edge 02 is planar with one quadrilateral
     # face 0425: adding 02 or 45 keeps it planar, adding 01 or 23 does not.
-    # So of the six pairs only {02, 45} is built and tested
+    # It is 3-connected, so the faces decide all four one-pair sets: 02 and
+    # 45 are built (to be yielded) but not tested, 01 and 23 neither. Of
+    # the six two-pair sets only {02, 45} is built and tested. So G and
+    # {02, 45} are tested, and the empty set, 02, 45 and {02, 45} built
     calls = _count_is_planar(monkeypatch)
     built = []
     real_apply = modification.apply
@@ -267,8 +269,8 @@ def test_nonplanar_additions_rule_out_their_supersets(monkeypatch):
                          if e not in antipodal and e != (0, 2)])
     got = [ms.elements for ms, _ in planar_sets(g, g.vertices, 2, Operation.EA)]
     assert got == [frozenset(), {(0, 2)}, {(4, 5)}]
-    assert len(calls) == len(built) == 1 + 4 + 1
-    assert built[-1] == {(0, 2), (4, 5)}
+    assert len(calls) == 2
+    assert built == [set(), {(0, 2)}, {(4, 5)}, {(0, 2), (4, 5)}]
 
 
 def test_nonplanar_graph_takes_one_ea_test(monkeypatch):
@@ -276,3 +278,99 @@ def test_nonplanar_graph_takes_one_ea_test(monkeypatch):
     g = complete_graph(6).remove_edges([(0, 1), (2, 3)])
     assert list(planar_sets(g, g.vertices, 2, Operation.EA, exact=True)) == []
     assert len(calls) == 1
+
+
+# -- ea: one added pair, read off the faces of one embedding -------------------------
+
+def _stacked_triangulation(rng: random.Random, n: int) -> Graph:
+    """A random stacked triangulation on n >= 3 vertices: each new vertex
+    goes into a random inner face and is joined to its three corners. It is
+    3-connected for n >= 4."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return Graph(range(n), edges)
+
+
+@st.composite
+def _one_pair_graph(draw):
+    """A graph for one-pair ea sets: random graphs (mostly planar), stacked
+    triangulations short of a few edges or subdivided, elementary and
+    subdivided walls, compasses of central subwalls, walls whose reduct is
+    not 3-connected (a pendant vertex or path, two walls at a cut vertex),
+    and walls short of a vertex or an edge."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["random", "stacked", "wall", "subdivided",
+                                 "compass", "pendant", "two-walls", "damaged"]))
+    if kind == "random":
+        return draw(_ea_graph())
+    if kind == "stacked":
+        g = _stacked_triangulation(rng, draw(st.integers(3, 14)))
+        drop = [e for e in g.sorted_edges() if rng.random() < 0.1]
+        g = g.remove_edges(drop)
+        if g.edges and draw(st.booleans()):
+            u, v = rng.choice(g.sorted_edges())
+            g = Graph(g.vertices | {100}, (g.edges - {(u, v)}) | {(u, 100), (v, 100)})
+        return g
+    height = draw(st.sampled_from([3, 5, 7]))
+    wall = make_elementary_wall(height)
+    if kind == "wall":
+        return wall.graph
+    if kind == "subdivided":
+        return subdivide_wall(wall, rng, max_extra=1).graph
+    if kind == "compass":
+        sub = central_subwall(wall, draw(st.sampled_from(range(3, height + 1, 2))))
+        return compass(wall.graph, sub)
+    g = wall.graph
+    top = max(g.vertices)
+    if kind == "pendant":
+        at = rng.choice(g.sorted_vertices())
+        length = draw(st.integers(1, 2))
+        path = [at] + list(range(top + 1, top + 1 + length))
+        return g.add_vertices(path[1:]).add_edges(zip(path, path[1:]))
+    if kind == "two-walls":
+        other = make_elementary_wall(3).graph
+        shift = {v: (v + top if v else rng.choice(g.sorted_vertices())) for v in other.vertices}
+        return Graph(g.vertices | set(shift.values()),
+                     g.edges | {norm_edge(shift[a], shift[b]) for a, b in other.edges})
+    if draw(st.booleans()):
+        return g.remove_vertices([rng.choice(g.sorted_vertices())])
+    return g.remove_edges([rng.choice(g.sorted_edges())])
+
+
+class _Tested(modification.PlanarSets):
+    """PlanarSets that tests every set, as before the face rule."""
+
+    def _by_faces(self, u, v):
+        return None
+
+
+@settings(max_examples=150)
+@given(g=_one_pair_graph(), data=st.data())
+def test_one_pair_additions_agree_with_networkx(g, data):
+    # the faces' answer for g + uv is networkx's, and the sets it keeps are
+    # those that testing every set keeps
+    domain = sorted(application_domain(Operation.EA, g, g.vertices))
+    if not domain:
+        return
+    pairs = data.draw(st.lists(st.sampled_from(domain), min_size=1, max_size=12))
+    planar, tested = modification.PlanarSets(g, Operation.EA), _Tested(g, Operation.EA)
+    for pair in pairs:
+        ms = ModificationSet(Operation.EA, [pair])
+        assert planar(ms) == _nx_planar(g.add_edges([pair])) == tested(ms), pair
+    assert planar.minimal == tested.minimal
+    assert planar.nonplanar == tested.nonplanar
+
+
+def test_wall_isolated_ea_tests_only_g(monkeypatch):
+    # "is isolated" is NO on the 7-wall at k = 1, so every one-pair set is
+    # asked for; the faces answer all of them, and G is the one test
+    is_planar.cache_clear()
+    calls = _count_is_planar(monkeypatch)
+    g = make_elementary_wall(7).graph
+    assert not is_triple(g, g.vertices, 1, Operation.EA, ISOLATED)
+    assert calls == [g]
+    assert is_planar.cache_info().misses == 1

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
 from planmod.modification import ModificationSet, Operation, apply
-from planmod.planarity import (_to_nx, embed, is_planar, kuratowski,
+from planmod.graphs import smooth_degree_two
+from planmod.planarity import (_to_nx, embed, faces_are_fixed, is_planar, kuratowski,
                                planar_with_additions)
-from planmod.walls import make_elementary_wall
+from planmod.walls import make_elementary_wall, subdivide_wall
 
 
 def euler_ok(g: Graph, emb) -> bool:
@@ -182,6 +183,24 @@ class TestAgainstNetworkx:
             assert kuratowski(g) is None
         else:
             assert kuratowski(g) == Graph(cert.nodes(), cert.edges())
+
+    @settings(max_examples=300)
+    @given(graphs)
+    def test_faces_are_fixed_is_a_3_connected_reduct(self, g):
+        reduct = _to_nx(smooth_degree_two(g)[0])
+        assert faces_are_fixed(g) == (len(reduct) >= 4 and nx.node_connectivity(reduct) >= 3)
+
+    def test_faces_are_fixed_on_walls(self):
+        wall = make_elementary_wall(5)
+        top = max(wall.graph.vertices)
+        assert faces_are_fixed(wall.graph)
+        assert faces_are_fixed(subdivide_wall(wall, random.Random(5)).graph)
+        assert faces_are_fixed(complete_graph(4))
+        assert not faces_are_fixed(wall.graph.add_vertices([top + 1]).add_edges([(0, top + 1)]))
+        # two K4s glued along the edge 23: {2, 3} is a 2-cut
+        assert not faces_are_fixed(complete_graph(4).add_vertices([4, 5]).add_edges(
+            [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]))
+        assert not faces_are_fixed(cycle_graph(5))
 
     def test_kuratowski_runs_fewer_lr_tests(self, monkeypatch):
         # networkx runs two opening tests, one per edge and a second one per

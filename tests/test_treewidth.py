@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from decomposition_reference import decomposition_violations_reference
 from graph_helpers import cycle_graph, path_graph
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from minfill_reference import minfill_order_reference
 
 from planmod.errors import ResourceLimitError
-from planmod.graphs import Graph, complete_graph, make_grid
+from planmod.graphs import Graph, complete_graph, make_grid, vertex_key
 from planmod.treewidth import (TreeDecomposition, decomposition_from_order,
                                decomposition_violations, exact_treewidth,
                                exact_treewidth_bb, minfill_decomposition,
@@ -145,3 +146,56 @@ class TestMinfillOrder:
         w = make_elementary_wall(height)
         for g in (w.graph, subdivide_wall(w, rng=random.Random(height)).graph):
             assert minfill_order(g) == minfill_order_reference(g)
+
+
+@st.composite
+def decompositions(draw):
+    """A graph with a decomposition from a random elimination order, often
+    corrupted: a vertex dropped from or added to a bag, a foreign vertex in
+    a bag, a tree edge dropped or added, or a bag's node renamed."""
+    g = draw(labelled_graphs())
+    order = draw(st.permutations(g.sorted_vertices()))
+    td = decomposition_from_order(g, list(order))
+    tree, bags = td.tree, dict(td.bags)
+    nodes = tree.sorted_vertices()
+    for _ in range(draw(st.integers(0, 2)) if nodes else 0):
+        kind = draw(st.sampled_from(["drop", "add", "foreign", "cut", "link", "rename"]))
+        t = draw(st.sampled_from(sorted(bags, key=vertex_key)))
+        if kind == "drop" and bags[t]:
+            bags[t] = bags[t] - {draw(st.sampled_from(sorted(bags[t], key=vertex_key)))}
+        elif kind == "add":
+            bags[t] = bags[t] | {draw(st.sampled_from(nodes))}
+        elif kind == "foreign":
+            bags[t] = bags[t] | {("foreign", 0)}
+        elif kind == "cut" and tree.edges:
+            tree = tree.remove_edges([draw(st.sampled_from(tree.sorted_edges()))])
+        elif kind == "link":
+            u = draw(st.sampled_from(nodes))
+            if u != t and t in tree.vertices and not tree.has_edge(u, t):
+                tree = tree.add_edges([(u, t)])
+        elif kind == "rename":
+            bags[("renamed", 0)] = bags.pop(t)
+    return g, TreeDecomposition(tree, bags)
+
+
+class TestViolationsReference:
+    # the linear check against the quadratic direct reading: the same
+    # messages, so the same verdict and the same first message
+    @settings(max_examples=300)
+    @given(decompositions())
+    def test_matches_reference(self, case):
+        g, td = case
+        assert decomposition_violations(g, td) == decomposition_violations_reference(g, td)
+
+    @pytest.mark.parametrize("height", [5, 7, 9])
+    def test_matches_reference_on_walls(self, height):
+        g = make_elementary_wall(height).graph
+        td = minfill_decomposition(g)
+        assert decomposition_violations(g, td) == [] == \
+            decomposition_violations_reference(g, td)
+        v = g.sorted_vertices()[height]
+        t = next(t for t in td.tree.sorted_vertices() if v in td.bags[t] and t != v)
+        broken = TreeDecomposition(td.tree, {**td.bags, t: td.bags[t] - {v}})
+        assert decomposition_violations(g, broken) == \
+            decomposition_violations_reference(g, broken) != []
+

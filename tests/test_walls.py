@@ -7,6 +7,7 @@ import pytest
 from graph_helpers import path_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from layer_reference import peeled_structure
 from wall_reference import find_wall_subdivisions as reference_search
 from wall_oracle import (derive_central_subwall, derive_layers,
                          derive_wall_annulus)
@@ -17,7 +18,7 @@ from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
 from planmod.solver import BoundedTreewidth, WallArea, find_area
 from planmod.treewidth import validate_decomposition
-from planmod.walls import (analyze_wall, central_subwall, compass,
+from planmod.walls import (_elementary_structure, analyze_wall, central_subwall, compass,
                            disjoint_subwalls,
                            extended_compass, find_wall_subdivisions,
                            layer_count, make_elementary_wall, subdivide_wall,
@@ -99,6 +100,23 @@ class TestLayers:
             produced = analyze_wall(w).layers
             for mine, theirs in zip(produced, derived):
                 assert set(mine) == set(theirs)
+
+    @pytest.mark.parametrize("r", range(3, 23, 2))
+    def test_structure_matches_peeled_embedding(self, r):
+        # the layers written down from coordinates are the peeled outer
+        # faces up to rotation and reflection, each from its least position
+        # toward the lesser neighbour; everything else is equal
+        layers, center, local_maps, bricks = peeled_structure(r)
+        built = _elementary_structure(r)
+        assert len(built.layers) == len(layers) == (r - 1) // 2
+        for mine, theirs in zip(built.layers, layers):
+            i = theirs.index(mine[0])
+            turned = theirs[i:] + theirs[:i]
+            assert mine in (turned, turned[:1] + turned[:0:-1])
+            assert mine[0] == min(mine) and mine[1] < mine[-1]
+        assert built.center == center
+        assert built.local_maps == local_maps
+        assert built.bricks == bricks
 
     def test_subdivided_wall_layers(self):
         w = subdivide_wall(make_elementary_wall(7), rng=random.Random(1))
