@@ -25,7 +25,6 @@ class PipelineConfig:
     cap_oracle_subsets: int = 2_000_000
     cap_char_subsets: int = 200_000
     cap_wall_nodes: int = 200_000
-    cap_exact_tw: int = 14
     cap_compass: int = 160
     cap_brute_vertices: int = 128
     cap_quant_depth: int = 16

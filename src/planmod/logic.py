@@ -21,11 +21,11 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
-from .graphs import Graph, neighborhood, vertex_key
+from .graphs import Graph, neighborhood
 
 
 # -- AST -----------------------------------------------------------------------
@@ -364,22 +364,22 @@ def rename(f: Formula, mapping: Mapping) -> Formula:
 
 # -- evaluation -------------------------------------------------------------------
 
-def _eval(f: Formula, g: Graph, r_set: frozenset, env: Mapping, order: list) -> bool:
+def _eval(f: Formula, g: Graph, r_set: frozenset, env: Mapping, domain: Collection) -> bool:
     if isinstance(f, (Exists, Forall)):
         # bind in a copy, so that a name bound again (psi may quantify over
         # its own free variable's name) keeps its outer value outside
         exists, env = isinstance(f, Exists), dict(env)
-        for v in order:
+        for v in domain:
             env[f.var] = v
-            if _eval(f.body, g, r_set, env, order) == exists:
+            if _eval(f.body, g, r_set, env, domain) == exists:
                 return exists
         return not exists
     if isinstance(f, And):
-        return _eval(f.left, g, r_set, env, order) and _eval(f.right, g, r_set, env, order)
+        return _eval(f.left, g, r_set, env, domain) and _eval(f.right, g, r_set, env, domain)
     if isinstance(f, Or):
-        return _eval(f.left, g, r_set, env, order) or _eval(f.right, g, r_set, env, order)
+        return _eval(f.left, g, r_set, env, domain) or _eval(f.right, g, r_set, env, domain)
     if isinstance(f, Not):
-        return not _eval(f.body, g, r_set, env, order)
+        return not _eval(f.body, g, r_set, env, domain)
     if isinstance(f, Adj):
         return g.has_edge(env[f.x], env[f.y])
     if isinstance(f, Eq):
@@ -403,7 +403,7 @@ def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
 
 
 def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
-                  domain: Iterable | None = None,
+                  domain: Collection | None = None,
                   cfg: PipelineConfig = DEFAULTS) -> bool:
     """Truth of a formula on (g, r_set) whose free variables are bound by
     env and whose quantifiers range over `domain` (all of V when None).
@@ -413,15 +413,18 @@ def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
     missing = phi.free_variables() - set(env)
     if missing:
         raise InputError(f"unbound free variables {sorted(missing)}")
-    order = g.sorted_vertices() if domain is None else sorted(domain, key=vertex_key)
-    if len(order) > cfg.cap_brute_vertices:
+    # quantifiers visit the domain in its own order: the truth value does not
+    # depend on it
+    if domain is None:
+        domain = g.vertices
+    if len(domain) > cfg.cap_brute_vertices:
         raise ResourceLimitError(
             f"brute-force evaluation capped at {cfg.cap_brute_vertices} vertices, "
-            f"got {len(order)}")
+            f"got {len(domain)}")
     d = quantifier_depth(phi)
     if d > cfg.cap_quant_depth:
         raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
-    return _eval(phi, g, frozenset(r_set), env, order)
+    return _eval(phi, g, frozenset(r_set), env, domain)
 
 
 def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,

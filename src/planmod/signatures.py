@@ -162,7 +162,7 @@ class Characteristic:
 
 def restrict_modset(s: ModificationSet, sub: Graph) -> ModificationSet:
     """Drop elements that do not lie entirely inside the subgraph."""
-    kept = [e for e in s.sorted_elements()
+    kept = [e for e in s.elements
             if (e in sub.vertices if s.op is Operation.VR
                 else e[0] in sub.vertices and e[1] in sub.vertices)]
     return ModificationSet(s.op, kept)
@@ -186,7 +186,12 @@ def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet
                 cfg: PipelineConfig = DEFAULTS) -> frozenset:
     """All (Y_1..Y_m, t) with t <= z realizable by scattered local witnesses
     in the modified compass tower; exhaustive search driven by check_local
-    under the config's brute-force caps."""
+    under the config's brute-force caps.
+
+    Only K^(t) is modified. The pool is the vertices of K^(t-r+1) that
+    survive both restrictions of S, and one that survives in K^(t) survives
+    in K^(t-r+1) too: under ec, a vertex least in its component in K^(t)
+    is least in its smaller component in K^(t-r+1)."""
     r_set = frozenset(r_set)
     rho = min(params.rho, ec.rho)
     if not 1 <= z <= ec.rho:
@@ -200,8 +205,7 @@ def compute_sig(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet
     for t in range(1, min(z, rho) + 1):
         kt, ktr, ptr = level_pair(ec, t, r)
         kt_mod = apply_within(kt, s)
-        ktr_mod = apply_within(ktr, s)
-        allowed = (ktr_mod.vertices - ptr) & r_set & kt_mod.vertices
+        allowed = (ktr.vertices - ptr) & r_set & kt_mod.vertices
         feasible = []
         for basic in phi.basics:
             feasible.append(_feasible_sizes(kt_mod, r_set, allowed, basic, cfg))
@@ -225,8 +229,7 @@ def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
     vertices exists inside `allowed`; downward closed, so one search for the
     largest size up to ell_h settles them all."""
     candidates = [v for v in sorted(allowed, key=vertex_key)
-                  if check_local(kt_mod, r_set & kt_mod.vertices, v, basic.psi, basic.r,
-                                 cfg=cfg)]
+                  if check_local(kt_mod, r_set, v, basic.psi, basic.r, cfg=cfg)]
     top = 0
     for xs in scattered_sets(kt_mod, candidates, basic.r, basic.ell):
         top = max(top, len(xs))
@@ -260,9 +263,7 @@ def compute_char(ec: ExtendedCompass, r_set: Iterable, op: Operation, k: int,
             continue
         anchor_idx = max(1, z - params.d + 1)
         anchor = ec.level(anchor_idx).graph.vertices & r_k
-        domain = [e for e in sorted(application_domain(op, compass_graph, r_k),
-                                    key=vertex_key)
-                  if (affected(ModificationSet(op, [e])) <= anchor)]
+        domain = sorted(application_domain(op, compass_graph, anchor), key=vertex_key)
         for size in range(0, k + 1):
             for combo in combinations(domain, size):
                 budget -= 1

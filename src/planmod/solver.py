@@ -330,6 +330,10 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     """Trichotomy: an answer about obligatory structure, a q-wall whose compass
     is certified flat/irrelevant, or a bounded-width decomposition.
 
+    G − S must be planar: this is the one test of that precondition. Under
+    ea, S is ∅ and a nonplanar G is a no-instance; otherwise a set that is
+    not a planarizer raises InputError.
+
     The irrelevance bullet is verified by the planarizer-enumeration oracle
     rather than trusted.
     """
@@ -338,10 +342,13 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     fam = area_family(k, q)
     f1, f2 = fam["f1"], fam["f2"]
     if op is Operation.EA:
-        if not is_planar(g):
-            return NoInstance("edge additions cannot planarize a nonplanar graph")
         s = ModificationSet(Operation.VR, [])
-    else:
+    removed = g.remove_vertices(s.elements)
+    if not is_planar(removed):
+        if op is Operation.EA:
+            return NoInstance("edge additions cannot planarize a nonplanar graph")
+        raise InputError("the supplied set is not a vr-planarizer")
+    if op is not Operation.EA:
         for u in s.sorted_elements():
             if has_k5_star_minor(g, u, k + 1, cfg.cap_wall_nodes):
                 if op is Operation.VR:
@@ -350,12 +357,11 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
                 return NoInstance(
                     f"(K5,{k + 1})-star minor: {k} edge operations cannot "
                     f"clear {k + 1} K5 copies")
-    removed = g.remove_vertices(s.elements)
     blocked = s.elements | {w for u in s.elements for w in g.adj[u]}
     outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg)
     if outcome is not None:
         return outcome
-    td = width_witness(g, f1, cfg.cap_exact_tw)
+    td = width_witness(g, f1)
     if td is not None:
         return BoundedTreewidth(td)
     raise ResourceLimitError(
@@ -366,14 +372,11 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
                  op: Operation, k: int, f2, cfg: PipelineConfig):
     if not _may_contain_wall(flat, q):
         return None
-    if not is_planar(flat):
-        return None
-
     for wall in islice(wall_candidates(flat, q, cfg.cap_wall_nodes),
                        MAX_WALL_CANDIDATES):
         comp = compass(g, wall)
         if not comp.vertices & blocked:
-            witness = width_witness(comp, f2, cfg.cap_exact_tw)
+            witness = width_witness(comp, f2)
             irrelevant = is_planarization_irrelevant(
                 g, op, k, comp.vertices, cfg.cap_oracle_subsets)
             if witness is not None and irrelevant:
@@ -460,13 +463,12 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
                     cfg: PipelineConfig = DEFAULTS):
     """One reduction step: obligatory structure, an irrelevant region (via the
-    area and vertex finders), or a bounded-width decomposition. Nothing here
-    is checked against exhaustive search; `solve_pipeline` does that."""
+    area and vertex finders), or a bounded-width decomposition. `find_area`
+    checks that S planarizes G. Nothing here is checked against exhaustive
+    search; `solve_pipeline` does that."""
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
-    if not is_planar(g.remove_vertices(s.elements)):
-        raise InputError("the supplied set is not a vr-planarizer")
     if not isinstance(params.q, int):
         raise InputError("reduce_instance needs a concrete q; set q_hat")
     outcome = find_area(k, params.q, g, s, op, cfg)
@@ -476,7 +478,7 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
         except ResourceLimitError as exc:
             # the trichotomy allows the decomposition branch instead
             fam = area_family(k, params.q)
-            td = width_witness(g, fam["f1"], cfg.cap_exact_tw)
+            td = width_witness(g, fam["f1"])
             if td is None:
                 raise
             outcome = BoundedTreewidth(td, fallback=str(exc))
@@ -630,14 +632,11 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         try:
             expect = answered if answered is not None else solve_oracle(inst, cfg)
         except ResourceLimitError as exc:
-            trace.append(TraceStep(len(trace) + 1, "cross-check-skipped",
-                                   {"reason": str(exc)}, k, len(g.vertices)))
+            log("cross-check-skipped", {"reason": str(exc)}, t0)
         else:
             if expect != result.answer:
                 raise SoundnessError(
                     f"pipeline answered {result.answer}, oracle says {expect}")
             result.cross_checked = True
-            trace.append(TraceStep(len(trace) + 1, "cross-check",
-                                   {"agrees": True}, k, len(g.vertices),
-                                   (time.perf_counter() - t0) * 1000))
+            log("cross-check", {"agrees": True}, t0)
     return result

@@ -2,8 +2,9 @@
 
 Two independent exact algorithms ship (subset dynamic programming and
 branch-and-bound over elimination orders) so each can serve as the other's
-oracle. Larger graphs that only need a width *witness* can use the greedy
-min-fill decomposition, which is an upper bound, never a treewidth claim.
+oracle; neither is on the pipeline's path. Every width witness the
+pipeline uses is the greedy min-fill decomposition, an upper bound, never a
+treewidth claim.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
-from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
 from .graphs import Graph, vertex_key
+
+# the default vertex cap of the two exact algorithms
+EXACT_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def _component_boundary(adjm, allowed_mask, v) -> int:
     return reach & ~inside
 
 
-def exact_treewidth(g: Graph, cap: int = DEFAULTS.cap_exact_tw) -> tuple[int, TreeDecomposition]:
+def exact_treewidth(g: Graph, cap: int = EXACT_CAP) -> tuple[int, TreeDecomposition]:
     """Exact treewidth with a validating witness decomposition.
 
     Subset dynamic programming over elimination prefixes; exponential, so the
@@ -242,7 +245,7 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
-def exact_treewidth_bb(g: Graph, cap: int = DEFAULTS.cap_exact_tw) -> int:
+def exact_treewidth_bb(g: Graph, cap: int = EXACT_CAP) -> int:
     """Exact treewidth by branch-and-bound over elimination orders.
 
     Independent of the subset DP; used as its cross-check oracle.
@@ -288,14 +291,8 @@ def exact_treewidth_bb(g: Graph, cap: int = DEFAULTS.cap_exact_tw) -> int:
     return best
 
 
-def width_witness(g: Graph, bound: int, exact_cap: int = DEFAULTS.cap_exact_tw) -> TreeDecomposition | None:
-    """A validated decomposition of width <= bound, or None if we cannot
-    produce one under the caps (which proves nothing about treewidth)."""
+def width_witness(g: Graph, bound: int) -> TreeDecomposition | None:
+    """The min-fill decomposition when its width is <= bound, else None
+    (which proves nothing about treewidth)."""
     td = minfill_decomposition(g)
-    if td.width() <= bound:
-        return td
-    if len(g.vertices) <= exact_cap:
-        tw, td = exact_treewidth(g, exact_cap)
-        if tw <= bound:
-            return td
-    return None
+    return td if td.width() <= bound else None

@@ -340,11 +340,10 @@ def compass(g: Graph, w: Wall) -> Graph:
     if not w.graph.is_subgraph_of(g):
         raise InputError("the wall is not a subgraph of the host graph")
     perim = set(analyze_wall(w).perimeter)
-    interior_seed = w.graph.vertices - perim
-    rest = g.remove_vertices(perim)
-    comps = [c for c in rest.components() if c & interior_seed]
-    assert len(comps) == 1, "wall interior spans several components"
-    return g.induced(set(comps[0]) | perim)
+    interior = w.graph.vertices - perim
+    comp = g.remove_vertices(perim).component_of(next(iter(interior)))
+    assert interior <= comp, "wall interior spans several components"
+    return g.induced(comp | perim)
 
 
 @dataclass(frozen=True)
@@ -461,13 +460,6 @@ def _wall_pattern(q: int, skeleton: bool) -> _Pattern:
                 row.append((at[nb], len(chain) - 2, chain))
         backs.append(tuple(row))
     return _Pattern(tuple(order), tuple(len(g.adj[p]) for p in order), tuple(backs))
-
-
-@lru_cache(maxsize=None)
-def _branch_positions(q: int) -> int:
-    """The number of degree-3 positions of the elementary q-wall."""
-    g = _position_graph(q)
-    return sum(1 for p in g.vertices if len(g.adj[p]) >= 3)
 
 
 def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
@@ -646,4 +638,4 @@ def _may_contain_wall(g: Graph, q: int) -> bool:
     if len(g.vertices) < len(verts) or len(g.edges) < len(edges):
         return False
     have_deg3 = sum(1 for v in g.vertices if len(g.adj[v]) >= 3)
-    return have_deg3 >= _branch_positions(q)
+    return have_deg3 >= sum(1 for d in _wall_pattern(q, False).degree if d >= 3)

@@ -289,3 +289,14 @@ def test_every_config_field_has_a_solve_flag():
     cfg = _config_from_args(build_parser().parse_args(argv))
     for f in fields(PipelineConfig):
         assert getattr(cfg, f.name) != f.default, f.name
+
+
+def test_removed_cap_flag_is_rejected(tmp_path, capsys):
+    # the pipeline's width witnesses are min-fill, so no exact-treewidth cap
+    # is configurable
+    k5 = _write_graph(tmp_path / "k5.json", complete_graph(5))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", k5, "--op", "vr", "-k", "1", "--phi", "true",
+              "--cap-exact-tw", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap-exact-tw 3" in capsys.readouterr().err

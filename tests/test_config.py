@@ -1,6 +1,7 @@
 """The config is the one home of every cap and hat: each function that reads
 a cap takes the config, and every default comes from `config.DEFAULTS`."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -8,15 +9,16 @@ import pkgutil
 import pytest
 
 import planmod
-from planmod import config
+from planmod import config, treewidth
 from planmod.config import DEFAULTS, PipelineConfig
-from planmod.errors import ResourceLimitError
-from planmod.fixtures import fixed_sentences
-from planmod.graphs import complete_graph
-from planmod.logic import check_fol, check_local, eval_gaifman, parse_formula
+from planmod.errors import InputError, ResourceLimitError
+from planmod.fixtures import IS_ISOLATED, TRIVIALLY_TRUE, fixed_sentences
+from planmod.graphs import Graph, complete_graph, k5_star
+from planmod.logic import (BasicSentence, GaifmanSentence, check_fol, check_local,
+                           eval_gaifman, parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
 from planmod.signatures import compute_parameters, compute_sig, first_model, is_triple
-from planmod.solver import Instance, solve_oracle
+from planmod.solver import Instance, solve_oracle, solve_pipeline
 from planmod.walls import extended_compass, make_elementary_wall
 
 # a local formula of quantifier depth 2, so a depth cap of 1 fires
@@ -61,8 +63,7 @@ def test_brute_force_caps_reach_every_evaluation(call, cap):
 
 
 # budget parameters and the config field each one's default must equal
-BUDGETS = {"node_budget": "cap_wall_nodes", "exact_cap": "cap_exact_tw",
-           "cap": "cap_exact_tw"}
+BUDGETS = {"node_budget": "cap_wall_nodes"}
 
 
 def _signatures():
@@ -95,6 +96,59 @@ def test_every_default_is_the_config():
                 checked.add(qualname)
     assert {"solver.find_minor_model", "solver.has_k5_star_minor",
             "walls.wall_candidates", "walls.find_wall_subdivisions",
-            "treewidth.exact_treewidth", "treewidth.exact_treewidth_bb",
-            "treewidth.width_witness", "logic.LocalValues.__init__",
+            "logic.LocalValues.__init__",
             "sigoracle._witness_exists", "signatures.compute_parameters"} <= checked
+
+
+def test_treewidth_reads_no_config_cap():
+    # the pipeline's width witnesses are min-fill; only the exact algorithms,
+    # which no run calls, take a vertex cap, with the module's own default
+    assert list(inspect.signature(treewidth.width_witness).parameters) == ["g", "bound"]
+    for fn in (treewidth.exact_treewidth, treewidth.exact_treewidth_bb):
+        assert inspect.signature(fn).parameters["cap"].default == treewidth.EXACT_CAP
+
+
+# For each switch and cap: (instance, base config, value) where replacing the
+# field's base value by `value` changes solve_pipeline's answer, witness or
+# untimed trace, or makes the run raise. For each hat: a value under which
+# compute_parameters differs from the default's. A field with no entry here
+# fails `test_every_config_field_is_live`, so no field can go unread.
+WALLS = PipelineConfig(q_hat=7, rho_hat=1, d_hat=1)
+WALL7 = Instance(make_elementary_wall(7).graph, 1, Operation.VR,
+                 dict(fixed_sentences())["annotated-neighbor"])
+PATH = Graph(range(3), [(0, 1), (1, 2)])
+ISOLATED = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
+SOLVES = {
+    "size_mode": (Instance(PATH, 1, Operation.VR, TRIVIALLY_TRUE), DEFAULTS, "exact"),
+    "cross_check": (Instance(PATH, 1, Operation.VR, TRIVIALLY_TRUE), DEFAULTS, False),
+    "cap_oracle_subsets": (Instance(PATH, 1, Operation.VR, ISOLATED), DEFAULTS, 1),
+    "cap_char_subsets": (WALL7, WALLS, 1),
+    "cap_wall_nodes": (Instance(k5_star(2)[0], 1, Operation.VR, TRIVIALLY_TRUE),
+                       DEFAULTS, 1),
+    "cap_compass": (WALL7, WALLS, 1),
+    "cap_brute_vertices": (Instance(PATH, 1, Operation.VR, TRIVIALLY_TRUE), DEFAULTS, 1),
+    "cap_quant_depth": (Instance(PATH, 1, Operation.VR, PHI), DEFAULTS, 1),
+}
+HATS = {"rho_hat": 1, "q_hat": 5, "d_hat": 1}
+
+
+def _solve(inst, cfg):
+    try:
+        res = solve_pipeline(inst, cfg)
+    except (ResourceLimitError, InputError) as exc:
+        return type(exc).__name__
+    return res.answer, res.witness, res.trace_json_obj()
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig)])
+def test_every_config_field_is_live(name):
+    assert name in SOLVES or name in HATS, f"{name} has no case that reads it"
+    if name in HATS:
+        changed = dataclasses.replace(DEFAULTS, **{name: HATS[name]})
+        assert compute_parameters(1, PHI, changed) != compute_parameters(1, PHI, DEFAULTS)
+        return
+    inst, base, value = SOLVES[name]
+    assert getattr(base, name) != value
+    before = _solve(inst, base)
+    assert isinstance(before, tuple), before
+    assert _solve(inst, dataclasses.replace(base, **{name: value})) != before

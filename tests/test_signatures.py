@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
-from planmod.fixtures import crafted_sig_instances
+from planmod.fixtures import crafted_sig_instances, fixed_sentences
 from planmod.graphs import Graph, complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
@@ -74,6 +74,14 @@ class TestParameters:
         assert fam["ell_area"] == 4 * 2 - 1 == 7
         assert fam["z_area"] == 9 * 43 + 2
         assert fam["b"] == 2 * 7 + 49 * (9 * 43 + 2)
+
+    @given(k=st.integers(0, 4), half=st.integers(1, 12))
+    def test_area_widths_exceed_every_exact_size(self, k, half):
+        # f1 >= 54 and f2 >= 171 for every budget and wall height, so the
+        # min-fill witness (width <= n - 1) fails only on graphs far beyond
+        # exact treewidth's reach
+        fam = area_family(k, 2 * half + 1)
+        assert fam["f1"] >= 54 and fam["f2"] >= 171
 
     def test_configured_overrides(self):
         cfg = PipelineConfig(rho_hat=3, d_hat=2, q_hat=3)
@@ -177,6 +185,23 @@ class TestComputeChar:
                 mine = compute_char(ec, r_set, op, 1, phi, params, cfg)
                 orc = char_oracle(ec, r_set, op, 1, phi, params, cfg)
                 assert mine.canonical_json() == orc.canonical_json(), (phi, op)
+
+    @pytest.mark.parametrize("op", list(Operation))
+    def test_matches_oracle_at_radius_two(self, op):
+        # with r = 2 the pool level K^(t-r+1) lies strictly inside K^(t) at
+        # t = 2, so only K^(t) is modified while the oracle modifies both
+        phi = dict(fixed_sentences())["distance-two-or-two-scattered"]
+        assert phi.max_r() == 2
+        cfg = PipelineConfig(rho_hat=2, d_hat=1, q_hat=3)
+        params = compute_parameters(1, phi, cfg)
+        wall = make_elementary_wall(5)
+        ec = extended_compass(wall.graph, wall, 2)
+        assert ec.level(1).graph.vertices < ec.level(2).graph.vertices
+        r_set = frozenset(v for v in wall.graph.vertices if v % 4 == 1)
+        mine = compute_char(ec, r_set, op, 1, phi, params, cfg)
+        orc = char_oracle(ec, r_set, op, 1, phi, params, cfg)
+        assert mine.canonical_json() == orc.canonical_json()
+        assert any(s == 1 for _, _, s in mine.entries)
 
     def test_crafted_suite_byte_equality(self):
         for case in crafted_sig_instances()[:8]:

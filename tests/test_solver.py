@@ -196,6 +196,12 @@ class TestFindArea:
             find_area(1, 3, complete_graph(5),
                       ModificationSet(Operation.ER, [(0, 1)]), Operation.VR)
 
+    @pytest.mark.parametrize("op", [Operation.VR, Operation.ER, Operation.EC])
+    def test_set_that_does_not_planarize_raises(self, op):
+        # find_area owns the planarity test of G - S
+        with pytest.raises(InputError, match="not a vr-planarizer"):
+            find_area(1, 3, complete_graph(6), ModificationSet(Operation.VR, [0]), op)
+
 
 def _wall_instance(height=11, rho=2, phi=PHI_NB, k=1):
     cfg = PipelineConfig(rho_hat=rho, d_hat=2, q_hat=height)
@@ -324,6 +330,32 @@ class TestReduceInstance:
             reduce_instance(1, complete_graph(5), ModificationSet(Operation.VR, []),
                             complete_graph(5).vertices, Operation.VR, PHI_NB,
                             params, cfg)
+
+    def test_ea_on_nonplanar_graph_is_no_instance(self):
+        # under ea the set is replaced by the empty one, so a nonplanar G is
+        # a no-instance rather than a bad planarizer
+        cfg = PipelineConfig()
+        params = compute_parameters(1, PHI_NB, cfg)
+        g = complete_graph(5)
+        out = reduce_instance(1, g, ModificationSet(Operation.VR, []), g.vertices,
+                              Operation.EA, PHI_NB, params, cfg)
+        assert isinstance(out, NoInstance)
+
+    def test_one_planarity_test_of_g_minus_s_per_step(self, monkeypatch):
+        cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
+        params = compute_parameters(1, PHI_NB, cfg)
+        g = make_elementary_wall(9).graph
+        tested, real = [], solver.is_planar
+
+        def spy(h):
+            tested.append(h)
+            return real(h)
+
+        monkeypatch.setattr(solver, "is_planar", spy)
+        out = reduce_instance(1, g, ModificationSet(Operation.VR, []), g.vertices,
+                              Operation.VR, PHI_NB, params, cfg)
+        assert isinstance(out, IrrelevantRegion)
+        assert tested.count(g) == 1
 
     def test_big_wall_instance_yields_irrelevant_region(self):
         # the composed flow: find_area certifies a flat area, find_vertex
@@ -463,6 +495,15 @@ class TestPipeline:
             done += 1
             assert res.cross_checked or res.trace[-1].outcome == "cross-check-skipped"
         assert done >= count * 0.9
+
+    def test_skipped_cross_check_is_timed(self):
+        # K6 needs two deletions, so the run ends with no search and the
+        # closing cross-check asks the oracle, whose cap fires
+        res = solve_pipeline(Instance(complete_graph(6), 1, Operation.VR, TRIVIALLY_TRUE),
+                             PipelineConfig(cap_oracle_subsets=1))
+        assert [t.outcome for t in res.trace] == ["no-planarizer", "cross-check-skipped"]
+        assert res.trace[-1].ms > 0
+        assert "ms" not in res.trace_json_obj()[-1]
 
     def test_obligatory_vertex_trace(self):
         # the hub of a (K5, k+1)-star is obligatory: it leaves G and R, and

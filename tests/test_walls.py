@@ -18,8 +18,8 @@ from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
 from planmod.solver import BoundedTreewidth, WallArea, find_area
 from planmod.treewidth import validate_decomposition
-from planmod.walls import (_elementary_structure, analyze_wall, central_subwall, compass,
-                           disjoint_subwalls,
+from planmod.walls import (_elementary_structure, _may_contain_wall, analyze_wall,
+                           central_subwall, compass, disjoint_subwalls,
                            extended_compass, find_wall_subdivisions,
                            layer_count, make_elementary_wall, subdivide_wall,
                            subwall_at, validate_wall, wall_annulus,
@@ -219,6 +219,16 @@ class TestCompass:
         K = compass(g, w)
         assert w.graph.is_subgraph_of(K) and K.is_connected()
 
+    def test_compass_is_the_interior_component(self):
+        # a pendant path off the perimeter and a far component stay out; a
+        # pendant off the interior comes in
+        w = make_elementary_wall(7)
+        perim = analyze_wall(w).perimeter
+        inner = min(w.graph.vertices - set(perim))
+        g = w.graph.add_vertices([900, 901, 902]).add_edges(
+            [(perim[0], 900), (inner, 901), (901, 902)])
+        assert compass(g, w).vertices == w.graph.vertices | {901, 902}
+
     def test_extended_compass_nesting(self):
         w = make_elementary_wall(9)
         ec = extended_compass(w.graph, w, 4)
@@ -265,6 +275,19 @@ class TestFindWall:
     def test_k4_too_small(self):
         out = _find_wall(complete_graph(4))
         assert isinstance(out, BoundedTreewidth) and out.decomposition.width() == 3
+
+    @pytest.mark.parametrize("q", range(3, 22, 2))
+    def test_may_contain_wall_needs_every_branch_position(self, q):
+        # moving one edge end from a degree-3 vertex to a new vertex keeps
+        # the vertex and edge counts of W_q but leaves one branch vertex short
+        g = make_elementary_wall(q).graph
+        assert _may_contain_wall(g, q)
+        u, v = next((u, v) for u, v in g.sorted_edges()
+                    if {g.degree(u), g.degree(v)} == {2, 3})
+        u, v = (u, v) if g.degree(u) == 3 else (v, u)
+        short = g.remove_edges([(u, v)]).add_vertices([-1]).add_edges([(v, -1)])
+        assert len(short.edges) == len(g.edges)
+        assert not _may_contain_wall(short, q)
 
     def test_subdivided_host(self):
         host = subdivide_wall(make_elementary_wall(3), rng=random.Random(5),
