@@ -53,12 +53,12 @@ def annulus_violations(abg: AnnulusBoundariedGraph) -> list:
         out.append("oriented boundaries are not the extremal cycles of Y")
     if set(abg.inner_cycle) & set(abg.outer_cycle):
         out.append("extremal cycles are not disjoint")
-    emb = embed(y)
-    if emb is None:
+    faces = embed(y)
+    if faces is None:
         out.append("Y is not planar")
     else:
-        faces = {_cycle_edges(f) for f in emb.faces if len(f) == len(set(f))}
-        if not {_cycle_edges(abg.inner_cycle), _cycle_edges(abg.outer_cycle)} <= faces:
+        cycles = {_cycle_edges(f) for f in faces if len(f) == len(set(f))}
+        if not {_cycle_edges(abg.inner_cycle), _cycle_edges(abg.outer_cycle)} <= cycles:
             out.append("the extremal cycles do not bound faces of Y")
     strict_inside = abg.compass.vertices - set(abg.inner_cycle) - set(abg.outer_cycle)
     for u, v in abg.graph.edges:

@@ -172,7 +172,7 @@ class Graph:
         return Graph._derived(self.vertices, self.edges | added)
 
     def add_vertices(self, new: Iterable) -> "Graph":
-        return Graph(self.vertices | set(new), self.edges)
+        return Graph._derived(self.vertices | frozenset(new), self.edges)
 
     def induced(self, keep: Iterable) -> "Graph":
         """The subgraph induced by `keep`. Reads only the adjacency of the

@@ -189,7 +189,7 @@ class PlanarSets:
         """g + uv for the planar g by rules (a) and (b), or None."""
         if self._faces is None:
             self._faces = {}
-            for i, face in enumerate(embed(self.g).faces):
+            for i, face in enumerate(embed(self.g)):
                 for x in face:
                     self._faces.setdefault(x, set()).add(i)
         if not self._faces.get(u, set()).isdisjoint(self._faces.get(v, ())):

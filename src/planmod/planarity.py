@@ -8,18 +8,17 @@ least 9), more than 3n - 6 (nonplanar, by Euler's bound) or fewer than 6
 vertices (planar: the only nonplanar graph that small is K5, which has more
 than 3n - 6 edges); only the rest goes to networkx's left-right test.
 Kuratowski witnesses are networkx's, built by its deletion loop with each
-step decided the same way. Embeddings come from networkx directly.
-`faces_are_fixed` says when the faces of one embedding are the faces of
-every embedding: `modification.PlanarSets` then reads "is g + uv planar?"
-off them. The contract here is only boolean + witness + rotation system,
-all of which are re-verified by the callers that care.
+step decided the same way. Embeddings come from networkx directly, and an
+embedding is its faces. `faces_are_fixed` says when the faces of one
+embedding are the faces of every embedding: `modification.PlanarSets` then
+reads "is g + uv planar?" off them. The contract here is only boolean +
+witness + faces, all of which are re-verified by the callers that care.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import networkx as nx
 
@@ -112,25 +111,16 @@ def kuratowski(g: Graph) -> Graph | None:
     return Graph({v for e in kept for v in e}, kept)
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Rotation system plus the face list it induces; outer_face indexes faces."""
+def embed(g: Graph) -> tuple | None:
+    """The faces of one combinatorial embedding of g, each a tuple of
+    vertices, or None when g is nonplanar.
 
-    rotation: Mapping  # vertex -> tuple of neighbors in cyclic order
-    faces: tuple       # tuple of faces; a face is a tuple of vertices
-    outer_face: int
-
-
-def embed(g: Graph) -> Embedding | None:
-    """A combinatorial embedding of g, or None when g is nonplanar.
-
-    Faces of distinct connected components share one merged outer face so that
-    |V| - |E| + |F| = 1 + #components.
+    Faces of distinct connected components share one merged outer face, the
+    last one, so that |V| - |E| + |F| = 1 + #components.
     """
     ok, emb = nx.check_planarity(_to_nx(g), counterexample=False)
     if not ok:
         return None
-    rotation = {v: tuple(emb.neighbors_cw_order(v)) for v in g.sorted_vertices()}
     inner_faces = []
     outer_pieces = []
     for comp in g.components():
@@ -140,9 +130,7 @@ def embed(g: Graph) -> Embedding | None:
         big = max(range(len(comp_faces)), key=lambda i: (len(comp_faces[i]), i))
         outer_pieces.append(comp_faces[big])
         inner_faces.extend(f for i, f in enumerate(comp_faces) if i != big)
-    outer = tuple(v for piece in outer_pieces for v in piece)
-    faces = tuple(inner_faces) + (outer,)
-    return Embedding(rotation=rotation, faces=faces, outer_face=len(faces) - 1)
+    return tuple(inner_faces) + (tuple(v for piece in outer_pieces for v in piece),)
 
 
 def _component_faces(emb, g: Graph, comp) -> list:

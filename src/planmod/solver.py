@@ -83,8 +83,6 @@ class ObligatoryVertex:
 @dataclass(frozen=True)
 class WallArea:
     wall: Wall
-    compass: Graph
-    tw_witness: TreeDecomposition
 
 
 @dataclass(frozen=True)
@@ -375,12 +373,16 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
     for wall in islice(wall_candidates(flat, q, cfg.cap_wall_nodes),
                        MAX_WALL_CANDIDATES):
         comp = compass(g, wall)
-        if not comp.vertices & blocked:
-            witness = width_witness(comp, f2)
-            irrelevant = is_planarization_irrelevant(
-                g, op, k, comp.vertices, cfg.cap_oracle_subsets)
-            if witness is not None and irrelevant:
-                return WallArea(wall, comp, witness)
+        if comp.vertices & blocked:
+            continue
+        # one bag holding V(comp) is a decomposition of width |V| - 1, and
+        # min-fill's is never wider, so min-fill runs only when that bag
+        # is wider than f2
+        if len(comp.vertices) - 1 > f2 and width_witness(comp, f2) is None:
+            continue
+        if is_planarization_irrelevant(g, op, k, comp.vertices,
+                                       cfg.cap_oracle_subsets):
+            return WallArea(wall)
     return None
 
 
@@ -394,8 +396,6 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
     proposal, which `solve_pipeline` checks against exhaustive search."""
     r_set = frozenset(r_set)
     rho = params.rho
-    if not isinstance(params.q, int):
-        raise InputError("find_vertex needs a concrete q; set q_hat")
     if params.r > rho:
         raise InputError(f"tower of height {rho} cannot host X = V(K^(r)) with r={params.r}")
     sub_height = 2 * rho + 1
@@ -564,17 +564,12 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
                                len(g.vertices), (time.perf_counter() - t0) * 1000))
 
     t0 = time.perf_counter()
-    if op is Operation.EA:
-        s = ModificationSet(Operation.VR, [])
-        if not is_planar(g):
-            log("no-instance",
-                {"reason": "edge additions cannot planarize a nonplanar graph"}, t0)
-            result = PipelineResult(False, None, trace)
-    else:
-        s = find_vr_planarizer(g, k, r_set)
-        if s is None:
-            log("no-planarizer", {"within": "R"}, t0)
-            result = PipelineResult(False, None, trace)
+    # under ea, find_area answers a nonplanar G
+    s = ModificationSet(Operation.VR, []) if op is Operation.EA \
+        else find_vr_planarizer(g, k, r_set)
+    if s is None:
+        log("no-planarizer", {"within": "R"}, t0)
+        result = PipelineResult(False, None, trace)
     max_steps = max(len(g.vertices), 1)
     steps = 0
     while result is None:

@@ -2,8 +2,8 @@
 
 Two independent exact algorithms ship (subset dynamic programming and
 branch-and-bound over elimination orders) so each can serve as the other's
-oracle; neither is on the pipeline's path. Every width witness the
-pipeline uses is the greedy min-fill decomposition, an upper bound, never a
+oracle; neither is on the pipeline's path. Every decomposition the
+pipeline builds is the greedy min-fill one, an upper bound, never a
 treewidth claim.
 """
 

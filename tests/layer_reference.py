@@ -15,10 +15,10 @@ from planmod.walls import _strip_debris, elementary_positions
 
 def outer_cycle(g: Graph) -> tuple:
     """The boundary cycle of the outer face of one embedding of g."""
-    emb = embed(g)
-    if emb is None:
+    faces = embed(g)
+    if faces is None:
         raise InputError("graph is not planar")
-    face = emb.faces[emb.outer_face]
+    face = faces[-1]
     if len(face) != len(set(face)):
         raise InputError("outer face is not a simple cycle")
     return face

@@ -364,6 +364,8 @@ class TestDerivedGraphs:
         more = Graph(verts, edges + new)
         _as_built(g.add_edges(new), more)
         _as_built(g.add_edges(new).remove_vertices(drop), Graph(keep, inside(edges + new)))
+        extra = data.draw(st.lists(_ALL_IDS[kind], max_size=4))  # new and old ids
+        _as_built(g.add_vertices(extra), Graph(verts + extra, edges))
         for op, elements, expected in ((Operation.VR, drop, dropped),
                                        (Operation.ER, gone, fewer),
                                        (Operation.EA, new, more),

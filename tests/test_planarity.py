@@ -15,9 +15,9 @@ from planmod.planarity import (_to_nx, embed, faces_are_fixed, is_planar, kurato
 from planmod.walls import make_elementary_wall, subdivide_wall
 
 
-def euler_ok(g: Graph, emb) -> bool:
+def euler_ok(g: Graph, faces) -> bool:
     """Euler's formula V - E + F = 1 + C for the embedding's face count."""
-    return len(g.vertices) - len(g.edges) + len(emb.faces) == 1 + len(g.components())
+    return len(g.vertices) - len(g.edges) + len(faces) == 1 + len(g.components())
 
 
 def suppress_degree_two(g: Graph) -> Graph:
@@ -238,7 +238,7 @@ def _subdivided_k33_with_extras() -> Graph:
 
 class TestOrderIndependence:
     """Two equal graphs, built from one edge list and from its reverse, get
-    the same rotation, faces and Kuratowski witness: `_to_nx` adds vertices
+    the same faces and Kuratowski witness: `_to_nx` adds vertices
     and edges in sorted order, whatever order g's sets iterate in."""
 
     @staticmethod
@@ -251,9 +251,7 @@ class TestOrderIndependence:
     def test_embedding(self):
         a, b = self._twins(_spread(_wall_with_chords(0)))
         assert list(a.vertices) != list(b.vertices)  # the sets iterate differently
-        ea, eb = embed(a), embed(b)
-        assert ea.rotation == eb.rotation
-        assert ea.faces == eb.faces and ea.outer_face == eb.outer_face
+        assert embed(a) == embed(b)
 
     @pytest.mark.parametrize("g", [_wall_with_chords(2), _subdivided_k33_with_extras()],
                              ids=["wall-with-chords", "k33-subdivision"])
@@ -304,30 +302,26 @@ class TestEmbedding:
     def test_euler_connected(self):
         for g in (complete_graph(4), cycle_graph(5), path_graph(4),
                   make_grid(3, 3).graph):
-            emb = embed(g)
-            assert emb is not None and euler_ok(g, emb)
+            faces = embed(g)
+            assert faces is not None and euler_ok(g, faces)
 
     def test_euler_disconnected(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(3, offset=5),
                            Graph([99]))
-        emb = embed(g)
-        assert euler_ok(g, emb)
+        faces = embed(g)
+        assert euler_ok(g, faces)
+        # the merged outer face, last, holds both triangles
+        assert set(faces[-1]) == {0, 1, 2, 5, 6, 7}
 
     def test_nonplanar_returns_none(self):
         assert embed(complete_graph(5)) is None
 
-    def test_rotation_covers_neighbors(self):
-        g = make_grid(3, 3).graph
-        emb = embed(g)
-        for v in g.vertices:
-            assert frozenset(emb.rotation[v]) == g.neighbors(v)
-
     def test_euler_random(self):
         for seed in range(40):
             g = _random_graph(seed, max_n=9, p=0.4)
-            emb = embed(g)
-            if emb is not None:
-                assert euler_ok(g, emb)
+            faces = embed(g)
+            if faces is not None:
+                assert euler_ok(g, faces)
 
 
 class TestPlanarWithAdditions:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -13,20 +14,20 @@ from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
                               fixed_sentences, random_instances)
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
-                            make_grid, make_triangulated_grid)
+                            make_grid, make_triangulated_grid, vertex_key)
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
                                   application_domain, apply, subsets_up_to)
 from planmod.planarity import is_planar
-from planmod.signatures import compute_parameters, is_triple
+from planmod.signatures import area_family, compute_parameters, is_triple
 from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
                             NoInstance, ObligatoryVertex, WallArea, _cannot_host,
                             find_area, find_minor_model, find_vertex,
                             has_k5_star_minor, reduce_instance, solve_oracle,
                             solve_pipeline)
-from planmod.treewidth import validate_decomposition
-from planmod.walls import analyze_wall, make_elementary_wall, subdivide_wall
+from planmod.treewidth import minfill_decomposition, validate_decomposition
+from planmod.walls import analyze_wall, compass, make_elementary_wall, subdivide_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
@@ -171,12 +172,46 @@ class TestFindArea:
         g = make_grid(6, 8).graph
         out = find_area(1, 3, g, ModificationSet(Operation.VR, []), Operation.EA)
         assert isinstance(out, WallArea)
-        assert validate_decomposition(out.compass, out.tw_witness)
-        # all four bullet guarantees
-        fam_bound = out.tw_witness.width()
-        assert fam_bound <= 9 * (2 * (2 * 9 + 3) + 1)
+        # the wall's compass has width at most f2 and is irrelevant
+        comp = compass(g, out.wall)
+        assert minfill_decomposition(comp).width() <= area_family(1, 3)["f2"]
         from planmod.modification import is_planarization_irrelevant
-        assert is_planarization_irrelevant(g, Operation.EA, 1, out.compass.vertices)
+        assert is_planarization_irrelevant(g, Operation.EA, 1, comp.vertices)
+
+    @staticmethod
+    def _width_calls(monkeypatch) -> list:
+        calls, real = [], solver.width_witness
+
+        def spy(h, bound):
+            calls.append(len(h.vertices))
+            return real(h, bound)
+
+        monkeypatch.setattr(solver, "width_witness", spy)
+        return calls
+
+    def test_small_compass_is_certified_by_its_size(self, monkeypatch):
+        # the 7-wall's compass has 96 vertices, far below f2 + 1
+        calls = self._width_calls(monkeypatch)
+        cfg = PipelineConfig(q_hat=7, rho_hat=1, d_hat=1)
+        g = make_elementary_wall(7).graph
+        out = find_area(1, 7, g, ModificationSet(Operation.VR, []), Operation.VR, cfg)
+        assert isinstance(out, WallArea)
+        assert len(compass(g, out.wall).vertices) == 96
+        assert calls == []
+
+    def test_large_compass_gets_a_minfill_witness(self, monkeypatch):
+        # a 200-vertex path hung off a centre vertex of the 3-wall joins its
+        # compass, which then has more than f2 + 1 = 172 vertices
+        wall = make_elementary_wall(3)
+        centre = min(analyze_wall(wall).center, key=vertex_key)
+        tail = path_graph(200, offset=1000)
+        g = disjoint_union(wall.graph, tail).add_edges([(centre, 1000)])
+        f2 = area_family(0, 3)["f2"]
+        assert len(compass(g, wall).vertices) == 216 > f2 + 1
+        calls = self._width_calls(monkeypatch)
+        out = find_area(0, 3, g, ModificationSet(Operation.VR, []), Operation.VR)
+        assert isinstance(out, WallArea)
+        assert calls == [216]
 
     def test_fired_irrelevance_cap_raises(self):
         # the wall's irrelevance check must not read a fired cap as "no wall"
@@ -229,6 +264,16 @@ class TestFindVertex:
         out = find_vertex(1, g, r_set, wall, Operation.VR, PHI_NB, params, cfg)
         assert out.vertex in out.region
         assert not (out.region & r_set)
+
+    def test_q_is_not_read(self):
+        # only rho, d and r are read, so a rendered tower for q changes nothing
+        cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
+        params = compute_parameters(1, PHI_NB, cfg)
+        tower = dataclasses.replace(params, q="2^2^7")
+        wall = make_elementary_wall(7)
+        g = wall.graph
+        assert find_vertex(1, g, g.vertices, wall, Operation.VR, PHI_NB, tower, cfg) \
+            == find_vertex(1, g, g.vertices, wall, Operation.VR, PHI_NB, params, cfg)
 
     def test_asymmetric_annotations_raise(self):
         cfg, params, wall = _wall_instance()
@@ -651,6 +696,13 @@ class TestOracleCalls:
                                       TRIVIALLY_TRUE))
         assert res.answer and res.cross_checked
         assert len(calls) == expect
+
+    def test_ea_nonplanar_needs_a_concrete_q(self):
+        # find_area alone answers a nonplanar G under ea, after
+        # reduce_instance has asked for a concrete q
+        with pytest.raises(InputError):
+            solve_pipeline(Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE),
+                           PipelineConfig(q_hat=None))
 
     def test_no_calls_without_cross_check(self, monkeypatch):
         calls = self._count(monkeypatch)

@@ -141,6 +141,12 @@ class TestMinfillOrder:
     def test_matches_reference_on_random_graphs(self, g):
         assert minfill_order(g) == minfill_order_reference(g)
 
+    # the wall branch certifies a compass by its size alone when its one bag
+    # is narrow enough, since min-fill is never wider than that bag
+    @given(labelled_graphs())
+    def test_never_wider_than_one_bag(self, g):
+        assert minfill_decomposition(g).width() <= len(g.vertices) - 1
+
     @pytest.mark.parametrize("height", [3, 5, 7, 9, 11])
     def test_matches_reference_on_walls(self, height):
         w = make_elementary_wall(height)
