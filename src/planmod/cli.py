@@ -114,9 +114,6 @@ def cmd_solve(args) -> int:
         answer, witness = solve_oracle(inst, cfg, want_witness=True)
         result = PipelineResult(answer, witness)
     else:
-        if not isinstance(phi, GaifmanSentence):
-            raise InputError("the pipeline needs --gaifman (or --phi true); "
-                             "use --oracle for plain formulas")
         result = solve_pipeline(inst, cfg)
     elapsed = (time.perf_counter() - t0) * 1000
     phi_obj = phi.to_json_obj() if isinstance(phi, GaifmanSentence) else str(phi)

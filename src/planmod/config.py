@@ -35,6 +35,10 @@ class PipelineConfig:
         for name in CAPS:
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        for name in ("rho_hat", "d_hat"):
+            hat = getattr(self, name)
+            if hat is not None and hat < 1:
+                raise InputError(f"{name} must be positive")
 
     def to_json_obj(self) -> dict:
         return asdict(self)

@@ -469,8 +469,8 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
-    if not isinstance(params.q, int):
-        raise InputError("reduce_instance needs a concrete q; set q_hat")
+    if not isinstance(params.q, int) or params.q < 3 or params.q % 2 == 0:
+        raise InputError("reduce_instance needs a concrete odd q >= 3; set q_hat")
     outcome = find_area(k, params.q, g, s, op, cfg)
     if isinstance(outcome, WallArea):
         try:

@@ -3,9 +3,10 @@ wall search.
 
 A Wall carries explicit structure: a bijection from branch vertices to the
 positions of the elementary wall of its height, and one subdivision path per
-elementary edge. Layer and subwall combinatorics are written down once per
-height from the elementary wall's coordinates, with no embedding, and then
-mapped through the subdivision paths. Each layer is a cycle in a canonical
+elementary edge. Its graph is derived: the union of those paths. Layer and
+subwall combinatorics are written down once per height from the elementary
+wall's coordinates, with no embedding, and then mapped through the
+subdivision paths. Each layer is a cycle in a canonical
 form: from its least position, toward the lesser of its two neighbours.
 
 The wall search is one direct-edge subgraph-embedding kernel, run on the
@@ -20,7 +21,7 @@ skeleton of W_q (its own reduct) with every path at least as long.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .config import DEFAULTS
@@ -137,10 +138,16 @@ def _elementary_structure(r: int) -> _ElementaryStructure:
 class Wall:
     """A subdivision of the elementary `height`-wall inside some host id space."""
 
-    graph: Graph
     height: int
     branch_coords: Mapping  # branch vertex -> elementary position
     paths: Mapping          # elementary edge (normalized) -> tuple of vertices
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The union of the paths: their vertices and consecutive pairs."""
+        paths = self.paths.values()
+        return Graph({v for path in paths for v in path},
+                     (e for path in paths for e in zip(path, path[1:])))
 
     def vertex_at(self, pos):
         if not hasattr(self, "_inv"):
@@ -154,8 +161,9 @@ def validate_wall(w: Wall) -> bool:
 
 def wall_violations(w: Wall) -> list:
     """Re-checks that the carried structure witnesses a subdivision of the
-    elementary wall: bijective coordinates, one internally-disjoint path per
-    elementary edge, and no extra vertices or edges."""
+    elementary wall: bijective coordinates and one internally-disjoint path
+    per elementary edge. The graph is the union of the paths, so it has no
+    other vertices or edges."""
     out = []
     verts, edges = elementary_positions(w.height)
     coords = dict(w.branch_coords)
@@ -167,7 +175,6 @@ def wall_violations(w: Wall) -> list:
         out.append("paths do not match the elementary edge set")
         return out
     seen_internal = set()
-    path_edges = set()
     for e, path in w.paths.items():
         if len(path) < 2 or {path[0], path[-1]} != {at[e[0]], at[e[1]]}:
             out.append(f"path for {e} does not join its branch endpoints")
@@ -176,16 +183,6 @@ def wall_violations(w: Wall) -> list:
             if v in coords or v in seen_internal:
                 out.append(f"path vertex {v!r} reused")
             seen_internal.add(v)
-            if len(w.graph.adj.get(v, ())) != 2:
-                out.append(f"subdivision vertex {v!r} does not have degree 2")
-        for a, b in zip(path, path[1:]):
-            if not w.graph.has_edge(a, b):
-                out.append(f"missing edge {{{a!r},{b!r}}} on a path")
-            path_edges.add(norm_edge(a, b))
-    if w.graph.vertices != set(coords) | seen_internal:
-        out.append("graph vertex set differs from the union of the paths")
-    if w.graph.edges != frozenset(path_edges):
-        out.append("graph edge set differs from the union of the paths")
     return out
 
 
@@ -195,9 +192,8 @@ def make_elementary_wall(r: int) -> Wall:
     verts, edges = elementary_positions(r)
     order = sorted(verts)
     vid = {p: i for i, p in enumerate(order)}
-    graph = Graph(vid.values(), ((vid[a], vid[b]) for a, b in edges))
     paths = {e: (vid[e[0]], vid[e[1]]) for e in edges}
-    return Wall(graph, r, {vid[p]: p for p in order}, paths)
+    return Wall(r, {vid[p]: p for p in order}, paths)
 
 
 def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
@@ -213,12 +209,7 @@ def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
         fresh = list(range(next_id, next_id + extra))
         next_id += extra
         new_paths[e] = (path[0], *fresh, *path[1:])
-    verts = set(w.branch_coords)
-    edges = set()
-    for path in new_paths.values():
-        verts.update(path)
-        edges.update(norm_edge(a, b) for a, b in zip(path, path[1:]))
-    return Wall(Graph(verts, edges), w.height, dict(w.branch_coords), new_paths)
+    return Wall(w.height, dict(w.branch_coords), new_paths)
 
 
 def _splice(w: Wall, cycle_positions: Iterable) -> tuple:
@@ -246,7 +237,7 @@ def _sub_wall(w: Wall, height: int, local: Mapping) -> Wall:
             path = tuple(reversed(path))
         paths[(a, b)] = path
     coords = {w.vertex_at(p): lp for p, lp in local.items()}
-    return Wall(w.graph.induced(set().union(*paths.values())), height, coords, paths)
+    return Wall(height, coords, paths)
 
 
 @dataclass(frozen=True)
@@ -533,11 +524,6 @@ def _walls(host: Graph, q: int, skeleton: bool, host_paths: Mapping | None,
     host, each lifted to the graph behind `host_paths`: a pattern path's
     inner positions go to the first inner vertices of its host path, and
     its last edge takes the rest of that path."""
-    verts, _ = elementary_positions(q)
-    if len(verts) > 120:
-        raise ResourceLimitError(
-            f"subdivision search is capped at 120 pattern vertices "
-            f"(q={q} needs {len(verts)})")
     pat = _wall_pattern(q, skeleton)
     for image in _embeddings(pat, host, host_paths, node_budget):
         coords = dict(zip(image, pat.order))
@@ -551,8 +537,7 @@ def _walls(host: Graph, q: int, skeleton: bool, host_paths: Mapping | None,
                     coords[path[t]] = chain[t]
                     paths[norm_edge(chain[t - 1], chain[t])] = path[t - 1:t + 1]
                 paths[norm_edge(chain[-2], chain[-1])] = path[need:]
-        edges = {norm_edge(u, v) for path in paths.values() for u, v in zip(path, path[1:])}
-        yield Wall(Graph({v for e in edges for v in e}, edges), q, coords, paths)
+        yield Wall(q, coords, paths)
 
 
 def find_wall_subdivisions(g: Graph, q: int,
@@ -633,9 +618,14 @@ def wall_candidates(g: Graph, q: int,
 
 
 def _may_contain_wall(g: Graph, q: int) -> bool:
-    """Cheap necessary conditions for containing a q-wall subdivision."""
-    verts, edges = elementary_positions(q)
-    if len(g.vertices) < len(verts) or len(g.edges) < len(edges):
+    """Cheap necessary conditions for containing a subdivision of W_q, from
+    its closed forms, so nothing of size q² is built. W_q is the grid
+    [1, 2q] x [1, q] less two corners: 2q² − 2 positions. Each row holds
+    2q − 1 horizontal edges and each pair of consecutive rows q vertical
+    ones, and each corner takes one horizontal edge: 3q² − 2q − 2 edges.
+    Every position has degree 2 or 3, so the degree sum 2|E| leaves
+    2q² − 4q of degree 3. A subdivision has at least as many of each."""
+    if len(g.vertices) < 2 * q * q - 2 or len(g.edges) < 3 * q * q - 2 * q - 2:
         return False
     have_deg3 = sum(1 for v in g.vertices if len(g.adj[v]) >= 3)
-    return have_deg3 >= sum(1 for d in _wall_pattern(q, False).degree if d >= 3)
+    return have_deg3 >= 2 * q * q - 4 * q

@@ -266,6 +266,47 @@ MALFORMED = {
 }
 
 
+HAS_NEIGHBOUR = {"basics": [{"ell": 1, "r": 1, "psi": "exists y. adj(x,y)"}],
+                 "combination": "1"}
+
+
+class TestBadParameters:
+    """A bad hat or a plain formula under the pipeline exits 2 with one
+    `error:` line from the check that owns it."""
+
+    @pytest.mark.parametrize("hats,message", [
+        (["--q-hat", "7", "--rho-hat", "-1", "--d-hat", "1"], "rho_hat must be positive"),
+        (["--q-hat", "7", "--rho-hat", "1", "--d-hat", "0"], "d_hat must be positive"),
+        (["--q-hat", "4", "--rho-hat", "1", "--d-hat", "1"], "odd q >= 3"),
+    ], ids=["rho-hat-negative", "d-hat-zero", "q-hat-even"])
+    def test_wall_hats(self, hats, message, tmp_path, capsys):
+        wall = tmp_path / "wall7.json"
+        main(["gen", "wall", "--height", "7", "--out", str(wall)])
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(HAS_NEIGHBOUR))
+        code = main(["solve", str(wall), "--op", "vr", "-k", "1", "--gaifman", str(phi),
+                     *hats, "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err
+
+    def test_even_q_hat_is_rejected_before_find_area_answers(self, tmp_path, capsys):
+        # find_area alone would answer NO: ea cannot planarize K5
+        k5 = _write_graph(tmp_path / "k5.json", complete_graph(5))
+        code = main(["solve", k5, "--op", "ea", "-k", "1", "--phi", "true",
+                     "--q-hat", "4", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: reduce_instance needs a concrete odd q >= 3; set q_hat\n"
+
+    def test_plain_formula_needs_the_oracle(self, tmp_path, capsys):
+        k5 = _write_graph(tmp_path / "k5.json", complete_graph(5))
+        code = main(["solve", k5, "--op", "vr", "-k", "1", "--phi", "exists x. x = x"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: the pipeline needs a Gaifman sentence; plain formulas run under the oracle only\n"
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_two_with_an_error_line(self, case, tmp_path, capsys):

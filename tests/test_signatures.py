@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import crafted_sig_instances, fixed_sentences
-from planmod.graphs import Graph, complete_graph
+from planmod.graphs import complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
@@ -34,13 +34,11 @@ NON_LOCAL = GaifmanSentence(
 def relabel_wall(w: Wall, mapping: dict) -> Wall:
     """The same wall with its host vertices renamed through `mapping`."""
     lift = lambda v: mapping.get(v, v)
-    graph = Graph((lift(v) for v in w.graph.vertices),
-                  ((lift(a), lift(b)) for a, b in w.graph.edges))
-    if len(graph.vertices) != len(w.graph.vertices):
+    if len({lift(v) for v in w.graph.vertices}) != len(w.graph.vertices):
         raise InputError("relabeling is not injective")
     coords = {lift(v): p for v, p in w.branch_coords.items()}
     paths = {e: tuple(lift(v) for v in path) for e, path in w.paths.items()}
-    return Wall(graph, w.height, coords, paths)
+    return Wall(w.height, coords, paths)
 
 
 class TestParameters:

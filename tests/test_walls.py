@@ -12,19 +12,25 @@ from wall_reference import find_wall_subdivisions as reference_search
 from wall_oracle import (derive_central_subwall, derive_layers,
                          derive_wall_annulus)
 
+from planmod import walls
+from planmod.config import PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
-from planmod.graphs import complete_graph, make_grid, norm_edge, smooth_degree_two
+from planmod.fixtures import HAS_NEIGHBOR, TRIVIALLY_TRUE
+from planmod.graphs import Graph, complete_graph, make_grid, norm_edge, smooth_degree_two
+from planmod.logic import BasicSentence, GaifmanSentence, parse_combination
 from planmod.modification import ModificationSet, Operation
 from planmod.planarity import embed
 from planmod.signatures import area_family
-from planmod.solver import BoundedTreewidth, WallArea, find_area
+from planmod.solver import (BoundedTreewidth, Instance, WallArea, find_area,
+                            solve_pipeline)
 from planmod.treewidth import validate_decomposition
-from planmod.walls import (_elementary_structure, _may_contain_wall, analyze_wall,
-                           central_subwall, compass, disjoint_subwalls,
-                           extended_compass, find_wall_subdivisions,
-                           layer_count, make_elementary_wall, subdivide_wall,
-                           subwall_at, validate_wall, wall_annulus,
-                           wall_candidates, wall_violations)
+from planmod.walls import (_elementary_structure, _may_contain_wall, _wall_pattern,
+                           analyze_wall, central_subwall, compass, disjoint_subwalls,
+                           elementary_positions, extended_compass,
+                           find_wall_subdivisions, layer_count,
+                           make_elementary_wall, subdivide_wall, subwall_at,
+                           validate_wall, wall_annulus, wall_candidates,
+                           wall_violations)
 
 
 def coord_adjacency(wall):
@@ -424,3 +430,106 @@ class TestWallSearchDepth:
         old = sys.getrecursionlimit()
         assert next(wall_candidates(make_elementary_wall(7).graph, 5), None) is not None
         assert sys.getrecursionlimit() == old
+
+
+def _path_union(w) -> Graph:
+    """The vertices and consecutive pairs of a wall's paths."""
+    paths = w.paths.values()
+    return Graph({v for path in paths for v in path},
+                 (norm_edge(a, b) for path in paths for a, b in zip(path, path[1:])))
+
+
+@st.composite
+def whole_walls(draw):
+    """Elementary walls of odd height 3 to 11, each maybe subdivided."""
+    w = make_elementary_wall(draw(st.sampled_from((3, 5, 7, 9, 11))))
+    if draw(st.booleans()):
+        w = subdivide_wall(w, rng=random.Random(draw(st.integers(0, 2 ** 16))),
+                           max_extra=draw(st.integers(0, 3)))
+    return w
+
+
+class TestWallIsItsPaths:
+    """A wall's graph is derived from its paths, and equals the graph each
+    builder used to construct beside them."""
+
+    @pytest.mark.parametrize("h", [3, 5, 7, 9, 11])
+    def test_elementary_wall_is_the_position_graph(self, h):
+        w = make_elementary_wall(h)
+        at = {p: v for v, p in w.branch_coords.items()}
+        verts, edges = elementary_positions(h)
+        assert w.graph == Graph((at[p] for p in verts), ((at[a], at[b]) for a, b in edges))
+        assert w.graph == _path_union(w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=whole_walls())
+    def test_subwall_graph_is_induced_in_its_parent(self, w):
+        # a subwall window has an even coordinate offset, so every parent
+        # edge between two of its positions is one of its pattern edges
+        assert w.graph == _path_union(w)
+        for q in range(3, w.height + 1, 2):
+            for sub in [central_subwall(w, q), *disjoint_subwalls(w, q)]:
+                assert validate_wall(sub), wall_violations(sub)
+                verts = set().union(*sub.paths.values())
+                assert sub.graph == _path_union(sub) == w.graph.induced(verts)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9])
+    def test_found_walls_are_their_paths(self, q):
+        g = subdivide_wall(make_elementary_wall(9), rng=random.Random(9),
+                           max_extra=2).graph
+        found = list(islice(wall_candidates(g, q), 20))
+        assert found
+        for wall in found:
+            assert validate_wall(wall) and wall.graph.is_subgraph_of(g)
+            assert wall.graph == _path_union(wall)
+
+
+class TestWallPatternSize:
+    """W_q is sized by its closed forms, and the search has no pattern-size
+    cap of its own."""
+
+    @pytest.mark.parametrize("q", range(3, 40, 2))
+    def test_closed_forms(self, q):
+        verts, edges = elementary_positions(q)
+        assert len(verts) == 2 * q * q - 2
+        assert len(edges) == 3 * q * q - 2 * q - 2
+        assert sum(1 for d in _wall_pattern(q, False).degree if d >= 3) == 2 * q * q - 4 * q
+
+    def test_a_huge_q_builds_no_pattern(self, monkeypatch):
+        def guard(real):
+            def call(q, *args):
+                if q > 1_000:
+                    raise AssertionError(f"built a pattern of height {q}")
+                return real(q, *args)
+            return call
+        monkeypatch.setattr(walls, "elementary_positions", guard(elementary_positions))
+        monkeypatch.setattr(walls, "_wall_pattern", guard(_wall_pattern))
+        g = make_elementary_wall(7).graph
+        assert not _may_contain_wall(g, 1_000_001)
+        res = solve_pipeline(Instance(g, 1, Operation.VR, TRIVIALLY_TRUE),
+                             PipelineConfig(q_hat=1_000_001))
+        assert res.answer and res.cross_checked
+
+    def test_nine_walls_are_found(self):
+        # W_9 has 160 positions, past the 120 the search once capped silently
+        g = make_elementary_wall(11).graph
+        found = list(wall_candidates(g, 9))
+        assert len(found) == 10
+        assert all(validate_wall(w) and w.graph.is_subgraph_of(g) for w in found)
+
+    def test_nine_walls_reach_the_irrelevant_region_branch(self):
+        res = solve_pipeline(
+            Instance(make_elementary_wall(11).graph, 1, Operation.VR,
+                     GaifmanSentence((BasicSentence(1, 1, HAS_NEIGHBOR),),
+                                     parse_combination("1"))),
+            PipelineConfig(q_hat=9, rho_hat=1, d_hat=1))
+        outcomes = [t.outcome for t in res.trace]
+        assert "irrelevant-region" in outcomes and outcomes[-1] == "cross-check"
+        assert res.answer and res.cross_checked
+
+    def test_q_is_checked_before_any_step(self):
+        # with no hats at k = 0 the formula's q is even and has 262 150
+        # bits, too long to print
+        with pytest.raises(InputError, match="odd q >= 3"):
+            solve_pipeline(Instance(make_elementary_wall(3).graph, 0, Operation.VR,
+                                    TRIVIALLY_TRUE), PipelineConfig(q_hat=None))

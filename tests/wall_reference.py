@@ -163,12 +163,6 @@ def find_wall_subdivisions(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wal
             del placed[p]
 
     for _ in place(0):
-        graph_verts = set(images)
-        pedges = set()
-        for path in paths.values():
-            graph_verts.update(path)
-            pedges.update(norm_edge(a, b) for a, b in zip(path, path[1:]))
-        wall = Wall(Graph(graph_verts, pedges), q,
-                    {v: p for p, v in placed.items()}, dict(paths))
+        wall = Wall(q, {v: p for p, v in placed.items()}, dict(paths))
         if validate_wall(wall):
             yield wall
