@@ -99,16 +99,10 @@ def compute_parameters(k: int, phi: GaifmanSentence,
     if cfg.q_hat is not None:
         q = cfg.q_hat
     elif isinstance(w, int):
-        q = _ceil_of_scaled_sqrt(2 * rho + 1, w)
+        q = _ceil_sqrt((2 * rho + 1) ** 2 * w)
     else:
         q = f"ceil({2 * rho + 1}*sqrt({w}))"
     return Parameters(r=r, ell=ell, d=d, rho=rho, w=w, q=q)
-
-
-def _ceil_of_scaled_sqrt(a: int, w: int) -> int:
-    """ceil(a * sqrt(w)) for exact integers."""
-    lo = isqrt(a * a * w)
-    return lo if lo * lo == a * a * w else lo + 1
 
 
 def z_range(params: Parameters, warn: bool = True) -> range:

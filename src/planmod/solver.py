@@ -28,7 +28,7 @@ from .planarity import is_planar
 from .signatures import (Parameters, compute_char, compute_parameters,
                          first_model, is_triple)
 from .treewidth import TreeDecomposition, width_witness
-from .walls import (Wall, analyze_wall, compass, disjoint_subwalls,
+from .walls import (Wall, center, compass, disjoint_subwalls,
                     extended_compass, wall_candidates, _may_contain_wall)
 from .signatures import area_family
 
@@ -315,10 +315,7 @@ def has_k5_star_minor(g: Graph, center, copies: int,
     Otherwise `find_minor_model` backtracks; when it uses up `node_budget`
     the answer is False too, which the caller must not read as a proof."""
     pattern, hub = k5_star(copies)
-    pattern = Graph({f"p{v}" for v in pattern.vertices},
-                    ((f"p{u}", f"p{v}") for u, v in pattern.edges))
-    model = find_minor_model(g, pattern, f"p{hub}", center, node_budget)
-    return model is not None
+    return find_minor_model(g, pattern, hub, center, node_budget) is not None
 
 
 # -- Find_Area ------------------------------------------------------------------------
@@ -417,7 +414,7 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
             f"only {len(towers)} disjoint subwall compasses; need at least 2")
 
     def finish(ec, region: frozenset) -> IrrelevantRegion:
-        v = min(analyze_wall(ec.wall).center, key=vertex_key)
+        v = min(center(ec.wall), key=vertex_key)
         assert v in region
         return IrrelevantRegion(region, v)
 

@@ -3,11 +3,13 @@ wall search.
 
 A Wall carries explicit structure: a bijection from branch vertices to the
 positions of the elementary wall of its height, and one subdivision path per
-elementary edge. Its graph is derived: the union of those paths. Layer and
-subwall combinatorics are written down once per height from the elementary
-wall's coordinates, with no embedding, and then mapped through the
-subdivision paths. Each layer is a cycle in a canonical
-form: from its least position, toward the lesser of its two neighbours.
+elementary edge. Its graph is derived: the union of those paths. Its
+structure is read off the elementary wall's coordinates where it is used,
+with no embedding: one formula places the central subwalls
+(`_central_position`), a layer is a central subwall's perimeter, and the
+centre is two positions. Position cycles are mapped to host cycles through
+the subdivision paths. Each layer is a cycle in a canonical form: from its
+least position, toward the lesser of its two neighbours.
 
 The wall search is one direct-edge subgraph-embedding kernel, run on the
 host and on its degree-2 reduct (`graphs.smooth_degree_two`); walls found on
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
@@ -51,11 +53,6 @@ def elementary_positions(r: int) -> tuple[frozenset, frozenset]:
         if (x, y + 1) in verts and (x + y) % 2 == 0:
             edges.add(norm_edge((x, y), (x, y + 1)))
     return frozenset(verts), frozenset(edges)
-
-
-def _position_graph(r: int) -> Graph:
-    verts, edges = elementary_positions(r)
-    return Graph(verts, edges)
 
 
 def _strip_debris(g: Graph) -> Graph:
@@ -91,45 +88,24 @@ def _canonical_cycle(cycle: tuple) -> tuple:
     return cycle if cycle[1] < cycle[-1] else cycle[:1] + cycle[:0:-1]
 
 
-@dataclass(frozen=True)
-class _ElementaryStructure:
-    layers: tuple          # outermost first; each a tuple of positions in cyclic order
-    center: tuple          # the two central positions
-    local_maps: tuple      # local_maps[i]: position -> (r-2i)-wall position
-    bricks: tuple          # each brick as a frozenset of six positions
+def _central_position(r: int, i: int, p: tuple) -> tuple:
+    """The position of the elementary r-wall at position p of its i-th
+    central subwall, the (r - 2i)-subwall. Peeling the perimeter and the
+    degree-one debris of the r-wall leaves its central (r - 2)-subwall,
+    shifted two columns right and one row up and, since the removed corners
+    swap rows, reflected top to bottom; i peels compose to this."""
+    x, y = p
+    return x + 2 * i, y + i if i % 2 == 0 else r - i + 1 - y
 
 
 @lru_cache(maxsize=None)
-def _elementary_structure(r: int) -> _ElementaryStructure:
-    """Layers, center, central subwalls and bricks of the elementary r-wall,
-    written down from coordinates. Peeling the perimeter and the degree-one
-    debris of the r-wall leaves its central (r-2)-subwall, shifted two
-    columns right and one row up and, since the removed corners swap rows,
-    reflected top to bottom; so the i-th peel leaves the (r-2i)-subwall that
-    local_maps[i] places, and layer i is that subwall's perimeter, each
-    layer in `_canonical_cycle` form. The last peel leaves the two central
-    positions."""
-    verts, _ = elementary_positions(r)
-    rho = (r - 1) // 2
-    local_maps = []
-    for i in range(rho):
-        local_maps.append({(x + 2 * i, y + i if i % 2 == 0 else r - i + 1 - y): (x, y)
-                           for x, y in elementary_positions(r - 2 * i)[0]})
-    layers = []
-    for i, lm in enumerate(local_maps):
-        host = {lp: p for p, lp in lm.items()}
-        layers.append(_canonical_cycle(tuple(host[lp] for lp in _perimeter(r - 2 * i))))
-    center = ((r, (r + 1) // 2), (r + 1, (r + 1) // 2))
-    bricks = []
-    for x in range(1, 2 * r - 1):
-        for y in range(1, r):
-            if (x + y) % 2 != 0:
-                continue
-            cell = {(x, y), (x + 1, y), (x + 2, y), (x, y + 1), (x + 1, y + 1), (x + 2, y + 1)}
-            if cell <= verts:
-                bricks.append(frozenset(cell))
-    return _ElementaryStructure(tuple(layers), center, tuple(local_maps),
-                                tuple(bricks))
+def _layer_cycles(r: int) -> tuple:
+    """The layers of the elementary r-wall as position cycles, outermost
+    first, each in `_canonical_cycle` form: layer i is the perimeter of the
+    i-th central subwall."""
+    return tuple(_canonical_cycle(tuple(_central_position(r, i, p)
+                                        for p in _perimeter(r - 2 * i)))
+                 for i in range((r - 1) // 2))
 
 
 # -- walls ---------------------------------------------------------------------
@@ -149,10 +125,11 @@ class Wall:
         return Graph({v for path in paths for v in path},
                      (e for path in paths for e in zip(path, path[1:])))
 
-    def vertex_at(self, pos):
-        if not hasattr(self, "_inv"):
-            object.__setattr__(self, "_inv", {p: v for v, p in self.branch_coords.items()})
-        return self._inv[pos]
+    @cached_property
+    def branch_at(self) -> dict:
+        """Elementary position -> branch vertex, the inverse of
+        `branch_coords`."""
+        return {p: v for v, p in self.branch_coords.items()}
 
 
 def validate_wall(w: Wall) -> bool:
@@ -170,7 +147,7 @@ def wall_violations(w: Wall) -> list:
     if len(set(coords.values())) != len(coords) or set(coords.values()) != set(verts):
         out.append("branch coordinates are not a bijection onto the elementary positions")
         return out
-    at = {p: v for v, p in coords.items()}
+    at = w.branch_at
     if set(w.paths) != set(edges):
         out.append("paths do not match the elementary edge set")
         return out
@@ -212,53 +189,42 @@ def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
     return Wall(w.height, dict(w.branch_coords), new_paths)
 
 
-def _splice(w: Wall, cycle_positions: Iterable) -> tuple:
+def _path_from(w: Wall, a: tuple, b: tuple) -> tuple:
+    """The path of w between positions a and b, from a's branch vertex."""
+    path = w.paths[norm_edge(a, b)]
+    return path if w.branch_coords[path[0]] == a else path[::-1]
+
+
+def _splice(w: Wall, cycle: tuple) -> tuple:
     """Map a cyclic sequence of elementary positions to the host cycle."""
-    cycle = list(cycle_positions)
-    out = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        e = norm_edge(a, b)
-        path = w.paths[e]
-        if w.branch_coords[path[0]] != a:
-            path = tuple(reversed(path))
-        out.extend(path[:-1])
-    return tuple(out)
+    return tuple(v for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                 for v in _path_from(w, a, b)[:-1])
 
 
-def _sub_wall(w: Wall, height: int, local: Mapping) -> Wall:
+def _sub_wall(w: Wall, height: int, place: Callable) -> Wall:
     """The height-subwall of w whose branch vertices sit at the host
-    positions that `local` maps onto the elementary height-wall's positions;
-    each path runs from its end at the smaller local position."""
-    host = {lp: p for p, lp in local.items()}
-    paths = {}
-    for a, b in elementary_positions(height)[1]:
-        path = w.paths[norm_edge(host[a], host[b])]
-        if w.branch_coords[path[0]] != host[a]:
-            path = tuple(reversed(path))
-        paths[(a, b)] = path
-    coords = {w.vertex_at(p): lp for p, lp in local.items()}
-    return Wall(height, coords, paths)
+    positions `place` gives the elementary height-wall's positions; each
+    path runs from its end at the smaller local position."""
+    verts, edges = elementary_positions(height)
+    paths = {(a, b): _path_from(w, place(a), place(b)) for a, b in edges}
+    return Wall(height, {w.branch_at[place(p)]: p for p in verts}, paths)
 
 
-@dataclass(frozen=True)
-class WallAnalysis:
-    perimeter: tuple  # host cycle, outermost layer
-    layers: tuple     # outermost first
-    center: tuple     # the two central branch vertices
+def perimeter(w: Wall) -> tuple:
+    """The host cycle of w's outermost layer, its perimeter."""
+    return _splice(w, _layer_cycles(w.height)[0])
 
 
-def analyze_wall(w: Wall) -> WallAnalysis:
-    """Perimeter, layers (the perimeters of the central subwalls, outermost
-    first, each from `_elementary_structure`), and the two central
-    vertices; a (2p+1)-wall has exactly p layers."""
-    st = _elementary_structure(w.height)
-    layers = tuple(_splice(w, cyc) for cyc in st.layers)
-    center = tuple(w.vertex_at(p) for p in st.center)
-    return WallAnalysis(perimeter=layers[0], layers=layers, center=center)
+def layers(w: Wall) -> tuple:
+    """The host cycles of w's layers, outermost first: the perimeters of its
+    central subwalls. A (2p+1)-wall has exactly p layers."""
+    return tuple(_splice(w, cycle) for cycle in _layer_cycles(w.height))
 
 
-def layer_count(w: Wall) -> int:
-    return (w.height - 1) // 2
+def center(w: Wall) -> tuple:
+    """The two central branch vertices of w, all that the last peel leaves."""
+    r = w.height
+    return w.branch_at[(r, (r + 1) // 2)], w.branch_at[(r + 1, (r + 1) // 2)]
 
 
 def central_subwall(w: Wall, q: int) -> Wall:
@@ -269,7 +235,7 @@ def central_subwall(w: Wall, q: int) -> Wall:
     i = (w.height - q) // 2
     if i == 0:
         return w
-    return _sub_wall(w, q, _elementary_structure(w.height).local_maps[i])
+    return _sub_wall(w, q, lambda p: _central_position(w.height, i, p))
 
 
 @dataclass(frozen=True)
@@ -291,7 +257,7 @@ def wall_annulus(w: Wall, p: int, ell: int) -> WallAnnulus:
     from the center (host layer lists are outermost-first, so those are list
     indices rho-p .. rho-p+ell-1).
     """
-    rho = layer_count(w)
+    rho = (w.height - 1) // 2
     if w.height < 7:
         raise InputError("wall-annuli need host height >= 7")
     if not 3 <= p <= rho or not 3 <= ell <= p:
@@ -300,27 +266,24 @@ def wall_annulus(w: Wall, p: int, ell: int) -> WallAnnulus:
     if ell == p:
         # all layers stay; the hole is the open interior of the innermost subwall
         w3 = central_subwall(w, 3)
-        drop = w3.graph.vertices - set(analyze_wall(w3).perimeter)
+        drop = w3.graph.vertices - set(perimeter(w3))
     else:
         drop = central_subwall(w, 2 * (p - ell) + 1).graph.vertices
     g = _strip_debris(hi.graph.remove_vertices(drop))
-    layers = analyze_wall(w).layers
-    outer = layers[rho - p]
-    inner = layers[rho - p + ell - 1]
+    cycles = layers(w)
+    outer = cycles[rho - p]
+    inner = cycles[rho - p + ell - 1]
     assert set(outer) <= g.vertices and set(inner) <= g.vertices
-    st = _elementary_structure(w.height)
+    # a brick is the ring of six positions from (x, y) with x + y even; every
+    # such ring with x < 2 height - 1 and y < height avoids the two corners
     bricks = []
-    for brick in st.bricks:
-        cyc = _brick_cycle(w, brick)
-        if set(cyc) <= g.vertices:
-            bricks.append(cyc)
+    for x in range(1, 2 * w.height - 1):
+        for y in range(2 - x % 2, w.height, 2):
+            cyc = _splice(w, ((x, y), (x + 1, y), (x + 2, y),
+                              (x + 2, y + 1), (x + 1, y + 1), (x, y + 1)))
+            if set(cyc) <= g.vertices:
+                bricks.append(cyc)
     return WallAnnulus(g, p, ell, outer, inner, tuple(bricks))
-
-
-def _brick_cycle(w: Wall, brick: frozenset) -> tuple:
-    (x, y) = min(brick)
-    ring = [(x, y), (x + 1, y), (x + 2, y), (x + 2, y + 1), (x + 1, y + 1), (x, y + 1)]
-    return _splice(w, ring)
 
 
 # -- compasses -----------------------------------------------------------------
@@ -330,7 +293,7 @@ def compass(g: Graph, w: Wall) -> Graph:
     contains the rest of the wall, induced in g."""
     if not w.graph.is_subgraph_of(g):
         raise InputError("the wall is not a subgraph of the host graph")
-    perim = set(analyze_wall(w).perimeter)
+    perim = set(perimeter(w))
     interior = w.graph.vertices - perim
     comp = g.remove_vertices(perim).component_of(next(iter(interior)))
     assert interior <= comp, "wall interior spans several components"
@@ -370,7 +333,7 @@ def extended_compass(g: Graph, w: Wall, rho: int) -> ExtendedCompass:
         # the top level's subwall is w itself when 2 rho + 1 = height
         sub = central_subwall(w, 2 * t + 1)
         level = CompassLevel(comp if sub is w else compass(g, sub),
-                             frozenset(analyze_wall(sub).perimeter))
+                             frozenset(perimeter(sub)))
         tower.append(level)
     for lower, upper in zip(tower, tower[1:]):
         assert lower.graph.vertices <= upper.graph.vertices, "compass tower is not nested"
@@ -385,8 +348,7 @@ def subwall_at(w: Wall, x0: int, y0: int, s: int) -> Wall:
         raise InputError("window offset must have even coordinate sum")
     if x0 < 0 or y0 < 0 or x0 + 2 * s > 2 * w.height or y0 + s > w.height:
         raise InputError("window does not fit inside the wall")
-    return _sub_wall(w, s, {(x + x0, y + y0): (x, y)
-                            for x, y in elementary_positions(s)[0]})
+    return _sub_wall(w, s, lambda p: (p[0] + x0, p[1] + y0))
 
 
 def disjoint_subwalls(w: Wall, s: int) -> list:
@@ -430,7 +392,7 @@ def _wall_pattern(q: int, skeleton: bool) -> _Pattern:
     """W_q itself, or its skeleton: the degree-2 reduct of W_q, whose edges
     stand for paths of W_q. Vertices are placed breadth first from the least
     position, neighbours in position order."""
-    g = _position_graph(q)
+    g = Graph(*elementary_positions(q))
     chains = {e: e for e in g.edges}
     if skeleton:
         g, chains = smooth_degree_two(g)
@@ -551,7 +513,7 @@ def find_wall_subdivisions(g: Graph, q: int,
 def wall_candidates(g: Graph, q: int,
                     node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
     """Candidate q-walls of g, deduplicated by vertex set, from three passes
-    of the direct-edge kernel, each with budget max(node_budget // 4, 2000):
+    of the direct-edge kernel, each with budget node_budget // 4:
 
     1. W_q in g (`find_wall_subdivisions`), so elementary walls are found
        as before;
@@ -609,7 +571,7 @@ def wall_candidates(g: Graph, q: int,
         except ResourceLimitError:
             return
 
-    budget = max(node_budget // 4, 2000)
+    budget = node_budget // 4
     yield from fresh(find_wall_subdivisions(g, q, budget))
     reduct, paths = smooth_degree_two(g)
     if len(reduct.vertices) < len(g.vertices):

@@ -1,6 +1,7 @@
 """Layers, center, central subwalls and bricks of the elementary r-wall by
-peeling an embedding: the reference `walls._elementary_structure`, which
-writes them down from coordinates, is tested against.
+peeling an embedding: the reference that `walls`, which reads them off
+coordinates (`_layer_cycles`, `center`, `central_subwall`, the bricks of
+`wall_annulus`), is tested against.
 
 Each layer is the outer face of one `planarity.embed` of what is left; the
 face set of a (subdivided) wall is unique and the outer face is the strictly
@@ -25,9 +26,11 @@ def outer_cycle(g: Graph) -> tuple:
 
 
 def peeled_structure(r: int) -> tuple:
-    """(layers, center, local_maps, bricks) of the elementary r-wall, as
-    `walls._ElementaryStructure` holds them; each layer in the orientation
-    networkx's embedding gives it."""
+    """(layers, center, local_maps, bricks) of the elementary r-wall: each
+    layer a position cycle in the orientation networkx's embedding gives it,
+    the two central positions, local_maps[i] from the positions of the i-th
+    central subwall to those of the elementary (r-2i)-wall, and each brick
+    as a frozenset of six positions."""
     g = Graph(*elementary_positions(r))
     rho = (r - 1) // 2
     layers = []

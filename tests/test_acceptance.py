@@ -26,7 +26,7 @@ from planmod.sigoracle import char_oracle
 from planmod.solver import Instance, find_vertex, solve_oracle, solve_pipeline
 from planmod.treewidth import (exact_treewidth, exact_treewidth_bb,
                                validate_decomposition)
-from planmod.walls import (analyze_wall, central_subwall, extended_compass,
+from planmod.walls import (central_subwall, extended_compass, layers,
                            make_elementary_wall, wall_annulus)
 
 
@@ -103,7 +103,7 @@ def test_criterion_5_wall_combinatorics():
     ok = True
     for h in (3, 5, 7, 9, 11, 13):
         wall = make_elementary_wall(h)
-        ok = ok and len(analyze_wall(wall).layers) == (h - 1) // 2
+        ok = ok and len(layers(wall)) == (h - 1) // 2
     w13 = make_elementary_wall(13)
     adj = {v: set(w13.graph.adj[v]) for v in w13.graph.vertices}
     pos = dict(w13.branch_coords)

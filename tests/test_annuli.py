@@ -8,7 +8,7 @@ from planmod.annuli import (AnnulusBoundariedGraph, annulus_violations,
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph
 from planmod.planarity import is_planar
-from planmod.walls import analyze_wall, make_elementary_wall, wall_annulus
+from planmod.walls import layers, make_elementary_wall, wall_annulus
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ class TestAnnulusBoundaried:
         # the component is not a brick-component, and since it attaches to
         # middle-layer vertices the observation flags the quadruple invalid
         abg, w, ann = plain_abg(9, 4, 3)
-        layers = analyze_wall(w).layers
-        middle = [v for v in layers[1] if v not in ann.inner_cycle
+        middle = [v for v in layers(w)[1] if v not in ann.inner_cycle
                   and v not in ann.outer_cycle]
         in_bricks = [b for b in ann.bricks]
         def bricks_of(v):

@@ -65,6 +65,15 @@ class TestParameters:
         assert p.w == (2 ** (8 * 2 ** 16)) * 4
         assert isinstance(p.q, int)
 
+    @given(k=st.integers(0, 2), ell=st.integers(1, 2), rho=st.integers(1, 3))
+    def test_q_is_the_least_root_of_the_scaled_w(self, k, ell, rho):
+        # q = ceil((2 rho + 1) sqrt(w)), exactly: the least integer whose
+        # square reaches (2 rho + 1)^2 w
+        phi = GaifmanSentence((BasicSentence(ell, 1, NB),), parse_combination("1"))
+        p = compute_parameters(k, phi, PipelineConfig(q_hat=None, rho_hat=rho))
+        target = (2 * rho + 1) ** 2 * p.w
+        assert (p.q - 1) ** 2 < target <= p.q ** 2
+
     def test_area_family(self):
         fam = area_family(1, 3)
         assert fam["m"] == 9
@@ -245,10 +254,10 @@ class TestEquivalence:
     def test_center_annotation_differs(self):
         # with ell=2 the two adjacent central vertices can never host a
         # scattered pair, so the witness entries differ from full annotation
-        from planmod.walls import analyze_wall
+        from planmod.walls import center as wall_center
         cfg, params, wall, g, _, ec = _setup(rho=2, d=2, phi=PHI2)
         char_all = compute_char(ec, g.vertices, Operation.VR, 1, PHI2, params, cfg)
-        center = set(analyze_wall(wall).center)
+        center = set(wall_center(wall))
         char_center = compute_char(ec, center, Operation.VR, 1, PHI2, params, cfg)
         assert char_all.canonical_json() != char_center.canonical_json()
 

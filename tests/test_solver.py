@@ -27,7 +27,8 @@ from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
                             has_k5_star_minor, reduce_instance, solve_oracle,
                             solve_pipeline)
 from planmod.treewidth import minfill_decomposition, validate_decomposition
-from planmod.walls import analyze_wall, compass, make_elementary_wall, subdivide_wall
+from planmod.walls import center as wall_center
+from planmod.walls import compass, make_elementary_wall, perimeter, subdivide_wall
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
@@ -93,6 +94,35 @@ class TestMinorModels:
         model = find_minor_model(g, pattern, f"p{phub}", hub)
         assert model is not None
         assert verify_minor_model(g, pattern, model, must_intersect=None)
+
+    def test_star_minor_searches_the_pinned_pattern(self, monkeypatch):
+        # tests/minor_model_pins.json pins searches for k5_star's own int
+        # pattern, so the star-minor search hands it over unrenamed
+        seen = []
+        search = solver.find_minor_model
+
+        def spy(host, pattern, hub, center, node_budget):
+            seen.append((pattern, hub))
+            return search(host, pattern, hub, center, node_budget)
+
+        monkeypatch.setattr(solver, "find_minor_model", spy)
+        for copies in (1, 3):
+            g, hub = k5_star(copies)
+            assert has_k5_star_minor(g, hub, copies)
+            assert seen.pop() == k5_star(copies)
+
+    def test_star_minor_answer_ignores_pattern_names(self):
+        # renaming the pattern's vertices moves the placement order, never
+        # the answer, whether or not the budget runs out
+        rng = random.Random(4180)
+        for trial in range(40):
+            copies = 1 + trial % 4
+            host, center, pattern, hub = planted_star(rng, copies)
+            named = relabel(pattern, {v: f"p{v}" for v in pattern.vertices})
+            for budget in (20, 200, 2000):
+                renamed = find_minor_model(host, named, f"p{hub}", center, budget)
+                assert has_k5_star_minor(host, center, copies, budget) == \
+                    (renamed is not None)
 
     def test_star_minor_through_contraction(self):
         # subdivide one K4 edge: the pattern appears as a minor, not a subgraph
@@ -203,7 +233,7 @@ class TestFindArea:
         # a 200-vertex path hung off a centre vertex of the 3-wall joins its
         # compass, which then has more than f2 + 1 = 172 vertices
         wall = make_elementary_wall(3)
-        centre = min(analyze_wall(wall).center, key=vertex_key)
+        centre = min(wall_center(wall), key=vertex_key)
         tail = path_graph(200, offset=1000)
         g = disjoint_union(wall.graph, tail).add_edges([(centre, 1000)])
         f2 = area_family(0, 3)["f2"]
@@ -259,8 +289,7 @@ class TestFindVertex:
     def test_early_exit_when_annotation_misses_compass(self):
         cfg, params, wall = _wall_instance()
         g = wall.graph
-        an = analyze_wall(wall)
-        r_set = frozenset(an.perimeter)  # subwall compasses miss R entirely
+        r_set = frozenset(perimeter(wall))  # subwall compasses miss R entirely
         out = find_vertex(1, g, r_set, wall, Operation.VR, PHI_NB, params, cfg)
         assert out.vertex in out.region
         assert not (out.region & r_set)
@@ -291,7 +320,7 @@ class TestFindVertex:
             elif i == 2:
                 r_set -= level1.graph.vertices
             elif i == 3:
-                r_set -= ec.compass.vertices - set(analyze_wall(sub).perimeter)
+                r_set -= ec.compass.vertices - set(perimeter(sub))
         with pytest.raises(ResourceLimitError):
             find_vertex(1, g, frozenset(r_set), wall, Operation.VR, PHI_NB,
                         params, cfg)

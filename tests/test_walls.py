@@ -24,13 +24,12 @@ from planmod.signatures import area_family
 from planmod.solver import (BoundedTreewidth, Instance, WallArea, find_area,
                             solve_pipeline)
 from planmod.treewidth import validate_decomposition
-from planmod.walls import (_elementary_structure, _may_contain_wall, _wall_pattern,
-                           analyze_wall, central_subwall, compass, disjoint_subwalls,
+from planmod.walls import (_layer_cycles, _may_contain_wall, _wall_pattern, center,
+                           central_subwall, compass, disjoint_subwalls,
                            elementary_positions, extended_compass,
-                           find_wall_subdivisions, layer_count,
-                           make_elementary_wall, subdivide_wall, subwall_at,
-                           validate_wall, wall_annulus, wall_candidates,
-                           wall_violations)
+                           find_wall_subdivisions, layers, make_elementary_wall,
+                           perimeter, subdivide_wall, subwall_at, validate_wall,
+                           wall_annulus, wall_candidates, wall_violations)
 
 
 def coord_adjacency(wall):
@@ -56,7 +55,7 @@ class TestElementaryWall:
     def test_perimeter_single_cycle(self):
         for r in (3, 5, 7):
             w = make_elementary_wall(r)
-            perim = analyze_wall(w).perimeter
+            perim = perimeter(w)
             assert len(perim) == len(set(perim))
             assert all(w.graph.has_edge(a, b)
                        for a, b in zip(perim, perim[1:] + perim[:1]))
@@ -76,22 +75,20 @@ class TestLayers:
     def test_layer_counts(self):
         for r in (3, 5, 7, 9, 11, 13):
             w = make_elementary_wall(r)
-            assert len(analyze_wall(w).layers) == (r - 1) // 2
+            assert len(layers(w)) == (r - 1) // 2
 
     def test_eleven_wall_has_five_layers(self):
-        assert len(analyze_wall(make_elementary_wall(11)).layers) == 5
+        assert len(layers(make_elementary_wall(11))) == 5
 
     def test_three_wall_layer_is_perimeter(self):
         w = make_elementary_wall(3)
-        an = analyze_wall(w)
-        assert an.layers == (an.perimeter,)
-        assert len(an.center) == 2
+        assert layers(w) == (perimeter(w),)
+        assert len(center(w)) == 2
 
     def test_layers_are_disjoint_cycles(self):
         w = make_elementary_wall(9)
-        an = analyze_wall(w)
         seen = set()
-        for cyc in an.layers:
+        for cyc in layers(w):
             assert len(cyc) == len(set(cyc))
             assert not (set(cyc) & seen)
             seen |= set(cyc)
@@ -103,33 +100,65 @@ class TestLayers:
             w = make_elementary_wall(r)
             adj, pos = coord_adjacency(w)
             derived = derive_layers(adj, pos, (r - 1) // 2)
-            produced = analyze_wall(w).layers
+            produced = layers(w)
             for mine, theirs in zip(produced, derived):
                 assert set(mine) == set(theirs)
 
     @pytest.mark.parametrize("r", range(3, 23, 2))
     def test_structure_matches_peeled_embedding(self, r):
-        # the layers written down from coordinates are the peeled outer
-        # faces up to rotation and reflection, each from its least position
-        # toward the lesser neighbour; everything else is equal
-        layers, center, local_maps, bricks = peeled_structure(r)
-        built = _elementary_structure(r)
-        assert len(built.layers) == len(layers) == (r - 1) // 2
-        for mine, theirs in zip(built.layers, layers):
+        # the layer cycles read off coordinates are the peeled outer faces
+        # up to rotation and reflection, each from its least position toward
+        # the lesser neighbour; the centre, the central subwalls' positions
+        # and the bricks inside every annulus are equal
+        peeled_layers, peeled_center, local_maps, bricks = peeled_structure(r)
+        built = _layer_cycles(r)
+        assert len(built) == len(peeled_layers) == (r - 1) // 2
+        for mine, theirs in zip(built, peeled_layers):
             i = theirs.index(mine[0])
             turned = theirs[i:] + theirs[:i]
             assert mine in (turned, turned[:1] + turned[:0:-1])
             assert mine[0] == min(mine) and mine[1] < mine[-1]
-        assert built.center == center
-        assert built.local_maps == local_maps
-        assert built.bricks == bricks
+        w = make_elementary_wall(r)
+        pos = w.branch_coords  # every vertex of an elementary wall
+        assert tuple(pos[v] for v in center(w)) == peeled_center
+        for i, local in enumerate(local_maps):
+            sub = central_subwall(w, r - 2 * i)
+            assert {pos[v]: p for v, p in sub.branch_coords.items()} == local
+        for p in range(3, (r - 1) // 2 + 1):
+            for ell in range(3, p + 1):
+                ann = wall_annulus(w, p, ell)
+                inside = {pos[v] for v in ann.graph.vertices}
+                assert [frozenset(pos[v] for v in cyc) for cyc in ann.bricks] == \
+                    [b for b in bricks if b <= inside]
 
     def test_subdivided_wall_layers(self):
         w = subdivide_wall(make_elementary_wall(7), rng=random.Random(1))
-        an = analyze_wall(w)
-        assert len(an.layers) == 3
-        assert len(an.center) == 2
+        assert len(layers(w)) == 3
+        assert len(center(w)) == 2
         assert validate_wall(w)
+
+
+# elementary walls of height 3..13 and their subdivisions, by max_extra
+STRUCTURE_WALLS = [(h, extra) for h in range(3, 14, 2) for extra in (None, 1, 2)]
+
+
+class TestStructureFormulas:
+    """Perimeter, layers and centre agree with the central subwalls whose
+    perimeters and centre they are."""
+
+    @pytest.mark.parametrize("h,extra", STRUCTURE_WALLS,
+                             ids=[f"h{h}-{extra}" for h, extra in STRUCTURE_WALLS])
+    def test_layers_are_central_subwall_perimeters(self, h, extra):
+        w = make_elementary_wall(h)
+        if extra is not None:
+            w = subdivide_wall(w, rng=random.Random(h), max_extra=extra)
+        cycles = layers(w)
+        assert len(cycles) == (h - 1) // 2
+        assert perimeter(w) == cycles[0]
+        for i, cycle in enumerate(cycles):
+            assert set(cycle) == set(perimeter(central_subwall(w, h - 2 * i)))
+        for q in range(3, h + 1, 2):
+            assert set(center(central_subwall(w, q))) == set(center(w))
 
 
 class TestCentralSubwall:
@@ -144,7 +173,7 @@ class TestCentralSubwall:
     def test_shares_center(self):
         w = make_elementary_wall(9)
         sub = central_subwall(w, 5)
-        assert set(analyze_wall(sub).center) == set(analyze_wall(w).center)
+        assert set(center(sub)) == set(center(w))
 
     def test_thirteen_wall_fig_subwall_vertex_for_vertex(self):
         w = make_elementary_wall(13)
@@ -158,9 +187,7 @@ class TestCentralSubwall:
     def test_last_layers(self):
         w = make_elementary_wall(9)
         sub = central_subwall(w, 5)
-        host_layers = analyze_wall(w).layers
-        sub_layers = analyze_wall(sub).layers
-        for mine, theirs in zip(sub_layers, host_layers[2:]):
+        for mine, theirs in zip(layers(sub), layers(w)[2:]):
             assert set(mine) == set(theirs)
 
     def test_parity_guard(self):
@@ -177,17 +204,17 @@ class TestWallAnnulus:
 
     def test_extremal_cycles_are_wall_layers(self):
         w = make_elementary_wall(13)
-        layers = analyze_wall(w).layers
-        rho = layer_count(w)
+        host_layers = layers(w)
+        rho = len(host_layers)
         ann = wall_annulus(w, 5, 3)
         # counted from the center the annulus spans layers p-ell+1 .. p
-        assert set(ann.outer_cycle) == set(layers[rho - 5])
-        assert set(ann.inner_cycle) == set(layers[rho - 5 + 3 - 1])
+        assert set(ann.outer_cycle) == set(host_layers[rho - 5])
+        assert set(ann.inner_cycle) == set(host_layers[rho - 5 + 3 - 1])
 
     def test_annuli_at_stride_are_disjoint(self):
         w = make_elementary_wall(13)
         d = 3
-        rho = layer_count(w)
+        rho = len(layers(w))
         spans = [wall_annulus(w, i * d, d).graph.vertices
                  for i in (1, 2) if i * d <= rho and i * d >= 3]
         assert len(spans) == 2
@@ -208,7 +235,7 @@ class TestCompass:
 
     def test_pendant_included(self):
         w = make_elementary_wall(5)
-        inner = min(w.graph.vertices - set(analyze_wall(w).perimeter))
+        inner = min(w.graph.vertices - set(perimeter(w)))
         g = w.graph.add_vertices([900]).add_edges([(inner, 900)])
         assert 900 in compass(g, w).vertices
 
@@ -220,7 +247,7 @@ class TestCompass:
 
     def test_compass_connected_and_contains_wall(self):
         w = make_elementary_wall(5)
-        inner = min(w.graph.vertices - set(analyze_wall(w).perimeter))
+        inner = min(w.graph.vertices - set(perimeter(w)))
         g = w.graph.add_vertices([900]).add_edges([(inner, 900)])
         K = compass(g, w)
         assert w.graph.is_subgraph_of(K) and K.is_connected()
@@ -229,11 +256,20 @@ class TestCompass:
         # a pendant path off the perimeter and a far component stay out; a
         # pendant off the interior comes in
         w = make_elementary_wall(7)
-        perim = analyze_wall(w).perimeter
+        perim = perimeter(w)
         inner = min(w.graph.vertices - set(perim))
         g = w.graph.add_vertices([900, 901, 902]).add_edges(
             [(perim[0], 900), (inner, 901), (901, 902)])
         assert compass(g, w).vertices == w.graph.vertices | {901, 902}
+
+    def test_compass_splices_only_the_perimeter(self, monkeypatch):
+        spliced = []
+        splice = walls._splice
+        monkeypatch.setattr(walls, "_splice",
+                            lambda w, cycle: spliced.append(cycle) or splice(w, cycle))
+        w = make_elementary_wall(11)
+        compass(w.graph, w)
+        assert len(spliced) == 1
 
     def test_extended_compass_nesting(self):
         w = make_elementary_wall(9)
@@ -395,6 +431,26 @@ class TestWallSearch:
         for path in central_subwall(w, h - 2).paths.values():
             e = norm_edge(path[0], path[-1])
             assert paths[e] in (path, path[::-1])
+
+
+class TestWallSearchBudget:
+    """The wall search's passes share `cap_wall_nodes`, a quarter each, with
+    no floor of their own."""
+
+    def test_a_tiny_budget_finds_no_wall(self):
+        g = make_elementary_wall(7).graph
+        assert next(wall_candidates(g, 7, node_budget=4), None) is None
+        assert next(wall_candidates(g, 7, node_budget=8000), None) is not None
+
+    def test_a_tiny_cap_leaves_the_wall_branch(self):
+        phi = GaifmanSentence((BasicSentence(1, 1, HAS_NEIGHBOR),), parse_combination("1"))
+        inst = Instance(make_elementary_wall(7).graph, 1, Operation.VR, phi)
+        hats = dict(q_hat=7, rho_hat=1, d_hat=1)
+        res = solve_pipeline(inst, PipelineConfig(cap_wall_nodes=4, **hats))
+        assert [t.outcome for t in res.trace] == ["bounded-treewidth", "cross-check"]
+        assert res.answer and res.cross_checked
+        res = solve_pipeline(inst, PipelineConfig(cap_wall_nodes=8000, **hats))
+        assert "irrelevant-region" in [t.outcome for t in res.trace]
 
 
 class TestWallSearchDepth:
