@@ -9,6 +9,12 @@ A derived graph (`remove_vertices`, `induced`, `remove_edges`, `add_edges`,
 `merge_groups`) trusts its valid parent: it reuses the parent's canonical
 edges and, where vertices go, the parent's adjacency, and normalises and
 checks only what is new, so it costs about what the change touches.
+
+A graph may carry `known_planar`, a proof that it is planar, set only by
+`planarity.certified_planar` on a copy it makes. The derivations that make
+a subgraph (`remove_vertices`, `remove_edges`, `induced`) or add isolated
+vertices (`add_vertices`) keep it, since a subgraph of a planar graph is
+planar; `add_edges`, `merge_groups` and the public constructor never set it.
 """
 
 from __future__ import annotations
@@ -51,9 +57,13 @@ def norm_edge(u, v) -> Edge:
 
 
 class Graph:
-    """Immutable simple undirected graph. No loops, no multi-edges."""
+    """Immutable simple undirected graph. No loops, no multi-edges.
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash")
+    `known_planar` is True only on a graph proven planar or derived from
+    one by deletion (see the module docstring); False says nothing. It
+    takes no part in equality, hashing or serialisation."""
+
+    __slots__ = ("vertices", "edges", "_adj", "_hash", "known_planar")
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
         vs = frozenset(vertices)
@@ -64,23 +74,25 @@ class Graph:
             if ne[0] not in vs or ne[1] not in vs:
                 raise InputError(f"edge {ne!r} has an endpoint outside the vertex set")
             es.add(ne)
-        self._fill(vs, frozenset(es), None)
+        self._fill(vs, frozenset(es), None, False)
 
-    def _fill(self, vertices: frozenset, edges: frozenset, adj: dict | None):
+    def _fill(self, vertices: frozenset, edges: frozenset, adj: dict | None,
+              known_planar: bool):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "known_planar", known_planar)
 
     @classmethod
-    def _derived(cls, vertices: frozenset, edges: frozenset, adj: dict | None = None
-                 ) -> "Graph":
+    def _derived(cls, vertices: frozenset, edges: frozenset, adj: dict | None = None,
+                 known_planar: bool = False) -> "Graph":
         """A graph from sets a valid parent already holds in canonical form:
         every edge is in `norm_edge` form with both ends in `vertices`, and
         `adj`, when given, is the adjacency of these edges. Nothing is
-        normalised or checked."""
+        normalised or checked, and `known_planar` is taken on trust."""
         g = cls.__new__(cls)
-        g._fill(vertices, edges, adj)
+        g._fill(vertices, edges, adj, known_planar)
         return g
 
     def __setattr__(self, name, value):
@@ -155,11 +167,13 @@ class Graph:
             del adj[u]
         for w in {w for u in drop for w in parent[u]} - drop:
             adj[w] = parent[w] - drop
-        return Graph._derived(self.vertices - drop, self.edges - self._edges_at(drop), adj)
+        return Graph._derived(self.vertices - drop, self.edges - self._edges_at(drop), adj,
+                              self.known_planar)
 
     def remove_edges(self, drop: Iterable) -> "Graph":
         dropped = {norm_edge(*e) for e in drop}
-        return Graph._derived(self.vertices, self.edges - dropped)
+        return Graph._derived(self.vertices, self.edges - dropped,
+                              known_planar=self.known_planar)
 
     def add_edges(self, new: Iterable) -> "Graph":
         """g plus the pairs of `new`; only these are normalised and checked."""
@@ -172,7 +186,8 @@ class Graph:
         return Graph._derived(self.vertices, self.edges | added)
 
     def add_vertices(self, new: Iterable) -> "Graph":
-        return Graph._derived(self.vertices | frozenset(new), self.edges)
+        return Graph._derived(self.vertices | frozenset(new), self.edges,
+                              known_planar=self.known_planar)
 
     def induced(self, keep: Iterable) -> "Graph":
         """The subgraph induced by `keep`. Reads only the adjacency of the
@@ -188,7 +203,7 @@ class Graph:
             adj[u] = ns if ns <= keep else ns & keep
         # each edge once, from the endpoint its canonical form lists first
         return Graph._derived(keep, frozenset((u, w) for u in keep for w in adj[u]
-                                              if (u, w) in edges), adj)
+                                              if (u, w) in edges), adj, self.known_planar)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and self.edges <= other.edges

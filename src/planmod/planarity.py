@@ -11,8 +11,16 @@ Kuratowski witnesses are networkx's, built by its deletion loop with each
 step decided the same way. Embeddings come from networkx directly, and an
 embedding is its faces. `faces_are_fixed` says when the faces of one
 embedding are the faces of every embedding: `modification.PlanarSets` then
-reads "is g + uv planar?" off them. The contract here is only boolean +
-witness + faces, all of which are re-verified by the callers that care.
+reads "is g + uv planar?" off them. The contract here is boolean +
+witness + faces, all of which are re-verified by the callers that care,
+plus one proof a graph carries: `certified_planar` returns a copy of a
+planar g marked `known_planar`, and every subgraph derived from that copy
+by deletion (`remove_vertices`, `remove_edges`, `induced`, or
+`add_vertices`, which adds only isolated vertices) keeps the mark, because
+a subgraph of a planar graph is planar. `is_planar` answers a marked graph
+without a test. The mark is never written onto a graph that already
+exists, so no caller's graph carries it unless the caller derived it from
+such a copy.
 """
 
 from __future__ import annotations
@@ -81,8 +89,20 @@ def _planar(edges: Iterable) -> bool:
 
 @lru_cache(maxsize=1 << 16)
 def is_planar(g: Graph) -> bool:
-    # from g.edges, not g.adj: the memo keeps g, and with it any adjacency
-    return _planar(g.edges)
+    """Is g planar? True at once when g carries `known_planar`, else tested.
+
+    A marked graph not yet in the memo still counts as a miss in
+    `cache_info()`, but runs no test. The test reads g.edges, not g.adj:
+    the memo keeps g, and with it any adjacency."""
+    return g.known_planar or _planar(g.edges)
+
+
+def certified_planar(g: Graph) -> Graph | None:
+    """A new graph equal to g that carries `known_planar`, or None when g is
+    nonplanar. g itself is left unmarked."""
+    if not is_planar(g):
+        return None
+    return Graph._derived(g.vertices, g.edges, g._adj, known_planar=True)
 
 
 def kuratowski(g: Graph) -> Graph | None:

@@ -24,7 +24,7 @@ from .logic import Formula, GaifmanSentence, eval_gaifman  # noqa: F401
 from .modification import (ModificationSet, Operation, apply,  # noqa: F401
                            find_vr_planarizer, is_planarization_irrelevant,
                            planar_sets, subsets_up_to)
-from .planarity import is_planar
+from .planarity import certified_planar, is_planar
 from .signatures import (Parameters, compute_char, compute_parameters,
                          first_model, is_triple)
 from .treewidth import TreeDecomposition, width_witness
@@ -325,9 +325,10 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     """Trichotomy: an answer about obligatory structure, a q-wall whose compass
     is certified flat/irrelevant, or a bounded-width decomposition.
 
-    G − S must be planar: this is the one test of that precondition. Under
-    ea, S is ∅ and a nonplanar G is a no-instance; otherwise a set that is
-    not a planarizer raises InputError.
+    G − S must be planar: this is the one test of that precondition, which
+    a G that carries `known_planar` passes without a test. Under ea, S is ∅
+    and a nonplanar G is a no-instance; otherwise a set that is not a
+    planarizer raises InputError.
 
     The irrelevance bullet is verified by the planarizer-enumeration oracle
     rather than trusted.
@@ -541,6 +542,12 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
 
     Obligatory vertices are removed from G and R; the reported witness holds
     them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
+
+    Once S is ∅ and G is proven planar, the loop works on a copy of G that
+    carries the proof (`planarity.certified_planar`), made at most once, so
+    no graph a step derives from it by deletion is tested again. The
+    caller's graph stays unmarked. While S ≠ ∅, G is nonplanar and every
+    test runs as before.
     """
     if not isinstance(inst.phi, GaifmanSentence):
         raise InputError("the pipeline needs a Gaifman sentence; "
@@ -574,6 +581,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         if steps > max_steps:
             raise ResourceLimitError("reduction loop exceeded |V| steps")
         t0 = time.perf_counter()
+        if not s and not g.known_planar:
+            # G − S is G: prove it planar once, in a copy every later graph
+            # derives from (a nonplanar G under ea is find_area's to answer)
+            g = certified_planar(g) or g
         outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check and op in (Operation.ER, Operation.EC):

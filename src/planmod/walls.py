@@ -291,9 +291,14 @@ def wall_annulus(w: Wall, p: int, ell: int) -> WallAnnulus:
 def compass(g: Graph, w: Wall) -> Graph:
     """The perimeter of W plus the component of g minus the perimeter that
     contains the rest of the wall, induced in g."""
+    return _compass(g, w, perimeter(w))
+
+
+def _compass(g: Graph, w: Wall, perim: tuple) -> Graph:
+    """`compass` with W's perimeter already spliced."""
     if not w.graph.is_subgraph_of(g):
         raise InputError("the wall is not a subgraph of the host graph")
-    perim = set(perimeter(w))
+    perim = set(perim)
     interior = w.graph.vertices - perim
     comp = g.remove_vertices(perim).component_of(next(iter(interior)))
     assert interior <= comp, "wall interior spans several components"
@@ -327,14 +332,13 @@ def extended_compass(g: Graph, w: Wall, rho: int) -> ExtendedCompass:
     W^(3), W^(5), ..., W^(2 rho + 1)."""
     if 2 * rho + 1 > w.height:
         raise InputError(f"tower height {rho} needs wall height >= {2 * rho + 1}")
-    comp = compass(g, w)
     tower = []
     for t in range(1, rho + 1):
-        # the top level's subwall is w itself when 2 rho + 1 = height
         sub = central_subwall(w, 2 * t + 1)
-        level = CompassLevel(comp if sub is w else compass(g, sub),
-                             frozenset(perimeter(sub)))
-        tower.append(level)
+        perim = perimeter(sub)
+        tower.append(CompassLevel(_compass(g, sub, perim), frozenset(perim)))
+    # the top level's subwall is w itself when 2 rho + 1 = height
+    comp = tower[-1].graph if 2 * rho + 1 == w.height else compass(g, w)
     for lower, upper in zip(tower, tower[1:]):
         assert lower.graph.vertices <= upper.graph.vertices, "compass tower is not nested"
     assert tower[-1].graph.vertices <= comp.vertices

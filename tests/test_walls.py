@@ -271,6 +271,20 @@ class TestCompass:
         compass(w.graph, w)
         assert len(spliced) == 1
 
+    def test_extended_compass_splices_each_perimeter_once(self, monkeypatch):
+        spliced = []
+        real = walls.perimeter
+        monkeypatch.setattr(walls, "perimeter",
+                            lambda w: spliced.append(w.height) or real(w))
+        w = make_elementary_wall(11)
+        ec = extended_compass(w.graph, w, 5)
+        assert sorted(spliced) == [3, 5, 7, 9, 11]
+        monkeypatch.undo()
+        for t, level in enumerate(ec.tower, 1):
+            sub = central_subwall(w, 2 * t + 1)
+            assert level.graph == compass(w.graph, sub)
+            assert level.perimeter == frozenset(perimeter(sub))
+
     def test_extended_compass_nesting(self):
         w = make_elementary_wall(9)
         ec = extended_compass(w.graph, w, 4)
