@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceLimitError
@@ -221,26 +221,26 @@ class PlanarSets:
 
 
 def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
-                exact: bool = False, minimal: bool = False, cap: int | None = None
+                exact: bool = False, cap: int | None = None
                 ) -> Iterator[tuple[ModificationSet, Graph]]:
     """(S, g ⊠ S) for every S ⊆ op⟨g, scope⟩ with |S| ≤ k (exactly k when
     `exact`) that makes g planar, smallest first, in `subsets_up_to` order.
-    With `minimal`, only the inclusion-minimal such S: a set that holds a
-    planar set already found is skipped before anything is built.
     `cap` bounds the subsets enumerated, those of other sizes included;
     `PlanarSets` decides planarity, and g ⊠ S is not built for an ea set
     that holds a set already found nonplanar, or for a pair that g's faces
     rule out.
 
-    This is the one search behind the oracle, the final search, every
-    cross-check and `minimal_planarizers`. One loop stays apart on purpose:
-    `compute_char` shares one `PlanarSets` and one cumulative cap across
-    its z loop, and skips a set covered by a planar subset before it builds
-    g ⊠ S, which on a planar wall is every set. `sigoracle.char_oracle`
-    and the tests' reference loops are independent by design."""
+    This is the one enumeration behind the oracle, the final search, every
+    cross-check and `ec`'s minimal planarizers on a nonplanar g (the other
+    planarizers come from `_planarizers`' branching). One loop stays apart
+    on purpose: `compute_char` shares one `PlanarSets` and one cumulative
+    cap across its z loop, and skips a set covered by a planar subset
+    before it builds g ⊠ S, which on a planar wall is every set.
+    `sigoracle.char_oracle` and the tests' reference loops are independent
+    by design."""
     planar = PlanarSets(g, op)
     for sub in subsets_up_to(application_domain(op, g, scope), k, cap):
-        if exact and len(sub) != k or minimal and planar.covers(sub):
+        if exact and len(sub) != k:
             continue
         known = planar.known(sub)
         if known is False:
@@ -251,17 +251,55 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
             yield ms, h
 
 
+def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
+                 cap: int | None, nodes: Iterator[int]) -> Iterator[frozenset]:
+    """op-planarizers of g of size <= k whose touched vertices lie in
+    `scope`, depth first; every inclusion-minimal one among them comes
+    out, some sets more than once.
+
+    (a) A planar g gives ∅ alone, for every operation.
+    (b) Under vr and er every planarizer holds a vertex (an edge) x of a
+        Kuratowski subgraph K, or K survives; and a minimal planarizer P
+        that holds x is P' + x for a minimal planarizer P' of g ⊠ {x}. So
+        branching on K's sorted vertices (edges) to depth k finds them all.
+    ea cannot planarize a nonplanar g. ec has no single-edge rule, since a
+    contracted path can join two K vertices through vertices outside K, so
+    its sets are enumerated. `nodes`, an `itertools.count`, numbers the
+    calls, and past `cap` the search raises."""
+    if cap is not None and next(nodes) > cap:
+        raise ResourceLimitError(f"planarizer search exceeded cap {cap}; raise the cap to continue")
+    if is_planar(g):
+        yield frozenset()
+    elif op is Operation.EC:
+        yield from (ms.elements for ms, _ in planar_sets(g, scope, k, op, cap=cap))
+    elif op is not Operation.EA and k > 0:
+        witness = kuratowski(g)
+        for x in witness.sorted_vertices() if op is Operation.VR else witness.sorted_edges():
+            one = ModificationSet(op, [x])
+            if affected(one) <= scope:
+                for rest in _planarizers(apply(g, one), op, k - 1, scope, cap, nodes):
+                    yield rest | {x}
+
+
 def minimal_planarizers(g: Graph, op: Operation, k: int,
-                        cap: int | None = None) -> Iterator[ModificationSet]:
-    """All inclusion-minimal op-planarizers of size <= k, by exhaustive
-    enumeration; supersets of a planarizer already found are skipped."""
-    return (ms for ms, _ in planar_sets(g, g.vertices, k, op, minimal=True, cap=cap))
+                        cap: int | None = None) -> list[ModificationSet]:
+    """All inclusion-minimal op-planarizers of size <= k, in `subsets_up_to`
+    order: by size, then by the `vertex_key`-sorted elements. Exact by
+    `_planarizers`' lemmas; `cap` bounds its search."""
+    found = sorted(set(_planarizers(g, op, k, g.vertices, cap, count(1))),
+                   key=lambda s: (len(s), vertex_key(tuple(sorted(s, key=vertex_key)))))
+    kept: list = []
+    for s in found:
+        if not any(prev <= s for prev in kept):
+            kept.append(s)
+    return [ModificationSet(op, s) for s in kept]
 
 
 def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable,
                                 cap: int | None = None) -> bool:
     """True iff every inclusion-minimal op-planarizer of size <= k affects no
-    vertex of q_set. Oracle role: computed by exhaustive enumeration."""
+    vertex of q_set. Decided exactly by `minimal_planarizers`: on a planar g
+    ∅ is the one such set, with no search."""
     q_set = frozenset(q_set)
     return all(not (affected(s) & q_set) for s in minimal_planarizers(g, op, k, cap))
 
@@ -269,31 +307,12 @@ def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable
 def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
                        ) -> ModificationSet | None:
     """Some vr-planarizer of size <= k inside `scope` (all of V when None),
-    or None.
-
-    Branches over the vertices of `scope` on an extracted Kuratowski
-    subgraph: any planarizer inside the scope must hit every such subgraph
-    at a vertex of the scope, so the search is exhaustive with depth <= k.
+    or None: the first set of `_planarizers`' branching, which is exhaustive
+    with depth <= k, since a planarizer inside the scope must hit every
+    Kuratowski subgraph at a vertex of the scope.
     """
     if k < 0:
         raise InputError("budget must be non-negative")
-    chosen = _branch_vr(g, k, None if scope is None else frozenset(scope))
-    if chosen is None:
-        return None
-    return ModificationSet(Operation.VR, chosen)
-
-
-def _branch_vr(g: Graph, k: int, scope: frozenset | None) -> frozenset | None:
-    # the memoised test answers planarity; a Kuratowski witness is built
-    # only for a nonplanar g with budget left to branch on
-    if is_planar(g):
-        return frozenset()
-    if k == 0:
-        return None
-    for v in sorted(kuratowski(g).vertices, key=vertex_key):
-        if scope is not None and v not in scope:
-            continue
-        rest = _branch_vr(g.remove_vertices([v]), k - 1, scope)
-        if rest is not None:
-            return rest | {v}
-    return None
+    scope = g.vertices if scope is None else frozenset(scope)
+    chosen = next(_planarizers(g, Operation.VR, k, scope, None, count(1)), None)
+    return None if chosen is None else ModificationSet(Operation.VR, chosen)

@@ -110,17 +110,23 @@ def kuratowski(g: Graph) -> Graph | None:
 
     The same witness as networkx's `get_counterexample` on `_to_nx(g)`: visit
     each edge once in its order (nodes in order, later neighbours in
-    adjacency order) and keep it iff removing it leaves the rest planar.
+    adjacency order, which for `_to_nx`'s insertion order is
+    `g.sorted_edges()`) and keep it iff removing it leaves the rest planar.
     networkx also re-tests kept edges from their far end, but the rest has
     only lost edges since, so the answer is again "planar" and is skipped.
-    The opening test bypasses the `is_planar` memo, whose hit counts stay
-    those of the callers.
+
+    g is planar iff its blocks are. When one block B is nonplanar, the loop
+    runs on B's edges alone, in their order: every rest holds a nonplanar
+    block, which lies inside B, so an edge outside B always goes, and
+    rest − e is planar iff its part inside B is. The block tests bypass the
+    `is_planar` memo, whose hit counts stay those of the callers.
     """
-    if _planar(g.edges):
+    blocks = nx.biconnected_component_edges(_to_nx(g))
+    bad = [set(map(frozenset, b)) for b in blocks if not _planar(b)]
+    if not bad:
         return None
-    h = _to_nx(g)
-    rank = {v: i for i, v in enumerate(h)}
-    order = [(u, v) for u in h for v in h[u] if rank[v] > rank[u]]
+    # with two or more nonplanar blocks the loop runs on all of g
+    order = [e for e in g.sorted_edges() if len(bad) > 1 or frozenset(e) in bad[0]]
     rest = set(order)
     kept = []
     for e in order:

@@ -330,8 +330,9 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     and a nonplanar G is a no-instance; otherwise a set that is not a
     planarizer raises InputError.
 
-    The irrelevance bullet is verified by the planarizer-enumeration oracle
-    rather than trusted.
+    The irrelevance bullet is decided exactly, not trusted: every
+    inclusion-minimal planarizer, from `minimal_planarizers`' search, must
+    miss the compass.
     """
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")

@@ -5,7 +5,9 @@ import pytest
 from graph_helpers import cycle_graph, path_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planarizer_reference import GADGETS, branch_vr, gadget
 
+from planmod import modification, planarity
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph, disjoint_union
 from planmod.modification import (ModificationSet, Operation, affected,
@@ -13,6 +15,7 @@ from planmod.modification import (ModificationSet, Operation, affected,
                                   find_vr_planarizer, is_planarization_irrelevant,
                                   minimal_planarizers, subsets_up_to)
 from planmod.planarity import is_planar
+from planmod.walls import make_elementary_wall
 
 
 def _random_graph(seed, max_n=8, p=0.45):
@@ -233,3 +236,69 @@ class TestIrrelevance:
     def test_k5_vertices_are_relevant(self):
         g = complete_graph(5)
         assert not is_planarization_irrelevant(g, Operation.VR, 1, {3})
+
+    def test_planar_wall_needs_no_search(self, monkeypatch):
+        # ∅ is the one minimal planarizer of a planar g, for every operation
+        calls = _spy_searches(monkeypatch)
+        g = make_elementary_wall(7).graph
+        for op in Operation:
+            assert is_planarization_irrelevant(g, op, 1, g.vertices)
+        assert calls == {"subsets_up_to": 0, "kuratowski": 0}
+
+    def test_pendant_k5_wall_branches_on_one_block(self, monkeypatch):
+        # vr at k = 2 branches on the K5's five vertices, each of which
+        # planarizes, and enumerates nothing. Left-right questions: g, its
+        # three blocks (wall, bridge, K5), the ten K5 edges of the deletion
+        # loop, and the five g - v; the loop over all of g would ask one
+        # per edge
+        g = gadget("wall-k5-bridge", 7)
+        k5 = frozenset(v for v in g.vertices if g.degree(v) >= 4)
+        assert minimal_planarizers(g, Operation.VR, 2) == \
+            [ModificationSet(Operation.VR, [v]) for v in sorted(k5)]
+        calls = _spy_searches(monkeypatch)
+        planar_calls = []
+        real = planarity._planar
+        monkeypatch.setattr(planarity, "_planar",
+                            lambda edges: planar_calls.append(1) or real(edges))
+        is_planar.cache_clear()
+        assert not is_planarization_irrelevant(g, Operation.VR, 2, k5)
+        assert calls == {"subsets_up_to": 0, "kuratowski": 1}
+        assert len(planar_calls) == 1 + 3 + 10 + 5 < len(g.edges)
+
+
+def _spy_searches(monkeypatch) -> dict:
+    """Count the calls of modification's enumeration and witness search."""
+    calls = {"subsets_up_to": 0, "kuratowski": 0}
+    for name in calls:
+        real = getattr(modification, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modification, name, spy)
+    return calls
+
+
+@st.composite
+def _vr_host(draw):
+    """A random graph, sparse or dense, or a nonplanar gadget on a 3- or
+    5-wall, and a scope: None or a random part of V."""
+    name = draw(st.sampled_from(("random",) + GADGETS))
+    seed = draw(st.integers(0, 2 ** 16))
+    if name == "random":
+        g = _random_graph(seed, max_n=9, p=draw(st.sampled_from([0.45, 0.7])))
+    else:
+        g = gadget(name, draw(st.sampled_from([3, 5])))
+    if draw(st.booleans()):
+        return g, None
+    rng, p = random.Random(seed), draw(st.sampled_from([0.3, 0.7, 0.95]))
+    return g, frozenset(v for v in g.vertices if rng.random() < p)
+
+
+@settings(max_examples=200)
+@given(host=_vr_host(), k=st.integers(0, 2))
+def test_find_vr_planarizer_matches_branching_reference(host, k):
+    g, scope = host
+    found = find_vr_planarizer(g, k, scope)
+    assert (None if found is None else found.elements) == branch_vr(g, k, scope)

@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planarizer_reference import GADGETS, gadget
 
 from planmod import modification, signatures, solver
 from planmod.config import PipelineConfig
@@ -173,9 +174,13 @@ def test_planar_sets_match_reference(exact):
 
 
 def test_minimal_planarizers_match_reference():
+    # the gadgets are nonplanar through one block or two; under ea the
+    # reference tests every set of non-edges, so the walls stop at k = 1
     graphs = [(g, k, op) for g, k, op, _, _ in random_instances(4321, 60)]
     g, _ = _wall_with_pendant_k5(3)
     graphs += [(g, 2, op) for op in (Operation.VR, Operation.ER)]
+    graphs += [(gadget(name), k, op) for name in GADGETS for op in Operation for k in (1, 2)
+               if not (op is Operation.EA and k == 2 and name.startswith("wall-"))]
     for g, k, op in graphs:
         assert list(minimal_planarizers(g, op, k)) == _reference_minimal(g, op, k)
 

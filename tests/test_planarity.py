@@ -5,6 +5,7 @@ import pytest
 from graph_helpers import cycle_graph, path_graph, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from planarizer_reference import GADGETS, gadget
 
 from planmod.errors import InputError
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
@@ -183,6 +184,30 @@ class TestAgainstNetworkx:
             assert kuratowski(g) is None
         else:
             assert kuratowski(g) == Graph(cert.nodes(), cert.edges())
+
+    @pytest.mark.parametrize("name", [f"{g}-{h}" for g in GADGETS if g.startswith("wall-")
+                                      for h in (3, 5)]
+                             + [g for g in GADGETS if not g.startswith("wall-")]
+                             + ["petersen", "wall-with-chords", "k33-subdivision"])
+    @pytest.mark.parametrize("str_ids", [False, True], ids=["int", "str"])
+    def test_kuratowski_on_blocks(self, name, str_ids):
+        # one nonplanar block among planar ones (a K5 or K3,3 hung from a
+        # wall by a bridge or at a cut vertex), two nonplanar blocks, and
+        # graphs that are one nonplanar block
+        one_block = {"petersen": petersen, "wall-with-chords": lambda: _wall_with_chords(2),
+                     "k33-subdivision": _subdivided_k33_with_extras}
+        if name in one_block:
+            g = one_block[name]()
+        elif name in GADGETS:
+            g = gadget(name)
+        else:
+            kind, height = name.rsplit("-", 1)
+            g = gadget(kind, int(height))
+        if str_ids:
+            g = relabel(g, {v: f"v{v}" for v in g.vertices})
+        ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        assert not ok
+        assert kuratowski(g) == Graph(cert.nodes(), cert.edges())
 
     @settings(max_examples=300)
     @given(graphs)

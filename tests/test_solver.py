@@ -243,13 +243,21 @@ class TestFindArea:
         assert isinstance(out, WallArea)
         assert calls == [216]
 
-    def test_fired_irrelevance_cap_raises(self):
-        # the wall's irrelevance check must not read a fired cap as "no wall"
-        g = make_grid(6, 8).graph
-        none = ModificationSet(Operation.VR, [])
-        assert isinstance(find_area(1, 3, g, none, Operation.VR), WallArea)
+    @pytest.mark.parametrize("op", [Operation.VR, Operation.ER, Operation.EC],
+                             ids=lambda op: op.value)
+    def test_fired_irrelevance_cap_raises(self, op):
+        # the wall's irrelevance check must not read a fired cap as "no wall".
+        # On a planar g it answers with no search, so the host is nonplanar:
+        # a 5x5 grid with a K5 hung from vertex 0 by one edge, S = one K5
+        # vertex. vr and er branch on a Kuratowski witness, ec enumerates
+        grid = make_grid(5, 5).graph
+        k5 = complete_graph(5, offset=max(grid.vertices) + 1)
+        g = Graph(grid.vertices | k5.vertices, grid.edges | k5.edges | {(0, min(k5.vertices))})
+        s = ModificationSet(Operation.VR, [min(k5.vertices)])
+        cfg = PipelineConfig(cap_wall_nodes=4000)
+        assert isinstance(find_area(1, 3, g, s, op, cfg), WallArea)
         with pytest.raises(ResourceLimitError):
-            find_area(1, 3, g, none, Operation.VR, PipelineConfig(cap_oracle_subsets=1))
+            find_area(1, 3, g, s, op, dataclasses.replace(cfg, cap_oracle_subsets=1))
 
     def test_small_graph_gets_decomposition(self):
         out = find_area(1, 3, complete_graph(4).remove_edges([(0, 1)]),
