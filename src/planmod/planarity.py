@@ -115,18 +115,18 @@ def kuratowski(g: Graph) -> Graph | None:
     networkx also re-tests kept edges from their far end, but the rest has
     only lost edges since, so the answer is again "planar" and is skipped.
 
-    g is planar iff its blocks are. When one block B is nonplanar, the loop
-    runs on B's edges alone, in their order: every rest holds a nonplanar
-    block, which lies inside B, so an edge outside B always goes, and
-    rest − e is planar iff its part inside B is. The block tests bypass the
-    `is_planar` memo, whose hit counts stay those of the callers.
+    g is planar iff its blocks are. The loop runs on the edges of the union
+    U of g's nonplanar blocks alone, in their order: every rest is
+    nonplanar, so it holds a nonplanar block, which lies inside U; an edge
+    outside U therefore always goes, and rest − e is planar iff its part
+    inside U is. The block tests bypass the `is_planar` memo, whose hit
+    counts stay those of the callers.
     """
     blocks = nx.biconnected_component_edges(_to_nx(g))
-    bad = [set(map(frozenset, b)) for b in blocks if not _planar(b)]
+    bad = set().union(*(set(map(frozenset, b)) for b in blocks if not _planar(b)))
     if not bad:
         return None
-    # with two or more nonplanar blocks the loop runs on all of g
-    order = [e for e in g.sorted_edges() if len(bad) > 1 or frozenset(e) in bad[0]]
+    order = [e for e in g.sorted_edges() if frozenset(e) in bad]
     rest = set(order)
     kept = []
     for e in order:
