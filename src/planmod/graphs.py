@@ -7,8 +7,9 @@ Input is normalised once, when a graph is built from outside: the public
 constructor puts every edge in `norm_edge` form and checks its endpoints.
 A derived graph (`remove_vertices`, `induced`, `remove_edges`, `add_edges`,
 `merge_groups`) trusts its valid parent: it reuses the parent's canonical
-edges and, where vertices go, the parent's adjacency, and normalises and
-checks only what is new, so it costs about what the change touches.
+edges and, where vertices or edges come and go, the parent's adjacency, with
+new sets only for the vertices the change touches, and normalises and checks
+only what is new, so it costs about what the change touches.
 
 A graph may carry `known_planar`, a proof that it is planar, set only by
 `planarity.certified_planar` on a copy it makes. The derivations that make
@@ -170,20 +171,36 @@ class Graph:
         return Graph._derived(self.vertices - drop, self.edges - self._edges_at(drop), adj,
                               self.known_planar)
 
+    def _adj_changed(self, pairs: set, add: bool) -> dict:
+        """g's adjacency with these pairs of its vertices added as edges, or
+        removed; only the pairs' ends get a new set."""
+        parent = self.adj
+        delta = {}
+        for u, v in pairs:
+            delta.setdefault(u, set()).add(v)
+            delta.setdefault(v, set()).add(u)
+        adj = dict(parent)
+        for u, ns in delta.items():
+            adj[u] = parent[u] | ns if add else parent[u] - ns
+        return adj
+
     def remove_edges(self, drop: Iterable) -> "Graph":
-        dropped = {norm_edge(*e) for e in drop}
+        """g minus the edges of `drop` that it has; only their ends get a new
+        adjacency set."""
+        dropped = {norm_edge(*e) for e in drop} & self.edges
         return Graph._derived(self.vertices, self.edges - dropped,
-                              known_planar=self.known_planar)
+                              self._adj_changed(dropped, False), self.known_planar)
 
     def add_edges(self, new: Iterable) -> "Graph":
-        """g plus the pairs of `new`; only these are normalised and checked."""
+        """g plus the pairs of `new`; only these are normalised and checked,
+        and only their ends get a new adjacency set."""
         added = set()
         for e in new:
             u, v = e
             self._require(u)
             self._require(v)
             added.add(norm_edge(u, v))
-        return Graph._derived(self.vertices, self.edges | added)
+        return Graph._derived(self.vertices, self.edges | added, self._adj_changed(added, True))
 
     def add_vertices(self, new: Iterable) -> "Graph":
         return Graph._derived(self.vertices | frozenset(new), self.edges,

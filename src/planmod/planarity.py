@@ -6,10 +6,13 @@ parallel edges smoothing creates are merged. What remains is answered at once
 when it has fewer than 9 edges (planar: every Kuratowski subdivision has at
 least 9), more than 3n - 6 (nonplanar, by Euler's bound) or fewer than 6
 vertices (planar: the only nonplanar graph that small is K5, which has more
-than 3n - 6 edges); only the rest goes to networkx's left-right test.
-Kuratowski witnesses are networkx's, built by its deletion loop with each
-step decided the same way. Embeddings come from networkx directly, and an
-embedding is its faces. `faces_are_fixed` says when the faces of one
+than 3n - 6 edges); only the rest goes to `_lr_planar`, this module's own
+left-right test (de Fraysseix and Rosenstiehl, as written up by Brandes in
+"The Left-Right Planarity Test", 2009). It runs the test phases alone,
+iteratively, and builds no embedding. Kuratowski witnesses are networkx's,
+built by its deletion loop with each step decided the same way. Embeddings
+come from networkx's `check_planarity` directly, the one call of it here,
+and an embedding is its faces. `faces_are_fixed` says when the faces of one
 embedding are the faces of every embedding: `modification.PlanarSets` then
 reads "is g + uv planar?" off them. The contract here is boolean +
 witness + faces, all of which are re-verified by the callers that care,
@@ -73,7 +76,8 @@ def _reduce(edges: Iterable) -> dict:
 
 def _planar(edges: Iterable) -> bool:
     """Planarity of the graph with these edges: the reduced graph's size
-    decides it (see the module docstring), or networkx decides that graph."""
+    decides it (see the module docstring), or `_lr_planar` decides that
+    graph. No networkx object is built."""
     adj = _reduce(edges)
     m = sum(map(len, adj.values())) // 2
     if m < 9:
@@ -82,14 +86,186 @@ def _planar(edges: Iterable) -> bool:
         return False
     if len(adj) < 6:
         return True
-    h = nx.Graph()
-    h.add_edges_from((u, v) for u, ns in adj.items() for v in ns)
-    return nx.check_planarity(h)[0]
+    return _lr_planar(adj)
+
+
+def _lr_planar(adj: dict) -> bool:
+    """Planarity of the simple graph with this adjacency (each vertex's
+    set of neighbours): the two test phases of the left-right planarity
+    test of de Fraysseix and Rosenstiehl, as Brandes writes them up in "The
+    Left-Right Planarity Test" (2009), which networkx's `check_planarity`
+    also runs. Both depth-first searches keep their own stack, so the depth
+    of the graph does not meet the recursion limit, and the embedding phase
+    is left out, with the writes of `ref` that only it reads.
+
+    Vertices become 0..n-1 and edges are numbered as the first search
+    orients them, from ancestor to child on a tree edge and from descendant
+    to ancestor on a back edge; the state lives in lists indexed by these
+    numbers. A conflict pair is a list
+    [left low, left high, right low, right high] of return edges, None
+    where an interval is empty.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in ns] for ns in adj.values()]
+    n = len(nbrs)
+    m = sum(map(len, nbrs)) // 2
+    height = [-1] * n
+    parent = [-1] * n  # the tree edge into each vertex, -1 at a root
+    dst = [0] * m
+    low, low2, nest = [0] * m, [0] * m, [0] * m
+    out = [[] for _ in range(n)]
+    nxt = [0] * n
+    roots = []
+    count = 0
+    # orientation: heights, lowpoints and nesting depths
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            i = nxt[v]
+            if i < len(nbrs[v]):
+                nxt[v] = i + 1
+                w = nbrs[v][i]
+                hv, hw = height[v], height[w]
+                if hw >= 0 and hw >= hv - 1:
+                    continue  # v's parent, or a descendant whose back edge is oriented
+                e = count
+                count += 1
+                dst[e] = w
+                out[v].append(e)
+                if hw < 0:  # tree edge: finished when w is
+                    low[e] = low2[e] = hv
+                    parent[w] = e
+                    height[w] = hv + 1
+                    stack.append(w)
+                    continue
+                low[e], low2[e] = hw, hv
+            else:
+                stack.pop()
+                e = parent[v]
+                if e < 0:
+                    continue
+                v = stack[-1]
+            # e leaves v and is finished: its nesting depth, then the
+            # lowpoints of v's parent edge
+            nest[e] = 2 * low[e] + (low2[e] < height[v])
+            f = parent[v]
+            if f >= 0:
+                if low[e] < low[f]:
+                    low2[f] = min(low[f], low2[e])
+                    low[f] = low[e]
+                elif low[e] > low[f]:
+                    low2[f] = min(low2[f], low[e])
+                else:
+                    low2[f] = min(low2[f], low2[e])
+    # testing: the conflict pairs of the edges in nesting order
+    for es in out:
+        es.sort(key=nest.__getitem__)
+    nxt = [0] * n
+    ref = [None] * m
+    lowpt_edge = [0] * m
+    bottom = [0] * m  # the stack height when each edge was entered
+    pairs = []
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            es = out[v]
+            i = nxt[v]
+            if i < len(es):
+                nxt[v] = i + 1
+                ei = es[i]
+                bottom[ei] = len(pairs)
+                if parent[dst[ei]] == ei:
+                    stack.append(dst[ei])
+                    continue
+                lowpt_edge[ei] = ei
+                pairs.append([None, None, ei, ei])
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                # remove the back edges that return to u = v's parent
+                u = stack[-1]
+                hu = height[u]
+                while pairs:
+                    ll, _, rl, _ = pairs[-1]
+                    if hu != (low[rl] if ll is None else low[ll] if rl is None
+                              else min(low[ll], low[rl])):
+                        break
+                    pairs.pop()
+                if pairs:
+                    p = pairs[-1]
+                    while p[1] is not None and dst[p[1]] == u:
+                        p[1] = ref[p[1]]
+                    if p[1] is None:
+                        p[0] = None
+                    while p[3] is not None and dst[p[3]] == u:
+                        p[3] = ref[p[3]]
+                    if p[3] is None:
+                        p[2] = None
+                v = u
+            # integrate the return edges of ei, which leaves v
+            if low[ei] >= height[v]:
+                continue
+            e = parent[v]
+            if nxt[v] == 1:  # ei is v's first edge
+                lowpt_edge[e] = lowpt_edge[ei]
+                continue
+            # add the constraints of ei: its return edges go into P's right
+            # interval, or are aligned with e's lowpoint edge
+            p = [None, None, None, None]
+            while True:
+                ql, qlh, qr, qrh = pairs.pop()
+                if ql is not None or qlh is not None:
+                    ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                    if ql is not None or qlh is not None:
+                        return False
+                if low[qr] > low[e]:
+                    if p[2] is None and p[3] is None:
+                        p[3] = qrh
+                    else:
+                        ref[p[2]] = qrh
+                    p[2] = qr
+                if len(pairs) == bottom[ei]:
+                    break
+            # the earlier edges' return edges that conflict with ei go left
+            lo = low[ei]
+            while pairs:
+                ql, qlh, qr, qrh = pairs[-1]
+                left = (ql is not None or qlh is not None) and low[qlh] > lo
+                right = (qr is not None or qrh is not None) and low[qrh] > lo
+                if not (left or right):
+                    break
+                pairs.pop()
+                if right:
+                    if left:
+                        return False
+                    ql, qlh, qr, qrh = qr, qrh, ql, qlh
+                if p[2] is not None:
+                    ref[p[2]] = qrh
+                if qr is not None:
+                    p[2] = qr
+                if p[0] is None and p[1] is None:
+                    p[1] = qlh
+                else:
+                    ref[p[0]] = qlh
+                p[0] = ql
+            if any(x is not None for x in p):
+                pairs.append(p)
+    return True
 
 
 @lru_cache(maxsize=1 << 16)
 def is_planar(g: Graph) -> bool:
-    """Is g planar? True at once when g carries `known_planar`, else tested.
+    """Is g planar? True at once when g carries `known_planar`, else tested
+    by `_planar`: the reductions, then the left-right kernel `_lr_planar`
+    (Brandes 2009), which answers yes or no and embeds nothing.
 
     A marked graph not yet in the memo still counts as a miss in
     `cache_info()`, but runs no test. The test reads g.edges, not g.adj:

@@ -372,6 +372,21 @@ class TestDerivedGraphs:
                                        (Operation.EC, gone, _contracted(g, gone))):
             _as_built(apply(g, ModificationSet(op, elements)), expected)
 
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(sorted(_ALL_IDS)))
+    def test_edge_changes_derive_adjacency(self, data, kind):
+        # add_edges and remove_edges hand the child its adjacency, patched
+        # from the parent's at the changed pairs' ends; old edges and
+        # non-edges among the pairs, in either orientation, change nothing
+        g = data.draw(id_graphs(kind))
+        verts = g.sorted_vertices()
+        pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+        some = lambda: data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        new, gone = some(), [(v, u) for u, v in some()]
+        for h in (g.add_edges(new), g.remove_edges(gone), g.add_edges(new).remove_edges(gone)):
+            assert h._adj is not None
+            assert h.adj == Graph(h.vertices, h.edges).adj
+
     def test_bad_input_still_raises(self):
         g = Graph([1, 2, "a"], [(1, 2)])
         for bad in (lambda: g.add_edges([(1, 3)]), lambda: g.add_edges([("a", "a")]),

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from planarizer_reference import GADGETS, gadget
 
+from planmod import planarity
 from planmod.errors import InputError
+from planmod.fixtures import random_instances
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
 from planmod.modification import ModificationSet, Operation, apply
 from planmod.graphs import smooth_degree_two
-from planmod.planarity import (_to_nx, embed, faces_are_fixed, is_planar, kuratowski,
-                               planar_with_additions)
+from planmod.planarity import (_lr_planar, _to_nx, embed, faces_are_fixed, is_planar,
+                               kuratowski, planar_with_additions)
+from planmod.solver import Instance, solve_pipeline
 from planmod.walls import make_elementary_wall, subdivide_wall
 
 
@@ -228,17 +232,105 @@ class TestAgainstNetworkx:
         assert not faces_are_fixed(cycle_graph(5))
 
     def test_kuratowski_runs_fewer_lr_tests(self, monkeypatch):
-        # networkx runs two opening tests, one per edge and a second one per
-        # witness edge: |E| + |K| + 2 left-right runs
+        # networkx's get_counterexample runs two opening tests, one per edge
+        # and a second one per witness edge: |E| + |K| + 2 left-right runs;
+        # kuratowski runs the kernel fewer times for the same witness
         g = petersen()
         _, cert = nx.check_planarity(_to_nx(g), counterexample=True)
         runs = []
-        lr = nx.algorithms.planarity.LRPlanarity
-        real = lr.lr_planarity
-        monkeypatch.setattr(lr, "lr_planarity", lambda self: runs.append(1) or real(self))
+        real = planarity._lr_planar
+        monkeypatch.setattr(planarity, "_lr_planar", lambda adj: runs.append(1) or real(adj))
         w = kuratowski(g)
         assert w == Graph(cert.nodes(), cert.edges())
         assert 0 < len(runs) < len(g.edges) + len(w.edges) + 2
+
+
+def _adjacency(h: nx.Graph) -> dict:
+    return {v: set(h[v]) for v in h}
+
+
+class TestKernel:
+    """`_lr_planar`, the left-right test behind every yes/no planarity
+    answer, agrees with networkx's `check_planarity` on its own input: no
+    reduction or edge count answers first."""
+
+    def test_graph_atlas(self):
+        # every graph of up to 7 vertices, isolated vertices included
+        for h in nx.graph_atlas_g():
+            assert _lr_planar(_adjacency(h)) == nx.check_planarity(h)[0], list(h.edges)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        n = data.draw(st.integers(5, 14))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        h = nx.empty_graph(n)
+        h.add_edges_from(data.draw(st.sets(st.sampled_from(pairs))))
+        assert _lr_planar(_adjacency(h)) == nx.check_planarity(h)[0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_near_maximal_planar(self, seed):
+        # random pairs go in while the graph stays planar; each pair that
+        # would make it nonplanar is tested, then taken out again
+        rng = random.Random(seed)
+        n = rng.randint(6, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        h = nx.empty_graph(n)
+        for u, v in pairs:
+            h.add_edge(u, v)
+            planar = nx.check_planarity(h)[0]
+            assert _lr_planar(_adjacency(h)) == planar, list(h.edges)
+            if not planar:
+                h.remove_edge(u, v)
+        assert h.number_of_edges() == 3 * n - 6
+
+    @pytest.mark.parametrize("chord", [False, True], ids=["grid", "grid-with-chord"])
+    def test_deep_grid(self, chord):
+        # the depth-first searches on a 60x60 grid run deeper than the
+        # recursion limit, which networkx's recursive test shows; the kernel
+        # keeps its own stacks and leaves the limit alone
+        g = make_grid(60, 60).graph
+        with pytest.raises(RecursionError):
+            nx.algorithms.planarity.check_planarity_recursive(_to_nx(g))
+        if chord:  # (10, 10) to (40, 40): interior vertices on no common face
+            g = g.add_edges([(10 * 60 + 10, 40 * 60 + 40)])
+        limit = sys.getrecursionlimit()
+        assert _lr_planar(g.adj) is not chord
+        assert sys.getrecursionlimit() == limit
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def test_planarity_answers_without_networkx(monkeypatch):
+    # with networkx's left-right test disabled, every yes/no answer still
+    # comes, from the kernel; embed, which needs networkx's embedding, is
+    # its one remaining planarity caller
+    w = gadget("wall-k5-bridge")
+    _, cert = nx.check_planarity(_to_nx(w), counterexample=True)
+
+    def forbidden(*args, **kwargs):
+        raise _Forbidden
+
+    monkeypatch.setattr(nx, "check_planarity", forbidden)
+    monkeypatch.setattr(nx.algorithms.planarity, "LRPlanarity", forbidden)
+    runs = []
+    real = planarity._lr_planar
+    monkeypatch.setattr(planarity, "_lr_planar", lambda adj: runs.append(1) or real(adj))
+    is_planar.cache_clear()
+    assert not is_planar(petersen()) and runs
+    runs.clear()
+    assert kuratowski(w) == Graph(cert.nodes(), cert.edges()) and runs
+    # the first vr, k = 2 instance of the soundness stream whose graph is
+    # nonplanar
+    g, k, op, phi = next((g, k, op, phi) for g, k, op, phi, _ in random_instances(9000, 500)
+                         if op is Operation.VR and k == 2 and not is_planar(g))
+    runs.clear()
+    assert solve_pipeline(Instance(g, k, op, phi)).cross_checked and runs
+    with pytest.raises(_Forbidden):
+        embed(complete_graph(4))
 
 
 def _spread(g: Graph) -> Graph:
