@@ -20,8 +20,8 @@ from .errors import InputError, ResourceLimitError, SoundnessError
 from .fixtures import (TRIVIALLY_TRUE, crafted_sig_instances, fixed_sentences,
                        random_annotated, random_graph, random_instances,
                        shipped_local_formulas)
-from .graphs import Graph, complete_graph, disjoint_union, k5_star, make_grid, \
-    make_triangulated_grid, vertex_key
+from .graphs import complete_graph, disjoint_union, k5_star, load_graph, make_grid, \
+    make_triangulated_grid
 from .logic import (GaifmanSentence, eval_gaifman, eval_gaifman_expanded,
                     parse_formula, verify_locality)
 from .modification import Operation
@@ -74,18 +74,27 @@ def _config_from_args(args) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def _load_annotation(path: str, g: Graph) -> frozenset:
-    """The annotation set R in the file at `path`: a JSON list of vertex ids,
-    each naming a vertex of g by an id of the same type, none repeated."""
-    ids = _read_json(path)
-    if not isinstance(ids, list) or any(isinstance(v, (list, dict)) for v in ids):
+def _load_annotation(path: str, ids: list) -> frozenset:
+    """The annotation set R in the file at `path`: a JSON list of input
+    vertex ids, each naming a vertex by an id of the same type, none
+    repeated. Vertex i has the input id `ids[i]`."""
+    names = _read_json(path)
+    if not isinstance(names, list) or any(isinstance(v, (list, dict)) for v in names):
         raise InputError(f"{path} must hold a JSON list of vertex ids")
-    vertex = {v: v for v in g.vertices}
+    index = {v: i for i, v in enumerate(ids)}
     # true == 1 == 1.0 in Python, so such ids would silently name vertex 1
-    if len(set(ids)) != len(ids) or any(
-            v in vertex and type(v) is not type(vertex[v]) for v in ids):
+    if len(set(names)) != len(names) or any(
+            v in index and type(v) is not type(ids[index[v]]) for v in names):
         raise InputError(f"{path}: repeated or colliding vertex ids")
-    return frozenset(ids)
+    if not index.keys() >= set(names):
+        raise InputError("annotation set contains unknown vertices")
+    return frozenset(index[v] for v in names)
+
+
+def _named(x, ids: list):
+    """x in input ids: a vertex by its id, and a list or tuple of vertices,
+    at any depth, as a list."""
+    return [_named(y, ids) for y in x] if isinstance(x, (list, tuple)) else ids[x]
 
 
 def _load_sentence(args):
@@ -103,12 +112,12 @@ def _load_sentence(args):
 
 def cmd_solve(args) -> int:
     cfg = _config_from_args(args)
-    g = Graph.from_json_obj(_read_json(args.instance))
-    r_set = None if args.annotated is None else _load_annotation(args.annotated, g)
+    # the core sees the vertices 0..n-1; the report names the input ids
+    g, ids = load_graph(_read_json(args.instance))
+    r_set = None if args.annotated is None else _load_annotation(args.annotated, ids)
     phi = _load_sentence(args)
     op = Operation.parse(args.op)
     inst = Instance(g, args.k, op, phi, r_set)
-    mode = "oracle" if args.oracle else "pipeline"
     t0 = time.perf_counter()
     if args.oracle:
         answer, witness = solve_oracle(inst, cfg, want_witness=True)
@@ -117,20 +126,27 @@ def cmd_solve(args) -> int:
         result = solve_pipeline(inst, cfg)
     elapsed = (time.perf_counter() - t0) * 1000
     phi_obj = phi.to_json_obj() if isinstance(phi, GaifmanSentence) else str(phi)
+    # ids is sorted and the relabelling monotone, so named lists stay sorted
     instance_obj = {"n": len(g.vertices), "m": len(g.edges),
                     "op": op.value, "k": args.k,
-                    "digest": _digest({"graph": g.to_json_obj(),
+                    "digest": _digest({"graph": {"vertices": ids,
+                                                 "edges": _named(g.sorted_edges(), ids)},
                                        "op": op.value, "k": args.k,
                                        "r_set": None if r_set is None
-                                       else sorted(r_set, key=vertex_key),
+                                       else _named(sorted(r_set), ids),
                                        "phi": phi_obj})}
+    for step in result.trace:  # this run's own trace
+        if "vertex" in step.detail:
+            step.detail["vertex"] = ids[step.detail["vertex"]]
     report = {
         "instance": instance_obj,
         "phi": phi_obj,
         "config": cfg.to_json_obj(),
-        "mode": mode,
+        "mode": "oracle" if args.oracle else "pipeline",
         "answer": "yes" if result.answer else "no",
-        "witness": result.witness.to_json_obj() if result.witness else None,
+        "witness": None if result.witness is None else {
+            "op": result.witness.op.value,
+            "elements": _named(result.witness.sorted_elements(), ids)},
         "trace": result.trace_json_obj(args.timings),
         "cross_checked": result.cross_checked,
     }

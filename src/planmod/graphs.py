@@ -1,7 +1,11 @@
 """Immutable simple graphs, metrics, vertex merging, minor models, and generators.
 
-Vertex ids are opaque (ints or strings in practice) and stable: derived graphs
-reuse the ids of the host so annotations survive modification.
+Vertex ids are stable: derived graphs reuse the ids of the host so
+annotations survive modification. The ids of one graph share one type (ints
+in practice, or a wall pattern's (x, y) positions) and sort by their natural
+order. Ids of mixed types arrive only from outside, in JSON: `load_graph`
+relabels them to 0..n-1 once, in `vertex_key` order, and the caller maps
+what it reports back to the input ids.
 
 Input is normalised once, when a graph is built from outside: the public
 constructor puts every edge in `norm_edge` form and checks its endpoints.
@@ -22,39 +26,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Hashable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
-Vertex = Hashable
-Edge = tuple
-
 
 def vertex_key(v) -> tuple:
-    """Total order over vertex ids: ints, then strings, then tuples
-    (component by component), then every other type in a lane of its own,
-    by type name and then by value. Unequal ids of these types never share
-    a key. Exact ints take a fast path, so bools keep their own lane."""
+    """Total order over JSON vertex ids: ints, then strings, then every
+    other type (floats, bools) in a lane of its own, by type name and then
+    by value. Unequal ids of these types never share a key. Exact ints
+    take a fast path, so bools keep their own lane."""
     kind = type(v)
     if kind is int:
         return (0, v)
     if kind is str:
         return (1, v)
-    if kind is tuple:
-        return (2, tuple(map(vertex_key, v)))
-    return (3, kind.__name__, v)
+    return (2, kind.__name__, v)
 
 
-def norm_edge(u, v) -> Edge:
+def norm_edge(u, v) -> tuple:
     """Canonical (min, max) form of an undirected edge."""
-    if type(u) is int and type(v) is int:
-        if u < v:
-            return (u, v)
-        if v < u:
-            return (v, u)
     if u == v:
         raise InputError(f"loop edge on {u!r}")
-    return (u, v) if vertex_key(u) <= vertex_key(v) else (v, u)
+    return (u, v) if u < v else (v, u)
 
 
 class Graph:
@@ -68,13 +62,14 @@ class Graph:
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
         vs = frozenset(vertices)
+        kinds = set(map(type, vs))
+        if len(kinds) > 1:
+            raise InputError(f"vertex ids of mixed types: {sorted(t.__name__ for t in kinds)}")
         es = set()
-        for e in edges:
-            u, v = e
-            ne = norm_edge(u, v)
-            if ne[0] not in vs or ne[1] not in vs:
-                raise InputError(f"edge {ne!r} has an endpoint outside the vertex set")
-            es.add(ne)
+        for u, v in edges:
+            if u not in vs or v not in vs:
+                raise InputError(f"edge {(u, v)!r} has an endpoint outside the vertex set")
+            es.add(norm_edge(u, v))
         self._fill(vs, frozenset(es), None, False)
 
     def _fill(self, vertices: frozenset, edges: frozenset, adj: dict | None,
@@ -131,10 +126,10 @@ class Graph:
         return f"Graph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
 
     def sorted_vertices(self) -> list:
-        return sorted(self.vertices, key=vertex_key)
+        return sorted(self.vertices)
 
     def sorted_edges(self) -> list:
-        return sorted(self.edges, key=vertex_key)
+        return sorted(self.edges)
 
     def neighbors(self, v) -> frozenset:
         self._require(v)
@@ -212,7 +207,7 @@ class Graph:
         keep = frozenset(keep)
         missing = keep - self.vertices
         if missing:
-            raise InputError(f"unknown vertex ids {sorted(missing, key=vertex_key)!r}")
+            raise InputError(f"unknown vertex ids {', '.join(sorted(map(repr, missing)))}")
         edges, parent = self.edges, self.adj
         adj = {}
         for u in keep:
@@ -270,26 +265,6 @@ class Graph:
         return {"vertices": self.sorted_vertices(),
                 "edges": [list(e) for e in self.sorted_edges()]}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Graph":
-        """The graph of a JSON object: a list of vertex ids and a list of
-        edges, each a list of two ids."""
-        try:
-            vertices, edges = obj["vertices"], obj["edges"]
-            if not isinstance(vertices, list) or not isinstance(edges, list) or any(
-                    not isinstance(e, list) or len(e) != 2 for e in edges):
-                raise InputError("bad graph object: vertices must be a list of ids "
-                                 "and edges a list of two-id lists")
-            g = cls(vertices, [tuple(e) for e in edges])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad graph object: {exc}") from exc
-        if None in g.vertices:
-            raise InputError("bad graph object: null vertex id")
-        if len(g.vertices) != len(vertices):
-            # true == 1 == 1.0 in Python, so such ids would silently merge
-            raise InputError("bad graph object: repeated or colliding vertex ids")
-        return g
-
     def to_dot(self) -> str:
         lines = ["graph G {"]
         for v in self.sorted_vertices():
@@ -298,6 +273,36 @@ class Graph:
             lines.append(f'  "{u}" -- "{v}";')
         lines.append("}")
         return "\n".join(lines)
+
+
+def load_graph(obj) -> tuple:
+    """(g, ids) for a JSON object that lists vertex ids and edges, each a
+    list of two ids. The ids may be of any JSON type but a list, an object
+    or null; g has the vertices 0..n-1 and `ids[i]` is the input id of
+    vertex i, in `vertex_key` order. An edge names each endpoint by its
+    id's type and value."""
+    try:
+        vertices, edges = obj["vertices"], obj["edges"]
+        if not isinstance(vertices, list) or not isinstance(edges, list) or any(
+                not isinstance(e, list) or len(e) != 2 for e in edges):
+            raise InputError("bad graph object: vertices must be a list of ids "
+                             "and edges a list of two-id lists")
+        ids = sorted(set(vertices), key=vertex_key)
+        if None in ids:
+            raise InputError("bad graph object: null vertex id")
+        if len(ids) != len(vertices):
+            # true == 1 == 1.0 in Python, so such ids would silently merge
+            raise InputError("bad graph object: repeated or colliding vertex ids")
+        index = {(type(v), v): i for i, v in enumerate(ids)}
+        for u, v in edges:
+            if u == v:
+                raise InputError(f"loop edge on {u!r}")
+            ends = (u, v) if vertex_key(u) <= vertex_key(v) else (v, u)
+            if any((type(x), x) not in index for x in ends):
+                raise InputError(f"edge {ends!r} has an endpoint outside the vertex set")
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"bad graph object: {exc}") from exc
+    return Graph(range(len(ids)), [[index[type(x), x] for x in e] for e in edges]), ids
 
 
 # -- spec operations --------------------------------------------------------
@@ -320,7 +325,7 @@ def is_scattered(g: Graph, xs: Iterable, ell: int, r: int) -> bool:
         return False
     if len(xs) != ell:
         return False
-    xs_sorted = sorted(xs, key=vertex_key)
+    xs_sorted = sorted(xs)
     for i, u in enumerate(xs_sorted):
         dist = g.bfs_distances(u)
         for v in xs_sorted[i + 1:]:
@@ -406,7 +411,7 @@ def merge_groups(g: Graph, groups: Iterable) -> Graph:
         group = set(group)
         if not group <= g.vertices:
             raise InputError("merge group contains unknown vertices")
-        r = min(group, key=vertex_key)
+        r = min(group)
         for v in group:
             if v in rep:
                 raise InputError(f"vertex {v!r} appears in two merge groups")

@@ -619,9 +619,9 @@ class LocalValues:
 
     @cached_property
     def order(self) -> list:
-        """g's vertices in `vertex_key` order, sorted once. Every g ⊠ S
-        keeps a subset of g's ids (vr and ec drop vertices, and ec merges
-        into the least id), so this list, filtered, is g ⊠ S's order."""
+        """g's vertices, sorted once. Every g ⊠ S keeps a subset of g's
+        ids (vr and ec drop vertices, and ec merges into the least id), so
+        this list, filtered, is g ⊠ S's order."""
         return self.g.sorted_vertices()
 
     def near(self, touched: Iterable, r: int) -> set:

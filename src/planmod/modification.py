@@ -12,7 +12,7 @@ from itertools import combinations, count
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, merge_groups, norm_edge, vertex_key
+from .graphs import Graph, merge_groups, norm_edge
 from .planarity import embed, faces_are_fixed, is_planar, kuratowski
 
 
@@ -49,7 +49,7 @@ class ModificationSet:
         return len(self.elements)
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements, key=vertex_key)
+        return sorted(self.elements)
 
     def to_json_obj(self) -> dict:
         if self.op is Operation.VR:
@@ -67,8 +67,8 @@ def application_domain(op: Operation, g: Graph, r_set: Iterable) -> frozenset:
     if op is Operation.VR:
         return r_set
     if op is Operation.EA:
-        # pairs of ids in vertex_key order are already in norm_edge form
-        return frozenset(combinations(sorted(r_set, key=vertex_key), 2)) - g.edges
+        # pairs of sorted ids are already in norm_edge form
+        return frozenset(combinations(sorted(r_set), 2)) - g.edges
     return frozenset(e for e in g.edges if e[0] in r_set and e[1] in r_set)
 
 
@@ -109,7 +109,7 @@ def apply(g: Graph, s: ModificationSet) -> Graph:
 
 def subsets_up_to(domain: Iterable, k: int, cap: int | None = None) -> Iterator[frozenset]:
     """All subsets of the domain of size 0..k, smallest first, in stable order."""
-    domain = sorted(domain, key=vertex_key)
+    domain = sorted(domain)
     count = 0
     for size in range(min(k, len(domain)) + 1):
         for combo in combinations(domain, size):
@@ -284,10 +284,10 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
 def minimal_planarizers(g: Graph, op: Operation, k: int,
                         cap: int | None = None) -> list[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, in `subsets_up_to`
-    order: by size, then by the `vertex_key`-sorted elements. Exact by
+    order: by size, then by the sorted elements. Exact by
     `_planarizers`' lemmas; `cap` bounds its search."""
     found = sorted(set(_planarizers(g, op, k, g.vertices, cap, count(1))),
-                   key=lambda s: (len(s), vertex_key(tuple(sorted(s, key=vertex_key)))))
+                   key=lambda s: (len(s), sorted(s)))
     kept: list = []
     for s in found:
         if not any(prev <= s for prev in kept):

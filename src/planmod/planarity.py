@@ -34,11 +34,11 @@ from typing import Iterable
 import networkx as nx
 
 from .errors import InputError
-from .graphs import Graph, smooth_degree_two, vertex_key
+from .graphs import Graph, smooth_degree_two
 
 
 def _to_nx(g: Graph) -> nx.Graph:
-    """g as a networkx graph, its vertices and edges added in `vertex_key`
+    """g as a networkx graph, its vertices and edges added in sorted
     order: networkx's embedding and its Kuratowski witness follow the order
     they were added in, so this makes both depend on g alone, not on how
     its sets were built."""
@@ -338,8 +338,8 @@ def embed(g: Graph) -> tuple | None:
 def _component_faces(emb, g: Graph, comp) -> list:
     seen = set()
     faces = []
-    for u in sorted(comp, key=vertex_key):
-        for v in sorted(g.adj[u], key=vertex_key):
+    for u in sorted(comp):
+        for v in sorted(g.adj[u]):
             if (u, v) in seen:
                 continue
             face = emb.traverse_face(u, v, mark_half_edges=seen)

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, vertex_key
+from .graphs import Graph
 from .logic import (Formula, GaifmanSentence, LocalValues, check_fol, check_local,
                     eval_gaifman, scattered_sets)
 # is_planar, planar_with_additions and subsets_up_to are not called here but
@@ -222,7 +222,7 @@ def _feasible_sizes(kt_mod: Graph, r_set: frozenset, allowed: frozenset, basic,
     """Witness-set sizes y for which an (y, r_h)-scattered set of psi_h
     vertices exists inside `allowed`; downward closed, so one search for the
     largest size up to ell_h settles them all."""
-    candidates = [v for v in sorted(allowed, key=vertex_key)
+    candidates = [v for v in sorted(allowed)
                   if check_local(kt_mod, r_set, v, basic.psi, basic.r, cfg=cfg)]
     top = 0
     for xs in scattered_sets(kt_mod, candidates, basic.r, basic.ell):
@@ -257,7 +257,7 @@ def compute_char(ec: ExtendedCompass, r_set: Iterable, op: Operation, k: int,
             continue
         anchor_idx = max(1, z - params.d + 1)
         anchor = ec.level(anchor_idx).graph.vertices & r_k
-        domain = sorted(application_domain(op, compass_graph, anchor), key=vertex_key)
+        domain = sorted(application_domain(op, compass_graph, anchor))
         for size in range(0, k + 1):
             for combo in combinations(domain, size):
                 budget -= 1

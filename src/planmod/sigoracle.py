@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import InputError
-from .graphs import Graph, is_scattered, vertex_key
+from .graphs import Graph, is_scattered
 from .logic import GaifmanSentence, eval_with_env, relativize
 from .modification import ModificationSet, Operation, affected, application_domain, apply
 from .planarity import is_planar
@@ -44,8 +44,7 @@ def sig_oracle(ec: ExtendedCompass, r_set: Iterable, z: int, s: ModificationSet,
         kt, ktr, ptr = level_pair(ec, t, r)
         kt_mod = apply_within(kt, s)
         ktr_mod = apply_within(ktr, s)
-        pool = sorted((ktr_mod.vertices - ptr) & r_set & kt_mod.vertices,
-                      key=vertex_key)
+        pool = sorted((ktr_mod.vertices - ptr) & r_set & kt_mod.vertices)
         r_here = r_set & kt_mod.vertices
         for ys in product(*all_ys):
             if all(_witness_exists(kt_mod, r_here, pool, phi.basics[h], len(ys[h]), cfg)
@@ -74,7 +73,7 @@ def char_oracle(ec: ExtendedCompass, r_set: Iterable, op: Operation,
     r_set = frozenset(r_set)
     compass_graph = ec.compass
     r_k = r_set & compass_graph.vertices
-    domain = sorted(application_domain(op, compass_graph, r_k), key=vertex_key)
+    domain = sorted(application_domain(op, compass_graph, r_k))
     rows = set()
     for z in z_range(params, warn=False):
         if z > ec.rho:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .config import DEFAULTS, PipelineConfig
 from .errors import InputError, ResourceLimitError, SoundnessError
-from .graphs import Graph, k5_star, vertex_key
+from .graphs import Graph, k5_star
 # apply, eval_gaifman and subsets_up_to are not called here but stay bound:
 # the benchmark's tracer (perfbench/spans.py) wraps them in this module
 from .logic import Formula, GaifmanSentence, eval_gaifman  # noqa: F401
@@ -122,16 +122,15 @@ def _connected_sets(host: Graph, starts: list, allowed: set, max_size: int):
             return
         for i, v in enumerate(cands):
             skip = excluded | set(cands[:i]) | {v}
-            new = [w for w in sorted(host.adj[v], key=vertex_key)
+            new = [w for w in sorted(host.adj[v])
                    if w in allowed and w not in skip and w not in cands]
             yield from grow(s | {v}, cands[i + 1:] + new, skip)
 
     banned = set()
     for v in starts:
         banned.add(v)
-        yield from grow(frozenset((v,)),
-                        [w for w in sorted(host.adj[v], key=vertex_key)
-                         if w in allowed and w not in banned], set(banned))
+        yield from grow(frozenset((v,)), [w for w in sorted(host.adj[v])
+                                          if w in allowed and w not in banned], set(banned))
 
 
 def _placement_order(pattern: Graph, hub) -> tuple:
@@ -264,19 +263,15 @@ def find_minor_model(host: Graph, pattern: Graph, hub, center,
         if cap[0] < room:
             capped[0] = True
         near = [sets[q] for q in earlier[p]]
-        if near:
-            starts = sorted({w for a in near[0] for w in host.adj[a]} & allowed,
-                            key=vertex_key)
-        else:
-            starts = sorted(allowed, key=vertex_key)
-        low = vertex_key(min(sets[twin_of[p]], key=vertex_key)) if p in twin_of else None
+        starts = sorted({w for a in near[0] for w in host.adj[a]} & allowed if near else allowed)
+        low = min(sets[twin_of[p]]) if p in twin_of else None
         for cand in _connected_sets(host, starts, allowed, min(cap[0], room)):
             budget[0] -= 1
             if budget[0] < 0:
                 raise ResourceLimitError("minor-model search exceeded its node budget")
             if not all(touching(cand, e) for e in near):
                 continue
-            if low is not None and vertex_key(min(cand, key=vertex_key)) < low:
+            if low is not None and min(cand) < low:
                 continue
             sets[p] = cand
             used.update(cand)
@@ -416,7 +411,7 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
             f"only {len(towers)} disjoint subwall compasses; need at least 2")
 
     def finish(ec, region: frozenset) -> IrrelevantRegion:
-        v = min(center(ec.wall), key=vertex_key)
+        v = min(center(ec.wall))
         assert v in region
         return IrrelevantRegion(region, v)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, vertex_key
+from .graphs import Graph
 
 # the default vertex cap of the two exact algorithms
 EXACT_CAP = 14
@@ -184,10 +184,10 @@ def minfill_order(g: Graph) -> list:
     """Greedy min-fill elimination order.
 
     Each step eliminates the remaining vertex with the least
-    (missing, degree, vertex_key): `missing` counts the non-adjacent pairs
-    among its remaining neighbours (the fill edges its elimination adds),
-    `degree` counts those neighbours, and vertex_key breaks the remaining
-    ties, so the order is deterministic.
+    (missing, degree, v): `missing` counts the non-adjacent pairs among
+    its remaining neighbours (the fill edges its elimination adds),
+    `degree` counts those neighbours, and the id v itself breaks the
+    remaining ties, so the order is deterministic.
 
     The scores sit in a heap with lazy deletion. Eliminating v drops v and
     turns its remaining neighbourhood N(v) into a clique. A degree changes
@@ -202,14 +202,13 @@ def minfill_order(g: Graph) -> list:
     adj = {v: set(g.adj[v]) for v in g.vertices}   # remaining vertices only
     verts = list(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    keys = {v: vertex_key(v) for v in verts}
 
     def score(v):
         nb = adj[v]
         # each non-adjacent pair {a, b} is seen from a and from b; a itself
         # is in nb - adj[a] once per a
         missing = (sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2
-        return (missing, len(nb), keys[v])
+        return (missing, len(nb), v)
 
     current = {v: score(v) for v in verts}
     heap = [(current[v], i) for i, v in enumerate(verts)]

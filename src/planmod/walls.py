@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Mapping
 
 from .config import DEFAULTS
 from .errors import InputError, ResourceLimitError
-from .graphs import Graph, norm_edge, smooth_degree_two, vertex_key
+from .graphs import Graph, norm_edge, smooth_degree_two
 # is_planar and width_witness are not called here but stay bound: the
 # benchmark's tracer (perfbench/spans.py) wraps them in this module
 from .planarity import is_planar  # noqa: F401
@@ -180,7 +180,7 @@ def subdivide_wall(w: Wall, rng, max_extra: int = 2) -> Wall:
         raise InputError(f"subdivision count must be >= 0, got {max_extra}")
     next_id = max((v for v in w.graph.vertices if isinstance(v, int)), default=-1) + 1
     new_paths = {}
-    for e in sorted(w.paths, key=vertex_key):
+    for e in sorted(w.paths):
         path = w.paths[e]
         extra = rng.randint(0, max_extra)
         fresh = list(range(next_id, next_id + extra))

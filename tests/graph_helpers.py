@@ -5,7 +5,7 @@ from math import inf
 from typing import Iterable, Mapping
 
 from planmod.errors import InputError
-from planmod.graphs import Graph, k5_star
+from planmod.graphs import Graph, k5_star, load_graph
 
 
 def path_graph(n: int, offset: int = 0) -> Graph:
@@ -27,6 +27,15 @@ def relabel(g: Graph, mapping: Mapping) -> Graph:
     if len(set(new_verts)) != len(new_verts):
         raise InputError("relabeling is not injective")
     return Graph(new_verts, ((lift(u), lift(v)) for u, v in g.edges))
+
+
+def through_json(g: Graph, mapping: Mapping) -> Graph:
+    """g with its ids renamed by `mapping`, which may mix id types, read
+    back by the JSON loader: the vertices become 0..n-1 in the
+    `vertex_key` order of the new names."""
+    lift = lambda v: mapping.get(v, v)
+    return load_graph({"vertices": [lift(v) for v in g.vertices],
+                       "edges": [[lift(u), lift(v)] for u, v in g.edges]})[0]
 
 
 def distance(g: Graph, u, v):

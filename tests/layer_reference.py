@@ -9,7 +9,7 @@ largest one. Peeling the layer and the degree-one debris leaves the next
 central subwall."""
 
 from planmod.errors import InputError
-from planmod.graphs import Graph, vertex_key
+from planmod.graphs import Graph
 from planmod.planarity import embed
 from planmod.walls import _strip_debris, elementary_positions
 
@@ -45,7 +45,7 @@ def peeled_structure(r: int) -> tuple:
     leftover = g.remove_vertices(set().union(*map(set, layers)))
     two = [c for c in leftover.components() if len(c) == 2]
     assert len(two) == 1, "expected exactly one two-vertex central component"
-    center = tuple(sorted(two[0], key=vertex_key))
+    center = tuple(sorted(two[0]))
     # odd peel counts reflect vertically so the removed-corner convention
     # matches the constructor
     local_maps = []

@@ -1,9 +1,9 @@
 """The min-fill order as first written, kept as the reference for
 `treewidth.minfill_order`: it re-scores every remaining vertex at every
-elimination and compares vertex keys inside the pair count, so it is slow
+elimination and compares vertex ids inside the pair count, so it is slow
 but plainly follows the definition."""
 
-from planmod.graphs import Graph, vertex_key
+from planmod.graphs import Graph
 
 
 def minfill_order_reference(g: Graph) -> list:
@@ -14,8 +14,8 @@ def minfill_order_reference(g: Graph) -> list:
         def fill_cost(v):
             nb = adj[v] & remaining
             missing = sum(1 for a in nb for b in nb
-                          if vertex_key(a) < vertex_key(b) and b not in adj[a])
-            return (missing, len(nb), vertex_key(v))
+                          if a < b and b not in adj[a])
+            return (missing, len(nb), v)
         v = min(remaining, key=fill_cost)
         nb = adj[v] & remaining
         for a in nb:

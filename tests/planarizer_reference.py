@@ -10,7 +10,7 @@ nonplanar block among planar ones), and two K5s sharing a vertex or apart
 
 from __future__ import annotations
 
-from planmod.graphs import Graph, complete_graph, vertex_key
+from planmod.graphs import Graph, complete_graph
 from planmod.planarity import is_planar, kuratowski
 from planmod.walls import make_elementary_wall
 
@@ -23,7 +23,7 @@ def branch_vr(g: Graph, k: int, scope: frozenset | None) -> frozenset | None:
         return frozenset()
     if k == 0:
         return None
-    for v in sorted(kuratowski(g).vertices, key=vertex_key):
+    for v in sorted(kuratowski(g).vertices):
         if scope is not None and v not in scope:
             continue
         rest = branch_vr(g.remove_vertices([v]), k - 1, scope)

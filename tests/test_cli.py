@@ -1,12 +1,16 @@
 import json
+import random
 from dataclasses import fields
 
 import pytest
 from graph_helpers import path_graph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planmod.cli import _config_from_args, build_parser, main
 from planmod.config import PipelineConfig
-from planmod.graphs import Graph, complete_graph, make_grid
+from planmod.fixtures import random_graph
+from planmod.graphs import Graph, complete_graph, k5_star, load_graph, make_grid, vertex_key
 
 
 def _write_graph(path, g):
@@ -88,12 +92,39 @@ class TestSolve:
         assert code == 1  # empty scope: nothing may be removed
 
     def test_mixed_vertex_ids_in_the_annotation(self, tmp_path):
-        g = _write_graph(tmp_path / "g.json", Graph(["a", 1, 2], [("a", 1), (1, 2)]))
+        g = tmp_path / "g.json"
+        g.write_text('{"vertices": ["a", 1, 2], "edges": [["a", 1], [1, 2]]}')
         ann = tmp_path / "r.json"
         ann.write_text('["a", 1]')
-        code = main(["solve", g, "--op", "vr", "-k", "0", "--phi", "true",
+        code = main(["solve", str(g), "--op", "vr", "-k", "0", "--phi", "true",
                      "--oracle", "--annotated", str(ann), "--out", str(tmp_path / "o.json")])
         assert code == 0
+
+    @pytest.mark.parametrize("mode", [[], ["--oracle"]], ids=["pipeline", "oracle"])
+    def test_empty_witness_is_an_empty_set(self, mode, tmp_path):
+        # a planar graph needs no operation: YES with the witness ∅, which
+        # is not the null of a NO answer
+        grid = _write_graph(tmp_path / "grid.json", make_grid(3, 3).graph)
+        out = tmp_path / "r.json"
+        code = main(["solve", grid, "--op", "vr", "-k", "1", "--phi", "true", *mode,
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["witness"] == {"op": "vr", "elements": []}
+
+    def test_reports_name_the_input_ids(self, tmp_path):
+        # the hub of a (K5, 2)-star, here "hub", is obligatory at k = 1
+        g, hub = k5_star(2)
+        name = {v: "hub" if v == hub else v for v in g.vertices}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({"vertices": [name[v] for v in g.vertices],
+                                    "edges": [[name[u], name[v]] for u, v in g.edges]}))
+        out = tmp_path / "r.json"
+        assert main(["solve", str(path), "--op", "vr", "-k", "1", "--phi", "true",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["witness"]["elements"] == ["hub"]
+        assert [t["detail"]["vertex"] for t in report["trace"]
+                if t["outcome"] == "obligatory-vertex"] == ["hub"]
 
     def test_empty_annotation_is_its_own_instance(self, tmp_path):
         # R = {} and no --annotated (R = V) answer differently on the path
@@ -137,20 +168,20 @@ class TestGen:
     def test_wall_matches_constructor(self, tmp_path):
         out = tmp_path / "w.json"
         main(["gen", "wall", "--height", "7", "--out", str(out)])
-        g = Graph.from_json_obj(json.loads(out.read_text()))
+        g, _ = load_graph(json.loads(out.read_text()))
         assert len(g.vertices) == 2 * 7 * 7 - 2
 
     def test_k5star(self, tmp_path):
         out = tmp_path / "s.json"
         main(["gen", "k5star", "-r", "3", "--out", str(out)])
-        g = Graph.from_json_obj(json.loads(out.read_text()))
+        g, _ = load_graph(json.loads(out.read_text()))
         assert len(g.vertices) == 1 + 12
         assert g.degree(0) == 12
 
     def test_tri_grid(self, tmp_path):
         out = tmp_path / "t.json"
         main(["gen", "tri-grid", "-k", "5", "--out", str(out)])
-        g = Graph.from_json_obj(json.loads(out.read_text()))
+        g, _ = load_graph(json.loads(out.read_text()))
         assert len(g.vertices) == 25
 
     def test_dot_output(self, tmp_path):
@@ -247,6 +278,8 @@ MALFORMED = {
     "vertex-float-and-int": lambda t: _solve_argv(
         t, graph='{"vertices":[1.0,1,2],"edges":[[1,2]]}'),
     "vertex-repeated": lambda t: _solve_argv(t, graph='{"vertices":[1,1,2],"edges":[[1,2]]}'),
+    # an edge names an end by its id's type and value, so 1.0 is not vertex 1
+    "edge-float-for-int": lambda t: _solve_argv(t, graph='{"vertices":[1,2],"edges":[[1.0,2]]}'),
     # a string or an object is not a list of vertices, nor a string an edge
     "vertices-string": lambda t: _solve_argv(t, graph='{"vertices":"abc","edges":[["a","b"]]}'),
     "vertices-object": lambda t: _solve_argv(
@@ -341,3 +374,81 @@ def test_removed_cap_flag_is_rejected(tmp_path, capsys):
               "--cap-exact-tw", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap-exact-tw 3" in capsys.readouterr().err
+
+
+
+def _renamed_report(report: dict, name) -> dict:
+    """The report less its digest, with each vertex x that its witness and
+    trace name replaced by name(x)."""
+    report = json.loads(json.dumps(report))
+    del report["instance"]["digest"]
+    if report["witness"] is not None:
+        report["witness"]["elements"] = [[name(u) for u in e] if isinstance(e, list) else name(e)
+                                         for e in report["witness"]["elements"]]
+    for step in report["trace"]:
+        if "vertex" in step["detail"]:
+            step["detail"]["vertex"] = name(step["detail"]["vertex"])
+    return report
+
+
+class TestRelabelInvariance:
+    """Vertex ids are relabelled once, at the JSON boundary, in `vertex_key`
+    order. So renaming the ids in a way that keeps that order changes no
+    report, once the names are mapped, and a graph with mixed ids gets the
+    report of its relabelling to ranks in that order."""
+
+    @staticmethod
+    def _solve(tmp_path, rng, g, name, r_set, op, k, sentence):
+        """(exit code, report) of `planmod solve` on g and r_set, each
+        vertex v written as name(v), vertices and edges in an order and
+        orientation drawn from rng."""
+        verts = [name(v) for v in g.sorted_vertices()]
+        edges = [[name(u), name(v)][::rng.choice((1, -1))] for u, v in g.sorted_edges()]
+        rng.shuffle(verts)
+        rng.shuffle(edges)
+        (tmp_path / "g.json").write_text(json.dumps({"vertices": verts, "edges": edges}))
+        (tmp_path / "phi.json").write_text(sentence)
+        argv = ["solve", str(tmp_path / "g.json"), "--op", op, "-k", str(k),
+                "--gaifman", str(tmp_path / "phi.json"), "--out", str(tmp_path / "r.json")]
+        if r_set is not None:
+            (tmp_path / "a.json").write_text(json.dumps([name(v) for v in sorted(r_set)]))
+            argv += ["--annotated", str(tmp_path / "a.json")]
+        code = main(argv)
+        return code, json.loads((tmp_path / "r.json").read_text()) if code < 2 else None
+
+    @settings(max_examples=30, deadline=None)
+    # the star's hub is obligatory: the trace names a vertex
+    @example(seed=0, family="k5star", op="vr", k=1, annotated=False, shift=-7,
+             psi="exists y. adj(x,y)")
+    @given(seed=st.integers(0, 2 ** 16), family=st.sampled_from(["random", "k5star"]),
+           op=st.sampled_from(["vr", "er", "ec", "ea"]), k=st.integers(0, 2),
+           annotated=st.booleans(), shift=st.integers(-50, 50),
+           psi=st.sampled_from(["exists y. adj(x,y)", "~(exists y. adj(x,y))"]))
+    def test_renames_give_the_same_report(self, tmp_path_factory, seed, family, op, k,
+                                          annotated, shift, psi):
+        tmp_path = tmp_path_factory.mktemp("relabel")
+        rng = random.Random(seed)
+        # dense graphs are often nonplanar, with several first witnesses to
+        # choose from by vertex order
+        g = random_graph(rng, rng.randint(1, 7), rng.choice((0.4, 0.8))) \
+            if family == "random" else k5_star(2)[0]
+        r_set = {v for v in g.vertices if rng.random() < 0.6} if annotated else None
+        sentence = json.dumps({"basics": [{"ell": 1, "r": 1, "psi": psi}], "combination": "1"})
+        solve = lambda name: self._solve(tmp_path, rng, g, name, r_set, op, k, sentence)
+        code, report = solve(lambda v: v)
+        # ints shifted by a constant, and ints as zero-padded strings
+        for name in (lambda v: v + shift, lambda v: f"{v:03d}"):
+            renamed = solve(name)
+            assert renamed[0] == code
+            if code < 2:
+                assert _renamed_report(renamed[1], lambda x: x) == _renamed_report(report, name)
+        # odd ints as strings, a mix of types, against the ranks of these ids
+        mixed = lambda v: f"v{v}" if v % 2 else v
+        by_rank = sorted(map(mixed, g.vertices), key=vertex_key)
+        rank = {x: i for i, x in enumerate(by_rank)}
+        code, report = solve(mixed)
+        ranked = solve(lambda v: rank[mixed(v)])
+        assert ranked[0] == code
+        if code < 2:
+            assert _renamed_report(report, lambda x: x) == \
+                _renamed_report(ranked[1], by_rank.__getitem__)

@@ -11,7 +11,7 @@ from planarizer_reference import GADGETS, gadget
 from planmod import planarity
 from planmod.errors import InputError
 from planmod.fixtures import random_instances
-from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid, vertex_key
+from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid
 from planmod.modification import ModificationSet, Operation, apply
 from planmod.graphs import smooth_degree_two
 from planmod.planarity import (_lr_planar, _to_nx, embed, faces_are_fixed, is_planar,
@@ -41,9 +41,9 @@ def suppress_degree_two(g: Graph) -> Graph:
             u, v = tuple(e)
             adj[u].add(v)
             adj[v].add(u)
-        for v in sorted(verts, key=vertex_key):
+        for v in sorted(verts):
             if len(adj[v]) == 2:
-                a, b = sorted(adj[v], key=vertex_key)
+                a, b = sorted(adj[v])
                 if a == b or frozenset((a, b)) in edges:
                     raise InputError("smoothing would create a loop or parallel edge")
                 edges -= {frozenset((v, a)), frozenset((v, b))}

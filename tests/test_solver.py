@@ -14,7 +14,7 @@ from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
                               fixed_sentences, random_instances)
 from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
-                            make_grid, make_triangulated_grid, vertex_key)
+                            make_grid, make_triangulated_grid)
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
@@ -233,7 +233,7 @@ class TestFindArea:
         # a 200-vertex path hung off a centre vertex of the 3-wall joins its
         # compass, which then has more than f2 + 1 = 172 vertices
         wall = make_elementary_wall(3)
-        centre = min(wall_center(wall), key=vertex_key)
+        centre = min(wall_center(wall))
         tail = path_graph(200, offset=1000)
         g = disjoint_union(wall.graph, tail).add_edges([(centre, 1000)])
         f2 = area_family(0, 3)["f2"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from minfill_reference import minfill_order_reference
 
 from planmod.errors import ResourceLimitError
-from planmod.graphs import Graph, complete_graph, make_grid, vertex_key
+from planmod.graphs import Graph, complete_graph, load_graph, make_grid, vertex_key
 from planmod.treewidth import (TreeDecomposition, decomposition_from_order,
                                decomposition_violations, exact_treewidth,
                                exact_treewidth_bb, minfill_decomposition,
@@ -120,7 +120,8 @@ class TestWitnessHelpers:
 @st.composite
 def labelled_graphs(draw):
     """Random graphs on at most 40 vertices, often disconnected and with
-    isolated vertices, under integer, string or mixed vertex ids."""
+    isolated vertices, under integer or string vertex ids, or mixed ones
+    read through the JSON loader."""
     n = draw(st.integers(0, 40))
     kind = draw(st.sampled_from(["int", "str", "mixed"]))
     ints = st.integers(-1000, 1000)
@@ -129,8 +130,11 @@ def labelled_graphs(draw):
     labels = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    return Graph(labels, [(labels[i], labels[j]) for i in range(n)
-                          for j in range(i + 1, n) if rng.random() < p])
+    edges = [(labels[i], labels[j]) for i in range(n)
+             for j in range(i + 1, n) if rng.random() < p]
+    if kind == "mixed":
+        return load_graph({"vertices": labels, "edges": [list(e) for e in edges]})[0]
+    return Graph(labels, edges)
 
 
 class TestMinfillOrder:
