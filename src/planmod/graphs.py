@@ -8,12 +8,14 @@ relabels them to 0..n-1 once, in `vertex_key` order, and the caller maps
 what it reports back to the input ids.
 
 Input is normalised once, when a graph is built from outside: the public
-constructor puts every edge in `norm_edge` form and checks its endpoints.
+constructor puts every edge in `norm_edge` form and checks its endpoints,
+by value and by type, so an edge never names a vertex 1 as 1.0 or True.
 A derived graph (`remove_vertices`, `induced`, `remove_edges`, `add_edges`,
 `merge_groups`) trusts its valid parent: it reuses the parent's canonical
 edges and, where vertices or edges come and go, the parent's adjacency, with
 new sets only for the vertices the change touches, and normalises and checks
-only what is new, so it costs about what the change touches.
+only what is new (`add_vertices` and `add_edges` hold new ids and ends to
+the parent's id type), so it costs about what the change touches.
 
 A graph may carry `known_planar`, a proof that it is planar, set only by
 `planarity.certified_planar` on a copy it makes. The derivations that make
@@ -25,6 +27,7 @@ planar; `add_edges`, `merge_groups` and the public constructor never set it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import inf
 from typing import Iterable, Mapping
 
@@ -42,6 +45,22 @@ def vertex_key(v) -> tuple:
     if kind is str:
         return (1, v)
     return (2, kind.__name__, v)
+
+
+def _id_type(ids: Iterable):
+    """The one type of these vertex ids, None when there are none; ids of
+    mixed types raise."""
+    kinds = set(map(type, ids))
+    if len(kinds) > 1:
+        raise InputError(f"vertex ids of mixed types: {sorted(t.__name__ for t in kinds)}")
+    return next(iter(kinds), None)
+
+
+def _check_end_types(u, v, kind):
+    """An edge names its ends by the graph's id type: 1.0 equals the vertex
+    1 but would be stored as a second form of it."""
+    if type(u) is not kind or type(v) is not kind:
+        raise InputError(f"edge {(u, v)!r} names an endpoint by a value of another type")
 
 
 def norm_edge(u, v) -> tuple:
@@ -62,13 +81,12 @@ class Graph:
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
         vs = frozenset(vertices)
-        kinds = set(map(type, vs))
-        if len(kinds) > 1:
-            raise InputError(f"vertex ids of mixed types: {sorted(t.__name__ for t in kinds)}")
+        kind = _id_type(vs)
         es = set()
         for u, v in edges:
             if u not in vs or v not in vs:
                 raise InputError(f"edge {(u, v)!r} has an endpoint outside the vertex set")
+            _check_end_types(u, v, kind)
             es.add(norm_edge(u, v))
         self._fill(vs, frozenset(es), None, False)
 
@@ -189,16 +207,22 @@ class Graph:
     def add_edges(self, new: Iterable) -> "Graph":
         """g plus the pairs of `new`; only these are normalised and checked,
         and only their ends get a new adjacency set."""
+        kind = _id_type(islice(self.vertices, 1))
         added = set()
         for e in new:
             u, v = e
             self._require(u)
             self._require(v)
+            _check_end_types(u, v, kind)
             added.add(norm_edge(u, v))
         return Graph._derived(self.vertices, self.edges | added, self._adj_changed(added, True))
 
     def add_vertices(self, new: Iterable) -> "Graph":
-        return Graph._derived(self.vertices | frozenset(new), self.edges,
+        """g plus the isolated vertices of `new`, which must share g's id
+        type, as the constructor requires."""
+        new = frozenset(new)
+        _id_type(chain(new, islice(self.vertices, 1)))
+        return Graph._derived(self.vertices | new, self.edges,
                               known_planar=self.known_planar)
 
     def induced(self, keep: Iterable) -> "Graph":

@@ -272,6 +272,54 @@ def compute_char(ec: ExtendedCompass, r_set: Iterable, op: Operation, k: int,
     return Characteristic(frozenset(entries))
 
 
+def char_key(ec: ExtendedCompass, r_set: frozenset, op: Operation, k: int) -> tuple | None:
+    """The key of `compute_char(ec, r_set, op, k, phi, params, cfg)` in a
+    memo that lives for one run, whose op, phi, params and cfg are fixed;
+    None when a compass vertex lies off the tower's wall.
+
+    Each vertex is labelled by its place in the wall's own enumeration:
+    the branch vertices by position, then each elementary edge's inner path
+    vertices in path order. Towers cut from alike parts of a host wall so
+    get one key whatever their ids. The key holds the vertex count, and
+    the compass edges, each level's vertex set and perimeter, and
+    R ∩ compass in labels, and k. Under ec it also holds the labels in id
+    order: a contracted group keeps its least id, and `compute_sig`'s
+    `allowed` reads that id.
+
+    The memo is exact, whatever the labelling. Two towers with equal keys
+    are related by the bijection that matches equal labels, and it keeps
+    everything `compute_char` reads: the compass and its edges, the levels
+    and their perimeters, R ∩ compass, and under ec the id order, so it
+    maps each contraction's result onto the other's. It maps each set the
+    one enumerates onto a set the other enumerates, with the same planarity
+    and the same local values and scattered sets. So both towers count the
+    same sets against the caps, raise alike, and realize the same rows,
+    and a `Characteristic` names no vertex."""
+    w = ec.wall
+    label = {w.branch_at[p]: i for i, p in enumerate(sorted(w.branch_at))}
+    for e in sorted(w.paths):
+        path = w.paths[e]
+        if w.branch_coords[path[0]] != e[0]:
+            path = path[::-1]
+        for v in path[1:-1]:
+            label[v] = len(label)
+    comp = ec.compass
+    if any(v not in label for v in comp.vertices):
+        return None
+
+    def labelled(vs) -> frozenset:
+        return frozenset(map(label.__getitem__, vs))
+
+    edges = frozenset((a, b) if a < b else (b, a)
+                      for a, b in ((label[u], label[v]) for u, v in comp.edges))
+    levels = tuple((labelled(lv.graph.vertices), labelled(lv.perimeter))
+                   for lv in ec.tower)
+    key = (len(label), edges, levels, labelled(r_set & comp.vertices), k)
+    if op is Operation.EC:
+        key += (tuple(label[v] for v in comp.sorted_vertices()),)
+    return key
+
+
 # -- triples -----------------------------------------------------------------------
 
 def first_model(g: Graph, scope: frozenset, k: int, op: Operation,

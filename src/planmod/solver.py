@@ -25,7 +25,7 @@ from .modification import (ModificationSet, Operation, apply,  # noqa: F401
                            find_vr_planarizer, is_planarization_irrelevant,
                            planar_sets, subsets_up_to)
 from .planarity import certified_planar, is_planar
-from .signatures import (Parameters, compute_char, compute_parameters,
+from .signatures import (Parameters, char_key, compute_char, compute_parameters,
                          first_model, is_triple)
 from .treewidth import TreeDecomposition, width_witness
 from .walls import (Wall, center, compass, disjoint_subwalls,
@@ -384,10 +384,16 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
 
 def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
                 phi: GaifmanSentence, params: Parameters,
-                cfg: PipelineConfig = DEFAULTS) -> IrrelevantRegion:
+                cfg: PipelineConfig = DEFAULTS, chars: dict | None = None) -> IrrelevantRegion:
     """Pick equivalent disjoint subwalls inside the given wall and declare the
     chosen wall's inner compass irrelevant. The (X, v) it returns is a
-    proposal, which `solve_pipeline` checks against exhaustive search."""
+    proposal, which `solve_pipeline` checks against exhaustive search.
+
+    `chars` is the run's memo of characteristics (a fresh one when not
+    given): a tower whose `char_key` it holds takes the stored
+    characteristic, which is exact (see `char_key`), and a computed one is
+    stored. The dict must serve one run only, since the key leaves out op,
+    phi, params and cfg."""
     r_set = frozenset(r_set)
     rho = params.rho
     if params.r > rho:
@@ -420,11 +426,15 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
             if not ec.compass.vertices & r_set:
                 return finish(ec, frozenset(ec.level(rho - 1).graph.vertices))
 
-    chars = []
-    for ec in towers:
-        chars.append(compute_char(ec, r_set, op, k, phi, params, cfg))
+    chars = {} if chars is None else chars
     buckets: dict = {}
-    for ec, char in zip(towers, chars):
+    for ec in towers:
+        key = char_key(ec, r_set, op, k)
+        char = chars.get(key) if key is not None else None
+        if char is None:
+            char = compute_char(ec, r_set, op, k, phi, params, cfg)
+            if key is not None:
+                chars[key] = char
         buckets.setdefault(char.canonical_json(), []).append(ec)
     big = [b for b in sorted(buckets) if len(buckets[b]) >= BUCKET_THRESHOLD]
     if not big:
@@ -455,11 +465,12 @@ def _verify_no_planarizer(g: Graph, k: int, op: Operation, cfg: PipelineConfig):
 
 def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
-                    cfg: PipelineConfig = DEFAULTS):
+                    cfg: PipelineConfig = DEFAULTS, chars: dict | None = None):
     """One reduction step: obligatory structure, an irrelevant region (via the
     area and vertex finders), or a bounded-width decomposition. `find_area`
     checks that S planarizes G. Nothing here is checked against exhaustive
-    search; `solve_pipeline` does that."""
+    search; `solve_pipeline` does that. `chars` is the run's memo of
+    characteristics, handed to `find_vertex`."""
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
@@ -468,7 +479,7 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     outcome = find_area(k, params.q, g, s, op, cfg)
     if isinstance(outcome, WallArea):
         try:
-            region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg)
+            region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg, chars)
         except ResourceLimitError as exc:
             # the trichotomy allows the decomposition branch instead
             fam = area_family(k, params.q)
@@ -544,6 +555,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     no graph a step derives from it by deletion is tested again. The
     caller's graph stays unmarked. While S ≠ ∅, G is nonplanar and every
     test runs as before.
+
+    The run keeps one memo of wall characteristics, `chars`, which every
+    step hands to `find_vertex`: a tower shape met at an earlier step, or
+    earlier in the same step, is not characterised again.
     """
     if not isinstance(inst.phi, GaifmanSentence):
         raise InputError("the pipeline needs a Gaifman sentence; "
@@ -556,6 +571,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     trace: list = []
     result: PipelineResult | None = None
     obligatory: set = set()
+    chars: dict = {}  # char_key -> Characteristic, for this run only
     checked = None  # the current question's answer, once a step check solved it
     answered = None  # the input question's answer, once a search solved it
 
@@ -581,7 +597,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             # G − S is G: prove it planar once, in a copy every later graph
             # derives from (a nonplanar G under ea is find_area's to answer)
             g = certified_planar(g) or g
-        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg)
+        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check and op in (Operation.ER, Operation.EC):
                 _verify_no_planarizer(g, k, op, cfg)

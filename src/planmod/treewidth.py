@@ -167,6 +167,14 @@ def decomposition_from_order(g: Graph, order: list) -> TreeDecomposition:
         bags[v] = frozenset({v} | later)
         for a in later:
             adj[a] |= later - {a}
+    return _decomposition(order, bags)
+
+
+def _decomposition(order: list, bags: dict) -> TreeDecomposition:
+    """The tree of an elimination order's bags: each bag hangs off the bag
+    of its earliest-eliminated other vertex, and the per-component roots
+    are chained so the host tree is connected."""
+    pos = {v: i for i, v in enumerate(order)}
     edges = []
     roots = []
     for v in order:
@@ -175,45 +183,44 @@ def decomposition_from_order(g: Graph, order: list) -> TreeDecomposition:
             edges.append((v, min(rest, key=lambda u: pos[u])))
         else:
             roots.append(v)
-    # chain the per-component roots so the host tree is connected
     edges.extend(zip(roots, roots[1:]))
     return TreeDecomposition(Graph(order, edges), bags)
 
 
-def minfill_order(g: Graph) -> list:
-    """Greedy min-fill elimination order.
+def _minfill(g: Graph) -> tuple:
+    """(order, bags) of the greedy min-fill elimination.
 
     Each step eliminates the remaining vertex with the least
     (missing, degree, v): `missing` counts the non-adjacent pairs among
     its remaining neighbours (the fill edges its elimination adds),
     `degree` counts those neighbours, and the id v itself breaks the
-    remaining ties, so the order is deterministic.
+    remaining ties, so the order is deterministic. v's bag is v with its
+    remaining neighbours, as `decomposition_from_order` builds it.
 
-    The scores sit in a heap with lazy deletion. Eliminating v drops v and
-    turns its remaining neighbourhood N(v) into a clique. A degree changes
-    only inside N(v), and a missing count only at a vertex adjacent to a new
-    fill edge's ends, that is inside N(N(v)). So only the remaining vertices
-    of N(v) ∪ N(N(v)) are re-scored; every other score is unchanged, and the
-    order is the one that re-scoring every vertex at every step would give.
-    Scoring a vertex of degree d costs O(d^2) set work, so with D the largest
-    degree in the filled graph a step costs O(D^4 + D^2 log n) instead of
-    O(n D^2).
-    """
+    The missing counts are kept up to date rather than recomputed
+    (Bodlaender & Koster, "Treewidth computations I. Upper bounds", 2010).
+    Eliminating v first deletes it: a neighbour a loses the pairs {v, x}
+    with x a neighbour of a but not of v, |N(a) − N[v]| of them. Then each
+    fill edge ab joins two neighbours of v: a common neighbour of a and b
+    loses the missing pair {a, b}, and a gains a missing pair with each
+    neighbour of its own that b lacks, as b does with each of b's that a
+    lacks. Only N(v) and the common neighbours of fill edges change score,
+    and only they are pushed again onto the heap, whose stale entries are
+    skipped when popped. A fill edge costs O(D) set work, with D the
+    largest degree in the filled graph, so a step costs O(D^3 + D^2 log n)
+    instead of the O(D^4) of re-scoring N(v) ∪ N(N(v)) from scratch."""
     adj = {v: set(g.adj[v]) for v in g.vertices}   # remaining vertices only
     verts = list(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-
-    def score(v):
-        nb = adj[v]
-        # each non-adjacent pair {a, b} is seen from a and from b; a itself
-        # is in nb - adj[a] once per a
-        missing = (sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2
-        return (missing, len(nb), v)
-
-    current = {v: score(v) for v in verts}
+    # each non-adjacent pair {a, b} is seen from a and from b; a itself is
+    # in nb - adj[a] once per a
+    missing = {v: (sum(len(nb - adj[a]) for a in nb) - len(nb)) // 2
+               for v, nb in adj.items()}
+    current = {v: (missing[v], len(adj[v]), v) for v in verts}
     heap = [(current[v], i) for i, v in enumerate(verts)]
     heapq.heapify(heap)
     order = []
+    bags = {}
     while heap:
         s, i = heapq.heappop(heap)
         v = verts[i]
@@ -222,24 +229,43 @@ def minfill_order(g: Graph) -> list:
         del current[v]
         order.append(v)
         nb = adj.pop(v)
+        bags[v] = frozenset(nb | {v})
         for a in nb:
             adj[a].discard(v)
-            adj[a] |= nb
-            adj[a].discard(a)
-        touched = set(nb)
-        for a in nb:
-            touched |= adj[a]
-        for u in touched:
-            s = score(u)
+            missing[a] -= len(adj[a] - nb)
+        changed = set(nb)
+        rest = list(nb)
+        for j, a in enumerate(rest):
+            adj_a = adj[a]
+            for b in rest[j + 1:]:
+                if b in adj_a:
+                    continue
+                adj_b = adj[b]
+                common = adj_a & adj_b
+                for c in common:
+                    missing[c] -= 1
+                changed |= common
+                missing[a] += len(adj_a - adj_b)
+                missing[b] += len(adj_b - adj_a)
+                adj_a.add(b)
+                adj_b.add(a)
+        for u in changed:
+            s = (missing[u], len(adj[u]), u)
             if s != current[u]:
                 current[u] = s
                 heapq.heappush(heap, (s, index[u]))
-    return order
+    return order, bags
+
+
+def minfill_order(g: Graph) -> list:
+    """Greedy min-fill elimination order (see `_minfill`)."""
+    return _minfill(g)[0]
 
 
 def minfill_decomposition(g: Graph) -> TreeDecomposition:
-    """Greedy min-fill witness; its width is an upper bound on treewidth."""
-    td = decomposition_from_order(g, minfill_order(g))
+    """Greedy min-fill witness; its width is an upper bound on treewidth.
+    The bags come from the elimination itself, so the fill runs once."""
+    td = _decomposition(*_minfill(g))
     assert validate_decomposition(g, td)
     return td
 

@@ -52,6 +52,25 @@ class TestGraphBasics:
             with pytest.raises(InputError, match="mixed types"):
                 Graph(ids)
 
+    def test_added_ids_of_another_type_are_rejected(self):
+        # the constructor's one-type rule holds for a derived graph too, so
+        # sorted_vertices never meets ids it cannot compare
+        for g, new in ((Graph([0, 1]), ["x"]), (Graph([1, 2]), [1.0]),
+                       (Graph(["a"]), [3]), (Graph(), [1, "b"])):
+            with pytest.raises(InputError, match="mixed types"):
+                g.add_vertices(new)
+        assert Graph([0, 1]).add_vertices([2]).sorted_vertices() == [0, 1, 2]
+
+    def test_edge_ends_of_another_type_are_rejected(self):
+        # 1.0 == 1 and True == 1, but an edge must name its ends by the
+        # graph's id type, or the edge set could hold two forms of one edge
+        for ends in ((1.0, 2), (2, True), (1, 2.0)):
+            with pytest.raises(InputError, match="another type"):
+                Graph([1, 2], [ends])
+            with pytest.raises(InputError, match="another type"):
+                Graph([1, 2, 3], [(2, 3)]).add_edges([ends])
+        assert Graph([1, 2, 3], [(2, 3)]).add_edges([(2, 1)]).edges == {(1, 2), (2, 3)}
+
     def test_dot_text(self):
         g = Graph(["0", "1", "hub"], [("0", "1"), ("1", "hub")])
         assert g.to_dot() == ('graph G {\n  "0";\n  "1";\n  "hub";\n'

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import warnings
 
 import pytest
@@ -13,10 +14,11 @@ from planmod.graphs import complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
-from planmod.signatures import (SigEntry, area_family, compute_char, compute_parameters,
-                                compute_sig, is_triple, z_range)
+from planmod.signatures import (SigEntry, area_family, char_key, compute_char,
+                                compute_parameters, compute_sig, is_triple, z_range)
 from planmod.sigoracle import char_oracle, sig_oracle
-from planmod.walls import Wall, extended_compass, make_elementary_wall
+from planmod.walls import (Wall, disjoint_subwalls, extended_compass,
+                           make_elementary_wall, perimeter)
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI1 = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
@@ -250,6 +252,42 @@ class TestEquivalence:
         char2 = compute_char(ec2, {shift[v] for v in r_set}, Operation.VR,
                              1, PHI1, params, cfg)
         assert char1.canonical_json() == char2.canonical_json()
+
+    def test_char_key_reads_id_order_only_under_ec(self):
+        # a contracted group keeps its least id, so under ec the key holds
+        # the labels in id order; the other operations never read the ids
+        wall = make_elementary_wall(7)
+        g = wall.graph
+        ids = sorted(g.vertices)
+        shuffled = ids[:]
+        random.Random(7).shuffle(shuffled)
+        perm = dict(zip(ids, shuffled))
+        wall2 = relabel_wall(wall, perm)
+        sub, sub2 = disjoint_subwalls(wall, 3)[0], disjoint_subwalls(wall2, 3)[0]
+        ec = extended_compass(g, sub, 1)
+        ec2 = extended_compass(wall2.graph, sub2, 1)
+        comp = sorted(ec.compass.vertices)
+        assert sorted(perm[v] for v in comp) != [perm[v] for v in comp]  # not monotone
+        r_set, r_set2 = frozenset(comp[1:]), frozenset(perm[v] for v in comp[1:])
+        for op in (Operation.VR, Operation.ER, Operation.EA):
+            assert char_key(ec, r_set, op, 1) == char_key(ec2, r_set2, op, 1) is not None
+        assert char_key(ec, r_set, Operation.EC, 1) != char_key(ec2, r_set2, Operation.EC, 1)
+        # the same tower under a monotone relabelling keeps its ec key
+        shift = relabel_wall(wall, {v: v + 1000 for v in ids})
+        ec3 = extended_compass(shift.graph, disjoint_subwalls(shift, 3)[0], 1)
+        assert char_key(ec, r_set, Operation.EC, 1) == \
+            char_key(ec3, frozenset(v + 1000 for v in r_set), Operation.EC, 1)
+
+    def test_char_key_of_a_compass_off_the_wall_is_none(self):
+        # a host vertex inside the subwall's compass but on none of its
+        # paths has no label, so the tower is characterised afresh
+        wall = make_elementary_wall(7)
+        sub = disjoint_subwalls(wall, 3)[0]
+        inner = min(sub.graph.vertices - set(perimeter(sub)))
+        g = wall.graph.add_vertices([-1]).add_edges([(-1, inner)])
+        ec = extended_compass(g, sub, 1)
+        assert -1 in ec.compass.vertices
+        assert char_key(ec, g.vertices, Operation.VR, 1) is None
 
     def test_center_annotation_differs(self):
         # with ell=2 the two adjacent central vertices can never host a

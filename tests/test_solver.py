@@ -364,6 +364,85 @@ class TestFindVertex:
         assert checked > 0
 
 
+@st.composite
+def _memo_walls(draw):
+    """An elementary or subdivided 7- or 9-wall with R ⊂ V: each vertex
+    leaves R with a drawn probability, and at least one leaves."""
+    wall = make_elementary_wall(draw(st.sampled_from([7, 9])))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        wall = subdivide_wall(wall, rng=rng, max_extra=1)
+    verts = wall.graph.sorted_vertices()
+    p = draw(st.sampled_from([0.02, 0.2, 0.6]))
+    drop = {v for v in verts if rng.random() < p} or {rng.choice(verts)}
+    return wall, frozenset(verts) - drop
+
+
+def _served(chars: dict, *args) -> list:
+    """find_vertex(*args, chars) with the run memo `chars`: the (tower,
+    characteristic) of every lookup it answers from the memo."""
+    served = []
+    real = solver.char_key
+
+    def key(ec, *rest):
+        out = real(ec, *rest)
+        if out is not None and out in chars:
+            served.append((ec, chars[out]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "char_key", key)
+        try:
+            find_vertex(*args, chars)
+        except ResourceLimitError:
+            pass
+    return served
+
+
+class TestCharacteristicMemo:
+    CFG = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
+    PHI_ISO = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
+
+    # one memo serves R = V and then R ⊂ V, as it serves a run's steps:
+    # every characteristic read from it is the one compute_char gives
+    @settings(max_examples=15, deadline=None)
+    @pytest.mark.parametrize("op", list(Operation))
+    @given(case=_memo_walls(), phi=st.sampled_from([PHI_NB, PHI_ISO]))
+    def test_memo_serves_what_compute_char_computes(self, op, case, phi):
+        wall, r_set = case
+        g = wall.graph
+        params = compute_parameters(1, phi, self.CFG)
+        chars: dict = {}
+        for r in (g.vertices, r_set):
+            for ec, char in _served(chars, 1, g, r, wall, op, phi, params, self.CFG):
+                assert char == solver.compute_char(ec, r, op, 1, phi, params, self.CFG)
+
+    @pytest.mark.parametrize("op", list(Operation))
+    def test_alike_towers_share_one_characteristic(self, op):
+        # the 9-wall's towers are cut from alike parts of it, so some are
+        # served from the memo within one call
+        wall = make_elementary_wall(9)
+        params = compute_parameters(1, PHI_NB, self.CFG)
+        chars: dict = {}
+        served = _served(chars, 1, wall.graph, wall.graph.vertices, wall, op,
+                         PHI_NB, params, self.CFG)
+        assert served and chars
+
+    def test_checked_run_characterises_few_towers(self, monkeypatch):
+        # the checked 9-wall vr "is isolated" run takes five irrelevant-region
+        # steps over 20 towers of a few shapes; each shape is characterised
+        # once per run (20 compute_char calls without the memo)
+        calls = []
+        real = solver.compute_char
+        monkeypatch.setattr(solver, "compute_char",
+                            lambda *args: calls.append(args[0]) or real(*args))
+        res = solve_pipeline(Instance(make_elementary_wall(9).graph, 1, Operation.VR,
+                                      self.PHI_ISO), self.CFG)
+        assert res.answer is False and res.cross_checked
+        assert [t.outcome for t in res.trace].count("irrelevant-region") == 5
+        assert len(calls) == 7
+
+
 class TestStepVerification:
     def test_obligatory_vertex_check_passes_for_hub(self):
         from planmod.solver import _verify_obligatory

@@ -159,6 +159,34 @@ class TestMinfillOrder:
 
 
 @st.composite
+def minfill_hosts(draw):
+    """Random graphs, grids, elementary walls and subdivided walls."""
+    kind = draw(st.sampled_from(["random", "grid", "wall", "subdivided"]))
+    if kind == "random":
+        return draw(labelled_graphs())
+    if kind == "grid":
+        return make_grid(draw(st.integers(1, 8)), draw(st.integers(1, 8))).graph
+    wall = make_elementary_wall(draw(st.sampled_from([3, 5, 7, 9])))
+    if kind == "subdivided":
+        wall = subdivide_wall(wall, rng=random.Random(draw(st.integers(0, 2 ** 16))),
+                              max_extra=draw(st.integers(1, 3)))
+    return wall.graph
+
+
+class TestMinfillDecomposition:
+    # the bags come from min-fill's own elimination, with its counts kept
+    # up to date, not from a second fill run over the finished order; both
+    # must give the reference order's tree and bags
+    @settings(max_examples=100, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(minfill_hosts())
+    def test_matches_the_reference_order_decomposition(self, g):
+        td = minfill_decomposition(g)
+        ref = decomposition_from_order(g, minfill_order_reference(g))
+        assert td.tree == ref.tree
+        assert dict(td.bags) == dict(ref.bags)
+
+
+@st.composite
 def decompositions(draw):
     """A graph with a decomposition from a random elimination order, often
     corrupted: a vertex dropped from or added to a bag, a foreign vertex in
