@@ -76,6 +76,8 @@ class NoInstance:
 
 @dataclass(frozen=True)
 class ObligatoryVertex:
+    """A vertex of S that no vr-planarizer of size <= k avoids, so every
+    solution holds it."""
     vertex: object
     reason: str
 
@@ -325,6 +327,12 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     and a nonplanar G is a no-instance; otherwise a set that is not a
     planarizer raises InputError.
 
+    Under vr, u ∈ S is obligatory when no vr-planarizer of size <= k
+    avoids it: `find_vr_planarizer` over V − u, which is exact and has no
+    budget. Under er and ec, a (K5, k+1)-star minor centred at u ∈ S is a
+    no-instance; that search reads a spent budget as "absent", so its
+    False only sends the step on to the other branches.
+
     The irrelevance bullet is decided exactly, not trusted: every
     inclusion-minimal planarizer, from `minimal_planarizers`' search, must
     miss the compass.
@@ -340,15 +348,15 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
         if op is Operation.EA:
             return NoInstance("edge additions cannot planarize a nonplanar graph")
         raise InputError("the supplied set is not a vr-planarizer")
-    if op is not Operation.EA:
-        for u in s.sorted_elements():
-            if has_k5_star_minor(g, u, k + 1, cfg.cap_wall_nodes):
-                if op is Operation.VR:
-                    return ObligatoryVertex(
-                        u, f"central vertex of a (K5,{k + 1})-star minor")
-                return NoInstance(
-                    f"(K5,{k + 1})-star minor: {k} edge operations cannot "
-                    f"clear {k + 1} K5 copies")
+    for u in s.sorted_elements():
+        if op is Operation.VR:
+            if find_vr_planarizer(g, k, g.vertices - {u}) is None:
+                return ObligatoryVertex(
+                    u, f"no vr-planarizer of size <= {k} avoids it")
+        elif has_k5_star_minor(g, u, k + 1, cfg.cap_wall_nodes):
+            return NoInstance(
+                f"(K5,{k + 1})-star minor: {k} edge operations cannot "
+                f"clear {k + 1} K5 copies")
     blocked = s.elements | {w for u in s.elements for w in g.adj[u]}
     outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg)
     if outcome is not None:

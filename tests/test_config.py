@@ -13,7 +13,7 @@ from planmod import config, treewidth
 from planmod.config import DEFAULTS, PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import IS_ISOLATED, TRIVIALLY_TRUE, fixed_sentences
-from planmod.graphs import Graph, complete_graph, k5_star
+from planmod.graphs import Graph, complete_graph
 from planmod.logic import (BasicSentence, GaifmanSentence, check_fol, check_local,
                            eval_gaifman, parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
@@ -123,8 +123,7 @@ SOLVES = {
     "cross_check": (Instance(PATH, 1, Operation.VR, TRIVIALLY_TRUE), DEFAULTS, False),
     "cap_oracle_subsets": (Instance(PATH, 1, Operation.VR, ISOLATED), DEFAULTS, 1),
     "cap_char_subsets": (WALL7, WALLS, 1),
-    "cap_wall_nodes": (Instance(k5_star(2)[0], 1, Operation.VR, TRIVIALLY_TRUE),
-                       DEFAULTS, 1),
+    "cap_wall_nodes": (WALL7, WALLS, 4),
     "cap_compass": (WALL7, WALLS, 1),
     "cap_brute_vertices": (Instance(PATH, 1, Operation.VR, TRIVIALLY_TRUE), DEFAULTS, 1),
     "cap_quant_depth": (Instance(PATH, 1, Operation.VR, PHI), DEFAULTS, 1),

@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import combinations
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from graph_helpers import path_graph, planted_star, relabel, verify_minor_model
+from planarizer_reference import pendant_wall
 
 from planmod import solver
 from planmod.config import PipelineConfig
@@ -18,7 +21,8 @@ from planmod.graphs import (Graph, complete_graph, disjoint_union, k5_star,
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
-                                  application_domain, apply, subsets_up_to)
+                                  application_domain, apply, find_vr_planarizer,
+                                  planar_sets, subsets_up_to)
 from planmod.planarity import is_planar
 from planmod.signatures import area_family, compute_parameters, is_triple
 from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
@@ -32,6 +36,7 @@ from planmod.walls import compass, make_elementary_wall, perimeter, subdivide_wa
 
 NB = parse_formula("exists y. adj(x,y)")
 PHI_NB = GaifmanSentence((BasicSentence(1, 1, NB),), parse_combination("1"))
+PHI_ISO = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
 
 
 class TestOracle:
@@ -276,6 +281,85 @@ class TestFindArea:
             find_area(1, 3, complete_graph(6), ModificationSet(Operation.VR, [0]), op)
 
 
+@st.composite
+def _small_graphs(draw):
+    """Graphs on at most 9 vertices: sparse random ones, and random ones
+    with a hub that is either shared by two K5s or joined to every other
+    vertex, so that some have an obligatory vertex."""
+    shape = draw(st.sampled_from(["sparse", "two-k5", "apex"]))
+    n = 9 if shape == "two-k5" else draw(st.integers(5, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, k in zip(pairs, keep) if k < (2 if shape == "apex" else 1)}
+    hub, *rest = draw(st.permutations(range(n)))
+    if shape == "two-k5":
+        edges |= {e for quad in (rest[:4], rest[4:]) for e in combinations(sorted([hub] + quad), 2)}
+    elif shape == "apex":
+        edges |= {(min(hub, v), max(hub, v)) for v in rest}
+    return Graph(range(n), edges)
+
+
+class TestObligatoryVertex:
+    # two K4s, each joined to 0 by two edges and to 1 by two, the edge 01
+    # and a pendant 10 on 1: 0 is the centre of a (K5, 2)-star minor, yet
+    # {1} planarizes, so 0 is not obligatory
+    HUB = Graph(range(11), [(0, 1), (1, 10)]
+                + [e for quad in ((2, 3, 4, 5), (6, 7, 8, 9)) for e in combinations(quad, 2)]
+                + [(0, v) for v in (2, 3, 6, 7)] + [(1, v) for v in (4, 5, 8, 9)])
+
+    def test_star_centre_that_a_planarizer_avoids_is_not_obligatory(self):
+        assert has_k5_star_minor(self.HUB, 0, 2)
+        out = find_area(1, 3, self.HUB, ModificationSet(Operation.VR, [0]), Operation.VR)
+        assert not isinstance(out, ObligatoryVertex)
+
+    @pytest.mark.parametrize("cross_check", [True, False], ids=["checked", "unchecked"])
+    def test_hub_graph_answers_yes(self, cross_check):
+        res = solve_pipeline(Instance(self.HUB, 1, Operation.VR, PHI_ISO),
+                             PipelineConfig(cross_check=cross_check))
+        assert res.answer and res.witness == ModificationSet(Operation.VR, [1])
+        assert res.cross_checked == cross_check
+
+    # vertex 5 joined to every vertex of a graph that needs one deletion:
+    # at k = 2, S = {2, 5} and 5 alone is obligatory
+    APEX = Graph(range(9), [(5, v) for v in range(9) if v != 5] + [
+        (0, 3), (0, 4), (0, 7), (0, 8), (1, 2), (1, 6), (1, 7), (1, 8), (2, 3), (2, 4),
+        (2, 6), (2, 7), (2, 8), (3, 4), (3, 6), (3, 8), (4, 6), (4, 7), (6, 8)])
+
+    # the claim is the question the cross-check asks: u is obligatory iff
+    # no vr-planarizer of size <= k avoids it, and the least such u of S is
+    # taken; the star-minor search, which reads a fired budget as absent,
+    # takes no part under vr
+    @settings(max_examples=150, deadline=None)
+    @given(g=_small_graphs(), k=st.sampled_from([1, 2]))
+    @example(g=APEX, k=2)
+    def test_obligatory_iff_no_planarizer_avoids_it(self, g, k):
+        s = find_vr_planarizer(g, k)
+        if not s:
+            return
+        obligatory = [u for u in s.sorted_elements()
+                      if next(planar_sets(g, g.vertices - {u}, k, Operation.VR), None) is None]
+        calls = []
+        with patch.object(solver, "has_k5_star_minor", lambda *args: calls.append(args)):
+            out = find_area(k, 3, g, s, Operation.VR)
+        assert calls == []
+        if obligatory:
+            assert isinstance(out, ObligatoryVertex) and out.vertex == obligatory[0]
+        else:
+            assert not isinstance(out, ObligatoryVertex)
+
+    @pytest.mark.parametrize("phi", [PHI_NB, PHI_ISO], ids=["has-neighbour", "isolated"])
+    def test_pendant_k5_wall_makes_no_minor_search(self, monkeypatch, phi):
+        # the 7-wall with a K5 hung from vertex 0 by one edge: a star-minor
+        # search on it uses up its budget, about 3 s
+        calls = []
+        monkeypatch.setattr(solver, "find_minor_model", lambda *args: calls.append(args))
+        inst = Instance(pendant_wall(7, "k5", "bridge"), 1, Operation.VR, phi)
+        cfg = PipelineConfig(q_hat=7, rho_hat=1, d_hat=1)
+        res = solve_pipeline(inst, cfg)
+        assert calls == []
+        assert res.answer == solve_oracle(inst, cfg) and res.cross_checked
+
+
 def _wall_instance(height=11, rho=2, phi=PHI_NB, k=1):
     cfg = PipelineConfig(rho_hat=rho, d_hat=2, q_hat=height)
     params = compute_parameters(k, phi, cfg)
@@ -401,7 +485,6 @@ def _served(chars: dict, *args) -> list:
 
 class TestCharacteristicMemo:
     CFG = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
-    PHI_ISO = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
 
     # one memo serves R = V and then R ⊂ V, as it serves a run's steps:
     # every characteristic read from it is the one compute_char gives
@@ -437,7 +520,7 @@ class TestCharacteristicMemo:
         monkeypatch.setattr(solver, "compute_char",
                             lambda *args: calls.append(args[0]) or real(*args))
         res = solve_pipeline(Instance(make_elementary_wall(9).graph, 1, Operation.VR,
-                                      self.PHI_ISO), self.CFG)
+                                      PHI_ISO), self.CFG)
         assert res.answer is False and res.cross_checked
         assert [t.outcome for t in res.trace].count("irrelevant-region") == 5
         assert len(calls) == 7
@@ -741,7 +824,7 @@ class TestPipeline:
         assert res.answer and res.cross_checked
         assert [t.outcome for t in res.trace][:2] == ["irrelevant-region"] * 2
         # the input, the two reduced questions, and the final search
-        assert [len(g.vertices) for g, _ in solves] == [16, 15, 14, 14]
+        assert [len(g.vertices) for g, _ in solves] == [16, 15, 14, 13]
 
 
 # -- the closing cross-check reuses the input question's answer ------------------
