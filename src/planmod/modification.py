@@ -230,9 +230,9 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
     that holds a set already found nonplanar, or for a pair that g's faces
     rule out.
 
-    This is the one enumeration behind the oracle, the final search, every
-    cross-check and `ec`'s minimal planarizers on a nonplanar g (the other
-    planarizers come from `_planarizers`' branching). One loop stays apart
+    This is the one enumeration behind the oracle, the final search and
+    every cross-check; the planarizer questions of every operation go to
+    `_planarizers`' branching instead. One loop stays apart
     on purpose: `compute_char` shares one `PlanarSets` and one cumulative
     cap across its z loop, and skips a set covered by a planar subset
     before it builds g ⊠ S, which on a planar wall is every set.
@@ -251,41 +251,50 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
             yield ms, h
 
 
-def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
-                 cap: int | None, nodes: Iterator[int]) -> Iterator[frozenset]:
-    """op-planarizers of g of size <= k whose touched vertices lie in
-    `scope`, depth first; every inclusion-minimal one among them comes
-    out, some sets more than once.
+def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset, cap: int | None,
+                 nodes: Iterator[int], chosen: frozenset = frozenset()) -> Iterator[frozenset]:
+    """op-planarizers of g that hold `chosen` (F), have size <= k and touch
+    only vertices of `scope`, depth first; every inclusion-minimal one among
+    them comes out, some sets more than once.
 
-    (a) A planar g gives ∅ alone, for every operation.
-    (b) Under vr and er every planarizer holds a vertex (an edge) x of a
-        Kuratowski subgraph K, or K survives; and a minimal planarizer P
-        that holds x is P' + x for a minimal planarizer P' of g ⊠ {x}. So
-        branching on K's sorted vertices (edges) to depth k finds them all.
-    ea cannot planarize a nonplanar g. ec has no single-edge rule, since a
-    contracted path can join two K vertices through vertices outside K, so
-    its sets are enumerated. `nodes`, an `itertools.count`, numbers the
-    calls, and past `cap` the search raises."""
+    (a) When h = g ⊠ F is planar, F comes out alone.
+    (b) Otherwise let K be a Kuratowski subgraph of h. A planarizer P ⊇ F
+        holds an x ∉ F that touches K, or K survives in g ⊠ P: under vr a
+        vertex of K, under er an edge of K, and under ec an edge of g whose
+        ends lie in different contraction groups of F, one of them the group
+        of a vertex of K. (When no contracted edge has an end in V(K), every
+        vertex of K stays its own class, so K survives.) A minimal P holds
+        no edge inside one group, as contracting it changes nothing. So
+        branching on these x, in sorted order, to depth k finds every
+        minimal planarizer, and F + x is again the `chosen` of one branch.
+    ea cannot planarize a nonplanar g. `nodes`, an `itertools.count`,
+    numbers the calls, and past `cap` the search raises."""
     if cap is not None and next(nodes) > cap:
         raise ResourceLimitError(f"planarizer search exceeded cap {cap}; raise the cap to continue")
-    if is_planar(g):
-        yield frozenset()
-    elif op is Operation.EC:
-        yield from (ms.elements for ms, _ in planar_sets(g, scope, k, op, cap=cap))
-    elif op is not Operation.EA and k > 0:
-        witness = kuratowski(g)
-        for x in witness.sorted_vertices() if op is Operation.VR else witness.sorted_edges():
-            one = ModificationSet(op, [x])
-            if affected(one) <= scope:
-                for rest in _planarizers(apply(g, one), op, k - 1, scope, cap, nodes):
-                    yield rest | {x}
+    ms = ModificationSet(op, chosen)
+    h = apply(g, ms) if chosen else g
+    if is_planar(h):
+        yield chosen
+    elif op is not Operation.EA and len(chosen) < k:
+        witness = kuratowski(h)
+        if op is Operation.VR:
+            branch = witness.sorted_vertices()
+        elif op is Operation.ER:
+            branch = witness.sorted_edges()
+        else:
+            rep = {v: min(c) for c in Graph(affected(ms), chosen).components() for v in c}
+            ends = [(e, rep.get(e[0], e[0]), rep.get(e[1], e[1])) for e in g.sorted_edges()]
+            branch = [e for e, a, b in ends if a != b and (a in witness or b in witness)]
+        for x in branch:
+            if affected(ModificationSet(op, [x])) <= scope:
+                yield from _planarizers(g, op, k, scope, cap, nodes, chosen | {x})
 
 
 def minimal_planarizers(g: Graph, op: Operation, k: int,
                         cap: int | None = None) -> list[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, in `subsets_up_to`
-    order: by size, then by the sorted elements. Exact by
-    `_planarizers`' lemmas; `cap` bounds its search."""
+    order: by size, then by the sorted elements. Exact under every operation
+    by `_planarizers`' lemmas; `cap` bounds the nodes of its search."""
     found = sorted(set(_planarizers(g, op, k, g.vertices, cap, count(1))),
                    key=lambda s: (len(s), sorted(s)))
     kept: list = []

@@ -453,19 +453,13 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
     return finish(chosen, frozenset(chosen.level(params.r).graph.vertices))
 
 
-def _verify_obligatory(g: Graph, k: int, u, cfg: PipelineConfig):
-    found = next(planar_sets(g, g.vertices - {u}, k, Operation.VR,
-                             cap=cfg.cap_oracle_subsets), None)
+def _verify_no_planarizer(g: Graph, scope: frozenset, k: int, op: Operation,
+                          cfg: PipelineConfig, claim: str):
+    """Raise SoundnessError, naming `claim`, when an op-planarizer of size
+    <= k lies inside `scope`."""
+    found = next(planar_sets(g, scope, k, op, cap=cfg.cap_oracle_subsets), None)
     if found is not None:
-        raise SoundnessError(
-            f"obligatory-vertex cross-check failed: "
-            f"{sorted(map(str, found[0].elements))} planarizes without {u!r}")
-
-
-def _verify_no_planarizer(g: Graph, k: int, op: Operation, cfg: PipelineConfig):
-    found = next(planar_sets(g, g.vertices, k, op, cap=cfg.cap_oracle_subsets), None)
-    if found is not None:
-        raise SoundnessError(f"no-instance cross-check failed: "
+        raise SoundnessError(f"{claim} cross-check failed: "
                              f"{sorted(map(str, found[0].elements))} planarizes")
 
 
@@ -608,13 +602,14 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check and op in (Operation.ER, Operation.EC):
-                _verify_no_planarizer(g, k, op, cfg)
+                _verify_no_planarizer(g, g.vertices, k, op, cfg, "no-instance")
             log("no-instance", {"reason": outcome.reason}, t0)
             result = PipelineResult(False, None, trace)
         elif isinstance(outcome, ObligatoryVertex):
             u = outcome.vertex
             if cfg.cross_check:
-                _verify_obligatory(g, k, u, cfg)
+                _verify_no_planarizer(g, g.vertices - {u}, k, Operation.VR, cfg,
+                                      f"obligatory-vertex {u!r}")
             log("obligatory-vertex", {"vertex": u, "reason": outcome.reason}, t0)
             g = g.remove_vertices([u])
             r_set = r_set - {u}

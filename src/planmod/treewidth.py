@@ -257,11 +257,6 @@ def _minfill(g: Graph) -> tuple:
     return order, bags
 
 
-def minfill_order(g: Graph) -> list:
-    """Greedy min-fill elimination order (see `_minfill`)."""
-    return _minfill(g)[0]
-
-
 def minfill_decomposition(g: Graph) -> TreeDecomposition:
     """Greedy min-fill witness; its width is an upper bound on treewidth.
     The bags come from the elimination itself, so the fill runs once."""

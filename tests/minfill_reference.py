@@ -1,5 +1,5 @@
 """The min-fill order as first written, kept as the reference for
-`treewidth.minfill_order`: it re-scores every remaining vertex at every
+the order of `treewidth._minfill`: it re-scores every remaining vertex at every
 elimination and compares vertex ids inside the pair count, so it is slow
 but plainly follows the definition."""
 

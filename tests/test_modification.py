@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations
 
 import pytest
 from graph_helpers import cycle_graph, path_graph
@@ -15,7 +16,7 @@ from planmod.modification import (ModificationSet, Operation, affected,
                                   find_vr_planarizer, is_planarization_irrelevant,
                                   minimal_planarizers, subsets_up_to)
 from planmod.planarity import is_planar
-from planmod.walls import make_elementary_wall
+from planmod.walls import central_subwall, compass, make_elementary_wall
 
 
 def _random_graph(seed, max_n=8, p=0.45):
@@ -264,6 +265,23 @@ class TestIrrelevance:
         assert not is_planarization_irrelevant(g, Operation.VR, 2, k5)
         assert calls == {"subsets_up_to": 0, "kuratowski": 1}
         assert len(planar_calls) == 1 + 3 + 10 + 5 < len(g.edges)
+
+    def test_ec_branches_like_vr_and_er(self, monkeypatch):
+        # ec branches on the edges at a Kuratowski witness's contraction
+        # groups: each of the pendant K5's ten edges planarizes, and no set
+        # is enumerated, on the 7-wall or for a compass inside the 9-wall
+        calls = []
+        for name in ("planar_sets", "subsets_up_to"):
+            monkeypatch.setattr(modification, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        g = gadget("wall-k5-bridge", 7)
+        k5 = sorted(v for v in g.vertices if g.degree(v) >= 4)
+        assert minimal_planarizers(g, Operation.EC, 2) == \
+            [ModificationSet(Operation.EC, [e]) for e in combinations(k5, 2)]
+        g = gadget("wall-k5-bridge", 9)
+        inner = compass(g, central_subwall(make_elementary_wall(9), 5))
+        assert is_planarization_irrelevant(g, Operation.EC, 2, inner.vertices)
+        assert calls == []
 
 
 def _spy_searches(monkeypatch) -> dict:

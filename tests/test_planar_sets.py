@@ -7,7 +7,7 @@ properties check both rules with networkx; the differential tests compare
 the searches with reference loops that test every set."""
 
 import random
-from itertools import combinations
+from itertools import combinations, count
 
 import networkx as nx
 import pytest
@@ -121,8 +121,9 @@ def _reference_planar(g, scope, k, op, exact):
     return out
 
 
-def _reference_minimal(g, op, k):
-    planar = [sub for sub in subsets_up_to(application_domain(op, g, g.vertices), k)
+def _reference_minimal(g, op, k, scope=None):
+    scope = g.vertices if scope is None else scope
+    planar = [sub for sub in subsets_up_to(application_domain(op, g, scope), k)
               if is_planar(apply(g, ModificationSet(op, sub)))]
     return [ModificationSet(op, sub) for sub in planar
             if not any(prev < sub for prev in planar)]
@@ -178,11 +179,31 @@ def test_minimal_planarizers_match_reference():
     # reference tests every set of non-edges, so the walls stop at k = 1
     graphs = [(g, k, op) for g, k, op, _, _ in random_instances(4321, 60)]
     g, _ = _wall_with_pendant_k5(3)
-    graphs += [(g, 2, op) for op in (Operation.VR, Operation.ER)]
+    graphs += [(g, 2, op) for op in MINOR_OPS]
     graphs += [(gadget(name), k, op) for name in GADGETS for op in Operation for k in (1, 2)
                if not (op is Operation.EA and k == 2 and name.startswith("wall-"))]
     for g, k, op in graphs:
         assert list(minimal_planarizers(g, op, k)) == _reference_minimal(g, op, k)
+
+
+@pytest.mark.parametrize("op", MINOR_OPS, ids=lambda op: op.value)
+def test_planarizer_branching_matches_reference(op):
+    # random graphs on 5 to 9 vertices, sparse to nearly complete, and the
+    # gadgets, each with scope V and a random R: the inclusion-minimal sets
+    # that the Kuratowski branching yields are the reference's
+    rng = random.Random(31)
+    hosts = [(gadget(name), k) for name in GADGETS for k in (1, 2)]
+    for _ in range(100):
+        n = rng.randint(5, 9)
+        p = rng.choice([0.4, 0.6, 0.8, 0.95])
+        hosts.append((Graph(range(n), [e for e in combinations(range(n), 2)
+                                       if rng.random() < p]), rng.randint(0, 2)))
+    for g, k in hosts:
+        for scope in (g.vertices, frozenset(v for v in g.vertices if rng.random() < 0.7)):
+            found = set(modification._planarizers(g, op, k, scope, None, count(1)))
+            minimal = {s for s in found if not any(t < s for t in found)}
+            assert minimal == {ms.elements for ms in _reference_minimal(g, op, k, scope)}, \
+                (sorted(g.edges), k, sorted(scope))
 
 
 def _count_is_planar(monkeypatch) -> list:

@@ -254,7 +254,8 @@ class TestFindArea:
         # the wall's irrelevance check must not read a fired cap as "no wall".
         # On a planar g it answers with no search, so the host is nonplanar:
         # a 5x5 grid with a K5 hung from vertex 0 by one edge, S = one K5
-        # vertex. vr and er branch on a Kuratowski witness, ec enumerates
+        # vertex. Every operation branches on a Kuratowski witness, so a
+        # cap of one search node fires
         grid = make_grid(5, 5).graph
         k5 = complete_graph(5, offset=max(grid.vertices) + 1)
         g = Graph(grid.vertices | k5.vertices, grid.edges | k5.edges | {(0, min(k5.vertices))})
@@ -528,25 +529,28 @@ class TestCharacteristicMemo:
 
 class TestStepVerification:
     def test_obligatory_vertex_check_passes_for_hub(self):
-        from planmod.solver import _verify_obligatory
+        from planmod.solver import _verify_no_planarizer
         g, hub = k5_star(2)
-        _verify_obligatory(g, 1, hub, PipelineConfig())  # must not raise
+        # must not raise
+        _verify_no_planarizer(g, g.vertices - {hub}, 1, Operation.VR, PipelineConfig(),
+                              f"obligatory-vertex {hub!r}")
 
     def test_obligatory_vertex_check_rejects_wrong_vertex(self):
         from planmod.errors import SoundnessError
-        from planmod.solver import _verify_obligatory
+        from planmod.solver import _verify_no_planarizer
         g = complete_graph(5)  # every singleton planarizes, nothing obligatory
-        with pytest.raises(SoundnessError):
-            _verify_obligatory(g, 1, 0, PipelineConfig())
+        with pytest.raises(SoundnessError, match="obligatory-vertex 0 cross-check"):
+            _verify_no_planarizer(g, g.vertices - {0}, 1, Operation.VR, PipelineConfig(),
+                                  "obligatory-vertex 0")
 
     def test_no_planarizer_check(self):
         from planmod.errors import SoundnessError
         from planmod.solver import _verify_no_planarizer
         g, _ = k5_star(2)
-        _verify_no_planarizer(g, 1, Operation.ER, PipelineConfig())
-        with pytest.raises(SoundnessError):
-            _verify_no_planarizer(complete_graph(5), 1, Operation.ER,
-                                  PipelineConfig())
+        _verify_no_planarizer(g, g.vertices, 1, Operation.ER, PipelineConfig(), "no-instance")
+        with pytest.raises(SoundnessError, match="no-instance cross-check"):
+            _verify_no_planarizer(complete_graph(5), frozenset(range(5)), 1, Operation.ER,
+                                  PipelineConfig(), "no-instance")
 
 
 class TestReduceInstance:
