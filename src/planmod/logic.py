@@ -303,10 +303,10 @@ def _parse_term(toks: _Tokens, scope: list) -> Formula:
         f = _parse_formula(toks, scope)
         toks.take(")")
         return f
-    return _parse_atom(toks, scope)
+    return _parse_atom(toks)
 
 
-def _parse_atom(toks: _Tokens, scope: list) -> Formula:
+def _parse_atom(toks: _Tokens) -> Formula:
     tok = toks.peek()
     if tok == "true":
         toks.take()

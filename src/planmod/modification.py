@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, count
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import InputError, ResourceLimitError
@@ -251,8 +251,8 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
             yield ms, h
 
 
-def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset, cap: int | None,
-                 nodes: Iterator[int], chosen: frozenset = frozenset()) -> Iterator[frozenset]:
+def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
+                 chosen: frozenset = frozenset()) -> Iterator[frozenset]:
     """op-planarizers of g that hold `chosen` (F), have size <= k and touch
     only vertices of `scope`, depth first; every inclusion-minimal one among
     them comes out, some sets more than once.
@@ -267,10 +267,8 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset, cap: int | N
         no edge inside one group, as contracting it changes nothing. So
         branching on these x, in sorted order, to depth k finds every
         minimal planarizer, and F + x is again the `chosen` of one branch.
-    ea cannot planarize a nonplanar g. `nodes`, an `itertools.count`,
-    numbers the calls, and past `cap` the search raises."""
-    if cap is not None and next(nodes) > cap:
-        raise ResourceLimitError(f"planarizer search exceeded cap {cap}; raise the cap to continue")
+    The depth is at most k, so the search needs no cap. ea cannot
+    planarize a nonplanar g."""
     ms = ModificationSet(op, chosen)
     h = apply(g, ms) if chosen else g
     if is_planar(h):
@@ -287,15 +285,14 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset, cap: int | N
             branch = [e for e, a, b in ends if a != b and (a in witness or b in witness)]
         for x in branch:
             if affected(ModificationSet(op, [x])) <= scope:
-                yield from _planarizers(g, op, k, scope, cap, nodes, chosen | {x})
+                yield from _planarizers(g, op, k, scope, chosen | {x})
 
 
-def minimal_planarizers(g: Graph, op: Operation, k: int,
-                        cap: int | None = None) -> list[ModificationSet]:
+def minimal_planarizers(g: Graph, op: Operation, k: int) -> list[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, in `subsets_up_to`
     order: by size, then by the sorted elements. Exact under every operation
-    by `_planarizers`' lemmas; `cap` bounds the nodes of its search."""
-    found = sorted(set(_planarizers(g, op, k, g.vertices, cap, count(1))),
+    by `_planarizers`' lemmas, with no cap."""
+    found = sorted(set(_planarizers(g, op, k, g.vertices)),
                    key=lambda s: (len(s), sorted(s)))
     kept: list = []
     for s in found:
@@ -304,13 +301,12 @@ def minimal_planarizers(g: Graph, op: Operation, k: int,
     return [ModificationSet(op, s) for s in kept]
 
 
-def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable,
-                                cap: int | None = None) -> bool:
+def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable) -> bool:
     """True iff every inclusion-minimal op-planarizer of size <= k affects no
     vertex of q_set. Decided exactly by `minimal_planarizers`: on a planar g
     ∅ is the one such set, with no search."""
     q_set = frozenset(q_set)
-    return all(not (affected(s) & q_set) for s in minimal_planarizers(g, op, k, cap))
+    return all(not (affected(s) & q_set) for s in minimal_planarizers(g, op, k))
 
 
 def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
@@ -323,5 +319,5 @@ def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
     if k < 0:
         raise InputError("budget must be non-negative")
     scope = g.vertices if scope is None else frozenset(scope)
-    chosen = next(_planarizers(g, Operation.VR, k, scope, None, count(1)), None)
+    chosen = next(_planarizers(g, Operation.VR, k, scope), None)
     return None if chosen is None else ModificationSet(Operation.VR, chosen)

@@ -323,9 +323,10 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     is certified flat/irrelevant, or a bounded-width decomposition.
 
     G − S must be planar: this is the one test of that precondition, which
-    a G that carries `known_planar` passes without a test. Under ea, S is ∅
-    and a nonplanar G is a no-instance; otherwise a set that is not a
-    planarizer raises InputError.
+    a G that carries `known_planar` passes without a test. A set that is
+    not a planarizer raises InputError, and so does a nonempty S under ea,
+    which removes no vertex: there the opening search has already proved G
+    planar.
 
     Under vr, u ∈ S is obligatory when no vr-planarizer of size <= k
     avoids it: `find_vr_planarizer` over V − u, which is exact and has no
@@ -341,12 +342,10 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
         raise InputError("find_area expects a vertex-removal planarizer")
     fam = area_family(k, q)
     f1, f2 = fam["f1"], fam["f2"]
-    if op is Operation.EA:
-        s = ModificationSet(Operation.VR, [])
+    if op is Operation.EA and s:
+        raise InputError("edge additions remove no vertex; under ea S must be empty")
     removed = g.remove_vertices(s.elements)
     if not is_planar(removed):
-        if op is Operation.EA:
-            return NoInstance("edge additions cannot planarize a nonplanar graph")
         raise InputError("the supplied set is not a vr-planarizer")
     for u in s.sorted_elements():
         if op is Operation.VR:
@@ -382,8 +381,7 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
         # is wider than f2
         if len(comp.vertices) - 1 > f2 and width_witness(comp, f2) is None:
             continue
-        if is_planarization_irrelevant(g, op, k, comp.vertices,
-                                       cfg.cap_oracle_subsets):
+        if is_planarization_irrelevant(g, op, k, comp.vertices):
             return WallArea(wall)
     return None
 
@@ -472,12 +470,13 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     area and vertex finders), or a bounded-width decomposition. `find_area`
     checks that S planarizes G. Nothing here is checked against exhaustive
     search; `solve_pipeline` does that. `chars` is the run's memo of
-    characteristics, handed to `find_vertex`."""
+    characteristics, handed to `find_vertex`.
+
+    `params.q` must be a concrete odd q >= 3; `solve_pipeline` checks that
+    once, before its opening search."""
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
-    if not isinstance(params.q, int) or params.q < 3 or params.q % 2 == 0:
-        raise InputError("reduce_instance needs a concrete odd q >= 3; set q_hat")
     outcome = find_area(k, params.q, g, s, op, cfg)
     if isinstance(outcome, WallArea):
         try:
@@ -530,6 +529,14 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     """The reduction loop: planarize, shrink via irrelevant regions or
     obligatory vertices, finish on a bounded-width remainder by direct search.
 
+    q must be a concrete odd q >= 3, checked once before anything is
+    searched, so a bad q raises InputError on every path. The run opens, for
+    every operation, with the one planarizer search: a vr-planarizer S of
+    size <= k inside R, or of size 0 under ea, which removes no vertex (an
+    edge addition never planarizes a nonplanar G). With none, the run ends
+    in `no-planarizer`. So S = ∅ means the opening proved G planar, and a
+    no-instance step comes only from the er/ec certificate of `find_area`.
+
     With cross_check on, every cross-check happens here. An irrelevant-region
     step replaces the current question (G, R, k) by one that must be
     equivalent; it raises unless exhaustive search answers both the same.
@@ -566,6 +573,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         raise InputError("the pipeline needs a Gaifman sentence; "
                          "plain formulas run under the oracle only")
     params = compute_parameters(inst.k, inst.phi, cfg)
+    if not isinstance(params.q, int) or params.q < 3 or params.q % 2 == 0:
+        raise InputError("the pipeline needs a concrete odd q >= 3; set q_hat")
     g = inst.graph
     r_set = inst.scope()
     k = inst.k
@@ -582,9 +591,9 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
                                len(g.vertices), (time.perf_counter() - t0) * 1000))
 
     t0 = time.perf_counter()
-    # under ea, find_area answers a nonplanar G
-    s = ModificationSet(Operation.VR, []) if op is Operation.EA \
-        else find_vr_planarizer(g, k, r_set)
+    # edge additions remove no vertex, so under ea the opening asks for a
+    # vr-planarizer of size 0: is G planar?
+    s = find_vr_planarizer(g, 0 if op is Operation.EA else k, r_set)
     if s is None:
         log("no-planarizer", {"within": "R"}, t0)
         result = PipelineResult(False, None, trace)
@@ -597,11 +606,11 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         t0 = time.perf_counter()
         if not s and not g.known_planar:
             # G − S is G: prove it planar once, in a copy every later graph
-            # derives from (a nonplanar G under ea is find_area's to answer)
-            g = certified_planar(g) or g
+            # derives from
+            g = certified_planar(g)
         outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars)
         if isinstance(outcome, NoInstance):
-            if cfg.cross_check and op in (Operation.ER, Operation.EC):
+            if cfg.cross_check:
                 _verify_no_planarizer(g, g.vertices, k, op, cfg, "no-instance")
             log("no-instance", {"reason": outcome.reason}, t0)
             result = PipelineResult(False, None, trace)

@@ -323,14 +323,16 @@ class TestBadParameters:
         assert code == 2
         assert err.startswith("error:") and message in err
 
-    def test_even_q_hat_is_rejected_before_find_area_answers(self, tmp_path, capsys):
-        # find_area alone would answer NO: ea cannot planarize K5
-        k5 = _write_graph(tmp_path / "k5.json", complete_graph(5))
-        code = main(["solve", k5, "--op", "ea", "-k", "1", "--phi", "true",
+    @pytest.mark.parametrize("op,n", [("ea", 5), ("vr", 6)], ids=["ea-k5", "vr-k6"])
+    def test_even_q_hat_is_rejected_before_find_area_answers(self, op, n, tmp_path, capsys):
+        # the opening search alone would answer NO: ea cannot planarize K5,
+        # and no one vertex planarizes K6; q is checked before it
+        kn = _write_graph(tmp_path / "kn.json", complete_graph(n))
+        code = main(["solve", kn, "--op", op, "-k", "1", "--phi", "true",
                      "--q-hat", "4", "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert capsys.readouterr().err == \
-            "error: reduce_instance needs a concrete odd q >= 3; set q_hat\n"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "odd q >= 3" in err[0]
 
     def test_plain_formula_needs_the_oracle(self, tmp_path, capsys):
         k5 = _write_graph(tmp_path / "k5.json", complete_graph(5))

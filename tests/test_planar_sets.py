@@ -7,7 +7,7 @@ properties check both rules with networkx; the differential tests compare
 the searches with reference loops that test every set."""
 
 import random
-from itertools import combinations, count
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -200,7 +200,7 @@ def test_planarizer_branching_matches_reference(op):
                                        if rng.random() < p]), rng.randint(0, 2)))
     for g, k in hosts:
         for scope in (g.vertices, frozenset(v for v in g.vertices if rng.random() < 0.7)):
-            found = set(modification._planarizers(g, op, k, scope, None, count(1)))
+            found = set(modification._planarizers(g, op, k, scope))
             minimal = {s for s in found if not any(t < s for t in found)}
             assert minimal == {ms.elements for ms in _reference_minimal(g, op, k, scope)}, \
                 (sorted(g.edges), k, sorted(scope))

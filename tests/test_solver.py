@@ -189,9 +189,12 @@ class TestMinorModels:
 
 class TestFindArea:
     def test_ea_nonplanar_is_no(self):
-        out = find_area(1, 3, complete_graph(5),
-                        ModificationSet(Operation.VR, [0]), Operation.EA)
-        assert isinstance(out, NoInstance)
+        # the opening answers a nonplanar G under ea; find_area refuses a
+        # nonempty S, and S = ∅ does not planarize K5
+        for s in ([0], []):
+            with pytest.raises(InputError):
+                find_area(1, 3, complete_graph(5), ModificationSet(Operation.VR, s),
+                          Operation.EA)
 
     def test_vr_star_gives_obligatory_hub(self):
         g, hub = k5_star(2)
@@ -250,20 +253,18 @@ class TestFindArea:
 
     @pytest.mark.parametrize("op", [Operation.VR, Operation.ER, Operation.EC],
                              ids=lambda op: op.value)
-    def test_fired_irrelevance_cap_raises(self, op):
-        # the wall's irrelevance check must not read a fired cap as "no wall".
-        # On a planar g it answers with no search, so the host is nonplanar:
-        # a 5x5 grid with a K5 hung from vertex 0 by one edge, S = one K5
-        # vertex. Every operation branches on a Kuratowski witness, so a
-        # cap of one search node fires
+    def test_irrelevance_check_reads_no_subset_cap(self, op):
+        # the wall's irrelevance check is an exact branching of depth <= k,
+        # so --cap-oracle-subsets, which bounds `planar_sets` alone, leaves
+        # it alone. On a planar g it answers with no search, so the host is
+        # nonplanar: a 5x5 grid with a K5 hung from vertex 0 by one edge,
+        # S = one K5 vertex, and the search branches on a Kuratowski witness
         grid = make_grid(5, 5).graph
         k5 = complete_graph(5, offset=max(grid.vertices) + 1)
         g = Graph(grid.vertices | k5.vertices, grid.edges | k5.edges | {(0, min(k5.vertices))})
         s = ModificationSet(Operation.VR, [min(k5.vertices)])
-        cfg = PipelineConfig(cap_wall_nodes=4000)
+        cfg = PipelineConfig(cap_wall_nodes=4000, cap_oracle_subsets=1)
         assert isinstance(find_area(1, 3, g, s, op, cfg), WallArea)
-        with pytest.raises(ResourceLimitError):
-            find_area(1, 3, g, s, op, dataclasses.replace(cfg, cap_oracle_subsets=1))
 
     def test_small_graph_gets_decomposition(self):
         out = find_area(1, 3, complete_graph(4).remove_edges([(0, 1)]),
@@ -580,14 +581,14 @@ class TestReduceInstance:
                             params, cfg)
 
     def test_ea_on_nonplanar_graph_is_no_instance(self):
-        # under ea the set is replaced by the empty one, so a nonplanar G is
-        # a no-instance rather than a bad planarizer
+        # the pipeline's opening answers a nonplanar G under ea, so a step
+        # on one is handed a set that is not a planarizer
         cfg = PipelineConfig()
         params = compute_parameters(1, PHI_NB, cfg)
         g = complete_graph(5)
-        out = reduce_instance(1, g, ModificationSet(Operation.VR, []), g.vertices,
-                              Operation.EA, PHI_NB, params, cfg)
-        assert isinstance(out, NoInstance)
+        with pytest.raises(InputError, match="not a vr-planarizer"):
+            reduce_instance(1, g, ModificationSet(Operation.VR, []), g.vertices,
+                            Operation.EA, PHI_NB, params, cfg)
 
     def test_one_planarity_test_of_g_minus_s_per_step(self, monkeypatch):
         cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
@@ -625,7 +626,7 @@ class TestReduceInstance:
 # sha256 of `_golden_reports()`. Answers, witnesses and untimed traces are
 # deterministic, so a change here is a change of behaviour. After an intended
 # one, paste in the new hashlib.sha256(_golden_reports()).hexdigest().
-GOLDEN_SHA256 = "3dc027a7ba17e3a5dacf1a399d7a0913b739a69284022cf501d529f053a14433"
+GOLDEN_SHA256 = "de30d25c2d1791c3d4824db35369c8e7a75cc4f67bfdce868eaef981ebd05b30"
 
 
 def _golden_reports() -> bytes:
@@ -879,7 +880,7 @@ class TestOracleCalls:
     @pytest.mark.parametrize("inst, outcome, expect", [
         (Instance(path_graph(6), 1, Operation.VR, PHI_NB), "bounded-treewidth", 0),
         (Instance(complete_graph(6), 1, Operation.VR, TRIVIALLY_TRUE), "no-planarizer", 1),
-        (Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE), "no-instance", 1),
+        (Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE), "no-planarizer", 1),
     ], ids=["no-step", "no-planarizer", "ea-nonplanar"])
     def test_calls_by_outcome(self, monkeypatch, inst, outcome, expect):
         calls = self._count(monkeypatch)
@@ -900,9 +901,21 @@ class TestOracleCalls:
         assert res.answer and res.cross_checked
         assert len(calls) == expect
 
+    def test_ea_nonplanar_ends_at_the_opening(self, monkeypatch):
+        # an edge addition never planarizes K5, so the opening search at
+        # budget 0 answers, and no reduction step runs
+        steps = []
+        monkeypatch.setattr(solver, "reduce_instance",
+                            lambda *args: steps.append(args))
+        res = solve_pipeline(Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE))
+        assert [t.outcome for t in res.trace] == ["no-planarizer", "cross-check"]
+        assert res.trace[0].detail == {"within": "R"}
+        assert not res.answer and res.cross_checked
+        assert steps == []
+
     def test_ea_nonplanar_needs_a_concrete_q(self):
-        # find_area alone answers a nonplanar G under ea, after
-        # reduce_instance has asked for a concrete q
+        # the opening alone answers a nonplanar G under ea, after the run
+        # has asked for a concrete q
         with pytest.raises(InputError):
             solve_pipeline(Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE),
                            PipelineConfig(q_hat=None))
