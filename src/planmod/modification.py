@@ -301,12 +301,15 @@ def minimal_planarizers(g: Graph, op: Operation, k: int) -> list[ModificationSet
     return [ModificationSet(op, s) for s in kept]
 
 
-def is_planarization_irrelevant(g: Graph, op: Operation, k: int, q_set: Iterable) -> bool:
-    """True iff every inclusion-minimal op-planarizer of size <= k affects no
-    vertex of q_set. Decided exactly by `minimal_planarizers`: on a planar g
-    ∅ is the one such set, with no search."""
+def is_planarization_irrelevant(planarizers: Iterable[ModificationSet],
+                                q_set: Iterable) -> bool:
+    """True iff no set of `planarizers`, the list of inclusion-minimal
+    op-planarizers of size <= k that `minimal_planarizers` builds once per
+    question, affects a vertex of q_set. An empty list answers True
+    vacuously, so the caller reads it first: to the wall branch it is a
+    no-instance."""
     q_set = frozenset(q_set)
-    return all(not (affected(s) & q_set) for s in minimal_planarizers(g, op, k))
+    return all(not (affected(s) & q_set) for s in planarizers)
 
 
 def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None

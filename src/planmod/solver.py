@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable
 
 from .config import DEFAULTS, PipelineConfig
@@ -23,7 +22,7 @@ from .graphs import Graph, k5_star
 from .logic import Formula, GaifmanSentence, eval_gaifman  # noqa: F401
 from .modification import (ModificationSet, Operation, apply,  # noqa: F401
                            find_vr_planarizer, is_planarization_irrelevant,
-                           planar_sets, subsets_up_to)
+                           minimal_planarizers, planar_sets, subsets_up_to)
 from .planarity import certified_planar, is_planar
 from .signatures import (Parameters, char_key, compute_char, compute_parameters,
                          first_model, is_triple)
@@ -32,9 +31,6 @@ from .walls import (Wall, center, compass, disjoint_subwalls,
                     extended_compass, wall_candidates, _may_contain_wall)
 from .signatures import area_family
 
-# the wall branch gives up after this many candidate walls and falls back to
-# the decomposition branch
-MAX_WALL_CANDIDATES = 16
 # find_vertex replaces a subwall only when at least this many subwalls share
 # its characteristic
 BUCKET_THRESHOLD = 2
@@ -301,6 +297,11 @@ def has_k5_star_minor(g: Graph, center, copies: int,
     """Does g contain a (K5, copies)-star minor with `center` in the central
     branch set?
 
+    No solve path calls this search, or `find_minor_model` below it: the
+    er/ec no-instance step is read off the wall branch's minimal
+    planarizers. It stays only because the benchmark's tracer
+    (perfbench/spans.py) binds it, and goes with the next benchmark change.
+
     Absence is proved without backtracking when
     (a) the search is confined to the centre's component, since the pattern
         is connected, and that component
@@ -330,13 +331,9 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
 
     Under vr, u ∈ S is obligatory when no vr-planarizer of size <= k
     avoids it: `find_vr_planarizer` over V − u, which is exact and has no
-    budget. Under er and ec, a (K5, k+1)-star minor centred at u ∈ S is a
-    no-instance; that search reads a spent budget as "absent", so its
-    False only sends the step on to the other branches.
-
-    The irrelevance bullet is decided exactly, not trusted: every
-    inclusion-minimal planarizer, from `minimal_planarizers`' search, must
-    miss the compass.
+    budget. Every other answer comes from `_wall_branch`, which reads both
+    the no-instance and the irrelevance answers off one exact list of
+    minimal planarizers, or from a width witness.
     """
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")
@@ -347,15 +344,11 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     removed = g.remove_vertices(s.elements)
     if not is_planar(removed):
         raise InputError("the supplied set is not a vr-planarizer")
-    for u in s.sorted_elements():
-        if op is Operation.VR:
+    if op is Operation.VR:
+        for u in s.sorted_elements():
             if find_vr_planarizer(g, k, g.vertices - {u}) is None:
                 return ObligatoryVertex(
                     u, f"no vr-planarizer of size <= {k} avoids it")
-        elif has_k5_star_minor(g, u, k + 1, cfg.cap_wall_nodes):
-            return NoInstance(
-                f"(K5,{k + 1})-star minor: {k} edge operations cannot "
-                f"clear {k + 1} K5 copies")
     blocked = s.elements | {w for u in s.elements for w in g.adj[u]}
     outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg)
     if outcome is not None:
@@ -369,10 +362,20 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
 
 def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
                  op: Operation, k: int, f2, cfg: PipelineConfig):
+    """A q-wall of G − S (`flat`) whose compass misses `blocked` (S and its
+    neighbours), has width at most f2 and is planarization-irrelevant; or a
+    no-instance; or None, when `wall_candidates`, bounded by
+    `cap_wall_nodes`, yields no such wall.
+
+    At the first candidate that passes the blocked and width tests, every
+    inclusion-minimal op-planarizer of size <= k is listed once, exactly
+    (`minimal_planarizers`). An empty list is a no-instance, since every
+    solution is such a planarizer; otherwise each candidate's irrelevance
+    is read off the same list."""
     if not _may_contain_wall(flat, q):
         return None
-    for wall in islice(wall_candidates(flat, q, cfg.cap_wall_nodes),
-                       MAX_WALL_CANDIDATES):
+    planarizers = None
+    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes):
         comp = compass(g, wall)
         if comp.vertices & blocked:
             continue
@@ -381,7 +384,11 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
         # is wider than f2
         if len(comp.vertices) - 1 > f2 and width_witness(comp, f2) is None:
             continue
-        if is_planarization_irrelevant(g, op, k, comp.vertices):
+        if planarizers is None:
+            planarizers = minimal_planarizers(g, op, k)
+            if not planarizers:
+                return NoInstance(f"no {op.value}-planarizer of size <= {k}")
+        if is_planarization_irrelevant(planarizers, comp.vertices):
             return WallArea(wall)
     return None
 
@@ -534,8 +541,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     every operation, with the one planarizer search: a vr-planarizer S of
     size <= k inside R, or of size 0 under ea, which removes no vertex (an
     edge addition never planarizes a nonplanar G). With none, the run ends
-    in `no-planarizer`. So S = ∅ means the opening proved G planar, and a
-    no-instance step comes only from the er/ec certificate of `find_area`.
+    in `no-planarizer`. So S = ∅ means the opening proved G planar. A
+    no-instance step comes from the wall branch of `find_area`, when G has
+    no op-planarizer of size <= k at all; under vr and ea the opening has
+    already found one, so only er and ec can take it.
 
     With cross_check on, every cross-check happens here. An irrelevant-region
     step replaces the current question (G, R, k) by one that must be

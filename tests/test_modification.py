@@ -228,22 +228,23 @@ class TestFindVrPlanarizer:
 class TestIrrelevance:
     def test_planar_everything_irrelevant(self):
         g = cycle_graph(4)
-        assert is_planarization_irrelevant(g, Operation.VR, 1, g.vertices)
+        assert is_planarization_irrelevant(minimal_planarizers(g, Operation.VR, 1),
+                                           g.vertices)
 
     def test_pendant_is_irrelevant_on_k5(self):
         g = complete_graph(5).add_vertices([9]).add_edges([(0, 9)])
-        assert is_planarization_irrelevant(g, Operation.VR, 1, {9})
+        assert is_planarization_irrelevant(minimal_planarizers(g, Operation.VR, 1), {9})
 
     def test_k5_vertices_are_relevant(self):
         g = complete_graph(5)
-        assert not is_planarization_irrelevant(g, Operation.VR, 1, {3})
+        assert not is_planarization_irrelevant(minimal_planarizers(g, Operation.VR, 1), {3})
 
     def test_planar_wall_needs_no_search(self, monkeypatch):
         # ∅ is the one minimal planarizer of a planar g, for every operation
         calls = _spy_searches(monkeypatch)
         g = make_elementary_wall(7).graph
         for op in Operation:
-            assert is_planarization_irrelevant(g, op, 1, g.vertices)
+            assert is_planarization_irrelevant(minimal_planarizers(g, op, 1), g.vertices)
         assert calls == {"subsets_up_to": 0, "kuratowski": 0}
 
     def test_pendant_k5_wall_branches_on_one_block(self, monkeypatch):
@@ -262,7 +263,7 @@ class TestIrrelevance:
         monkeypatch.setattr(planarity, "_planar",
                             lambda edges: planar_calls.append(1) or real(edges))
         is_planar.cache_clear()
-        assert not is_planarization_irrelevant(g, Operation.VR, 2, k5)
+        assert not is_planarization_irrelevant(minimal_planarizers(g, Operation.VR, 2), k5)
         assert calls == {"subsets_up_to": 0, "kuratowski": 1}
         assert len(planar_calls) == 1 + 3 + 10 + 5 < len(g.edges)
 
@@ -280,7 +281,8 @@ class TestIrrelevance:
             [ModificationSet(Operation.EC, [e]) for e in combinations(k5, 2)]
         g = gadget("wall-k5-bridge", 9)
         inner = compass(g, central_subwall(make_elementary_wall(9), 5))
-        assert is_planarization_irrelevant(g, Operation.EC, 2, inner.vertices)
+        assert is_planarization_irrelevant(minimal_planarizers(g, Operation.EC, 2),
+                                           inner.vertices)
         assert calls == []
 
 

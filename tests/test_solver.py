@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from graph_helpers import path_graph, planted_star, relabel, verify_minor_model
-from planarizer_reference import pendant_wall
+from planarizer_reference import GADGETS, gadget, hub_graph, pendant_wall
 
 from planmod import solver
-from planmod.config import PipelineConfig
+from planmod.config import DEFAULTS, PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
                               fixed_sentences, random_instances)
@@ -22,6 +22,7 @@ from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            parse_combination, parse_formula)
 from planmod.modification import (ModificationSet, Operation,
                                   application_domain, apply, find_vr_planarizer,
+                                  is_planarization_irrelevant, minimal_planarizers,
                                   planar_sets, subsets_up_to)
 from planmod.planarity import is_planar
 from planmod.signatures import area_family, compute_parameters, is_triple
@@ -187,6 +188,18 @@ class TestMinorModels:
         assert has_k5_star_minor(g, 1000 + hub, 2, node_budget=60)
 
 
+def _star_beside_grid() -> tuple:
+    """(g, hub): k5_star(2), its ids shifted past the 6x8 grid's, with its
+    vertex 1 bridged to the grid's corner 0. The grid holds a 3-wall away
+    from the hub and its neighbours, and g has no er- or ec-planarizer of
+    size 1."""
+    grid = make_grid(6, 8).graph
+    star, hub = k5_star(2)
+    base = max(grid.vertices) + 1
+    star = relabel(star, {v: base + v for v in star.vertices})
+    return disjoint_union(grid, star).add_edges([(0, base + 1)]), base + hub
+
+
 class TestFindArea:
     def test_ea_nonplanar_is_no(self):
         # the opening answers a nonplanar G under ea; find_area refuses a
@@ -202,9 +215,17 @@ class TestFindArea:
         assert isinstance(out, ObligatoryVertex) and out.vertex == hub
 
     def test_er_star_gives_no_instance(self):
-        g, hub = k5_star(2)
-        out = find_area(1, 3, g, ModificationSet(Operation.VR, [hub]), Operation.ER)
-        assert isinstance(out, NoInstance)
+        # the no-instance step is read off the wall branch, under er and ec:
+        # the lone star has no wall and ends in a decomposition, the star
+        # beside a grid reaches a wall and finds no planarizer
+        for op in (Operation.ER, Operation.EC):
+            g, hub = k5_star(2)
+            assert isinstance(find_area(1, 3, g, ModificationSet(Operation.VR, [hub]), op),
+                              BoundedTreewidth)
+            g, hub = _star_beside_grid()
+            out = find_area(1, 3, g, ModificationSet(Operation.VR, [hub]), op)
+            assert isinstance(out, NoInstance)
+            assert out.reason == f"no {op.value}-planarizer of size <= 1"
 
     def test_ea_grid_gives_wall(self):
         g = make_grid(6, 8).graph
@@ -213,8 +234,8 @@ class TestFindArea:
         # the wall's compass has width at most f2 and is irrelevant
         comp = compass(g, out.wall)
         assert minfill_decomposition(comp).width() <= area_family(1, 3)["f2"]
-        from planmod.modification import is_planarization_irrelevant
-        assert is_planarization_irrelevant(g, Operation.EA, 1, comp.vertices)
+        assert is_planarization_irrelevant(minimal_planarizers(g, Operation.EA, 1),
+                                           comp.vertices)
 
     @staticmethod
     def _width_calls(monkeypatch) -> list:
@@ -305,9 +326,7 @@ class TestObligatoryVertex:
     # two K4s, each joined to 0 by two edges and to 1 by two, the edge 01
     # and a pendant 10 on 1: 0 is the centre of a (K5, 2)-star minor, yet
     # {1} planarizes, so 0 is not obligatory
-    HUB = Graph(range(11), [(0, 1), (1, 10)]
-                + [e for quad in ((2, 3, 4, 5), (6, 7, 8, 9)) for e in combinations(quad, 2)]
-                + [(0, v) for v in (2, 3, 6, 7)] + [(1, v) for v in (4, 5, 8, 9)])
+    HUB = hub_graph()
 
     def test_star_centre_that_a_planarizer_avoids_is_not_obligatory(self):
         assert has_k5_star_minor(self.HUB, 0, 2)
@@ -351,15 +370,75 @@ class TestObligatoryVertex:
 
     @pytest.mark.parametrize("phi", [PHI_NB, PHI_ISO], ids=["has-neighbour", "isolated"])
     def test_pendant_k5_wall_makes_no_minor_search(self, monkeypatch, phi):
-        # the 7-wall with a K5 hung from vertex 0 by one edge: a star-minor
-        # search on it uses up its budget, about 3 s
+        # the 7-wall with a K5 hung from vertex 0 by one edge, under vr, er
+        # and ec: a star-minor search on it uses up its budget, about 3 s.
+        # S is a K5 vertex next to the wall's corner, so the wall's compass
+        # is blocked and every run ends in its final search
         calls = []
-        monkeypatch.setattr(solver, "find_minor_model", lambda *args: calls.append(args))
-        inst = Instance(pendant_wall(7, "k5", "bridge"), 1, Operation.VR, phi)
+        for name in ("has_k5_star_minor", "find_minor_model"):
+            monkeypatch.setattr(solver, name, lambda *args, name=name: calls.append(name))
         cfg = PipelineConfig(q_hat=7, rho_hat=1, d_hat=1)
-        res = solve_pipeline(inst, cfg)
+        for op in (Operation.VR, Operation.ER, Operation.EC):
+            inst = Instance(pendant_wall(7, "k5", "bridge"), 1, op, phi)
+            res = solve_pipeline(inst, cfg)
+            assert calls == []
+            assert res.answer == solve_oracle(inst, cfg) and res.cross_checked
+            assert [t.outcome for t in res.trace] == ["bounded-treewidth", "cross-check"]
+
+
+class TestNoInstance:
+    """The er/ec no-instance step: the wall branch lists the minimal
+    planarizers once and ends the step when there is none."""
+
+    CFG = PipelineConfig(q_hat=7, rho_hat=1, d_hat=1)
+
+    @pytest.mark.parametrize("cross_check", [True, False], ids=["checked", "unchecked"])
+    @pytest.mark.parametrize("op", [Operation.ER, Operation.EC], ids=lambda op: op.value)
+    def test_hub_wall_is_no_instance(self, monkeypatch, op, cross_check):
+        # the hub graph hung from the 7-wall's corner by its pendant vertex:
+        # {1} planarizes, so the run opens, and no one edge removal or
+        # contraction does, so its first step is a no-instance
+        calls = []
+        monkeypatch.setattr(solver, "has_k5_star_minor", lambda *args: calls.append(args))
+        inst = Instance(pendant_wall(7, "hub", "bridge"), 1, op, PHI_ISO)
+        res = solve_pipeline(inst, dataclasses.replace(self.CFG, cross_check=cross_check))
+        assert res.answer is False and res.witness is None
+        assert [t.outcome for t in res.trace] == \
+            ["no-instance", "cross-check"][:2 if cross_check else 1]
+        assert res.trace[0].detail == {"reason": f"no {op.value}-planarizer of size <= 1"}
+        assert res.cross_checked == cross_check
         assert calls == []
-        assert res.answer == solve_oracle(inst, cfg) and res.cross_checked
+
+    def test_no_instance_iff_no_planarizer(self):
+        # seeded: the gadgets on walls of height 3-7, and the hub graph
+        # bridged from any of its vertices to any wall vertex, under every
+        # operation at k = 1, with the default wall-search cap and a small
+        # one. A no-instance step means planar_sets finds no planarizer, and
+        # a graph with none never gets a wall area, whose irrelevance check
+        # would pass over an empty list
+        rng = random.Random(33)
+        seen = set()
+        for _ in range(40):
+            height = rng.choice((3, 5, 7))
+            if rng.random() < 0.5:
+                g = gadget(rng.choice(GADGETS), height)
+            else:
+                wall = make_elementary_wall(height).graph
+                base = max(wall.vertices) + 1
+                g = disjoint_union(wall, hub_graph(base)).add_edges(
+                    [(rng.choice(wall.sorted_vertices()), base + rng.randrange(11))])
+            cfg = PipelineConfig(cap_wall_nodes=rng.choice((1000, DEFAULTS.cap_wall_nodes)))
+            for op in Operation:
+                s = find_vr_planarizer(g, 0 if op is Operation.EA else 1)
+                if s is None:  # the run ends at the opening
+                    continue
+                out = find_area(1, 3, g, s, op, cfg)
+                none = next(planar_sets(g, g.vertices, 1, op), None) is None
+                if isinstance(out, NoInstance):
+                    assert none, (sorted(g.edges), op)
+                assert not (none and isinstance(out, WallArea)), (sorted(g.edges), op)
+                seen.add(type(out))
+        assert {NoInstance, WallArea, BoundedTreewidth} <= seen
 
 
 def _wall_instance(height=11, rho=2, phi=PHI_NB, k=1):
@@ -565,12 +644,18 @@ class TestReduceInstance:
         assert validate_decomposition(g, out.decomposition)
 
     def test_star_no_instance_for_er(self):
+        # under ec too; the lone star has no wall to reach
         cfg = PipelineConfig()
         params = compute_parameters(1, PHI_NB, cfg)
-        g, hub = k5_star(2)
-        out = reduce_instance(1, g, ModificationSet(Operation.VR, [hub]),
-                              g.vertices, Operation.ER, PHI_NB, params, cfg)
-        assert isinstance(out, NoInstance)
+        for op in (Operation.ER, Operation.EC):
+            g, hub = k5_star(2)
+            out = reduce_instance(1, g, ModificationSet(Operation.VR, [hub]), g.vertices,
+                                  op, PHI_NB, params, cfg)
+            assert isinstance(out, BoundedTreewidth)
+            g, hub = _star_beside_grid()
+            out = reduce_instance(1, g, ModificationSet(Operation.VR, [hub]), g.vertices,
+                                  op, PHI_NB, params, cfg)
+            assert isinstance(out, NoInstance)
 
     def test_precondition_checked(self):
         cfg = PipelineConfig()
