@@ -139,6 +139,13 @@ def _random_gadget(rng: random.Random, first_id: int, nonplanar: bool) -> Graph:
     return Graph(verts, edges)
 
 
+def _hook(rng: random.Random, g: Graph, gadget: Graph, hooks: list) -> Graph:
+    """g and gadget, with each hook of g joined to a gadget vertex that rng
+    picks, hook by hook."""
+    hook_edges = {norm_edge(rng.choice(gadget.sorted_vertices()), h) for h in hooks}
+    return Graph(g.vertices | gadget.vertices, g.edges | gadget.edges | hook_edges)
+
+
 def random_separator(seed: int) -> AnnulusEmbeddedSeparator:
     """A valid annulus-embedded separator built from the (3, 3)-annulus of
     the 7-wall with random attachments: single-brick components inside the
@@ -162,19 +169,14 @@ def random_separator(seed: int) -> AnnulusEmbeddedSeparator:
         else:
             gadget = _random_gadget(rng, next_id, nonplanar=False)
             next_id += len(gadget.vertices) + 1
-            hooks = rng.sample(verts, k=rng.randint(1, 2))
-            hook_edges = [(rng.choice(gadget.sorted_vertices()), h) for h in hooks]
-            k = Graph(k.vertices | gadget.vertices,
-                      set(k.edges) | set(gadget.edges) | {norm_edge(*e) for e in hook_edges})
+            k = _hook(rng, k, gadget, rng.sample(verts, k=rng.randint(1, 2)))
 
     def hang(cycle: tuple, g_acc: Graph, nonlocal_next: int) -> tuple:
         for _ in range(rng.randint(0, 2)):
             gadget = _random_gadget(rng, nonlocal_next, rng.random() < 0.25)
             nonlocal_next += len(gadget.vertices) + 1
             hooks = rng.sample(list(cycle), k=rng.randint(1, min(3, len(cycle))))
-            hook_edges = [(rng.choice(gadget.sorted_vertices()), h) for h in hooks]
-            g_acc = Graph(g_acc.vertices | gadget.vertices,
-                          set(g_acc.edges) | set(gadget.edges) | {norm_edge(*e) for e in hook_edges})
+            g_acc = _hook(rng, g_acc, gadget, hooks)
         return g_acc, nonlocal_next
 
     g_in = k

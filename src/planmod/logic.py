@@ -547,10 +547,6 @@ class GaifmanSentence:
         if bad:
             raise InputError(f"combination references unknown basic indices {sorted(bad)}")
 
-    @property
-    def m(self) -> int:
-        return len(self.basics)
-
     def max_r(self) -> int:
         return max(b.r for b in self.basics)
 

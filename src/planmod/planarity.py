@@ -261,7 +261,9 @@ def _lr_planar(adj: dict) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 16)
+# the memo keeps every graph it tests, so its bound is small: one run can
+# test a graph of a thousand vertices per vertex pair
+@lru_cache(maxsize=1 << 10)
 def is_planar(g: Graph) -> bool:
     """Is g planar? True at once when g carries `known_planar`, else tested
     by `_planar`: the reductions, then the left-right kernel `_lr_planar`

@@ -1,20 +1,29 @@
 import json
 import random
+import time
 from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import pytest
 from graph_helpers import path_graph
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from planarizer_reference import hub_graph, pendant_wall
 
 from planmod.cli import _config_from_args, build_parser, main
 from planmod.config import PipelineConfig
 from planmod.fixtures import random_graph
 from planmod.graphs import Graph, complete_graph, k5_star, load_graph, make_grid, vertex_key
+from planmod.walls import make_elementary_wall, subdivide_wall
 
 
-def _write_graph(path, g):
-    path.write_text(json.dumps(g.to_json_obj()))
+def _write_graph(path, g, name=None):
+    """g as JSON at path, each vertex v written as name(v) when name is given."""
+    obj = g.to_json_obj()
+    if name is not None:
+        obj = {"vertices": [name(v) for v in obj["vertices"]],
+               "edges": [[name(u), name(v)] for u, v in obj["edges"]]}
+    path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -157,6 +166,168 @@ class TestSolve:
         assert err.startswith("error:") and "soundness" not in err
 
 
+HAS_NEIGHBOUR = {"basics": [{"ell": 1, "r": 1, "psi": "exists y. adj(x,y)"}],
+                 "combination": "1"}
+ISOLATED = {"basics": [{"ell": 1, "r": 1, "psi": "~(exists y. adj(x,y))"}],
+            "combination": "1"}
+HATS = ["--q-hat", "7", "--rho-hat", "1", "--d-hat", "1"]
+
+
+def _outcomes(trace):
+    return [t["outcome"] for t in trace]
+
+
+def _shrinks_then_checks(trace):
+    return "irrelevant-region" in _outcomes(trace) and trace[-1]["outcome"] == "cross-check"
+
+
+def _grid60(chord):
+    g = make_grid(60, 60).graph
+    return g.add_edges([(10 * 60 + 10, 40 * 60 + 40)]) if chord else g
+
+
+class Scenario(NamedTuple):
+    """One `planmod solve` run and what its report must say."""
+    graph: Callable[[], Graph]
+    argv: list  # after the instance; a dict in it is a sentence, passed as a file
+    code: int  # 0 on YES, 1 on NO
+    cross_checked: bool
+    trace: object = None  # the trace's outcomes, or a predicate on its steps
+    seconds: float | None = None  # bound on the run's time in-process
+    name: Callable | None = None  # each vertex v is written to the file as name(v)
+
+
+SCENARIOS = {
+    # the wall search finds the central 7-wall of a subdivided 9-wall on its
+    # degree-2 reduct, so a checked run shrinks the wall before its final
+    # search
+    "wall9-subdivided-vr": Scenario(
+        lambda: subdivide_wall(make_elementary_wall(9), random.Random(1), max_extra=1).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", HAS_NEIGHBOUR, *HATS], 0, True,
+        _shrinks_then_checks),
+    # W_9 has 160 positions, past the 120 the wall search once capped
+    # silently, so q = 9 reaches the irrelevant-region branch on the 11-wall
+    "wall11-vr-q9": Scenario(
+        lambda: make_elementary_wall(11).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", HAS_NEIGHBOUR,
+         "--q-hat", "9", "--rho-hat", "1", "--d-hat", "1"], 0, True, _shrinks_then_checks),
+    # W_q is sized by formula, so a q of a million builds nothing of size
+    # q^2: the wall branch is ruled out at once
+    "wall7-huge-q": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "vr", "-k", "1", "--phi", "true", "--q-hat", "1000001"], 0, True,
+        ["bounded-treewidth", "cross-check"], 120),
+    # one characteristic subset is too few, so find_vertex gives up and the
+    # step falls back to a min-fill width witness that names the cap; the
+    # closing cross-check still runs
+    "wall7-fired-cap": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", HAS_NEIGHBOUR, *HATS,
+         "--cap-char-subsets", "1"], 0, True,
+        lambda trace: any("cap-char-subsets" in t["detail"].get("fallback", "")
+                          for t in trace if t["outcome"] == "bounded-treewidth")),
+    # each wall-search pass gets a quarter of --cap-wall-nodes with no
+    # floor, so a cap of 4 finds no wall and the run goes straight to
+    # bounded treewidth
+    "wall7-tiny-wall-cap": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", HAS_NEIGHBOUR, *HATS,
+         "--cap-wall-nodes", "4"], 0, True, ["bounded-treewidth", "cross-check"]),
+    # 0 is the centre of the hub graph's (K5, 2)-star minor, yet {1}
+    # planarizes, so 0 is not obligatory
+    "hub-vr-checked": Scenario(
+        hub_graph, ["--op", "vr", "-k", "1", "--gaifman", ISOLATED], 0, True),
+    "hub-vr-unchecked": Scenario(
+        hub_graph, ["--op", "vr", "-k", "1", "--gaifman", ISOLATED, "--no-cross-check"],
+        0, False),
+    # the hub graph hung from the 7-wall's corner 0 by its pendant vertex 10:
+    # {1} planarizes it, and no one edge removal or contraction does, so
+    # under er and ec the wall branch lists no planarizer and the first step
+    # is a no-instance
+    **{f"hub-wall7-{op}-{check}": Scenario(
+        lambda: pendant_wall(7, "hub", "bridge"),
+        ["--op", op, "-k", "1", "--gaifman", ISOLATED, *HATS]
+        + ([] if check == "checked" else ["--no-cross-check"]), 1, check == "checked",
+        ["no-instance", "cross-check"] if check == "checked" else ["no-instance"], 10)
+       for op in ("er", "ec") for check in ("checked", "unchecked")},
+    # the pendant-K5 9-wall under ec, whose budget-fired star-minor search
+    # once took 17.5 s
+    "k5-wall9-ec-unchecked": Scenario(
+        lambda: pendant_wall(9, "k5", "bridge"),
+        ["--op", "ec", "-k", "1", "--gaifman", ISOLATED, *HATS, "--no-cross-check"],
+        1, False, seconds=10),
+    # every benchmark workload has int ids and never meets the JSON loader;
+    # these run its relabelling end to end on the 7-wall with string ids, and
+    # with mixed ids (odd ids stay ints, even ones become "v..." strings)
+    **{f"wall7-{ids}-{sentence}": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", phi, *HATS], code, True,
+        name=(lambda v: f"v{v}") if ids == "str" else (lambda v: v if v % 2 else f"v{v}"))
+       for ids in ("str", "mixed")
+       for sentence, phi, code in (("has-neighbour", HAS_NEIGHBOUR, 0), ("isolated", ISOLATED, 1))},
+    # the faces of one embedding of the 7-wall answer every one-pair ea set,
+    # so the checked ea NO case, which the benchmark leaves out as too slow,
+    # finishes in about a second
+    "wall7-ea-no": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "ea", "-k", "1", "--gaifman", ISOLATED, *HATS], 1, True, seconds=120),
+    # the same one height up; it passes just as fast without the irrelevance
+    # check's no-search answer on a planar wall, which the spy test
+    # test_planar_wall_needs_no_search guards
+    "wall9-ea-no": Scenario(
+        lambda: make_elementary_wall(9).graph,
+        ["--op", "ea", "-k", "1", "--gaifman", ISOLATED, *HATS], 1, True, seconds=120),
+    # an edge addition never planarizes, so the opening vr-planarizer search
+    # at budget 0 finds none and the run's first step is no-planarizer
+    "k5-ea": Scenario(
+        lambda: complete_graph(5), ["--op", "ea", "-k", "1", "--phi", "true"], 1, True,
+        ["no-planarizer", "cross-check"]),
+    # the planarity kernel's depth-first searches keep their own stacks: on a
+    # 60x60 grid they run deeper than the recursion limit; one chord between
+    # (10, 10) and (40, 40), interior vertices on no common face, makes the
+    # grid nonplanar
+    "grid60-oracle": Scenario(
+        lambda: _grid60(chord=False), ["--op", "vr", "-k", "0", "--phi", "true", "--oracle"],
+        0, False, seconds=120),
+    "grid60-chord-oracle": Scenario(
+        lambda: _grid60(chord=True), ["--op", "vr", "-k", "0", "--phi", "true", "--oracle"],
+        1, False, seconds=120),
+}
+
+
+@pytest.mark.parametrize("case", SCENARIOS)
+def test_solve_scenario(case, tmp_path):
+    """One `planmod solve` run end to end. Besides the row's own checks,
+    every vertex its report names, in the witness or the trace, must be an
+    id of the input file in both type and value."""
+    s = SCENARIOS[case]
+    graph = tmp_path / "g.json"
+    argv = ["solve", _write_graph(graph, s.graph(), s.name)]
+    for i, arg in enumerate(s.argv):
+        if isinstance(arg, dict):
+            (tmp_path / f"phi{i}.json").write_text(json.dumps(arg))
+            arg = str(tmp_path / f"phi{i}.json")
+        argv.append(arg)
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = main(argv + ["--out", str(out)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(out.read_text())
+    assert (code, report["answer"]) == (s.code, "yes" if s.code == 0 else "no")
+    assert report["cross_checked"] is s.cross_checked
+    if callable(s.trace):
+        assert s.trace(report["trace"]), _outcomes(report["trace"])
+    elif s.trace is not None:
+        assert _outcomes(report["trace"]) == s.trace
+    if s.seconds is not None:
+        assert elapsed <= s.seconds
+    ids = {(type(v), v) for v in json.loads(graph.read_text())["vertices"]}
+    named = [t["detail"]["vertex"] for t in report["trace"] if "vertex" in t["detail"]]
+    for e in (report["witness"] or {}).get("elements", []):
+        named += e if isinstance(e, list) else [e]
+    assert all((type(v), v) in ids for v in named), named
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -297,10 +468,6 @@ MALFORMED = {
     "annotated-flag-string": lambda t: _solve_argv(t, sentence=_sentence(annotated="no")),
     "combination-dangling-and": lambda t: _solve_argv(t, sentence=_sentence(combination="1 &")),
 }
-
-
-HAS_NEIGHBOUR = {"basics": [{"ell": 1, "r": 1, "psi": "exists y. adj(x,y)"}],
-                 "combination": "1"}
 
 
 class TestBadParameters:

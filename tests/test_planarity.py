@@ -333,6 +333,16 @@ def test_planarity_answers_without_networkx(monkeypatch):
         embed(complete_graph(4))
 
 
+def test_the_memo_is_bounded():
+    # the memo keeps every graph it tests. On the unchecked 23-wall ea run
+    # (k = 1, "is isolated", q_hat 7, rho_hat 1, d_hat 1), which tests a
+    # graph of about 980 vertices per vertex pair, peak RSS reached 338 and
+    # 583 MB at 10 and 20 s with 1 << 16 entries, and stayed at 153-156 MB
+    # for 60 s with 1 << 10. No benchmark instance holds more than 255
+    # entries, so the bound evicts nothing there.
+    assert is_planar.cache_info().maxsize <= 1 << 10
+
+
 def _spread(g: Graph) -> Graph:
     """g with every id times 8, so that its ids collide in a hash table and
     the order its sets iterate in follows the order they were built in."""
