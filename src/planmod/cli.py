@@ -51,13 +51,15 @@ def _write_out(text: str, out: str | None):
 
 
 def _read_json(path: str):
-    """The JSON value in the file at `path`; unreadable files and malformed
-    JSON are input errors."""
+    """The JSON value in the file at `path`; unreadable files, malformed
+    JSON and JSON nested past Python's recursion limit are input errors."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read {path}: JSON nested too deeply") from exc
 
 
 # the config fields set by one integer flag each

@@ -171,6 +171,13 @@ def quantifier_depth(f: Formula) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+# how deeply a formula may nest: its tree is at most this tall, and at most
+# this many parentheses, negations and quantifiers are open at any point of
+# its text. The parser and every walk over a formula recurse once or twice
+# per level, so this keeps them inside Python's default recursion limit. It
+# bounds the grammar, not a search, so it is no `PipelineConfig` field.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"(exists|forall|in|adj|true|false)\b|([A-Za-z_]\w*)|(\d+)|([().,=&|~])")
 _COMBINATION_TOKENS = frozenset(("true", "false", "~", "&", "|", "(", ")"))
 
@@ -248,7 +255,7 @@ def parse_formula(text: str) -> Formula:
 
     "&" and "|" bind left to right with no precedence. INDEX atoms (1-based
     basic-sentence indices) belong to combinations only and are rejected
-    here."""
+    here. A formula nesting deeper than MAX_NESTING levels is rejected."""
     toks = _Tokens(text)
     toks.reject(lambda tok: tok.startswith("INDEX:"),
                 "is a basic-sentence index; it belongs in a combination")
@@ -266,44 +273,56 @@ def parse_combination(text: str) -> Formula:
 
 
 def _parse_all(toks: _Tokens) -> Formula:
-    f = _parse_formula(toks, scope=[])
+    f, _ = _parse_formula(toks, [], 0)
     if toks.peek() is not None:
         raise FormulaSyntaxError(f"trailing input {_shown(toks.peek())}", toks.pos())
     return f
 
 
-def _parse_formula(toks: _Tokens, scope: list) -> Formula:
+# Each _parse_* function below returns the formula it read and the height of
+# its tree; `depth` counts the parentheses, negations and quantifiers open
+# around it.
+
+def _level(toks: _Tokens, n: int) -> int:
+    """n + 1, a depth or height that must stay within MAX_NESTING."""
+    if n >= MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests deeper than {MAX_NESTING} levels", toks.pos())
+    return n + 1
+
+
+def _parse_formula(toks: _Tokens, scope: list, depth: int) -> tuple:
     if toks.peek() in ("exists", "forall"):
         kind = toks.take()
         var = toks.take_ident()
         if var in scope:
             raise FormulaSyntaxError(f"variable {var!r} shadows an enclosing quantifier", toks.pos())
         toks.take(".")
-        body = _parse_formula(toks, scope + [var])
-        return Exists(var, body) if kind == "exists" else Forall(var, body)
-    return _parse_bool(toks, scope)
+        body, h = _parse_formula(toks, scope + [var], _level(toks, depth))
+        return (Exists(var, body) if kind == "exists" else Forall(var, body)), _level(toks, h)
+    return _parse_bool(toks, scope, depth)
 
 
-def _parse_bool(toks: _Tokens, scope: list) -> Formula:
-    f = _parse_term(toks, scope)
+def _parse_bool(toks: _Tokens, scope: list, depth: int) -> tuple:
+    f, h = _parse_term(toks, scope, depth)
     while toks.peek() in ("&", "|"):
         op = toks.take()
-        g = _parse_term(toks, scope)
-        f = And(f, g) if op == "&" else Or(f, g)
-    return f
+        g, hg = _parse_term(toks, scope, depth)
+        f, h = (And(f, g) if op == "&" else Or(f, g)), _level(toks, max(h, hg))
+    return f, h
 
 
-def _parse_term(toks: _Tokens, scope: list) -> Formula:
+def _parse_term(toks: _Tokens, scope: list, depth: int) -> tuple:
     tok = toks.peek()
     if tok == "~":
         toks.take()
-        return Not(_parse_term(toks, scope))
+        body, h = _parse_term(toks, scope, _level(toks, depth))
+        return Not(body), _level(toks, h)
     if tok == "(":
         toks.take()
-        f = _parse_formula(toks, scope)
+        f = _parse_formula(toks, scope, _level(toks, depth))
         toks.take(")")
         return f
-    return _parse_atom(toks)
+    return _parse_atom(toks), 1
 
 
 def _parse_atom(toks: _Tokens) -> Formula:

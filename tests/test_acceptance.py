@@ -1,29 +1,29 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -s` to see the lines as they go.
+Criteria 3, 4, 7 and 9 run the matching `planmod check` battery and read
+its report, adding only their own checks. Run with
+`pytest tests/test_acceptance.py -s` to see the lines as they go.
 """
 
 import random
+import re
 import time
 
 from graph_helpers import path_graph
 from wall_oracle import derive_central_subwall, derive_wall_annulus
 
+from planmod import cli
 from planmod.config import PipelineConfig
-from planmod.errors import ResourceLimitError
 from planmod.fixtures import (TRIVIALLY_TRUE, crafted_sig_instances,
                               fixed_sentences, random_annotated,
-                              random_instances, shipped_local_formulas)
+                              shipped_local_formulas)
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid
 from planmod.logic import (BasicSentence, GaifmanSentence, eval_gaifman,
                            eval_gaifman_expanded, parse_combination,
-                           parse_formula, verify_locality)
+                           parse_formula)
 from planmod.modification import Operation
-from planmod.annuli import glue_equivalence, random_separator
-from planmod.signatures import (area_family, compute_char, compute_parameters,
-                                is_triple)
-from planmod.sigoracle import char_oracle
-from planmod.solver import Instance, find_vertex, solve_oracle, solve_pipeline
+from planmod.signatures import area_family, compute_parameters, is_triple
+from planmod.solver import Instance, find_vertex, solve_oracle
 from planmod.treewidth import (exact_treewidth, exact_treewidth_bb,
                                validate_decomposition)
 from planmod.walls import (central_subwall, extended_compass, layers,
@@ -33,6 +33,13 @@ from planmod.walls import (central_subwall, extended_compass, layers,
 def _report(num, ok, text):
     print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'}  {text}")
     assert ok, text
+
+
+def _check(tmp_path, *argv) -> tuple:
+    """The exit code and report lines of `planmod check` on argv."""
+    out = tmp_path / "check.txt"
+    code = cli.main(["check", *argv, "--out", str(out)])
+    return code, out.read_text().splitlines()
 
 
 def test_criterion_1_oracle_correctness():
@@ -71,32 +78,21 @@ def test_criterion_2_gaifman_semantics():
             f"on 200 graphs x 5 sentences in {dt:.1f}s")
 
 
-def test_criterion_3_locality_audit():
-    rng = random.Random(3)
-    ok = True
-    for psi, r in shipped_local_formulas():
-        corpus, pairs = [], 0
-        while pairs < 300:
-            g, r_set = random_annotated(rng, 6)
-            corpus.append((g, r_set))
-            pairs += len(g.vertices)
-        ok = ok and verify_locality(corpus, psi, r)
+def test_criterion_3_locality_audit(tmp_path):
+    code, lines = _check(tmp_path, "locality", "--seed", "3", "-n", "300")
+    ok = code == 0 and len(lines) == len(shipped_local_formulas()) \
+        and all(line.startswith("PASS") for line in lines)
     _report(3, ok, f"{len(shipped_local_formulas())} shipped local formulas "
                    f"pass a 300-pair audit each")
 
 
-def test_criterion_4_gluing_lemma():
+def test_criterion_4_gluing_lemma(tmp_path):
     t0 = time.perf_counter()
-    good = 0
-    for seed in range(100):
-        sep = random_separator(seed)
-        g, gin, gout = glue_equivalence(sep)
-        if g == (gin and gout):
-            good += 1
+    code, lines = _check(tmp_path, "gluing", "--seed", "0", "-n", "100")
     dt = time.perf_counter() - t0
-    _report(4, good == 100 and dt < 60,
-            f"planar(G) = planar(G_in) and planar(G_out) in {good}/100 "
-            f"random separators, {dt:.1f}s")
+    _report(4, code == 0 and lines == ["PASS  gluing: 100/100 equivalences"] and dt < 60,
+            f"planar(G) = planar(G_in) and planar(G_out) in "
+            f"{lines[-1].split()[-2]} random separators, {dt:.1f}s")
 
 
 def test_criterion_5_wall_combinatorics():
@@ -140,16 +136,14 @@ def test_criterion_6_treewidth():
                    f"DP vs branch-and-bound agree on {agree}/100 random graphs")
 
 
-def test_criterion_7_signature_oracle_equivalence():
+def test_criterion_7_signature_oracle_equivalence(tmp_path):
     cases = crafted_sig_instances()
-    ok = len(cases) >= 20
-    for case in cases:
-        ec = extended_compass(case["graph"], case["wall"], case["params"].rho)
-        ok = ok and len(ec.compass.vertices) <= 40
-        args = (ec, case["r_set"], case["op"], case["k"], case["phi"],
-                case["params"], case["cfg"])
-        mine, orc = compute_char(*args), char_oracle(*args)
-        ok = ok and mine.canonical_json() == orc.canonical_json()
+    ok = len(cases) >= 20 and all(
+        len(extended_compass(c["graph"], c["wall"], c["params"].rho).compass.vertices) <= 40
+        for c in cases)
+    code, lines = _check(tmp_path, "sig-oracle")
+    ok = ok and code == 0 and \
+        lines == [f"PASS  sig-oracle: {len(cases)} crafted instances byte-equal"]
     _report(7, ok, f"{len(cases)} crafted instances: characteristic equals the "
                    f"raw-comprehension oracle, byte-equal canonical JSON")
 
@@ -165,29 +159,19 @@ def test_criterion_8_parameter_formulas():
                    f"{fam['r_area']}, w rendered as {p.w}")
 
 
-def test_criterion_9_pipeline_soundness():
-    # the pipeline raises when a step check fails; its answer is compared
-    # here with an oracle call of its own, which the pipeline skips when a
-    # search of the run already answered the input question
-    cfg = PipelineConfig()
-    total = completed = capped = disagreements = 0
+def test_criterion_9_pipeline_soundness(tmp_path):
+    # the battery compares each pipeline answer with an oracle call of its
+    # own, which the pipeline skips when a search of the run already
+    # answered the input question
     t0 = time.perf_counter()
-    for g, k, op, phi, _ in random_instances(9000, 500):
-        total += 1
-        inst = Instance(g, k, op, phi)
-        try:
-            answer = solve_pipeline(inst, cfg).answer
-            expect = solve_oracle(inst, cfg)
-        except ResourceLimitError:
-            capped += 1
-            continue
-        completed += 1
-        disagreements += answer != expect
+    code, lines = _check(tmp_path, "pipeline-vs-oracle", "--seed", "9000", "-n", "500")
     dt = time.perf_counter() - t0
-    _report(9, total == 500 and completed + capped == 500 and completed > 0
-            and disagreements == 0,
-            f"{completed}/{total} pipeline runs completed, {capped} hit caps, "
-            f"{disagreements} disagreements with the oracle, {dt:.1f}s")
+    m = re.fullmatch(r"PASS  pipeline-vs-oracle: (\d+) completed, (\d+) capped, "
+                     r"0 disagreements", lines[-1])
+    completed, capped = map(int, m.groups()) if m else (0, 0)
+    _report(9, code == 0 and m is not None and completed > 0 and completed + capped == 500,
+            f"{completed}/500 pipeline runs completed, {capped} hit caps, "
+            f"0 disagreements with the oracle, {dt:.1f}s")
 
 
 def test_criterion_10_replacement_experiment():

@@ -14,6 +14,7 @@ from planmod.cli import _config_from_args, build_parser, main
 from planmod.config import PipelineConfig
 from planmod.fixtures import random_graph
 from planmod.graphs import Graph, complete_graph, k5_star, load_graph, make_grid, vertex_key
+from planmod.logic import MAX_NESTING
 from planmod.walls import make_elementary_wall, subdivide_wall
 
 
@@ -415,13 +416,14 @@ def _sentence(annotated=True, combination="1", **basic):
                        "combination": combination, "annotated": annotated})
 
 
-def _solve_argv(tmp_path, graph=None, annotated=None, sentence=None):
-    """`planmod solve` on a 10-vertex path, with any of its files replaced."""
+def _solve_argv(tmp_path, graph=None, annotated=None, sentence=None, phi="true"):
+    """`planmod solve` on a 10-vertex path, with any of its files or its
+    --phi replaced."""
     instance = tmp_path / "g.json"
     instance.write_text(graph or json.dumps(path_graph(10).to_json_obj()))
     argv = ["solve", str(instance), "--op", "vr", "-k", "1"]
     if sentence is None:
-        argv += ["--phi", "true"]
+        argv += ["--phi", phi]
     else:
         (tmp_path / "phi.json").write_text(sentence)
         argv += ["--gaifman", str(tmp_path / "phi.json")]
@@ -467,6 +469,17 @@ MALFORMED = {
     "r-bool": lambda t: _solve_argv(t, sentence=_sentence(r=True)),
     "annotated-flag-string": lambda t: _solve_argv(t, sentence=_sentence(annotated="no")),
     "combination-dangling-and": lambda t: _solve_argv(t, sentence=_sentence(combination="1 &")),
+    # nested past Python's recursion limit: the JSON reader, the parser and
+    # every walk over a formula would raise RecursionError
+    "graph-nested-arrays": lambda t: _solve_argv(t, graph="[" * 100_000 + "]" * 100_000),
+    "annotated-nested-arrays": lambda t: _solve_argv(
+        t, annotated="[" * 100_000 + "]" * 100_000),
+    "psi-500-negations": lambda t: _solve_argv(t, sentence=_sentence(psi="~" * 500 + "adj(x,x)")),
+    "oracle-phi-500-negations": lambda t: [*_solve_argv(t, phi="~" * 500 + "true"), "--oracle"],
+    "combination-3000-parentheses": lambda t: _solve_argv(
+        t, sentence=_sentence(combination="(" * 3000 + "1" + ")" * 3000)),
+    "combination-5000-terms": lambda t: _solve_argv(
+        t, sentence=_sentence(combination=" & ".join(["1"] * 5000))),
 }
 
 
@@ -519,6 +532,18 @@ class TestMalformedInput:
         assert code == 2
         assert any(line.startswith("error:") or ": error:" in line
                    for line in capsys.readouterr().err.splitlines())
+
+
+def test_a_formula_at_the_nesting_bound_solves(tmp_path, capsys):
+    # MAX_NESTING levels: an odd number of negations over one atom, so psi
+    # holds at every vertex (YES) and the closed formula is false (NO); one
+    # more level is an input error
+    at_bound = "~" * (MAX_NESTING - 1)
+    assert MAX_NESTING % 2 == 0
+    assert main(_solve_argv(tmp_path, sentence=_sentence(psi=at_bound + "adj(x,x)"))) == 0
+    assert main([*_solve_argv(tmp_path, phi=at_bound + "true"), "--oracle"]) == 1
+    assert main(_solve_argv(tmp_path, sentence=_sentence(psi="~" + at_bound + "adj(x,x)"))) == 2
+    assert f"nests deeper than {MAX_NESTING} levels" in capsys.readouterr().err
 
 
 def test_every_config_field_has_a_solve_flag():

@@ -105,6 +105,22 @@ class TestDistance:
                         assert dists[u][w] <= dists[u][v] + dists[v][w]
 
 
+@st.composite
+def graph_and_source(draw):
+    n = draw(st.integers(1, 25))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    return Graph(range(n), edges), draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=150)
+@given(graph_and_source())
+def test_depth_bounded_bfs_is_truncated_bfs(case):
+    g, source, r = case
+    full = g.bfs_distances(source)
+    assert g.bfs_distances(source, r) == {v: d for v, d in full.items() if d <= r}
+
+
 class TestNeighborhood:
     def test_path_radius_one(self):
         assert neighborhood(path_graph(3), 1, 1) == {0, 1, 2}

@@ -948,6 +948,20 @@ def test_is_triple_on_the_input_is_the_oracle(question):
         solve_oracle(Instance(g, k, op, phi, r_set), cfg, want_witness=True)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_question())
+def test_pipeline_answers_as_the_oracle(question):
+    # the differential property over the whole input space, with the
+    # pipeline's own cross-check on and off; a q-wall has at least
+    # 2q² − 2 ≥ 16 vertices, so these graphs never reach the wall branch
+    g, r_set, k, op, phi, cfg = question
+    inst = Instance(g, k, op, phi, r_set)
+    expect = solve_oracle(inst, cfg)
+    for cross_check in (True, False):
+        cfg = dataclasses.replace(cfg, cross_check=cross_check)
+        assert solve_pipeline(inst, cfg).answer == expect
+
+
 class TestOracleCalls:
     """The oracle runs only when no search of the run answered the input
     question."""

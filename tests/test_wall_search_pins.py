@@ -1,14 +1,12 @@
-"""Pins the node order of the wall searches.
+"""Pins the node order of the wall search.
 
 `wall_search_pins.json` holds, for a few fixed hosts, both values of q and
-each (max_path, node_budget) run below, the digests of the walls the search
-yields (in order) and whether its node budget fired. The max_path 1 runs
-are the production kernel `walls.find_wall_subdivisions`, whose walls feed
-the pipeline's irrelevant-region branch, so any change to it that moves one
-of them, or moves the node at which the budget fires, changes traces. The
-max_path 3 and 12 runs are the general reference search of
-`wall_reference.py`, which at max_path 1 visits the kernel's nodes in the
-kernel's order.
+each node budget below, the digests of the walls that the production kernel
+`walls.find_wall_subdivisions` yields (in order) and whether its node budget
+fired. Its walls feed the pipeline's irrelevant-region branch, so any change
+to it that moves one of them, or moves the node at which the budget fires,
+changes traces. The "p1" in each case id names these direct-edge runs, whose
+every wall path is one edge (paths of length 1).
 
 Regenerate (only when such a change is intended) with
 
@@ -21,9 +19,6 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from wall_reference import find_wall_subdivisions as reference_search
 
 from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph
@@ -34,11 +29,8 @@ PINS = os.path.join(os.path.dirname(__file__), "wall_search_pins.json")
 HOSTS = ("elementary-5", "elementary-7", "subdivided-5", "elementary-7-minus-2")
 QS = (3, 5)
 FIRST = 5
-# (max_path, node_budget); max_path 3 yields hundreds of walls, so its
-# largest budget pins a long stretch of the node order
-RUNS = ((1, 50), (1, 500), (1, 5000), (3, 500), (3, 5000), (3, 40_000),
-        (12, 50), (12, 500), (12, 5000))
-CASES = [(name, q, p, b) for name in HOSTS for q in QS for p, b in RUNS]
+BUDGETS = (50, 500, 5000)
+CASES = [(name, q, b) for name in HOSTS for q in QS for b in BUDGETS]
 
 
 def hosts() -> dict:
@@ -60,13 +52,11 @@ def wall_digest(w) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def run(g: Graph, q: int, max_path: int, budget: int) -> dict:
+def run(g: Graph, q: int, budget: int) -> dict:
     digests = []
     raised = False
-    walls = (find_wall_subdivisions(g, q, node_budget=budget) if max_path == 1
-             else reference_search(g, q, node_budget=budget, max_path=max_path))
     try:
-        for w in walls:
+        for w in find_wall_subdivisions(g, q, node_budget=budget):
             digests.append(wall_digest(w))
     except ResourceLimitError:
         raised = True
@@ -75,8 +65,8 @@ def run(g: Graph, q: int, max_path: int, budget: int) -> dict:
             "all": whole, "raised": raised}
 
 
-def case_id(name, q, max_path, budget) -> str:
-    return f"{name}/q{q}/p{max_path}/b{budget}"
+def case_id(name, q, budget) -> str:
+    return f"{name}/q{q}/p1/b{budget}"
 
 
 def record() -> dict:
@@ -95,11 +85,9 @@ def host_graphs():
     return hosts()
 
 
-@pytest.mark.parametrize("name,q,max_path,budget", CASES,
-                         ids=[case_id(*c) for c in CASES])
-def test_wall_search_matches_pins(pins, host_graphs, name, q, max_path, budget):
-    assert run(host_graphs[name], q, max_path, budget) == \
-        pins[case_id(name, q, max_path, budget)]
+@pytest.mark.parametrize("name,q,budget", CASES, ids=[case_id(*c) for c in CASES])
+def test_wall_search_matches_pins(pins, host_graphs, name, q, budget):
+    assert run(host_graphs[name], q, budget) == pins[case_id(name, q, budget)]
 
 
 def test_pins_cover_both_outcomes(pins):
@@ -109,22 +97,6 @@ def test_pins_cover_both_outcomes(pins):
     assert any(v["raised"] for v in pins.values())
     assert any(not v["raised"] for v in pins.values())
     assert any(v["yielded"] for v in pins.values())
-
-
-@st.composite
-def graph_and_source(draw):
-    n = draw(st.integers(1, 25))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
-    return Graph(range(n), edges), draw(st.integers(0, n - 1)), draw(st.integers(0, 8))
-
-
-@settings(max_examples=150)
-@given(graph_and_source())
-def test_depth_bounded_bfs_is_truncated_bfs(case):
-    g, source, r = case
-    full = g.bfs_distances(source)
-    assert g.bfs_distances(source, r) == {v: d for v, d in full.items() if d <= r}
 
 
 if __name__ == "__main__":

@@ -1,4 +1,3 @@
-import inspect
 import random
 import sys
 from itertools import islice
@@ -397,7 +396,7 @@ class TestWallSearch:
            budget=st.integers(0, 30).map(lambda i: round(50 * 1000 ** (i / 30))))
     def test_kernel_is_the_direct_edge_reference(self, g, q, budget):
         assert _outcome(find_wall_subdivisions(g, q, budget)) == \
-            _outcome(reference_search(g, q, node_budget=budget, max_path=1))
+            _outcome(reference_search(g, q, node_budget=budget))
 
     @pytest.mark.parametrize("h,q", INNER_AND_WHOLE,
                              ids=[f"h{h}-q{q}" for h, q in INNER_AND_WHOLE])
@@ -468,33 +467,8 @@ class TestWallSearchBudget:
 
 
 class TestWallSearchDepth:
-    """The reference search nests one generator per placed pattern vertex
-    and routed edge, however long the paths, and the production search
-    leaves the interpreter's recursion limit alone."""
-
-    def test_q7_search_runs_to_its_budget_under_the_default_limit(self):
-        g = make_elementary_wall(9).graph.remove_vertices([5])
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            with pytest.raises(ResourceLimitError):
-                for _ in reference_search(g, 7, max_path=12):
-                    pass
-        finally:
-            sys.setrecursionlimit(old)
-
-    def test_long_paths_do_not_deepen_the_search(self):
-        # one 5-wall whose paths hold up to 10 subdivision vertices: a
-        # frame per path vertex would need several hundred more levels
-        g = subdivide_wall(make_elementary_wall(5), rng=random.Random(1),
-                           max_extra=10).graph
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack()) + 200)
-        try:
-            wall = next(reference_search(g, 5, max_path=12))
-        finally:
-            sys.setrecursionlimit(old)
-        assert validate_wall(wall) and max(map(len, wall.paths.values())) > 8
+    """The production search leaves the interpreter's recursion limit
+    alone."""
 
     def test_wall_candidates_leaves_the_recursion_limit(self):
         old = sys.getrecursionlimit()
