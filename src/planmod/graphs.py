@@ -441,12 +441,24 @@ def merge_groups(g: Graph, groups: Iterable) -> Graph:
                 raise InputError(f"vertex {v!r} appears in two merge groups")
             rep[v] = r
     # only the edges at a vertex that takes a new id change; they alone are
-    # lifted and normalised, the rest stay as they are
+    # lifted and normalised, the rest stay as they are. So only their ends,
+    # lifted, get a new adjacency set: the parent's set less the moved
+    # vertices, plus the lifted neighbours
     moved = {v for v, r in rep.items() if v != r}
     lift = lambda v: rep.get(v, v)
     old = g._edges_at(moved)
     new = {norm_edge(lift(u), lift(w)) for u, w in old if lift(u) != lift(w)}
-    return Graph._derived(g.vertices - moved, (g.edges - old) | new)
+    parent = g.adj
+    adj = dict(parent)
+    for v in moved:
+        del adj[v]
+    gained = {lift(x): set() for e in old for x in e}
+    for u, w in new:
+        gained[u].add(w)
+        gained[w].add(u)
+    for x, ns in gained.items():
+        adj[x] = (parent[x] - moved) | ns
+    return Graph._derived(g.vertices - moved, (g.edges - old) | new, adj)
 
 
 # -- grid generators ----------------------------------------------------------

@@ -30,103 +30,187 @@ from .graphs import Graph, neighborhood
 
 # -- AST -----------------------------------------------------------------------
 
-class Formula:
-    """Base class; nodes are immutable and hashable."""
+# A compiled formula is a closure run(adj, r_set, domain, env) -> bool: its
+# truth on the graph with adjacency `adj` (a vertex maps to its neighbour
+# set), annotation `r_set` and quantifier domain `domain`, with its free
+# variables bound by `env`.
 
-    def free_variables(self) -> frozenset:
-        raise NotImplementedError
+class Formula:
+    """Base class; nodes are immutable and hashable. Each node caches on
+    itself its free variables, its quantifier depth and its compiled
+    closure (`compiled`), so each is built once per node; a node never
+    changes, so neither does what it caches."""
+
+    @cached_property
+    def quantifier_depth(self) -> int:
+        return 0
 
     def __str__(self) -> str:
         return pretty(self)
 
 
 @dataclass(frozen=True)
-class Exists(Formula):
+class _Quantifier(Formula):
+    """Exists or Forall: var ranges over the domain."""
     var: str
     body: Formula
 
-    def free_variables(self):
-        return self.body.free_variables() - {self.var}
+    @cached_property
+    def free_variables(self) -> frozenset:
+        return self.body.free_variables - {self.var}
+
+    @cached_property
+    def quantifier_depth(self) -> int:
+        return 1 + self.body.quantifier_depth
+
+    @cached_property
+    def compiled(self):
+        var, body, exists = self.var, self.body.compiled, isinstance(self, Exists)
+
+        def run(adj, r_set, domain, env):
+            # bind in a copy, so that a name bound again (psi may quantify
+            # over its own free variable's name) keeps its outer value outside
+            env = dict(env)
+            for v in domain:
+                env[var] = v
+                if body(adj, r_set, domain, env) == exists:
+                    return exists
+            return not exists
+        return run
 
 
 @dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
-
-    def free_variables(self):
-        return self.body.free_variables() - {self.var}
+class Exists(_Quantifier):
+    pass
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Forall(_Quantifier):
+    pass
+
+
+@dataclass(frozen=True)
+class _Connective(Formula):
+    """And or Or."""
     left: Formula
     right: Formula
 
-    def free_variables(self):
-        return self.left.free_variables() | self.right.free_variables()
+    @cached_property
+    def free_variables(self) -> frozenset:
+        return self.left.free_variables | self.right.free_variables
+
+    @cached_property
+    def quantifier_depth(self) -> int:
+        return max(self.left.quantifier_depth, self.right.quantifier_depth)
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Connective):
+    @cached_property
+    def compiled(self):
+        left, right = self.left.compiled, self.right.compiled
+        return lambda adj, r_set, domain, env: (left(adj, r_set, domain, env)
+                                                and right(adj, r_set, domain, env))
 
-    def free_variables(self):
-        return self.left.free_variables() | self.right.free_variables()
+
+@dataclass(frozen=True)
+class Or(_Connective):
+    @cached_property
+    def compiled(self):
+        left, right = self.left.compiled, self.right.compiled
+        return lambda adj, r_set, domain, env: (left(adj, r_set, domain, env)
+                                                or right(adj, r_set, domain, env))
 
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
-    def free_variables(self):
-        return self.body.free_variables()
+    @cached_property
+    def free_variables(self) -> frozenset:
+        return self.body.free_variables
+
+    @cached_property
+    def quantifier_depth(self) -> int:
+        return self.body.quantifier_depth
+
+    @cached_property
+    def compiled(self):
+        body = self.body.compiled
+        return lambda adj, r_set, domain, env: not body(adj, r_set, domain, env)
 
 
 @dataclass(frozen=True)
-class Adj(Formula):
+class _Pair(Formula):
+    """Adj or Eq: an atom over two variables."""
     x: str
     y: str
 
-    def free_variables(self):
+    @cached_property
+    def free_variables(self) -> frozenset:
         return frozenset((self.x, self.y))
 
 
 @dataclass(frozen=True)
-class Eq(Formula):
-    x: str
-    y: str
+class Adj(_Pair):
+    @cached_property
+    def compiled(self):
+        # a value outside the graph has no neighbours
+        x, y = self.x, self.y
+        return lambda adj, r_set, domain, env: env[y] in adj.get(env[x], ())
 
-    def free_variables(self):
-        return frozenset((self.x, self.y))
+
+@dataclass(frozen=True)
+class Eq(_Pair):
+    @cached_property
+    def compiled(self):
+        x, y = self.x, self.y
+        return lambda adj, r_set, domain, env: env[x] == env[y]
 
 
 @dataclass(frozen=True)
 class InR(Formula):
     x: str
 
-    def free_variables(self):
+    @cached_property
+    def free_variables(self) -> frozenset:
         return frozenset((self.x,))
+
+    @cached_property
+    def compiled(self):
+        x = self.x
+        return lambda adj, r_set, domain, env: env[x] in r_set
 
 
 @dataclass(frozen=True)
 class Const(Formula):
     value: bool
 
-    def free_variables(self):
+    @cached_property
+    def free_variables(self) -> frozenset:
         return frozenset()
+
+    @cached_property
+    def compiled(self):
+        value = self.value
+        return lambda adj, r_set, domain, env: value
 
 
 @dataclass(frozen=True)
 class Basic(Formula):
     """The truth value of a Gaifman sentence's index-th basic sentence
     (1-based). It occurs only in combinations, where the indices are the
-    free variables and `_eval` reads their values from its env."""
+    free variables and the env holds their values."""
     index: int
 
-    def free_variables(self):
+    @cached_property
+    def free_variables(self) -> frozenset:
         return frozenset((self.index,))
+
+    @cached_property
+    def compiled(self):
+        index = self.index
+        return lambda adj, r_set, domain, env: env[index]
 
 
 TRUE = Const(True)
@@ -157,16 +241,6 @@ def pretty(f: Formula) -> str:
     if isinstance(f, Basic):
         return str(f.index)
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Exists, Forall)):
-        return 1 + quantifier_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    return 0
 
 
 # -- parser ---------------------------------------------------------------------
@@ -383,35 +457,6 @@ def rename(f: Formula, mapping: Mapping) -> Formula:
 
 # -- evaluation -------------------------------------------------------------------
 
-def _eval(f: Formula, g: Graph, r_set: frozenset, env: Mapping, domain: Collection) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        # bind in a copy, so that a name bound again (psi may quantify over
-        # its own free variable's name) keeps its outer value outside
-        exists, env = isinstance(f, Exists), dict(env)
-        for v in domain:
-            env[f.var] = v
-            if _eval(f.body, g, r_set, env, domain) == exists:
-                return exists
-        return not exists
-    if isinstance(f, And):
-        return _eval(f.left, g, r_set, env, domain) and _eval(f.right, g, r_set, env, domain)
-    if isinstance(f, Or):
-        return _eval(f.left, g, r_set, env, domain) or _eval(f.right, g, r_set, env, domain)
-    if isinstance(f, Not):
-        return not _eval(f.body, g, r_set, env, domain)
-    if isinstance(f, Adj):
-        return g.has_edge(env[f.x], env[f.y])
-    if isinstance(f, Eq):
-        return env[f.x] == env[f.y]
-    if isinstance(f, InR):
-        return env[f.x] in r_set
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Basic):
-        return env[f.index]
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def check_fol(g: Graph, r_set: Iterable, phi: Formula, *,
               cfg: PipelineConfig = DEFAULTS) -> bool:
     """Brute-force truth of a closed formula on (g, r_set)."""
@@ -427,9 +472,11 @@ def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
     """Truth of a formula on (g, r_set) whose free variables are bound by
     env and whose quantifiers range over `domain` (all of V when None).
 
-    Every formula is evaluated here, under the config's brute-force caps:
-    the vertex cap reads the size of the domain, not of g."""
-    missing = phi.free_variables() - set(env)
+    Every formula on a graph is evaluated here, by running its compiled
+    closure (`Formula.compiled`, built once per node) under the config's
+    brute-force caps: the vertex cap reads the size of the domain, not of
+    g, and the depth cap the node's cached quantifier depth."""
+    missing = phi.free_variables - env.keys()
     if missing:
         raise InputError(f"unbound free variables {sorted(missing)}")
     # quantifiers visit the domain in its own order: the truth value does not
@@ -440,10 +487,10 @@ def eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mapping, *,
         raise ResourceLimitError(
             f"brute-force evaluation capped at {cfg.cap_brute_vertices} vertices, "
             f"got {len(domain)}")
-    d = quantifier_depth(phi)
+    d = phi.quantifier_depth
     if d > cfg.cap_quant_depth:
         raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
-    return _eval(phi, g, frozenset(r_set), env, domain)
+    return phi.compiled(g.adj, frozenset(r_set), domain, env)
 
 
 def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
@@ -458,7 +505,7 @@ def check_local(g: Graph, r_set: Iterable, v, psi: Formula, r: int, *,
     reads g only inside the ball and costs what the ball and its vertices'
     edges hold, not |V| or |E|. Pass r_set as a frozenset, so that
     restricting it to the ball copies nothing outside the ball."""
-    free = sorted(psi.free_variables())
+    free = sorted(psi.free_variables)
     if len(free) > 1:
         raise InputError(f"psi must have at most one free variable, has {free}")
     ball = neighborhood(g, v, r)
@@ -470,7 +517,7 @@ def verify_locality(corpus: Iterable, psi: Formula, r: int) -> bool:
     """Empirical audit that psi is r-local over the corpus of (graph, r_set):
     psi on all of g equals psi^(r) (`check_local`) at every vertex, so
     reading psi on its r-ball loses nothing."""
-    free = sorted(psi.free_variables())
+    free = sorted(psi.free_variables)
     if len(free) > 1:
         raise InputError("psi must have at most one free variable")
     for g, r_set in corpus:
@@ -541,12 +588,12 @@ class BasicSentence:
                              f"{self.ell!r} and {self.r!r}")
         if self.ell < 1 or self.r < 1:
             raise InputError("basic sentences need ell >= 1 and r >= 1")
-        if len(self.psi.free_variables()) > 1:
+        if len(self.psi.free_variables) > 1:
             raise InputError("psi must have at most one free variable")
 
     @property
     def psi_var(self) -> str:
-        free = sorted(self.psi.free_variables())
+        free = sorted(self.psi.free_variables)
         return free[0] if free else "x"
 
 
@@ -562,7 +609,7 @@ class GaifmanSentence:
     def __post_init__(self):
         if not self.basics:
             raise InputError("a Gaifman sentence needs at least one basic sentence")
-        bad = self.combination.free_variables() - set(range(1, len(self.basics) + 1))
+        bad = self.combination.free_variables - set(range(1, len(self.basics) + 1))
         if bad:
             raise InputError(f"combination references unknown basic indices {sorted(bad)}")
 
@@ -581,8 +628,8 @@ class GaifmanSentence:
         """The combination's truth when each basic sentence b it names has
         truth holds(b); holds is called once per named index, in order."""
         values = {h: holds(self.basics[h - 1])
-                  for h in sorted(self.combination.free_variables())}
-        return _eval(self.combination, None, frozenset(), values, [])
+                  for h in sorted(self.combination.free_variables)}
+        return self.combination.compiled({}, frozenset(), (), values)
 
     def to_json_obj(self) -> dict:
         return {
@@ -606,8 +653,8 @@ class GaifmanSentence:
 
 
 class LocalValues:
-    """The values ψ_h(v) on a base graph g and its scope, for the modified
-    graphs g ⊠ S of one enumeration over g.
+    """An index of the values ψ_h(v) on a base graph g and its scope, for
+    the modified graphs g ⊠ S of one enumeration over g.
 
     ψ_h(v) is ψ_h^(r_h)(v), read on the r_h-ball of v alone whatever ψ_h
     is, so the reuse below is exact for every formula. When v lies at
@@ -616,11 +663,17 @@ class LocalValues:
     the same in g and in g ⊠ S: vr and er only delete at A, ec
     merges vertices of A into their least id, and ea only adds edges inside
     A, so a path of length at most r_h from v that met a changed element
-    would be a path of g from v to A. Such a value is computed on g the
-    first time it is asked for and then reused; every other vertex is
-    evaluated on g ⊠ S. Values fill lazily, one vertex at a time, so a
-    brute-force cap fires on the same set and vertex, with the same message,
-    as evaluating every vertex on g ⊠ S does.
+    would be a path of g from v to A. Such a value is read from the index;
+    every other vertex is evaluated on g ⊠ S.
+
+    For each (ψ_h, r_h) the index is built once, the first time a set asks
+    for it, by one pass over the scope in `order`: the vertices where ψ_h
+    holds, and those whose evaluation raises `ResourceLimitError`, each
+    with its exception. A set so reads only these vertices and the ones
+    near A, never all of V. The raising list lets `basic_witness` raise at
+    the first raising vertex in walk order, so a brute-force cap fires on
+    the same set and vertex, with the same message, as evaluating every
+    vertex on g ⊠ S does.
 
     `r_set` is read under the sentence's scope on g (`GaifmanSentence.scope`):
     R when the sentence is annotated, all of V otherwise."""
@@ -630,7 +683,7 @@ class LocalValues:
         self.g = g
         self.r_set = phi.scope(g, r_set)
         self.cfg = cfg
-        self._values: dict = {}
+        self._index: dict = {}
 
     @cached_property
     def order(self) -> list:
@@ -639,6 +692,11 @@ class LocalValues:
         this list, filtered, is g ⊠ S's order."""
         return self.g.sorted_vertices()
 
+    @cached_property
+    def rank(self) -> dict:
+        """Each vertex's place in `order`."""
+        return {v: i for i, v in enumerate(self.order)}
+
     def near(self, touched: Iterable, r: int) -> set:
         """The vertices within g-distance r of the touched ones."""
         out = set()
@@ -646,17 +704,24 @@ class LocalValues:
             out |= neighborhood(self.g, a, r)
         return out
 
-    def reader(self, basic: BasicSentence):
-        """v ↦ ψ(v) on g under the scope, for the basic sentence's ψ and r.
-        Its table is looked up here, once, so a call hashes v alone."""
-        memo = self._values.setdefault((basic.psi, basic.r), {})
-        g, r_set, psi, r, cfg = self.g, self.r_set, basic.psi, basic.r, self.cfg
-
-        def value(v) -> bool:
-            if v not in memo:
-                memo[v] = check_local(g, r_set, v, psi, r, cfg=cfg)
-            return memo[v]
-        return value
+    def index(self, basic: BasicSentence) -> tuple:
+        """(holds, raised) for the basic sentence's ψ and r on g under the
+        scope: the vertices where ψ holds, and (vertex, exception) for the
+        vertices whose evaluation raises `ResourceLimitError`, both in
+        `order`."""
+        key = (basic.psi, basic.r)
+        if key not in self._index:
+            g, r_set, psi, r, cfg = self.g, self.r_set, basic.psi, basic.r, self.cfg
+            holds, raised = [], []
+            for v in self.order:
+                if v in r_set:
+                    try:
+                        if check_local(g, r_set, v, psi, r, cfg=cfg):
+                            holds.append(v)
+                    except ResourceLimitError as exc:
+                        raised.append((v, exc))
+            self._index[key] = holds, raised
+        return self._index[key]
 
 
 def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
@@ -667,22 +732,37 @@ def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
     r_set whose members satisfy psi locally, or None.
 
     With `base`, g is base.g ⊠ S for a set S touching the vertices
-    `touched`: psi is evaluated on g only within distance r of them, and
-    read from `base` elsewhere, and the vertices are walked in base's
-    order, filtered to g, instead of sorted again. Distances between
-    witnesses are always read on g."""
+    `touched`, and r_set is base's scope restricted to g. The candidates
+    then come from two sources, merged in base's order: base's index, for
+    the vertices of r_set farther than r from `touched`, and psi evaluated
+    on g at the nearer ones. Nothing else of g or r_set is read, and g's
+    vertices are not sorted again. A vertex whose evaluation raises, read from
+    the index or evaluated afresh, raises at its place in that order.
+    Distances between witnesses are always read on g."""
+    psi, r = basic.psi, basic.r
     if base is None:
-        order, fresh, stored = g.sorted_vertices(), g.vertices, None
+        candidates = [v for v in g.sorted_vertices()
+                      if v in r_set and check_local(g, r_set, v, psi, r, cfg=cfg)]
     else:
-        order, fresh, stored = base.order, base.near(touched, basic.r), base.reader(basic)
-    verts = g.vertices
-    candidates = [v for v in order
-                  if v in r_set and v in verts
-                  and (check_local(g, r_set, v, basic.psi, basic.r, cfg=cfg)
-                       if v in fresh else stored(v))]
+        holds, raised = base.index(basic)
+        near, rank = base.near(touched, r), base.rank
+        far_raise = next(((v, exc) for v, exc in raised if v in r_set and v not in near),
+                         None)
+        limit = inf if far_raise is None else rank[far_raise[0]]
+        fresh = []
+        for v in sorted((v for v in near if v in r_set), key=rank.__getitem__):
+            if rank[v] > limit:
+                break
+            if check_local(g, r_set, v, psi, r, cfg=cfg):
+                fresh.append(v)
+        if far_raise is not None:
+            raise far_raise[1].with_traceback(None)
+        candidates = [v for v in holds if v in r_set and v not in near]
+        if fresh:
+            candidates = sorted(candidates + fresh, key=rank.__getitem__)
     if len(candidates) < basic.ell:
         return None
-    return next((xs for xs in scattered_sets(g, candidates, basic.r, basic.ell)
+    return next((xs for xs in scattered_sets(g, candidates, r, basic.ell)
                  if len(xs) == basic.ell), None)
 
 

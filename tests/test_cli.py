@@ -191,11 +191,12 @@ class Scenario(NamedTuple):
     """One `planmod solve` run and what its report must say."""
     graph: Callable[[], Graph]
     argv: list  # after the instance; a dict in it is a sentence, passed as a file
-    code: int  # 0 on YES, 1 on NO
+    code: int  # 0 on YES, 1 on NO, 2 when the run stops on an error
     cross_checked: bool
     trace: object = None  # the trace's outcomes, or a predicate on its steps
     seconds: float | None = None  # bound on the run's time in-process
     name: Callable | None = None  # each vertex v is written to the file as name(v)
+    error: str | None = None  # on code 2, all the run prints to stderr; it writes no report
 
 
 SCENARIOS = {
@@ -227,6 +228,15 @@ SCENARIOS = {
          "--cap-char-subsets", "1"], 0, True,
         lambda trace: any("cap-char-subsets" in t["detail"].get("fallback", "")
                           for t in trace if t["outcome"] == "bounded-treewidth")),
+    # a ball of four vertices is past a brute-force cap of 3, so the final
+    # search on the 7-wall raises at its first degree-3 vertex, the same
+    # vertex and message whether psi's value there is read from the index
+    # over G or evaluated on the set's graph
+    **{f"wall7-brute-cap-{sentence}": Scenario(
+        lambda: make_elementary_wall(7).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", phi, *HATS, "--cap-brute-vertices", "3"],
+        2, True, error="resource limit: brute-force evaluation capped at 3 vertices, got 4\n")
+       for sentence, phi in (("has-neighbour", HAS_NEIGHBOUR), ("isolated", ISOLATED))},
     # each wall-search pass gets a quarter of --cap-wall-nodes with no
     # floor, so a cap of 4 finds no wall and the run goes straight to
     # bounded treewidth
@@ -297,7 +307,7 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("case", SCENARIOS)
-def test_solve_scenario(case, tmp_path):
+def test_solve_scenario(case, tmp_path, capsys):
     """One `planmod solve` run end to end. Besides the row's own checks,
     every vertex its report names, in the witness or the trace, must be an
     id of the input file in both type and value."""
@@ -313,6 +323,9 @@ def test_solve_scenario(case, tmp_path):
     start = time.perf_counter()
     code = main(argv + ["--out", str(out)])
     elapsed = time.perf_counter() - start
+    if s.error is not None:
+        assert (code, capsys.readouterr().err, out.exists()) == (s.code, s.error, False)
+        return
     report = json.loads(out.read_text())
     assert (code, report["answer"]) == (s.code, "yes" if s.code == 0 else "no")
     assert report["cross_checked"] is s.cross_checked

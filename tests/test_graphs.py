@@ -428,6 +428,22 @@ class TestDerivedGraphs:
             assert h._adj is not None
             assert h.adj == Graph(h.vertices, h.edges).adj
 
+    @settings(max_examples=80)
+    @given(data=st.data(), kind=st.sampled_from(sorted(_ALL_IDS)))
+    def test_merging_derives_adjacency(self, data, kind):
+        # merge_groups hands the result its adjacency, patched from the
+        # parent's at the lifted edges' ends; the groups need not be
+        # connected, and a contraction's groups are its components
+        g = data.draw(id_graphs(kind))
+        verts = data.draw(st.permutations(g.sorted_vertices()))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(verts)), max_size=4)))
+        groups = [verts[a:b] for a, b in zip([0] + cuts, cuts + [len(verts)]) if a < b]
+        contracted = data.draw(st.lists(st.sampled_from(g.sorted_edges()), unique=True)
+                               ) if g.edges else []
+        for h in (merge_groups(g, groups), apply(g, ModificationSet(Operation.EC, contracted))):
+            assert h._adj is not None
+            assert h.adj == Graph(h.vertices, h.edges).adj
+
     def test_bad_input_still_raises(self):
         g = Graph([1, 2, 4], [(1, 2)])
         for bad in (lambda: g.add_edges([(1, 3)]), lambda: g.add_edges([(4, 4)]),

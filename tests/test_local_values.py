@@ -28,19 +28,28 @@ LOCAL_FORMULAS = sorted({b.psi for _, phi in fixed_sentences() for b in phi.basi
                         key=str)
 
 
-@st.composite
-def _modified(draw, op: Operation):
-    n = draw(st.integers(1, 9))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(range(n), [e for e, k in zip(pairs, keep) if k])
-    r_set = frozenset(v for v in range(n) if draw(st.booleans()))
+def _modification(draw, g: Graph, op: Operation) -> ModificationSet:
     if op is Operation.EC:
         elements = draw(_contraction_set(g))
     else:
         domain = sorted(application_domain(op, g, g.vertices))
         elements = draw(st.permutations(domain))[:draw(st.integers(0, 4))]
-    return g, r_set, ModificationSet(op, elements), draw(st.sampled_from((1, 2)))
+    return ModificationSet(op, elements)
+
+
+@st.composite
+def _annotated_graph(draw):
+    n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(range(n), [e for e, k in zip(pairs, keep) if k])
+    return g, frozenset(v for v in range(n) if draw(st.booleans()))
+
+
+@st.composite
+def _modified(draw, op: Operation):
+    g, r_set = draw(_annotated_graph())
+    return g, r_set, _modification(draw, g, op), draw(st.sampled_from((1, 2)))
 
 
 @pytest.mark.parametrize("op", list(Operation), ids=lambda op: op.value)
@@ -56,6 +65,30 @@ def test_far_vertices_keep_their_local_values(op, data):
         for psi in LOCAL_FORMULAS:
             assert check_local(g, r_set, v, psi, r) == \
                 check_local(h, r_set & h.vertices, v, psi, r), (v, str(psi))
+
+
+@pytest.mark.parametrize("op", list(Operation), ids=lambda op: op.value)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_witness_with_base_is_the_witness_without(op, data):
+    # one index serves several sets in turn, as in one enumeration; each
+    # set's witness, or the message it raises, is the one found by
+    # evaluating every vertex of g ⊠ S
+    g, r_set = data.draw(_annotated_graph())
+    basic = logic.BasicSentence(data.draw(st.sampled_from((1, 2))),
+                                data.draw(st.sampled_from((1, 2))),
+                                data.draw(st.sampled_from(LOCAL_FORMULAS)))
+    annotated = data.draw(st.booleans())
+    phi = GaifmanSentence((basic,), logic.parse_combination("1"), annotated)
+    cfg = PipelineConfig(cap_brute_vertices=data.draw(st.sampled_from((1, 2, 3, 128))))
+    base = logic.LocalValues(g, r_set, phi, cfg=cfg)
+    for _ in range(data.draw(st.integers(1, 3))):
+        s = _modification(data.draw, g, op)
+        h = apply(g, s)
+        r_here = phi.scope(h, r_set & h.vertices)
+        assert _outcome(logic.basic_witness, h, r_here, basic, cfg=cfg, base=base,
+                        touched=affected(s)) == \
+            _outcome(logic.basic_witness, h, r_here, basic, cfg=cfg), (s, str(basic.psi))
 
 
 # -- against reference loops that evaluate every vertex of every planar set --------
@@ -157,3 +190,30 @@ def test_witness_search_with_base_sorts_nothing(monkeypatch):
         assert expect is not None
         assert logic.basic_witness(h, h.vertices, basic, base=base, touched=touched) == expect
     assert sorts == []
+
+
+def test_wall_sets_read_only_the_index_and_the_removed_ball(monkeypatch):
+    # "is isolated" holds nowhere on the 9-wall and no cap fires, so the
+    # index is empty, and each set {v} reads the scope at v's 1-ball alone,
+    # never all of V
+    g = make_elementary_wall(9).graph
+    reads = []
+
+    class Scope(frozenset):
+        def __contains__(self, v):
+            reads[-1][1].add(v)
+            return frozenset.__contains__(self, v)
+
+    original = logic.basic_witness
+
+    def spy(h, r_set, basic, **kwargs):
+        reads.append((kwargs["touched"], set()))
+        return original(h, Scope(r_set), basic, **kwargs)
+
+    monkeypatch.setattr(logic, "basic_witness", spy)
+    assert not is_triple(g, g.vertices, 1, Operation.VR, ISOLATED)
+    assert len(reads) == 1 + len(g.vertices)
+    for touched, read in reads:
+        assert read <= {u for v in touched for u in neighborhood(g, v, 1)}, touched
+    basic = ISOLATED.basics[0]
+    assert logic.LocalValues(g, g.vertices, ISOLATED).index(basic) == ([], [])

@@ -1,12 +1,14 @@
 import random
 from itertools import combinations
 
+import logic_reference as reference
 import pytest
 from graph_helpers import cycle_graph, distance, path_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planmod.errors import FormulaSyntaxError, InputError
+from planmod.config import DEFAULTS, PipelineConfig
+from planmod.errors import FormulaSyntaxError, InputError, ResourceLimitError
 from planmod.graphs import Graph, complete_graph, is_scattered
 from planmod.logic import (FALSE, TRUE, Adj, And, Basic, BasicSentence, Eq, Exists,
                            Forall, GaifmanSentence, InR, Not, Or, check_fol,
@@ -26,16 +28,16 @@ def _random_graph(rng, n, p=0.4):
 class TestParser:
     def test_closed_with_prefix(self):
         f = parse_formula("exists x. exists y. adj(x,y)")
-        assert f.free_variables() == frozenset()
+        assert f.free_variables == frozenset()
         assert isinstance(f, Exists) and isinstance(f.body, Exists)
 
     def test_free_variables(self):
         f = parse_formula("adj(x,y)")
-        assert f.free_variables() == {"x", "y"}
+        assert f.free_variables == {"x", "y"}
 
     def test_annotated(self):
         f = parse_formula("exists x. (x in R & ~adj(x,x))")
-        assert f.free_variables() == frozenset()
+        assert f.free_variables == frozenset()
         assert "in R" in pretty(f)
 
     def test_round_trip(self):
@@ -399,3 +401,76 @@ class TestScatteredSets:
         assert next((xs for xs in found if len(xs) == ell), None) == next(
             (xs for xs in combinations(candidates, ell) if is_scattered(g, xs, ell, r)),
             None)
+
+
+# -- the compiled closures against the tree-walking reference ---------------------
+
+NAMES = ("x", "y", "z")
+
+grammar_formulas = st.recursive(
+    st.builds(Adj, st.sampled_from(NAMES), st.sampled_from(NAMES))
+    | st.builds(Eq, st.sampled_from(NAMES), st.sampled_from(NAMES))
+    | st.builds(InR, st.sampled_from(NAMES)) | st.sampled_from([TRUE, FALSE]),
+    # a quantifier may bind any name again, its own free variable's among them
+    lambda sub: (st.builds(Not, sub) | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+                 | st.builds(Exists, st.sampled_from(NAMES), sub)
+                 | st.builds(Forall, st.sampled_from(NAMES), sub)),
+    max_leaves=8)
+
+index_combinations = st.recursive(
+    st.integers(1, 4).map(Basic) | st.sampled_from([TRUE, FALSE]),
+    lambda sub: st.builds(Not, sub) | st.builds(And, sub, sub) | st.builds(Or, sub, sub),
+    max_leaves=8)
+
+
+def _evaluated(evaluate, *args, **kwargs):
+    try:
+        return evaluate(*args, **kwargs)
+    except (InputError, ResourceLimitError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestCompiledEvaluation:
+    """`eval_with_env` runs each node's cached closure; the tree walk it
+    replaced answers, and raises, alike."""
+
+    @settings(max_examples=400)
+    @given(grammar_formulas, annotated_graphs(), st.data())
+    def test_formulas_match_tree_walk(self, f, graph, data):
+        g, r_set = graph
+        verts = g.sorted_vertices()
+        env = data.draw(st.dictionaries(st.sampled_from(NAMES), st.sampled_from(verts)))
+        domain = data.draw(st.none() | st.lists(st.sampled_from(verts), unique=True))
+        cfg = PipelineConfig(cap_brute_vertices=data.draw(st.integers(1, len(verts) + 1)),
+                             cap_quant_depth=data.draw(st.integers(1, 3)))
+        assert f.free_variables == reference.free_variables(f)
+        assert f.quantifier_depth == reference.quantifier_depth(f)
+        assert _evaluated(eval_with_env, g, r_set, f, env, domain=domain, cfg=cfg) == \
+            _evaluated(reference.reference_eval_with_env, g, r_set, f, env,
+                       domain=domain, cfg=cfg)
+
+    @settings(max_examples=200)
+    @given(index_combinations, st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_combinations_match_tree_walk(self, c, values):
+        # the h-th basic sentence has radius h, so holds() can tell them apart
+        basics = tuple(BasicSentence(1, h, TRUE) for h in range(1, 5))
+        asked = []
+        phi = GaifmanSentence(basics, c)
+        got = phi.combine(lambda b: asked.append(b.r) or values[b.r - 1])
+        env = {h: values[h - 1] for h in range(1, 5)}
+        assert got == reference.reference_eval(c, None, frozenset(), env, [])
+        assert asked == sorted(reference.free_variables(c))
+
+    def test_caps_and_unbound_variables_raise_alike(self):
+        g = complete_graph(3)
+        f = parse_formula("exists y. exists z. adj(x,y) & adj(y,z)")
+        for env, cfg in (({}, DEFAULTS), ({"x": 0}, PipelineConfig(cap_brute_vertices=2)),
+                         ({"x": 0}, PipelineConfig(cap_quant_depth=1))):
+            got = _evaluated(eval_with_env, g, [], f, env, cfg=cfg)
+            assert got[0] in ("InputError", "ResourceLimitError")
+            assert got == _evaluated(reference.reference_eval_with_env, g, [], f, env, cfg=cfg)
+
+    def test_compiled_once_per_node(self):
+        f = parse_formula("exists y. adj(x,y)")
+        assert f.compiled is f.compiled and f.body.compiled is f.body.compiled
+        assert f.free_variables is f.free_variables
