@@ -107,7 +107,6 @@ def crafted_sig_instances() -> list:
         GaifmanSentence((BasicSentence(2, 1, ALWAYS),), parse_combination("1")),
     ]
     instances = []
-    rng = random.Random(20)
     case = 0
     for phi in base_phis:
         for op in (Operation.VR, Operation.ER, Operation.EC, Operation.EA):

@@ -597,6 +597,15 @@ class BasicSentence:
         return free[0] if free else "x"
 
 
+def _text(obj: dict, field: str) -> str:
+    """obj[field], which must be formula text."""
+    text = obj[field]
+    if not isinstance(text, str):
+        raise InputError(f"{field!r} must be a string of formula text, "
+                         f"got {type(text).__name__}")
+    return text
+
+
 @dataclass(frozen=True)
 class GaifmanSentence:
     """A Boolean combination of basic sentences. The combination is a
@@ -641,9 +650,9 @@ class GaifmanSentence:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GaifmanSentence":
         try:
-            basics = tuple(BasicSentence(b["ell"], b["r"], parse_formula(b["psi"]))
+            basics = tuple(BasicSentence(b["ell"], b["r"], parse_formula(_text(b, "psi")))
                            for b in obj["basics"])
-            comb = parse_combination(obj["combination"])
+            comb = parse_combination(_text(obj, "combination"))
             annotated = obj.get("annotated", True)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad Gaifman sentence object: {exc}") from exc
@@ -725,41 +734,36 @@ class LocalValues:
 
 
 def basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
-                  cfg: PipelineConfig = DEFAULTS,
-                  base: LocalValues | None = None,
-                  touched: frozenset = frozenset()) -> tuple | None:
+                  cfg: PipelineConfig = DEFAULTS, base: LocalValues,
+                  touched: frozenset) -> tuple | None:
     """The first (in lexicographic order) (ell, r)-scattered witness set in
     r_set whose members satisfy psi locally, or None.
 
-    With `base`, g is base.g ⊠ S for a set S touching the vertices
-    `touched`, and r_set is base's scope restricted to g. The candidates
-    then come from two sources, merged in base's order: base's index, for
-    the vertices of r_set farther than r from `touched`, and psi evaluated
-    on g at the nearer ones. Nothing else of g or r_set is read, and g's
-    vertices are not sorted again. A vertex whose evaluation raises, read from
-    the index or evaluated afresh, raises at its place in that order.
-    Distances between witnesses are always read on g."""
+    g is base.g ⊠ S for a set S touching the vertices `touched` (S is empty
+    and `touched` too when g is base.g), and r_set is base's scope
+    restricted to g. The candidates come from two sources, merged in base's
+    order: base's index, for the vertices of r_set farther than r from
+    `touched`, and psi evaluated on g at the nearer ones. Nothing else of g
+    or r_set is read, and g's vertices are not sorted again. A vertex whose
+    evaluation raises, read from the index or evaluated afresh, raises at its
+    place in that order. Distances between witnesses are always read on g."""
     psi, r = basic.psi, basic.r
-    if base is None:
-        candidates = [v for v in g.sorted_vertices()
-                      if v in r_set and check_local(g, r_set, v, psi, r, cfg=cfg)]
-    else:
-        holds, raised = base.index(basic)
-        near, rank = base.near(touched, r), base.rank
-        far_raise = next(((v, exc) for v, exc in raised if v in r_set and v not in near),
-                         None)
-        limit = inf if far_raise is None else rank[far_raise[0]]
-        fresh = []
-        for v in sorted((v for v in near if v in r_set), key=rank.__getitem__):
-            if rank[v] > limit:
-                break
-            if check_local(g, r_set, v, psi, r, cfg=cfg):
-                fresh.append(v)
-        if far_raise is not None:
-            raise far_raise[1].with_traceback(None)
-        candidates = [v for v in holds if v in r_set and v not in near]
-        if fresh:
-            candidates = sorted(candidates + fresh, key=rank.__getitem__)
+    holds, raised = base.index(basic)
+    near, rank = base.near(touched, r), base.rank
+    far_raise = next(((v, exc) for v, exc in raised if v in r_set and v not in near),
+                     None)
+    limit = inf if far_raise is None else rank[far_raise[0]]
+    fresh = []
+    for v in sorted((v for v in near if v in r_set), key=rank.__getitem__):
+        if rank[v] > limit:
+            break
+        if check_local(g, r_set, v, psi, r, cfg=cfg):
+            fresh.append(v)
+    if far_raise is not None:
+        raise far_raise[1].with_traceback(None)
+    candidates = [v for v in holds if v in r_set and v not in near]
+    if fresh:
+        candidates = sorted(candidates + fresh, key=rank.__getitem__)
     if len(candidates) < basic.ell:
         return None
     return next((xs for xs in scattered_sets(g, candidates, r, basic.ell)
@@ -796,17 +800,22 @@ def eval_gaifman(g: Graph, r_set: Iterable, phi: GaifmanSentence, *,
                  touched: frozenset = frozenset()) -> bool:
     """Truth of the (annotated) Gaifman sentence on (g, r_set); when the
     sentence is unannotated the scope is all of V. Each local formula is
-    evaluated under the config's brute-force caps.
+    evaluated under the config's brute-force caps, and always read through
+    a `LocalValues` index.
 
     With `base`, g must be base.g ⊠ S and `touched` must be affected(S):
     each ψ_h is then evaluated on g only at the vertices within base-graph
     distance r_h of `touched`, and read from `base` at the others, where
-    the r_h-ball is unchanged (see `LocalValues`). The answer is the same
-    as without `base`; the scattered-set search still reads distances on
-    g."""
+    the r_h-ball is unchanged (see `LocalValues`). Without it, the index is
+    built on g itself and nothing is touched, so every candidate is read
+    from it in sorted order and the first vertex that raises, raises. The
+    answer is the same either way; the scattered-set search still reads
+    distances on g."""
     r_set = phi.scope(g, r_set)
     if not r_set <= g.vertices:
         raise InputError("annotation set contains unknown vertices")
+    if base is None:
+        base, touched = LocalValues(g, r_set, phi, cfg=cfg), frozenset()
     return phi.combine(lambda basic: basic_witness(
         g, r_set, basic, cfg=cfg, base=base, touched=touched) is not None)
 

@@ -96,7 +96,8 @@ def _lr_planar(adj: dict) -> bool:
     Left-Right Planarity Test" (2009), which networkx's `check_planarity`
     also runs. Both depth-first searches keep their own stack, so the depth
     of the graph does not meet the recursion limit, and the embedding phase
-    is left out, with the writes of `ref` that only it reads.
+    is left out, with the writes of `ref` and `lowpt_edge` that only it
+    reads.
 
     Vertices become 0..n-1 and edges are numbered as the first search
     orients them, from ancestor to child on a tree edge and from descendant
@@ -167,7 +168,6 @@ def _lr_planar(adj: dict) -> bool:
         es.sort(key=nest.__getitem__)
     nxt = [0] * n
     ref = [None] * m
-    lowpt_edge = [0] * m
     bottom = [0] * m  # the stack height when each edge was entered
     pairs = []
     for r in roots:
@@ -183,7 +183,6 @@ def _lr_planar(adj: dict) -> bool:
                 if parent[dst[ei]] == ei:
                     stack.append(dst[ei])
                     continue
-                lowpt_edge[ei] = ei
                 pairs.append([None, None, ei, ei])
             else:
                 stack.pop()
@@ -213,12 +212,12 @@ def _lr_planar(adj: dict) -> bool:
             # integrate the return edges of ei, which leaves v
             if low[ei] >= height[v]:
                 continue
-            e = parent[v]
             if nxt[v] == 1:  # ei is v's first edge
-                lowpt_edge[e] = lowpt_edge[ei]
                 continue
-            # add the constraints of ei: its return edges go into P's right
-            # interval, or are aligned with e's lowpoint edge
+            e = parent[v]
+            # add the constraints of ei: its return edges above e's lowpoint
+            # go into P's right interval (the others align with e's lowpoint
+            # edge, which only the embedding phase reads)
             p = [None, None, None, None]
             while True:
                 ql, qlh, qr, qrh = pairs.pop()

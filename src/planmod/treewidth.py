@@ -276,7 +276,7 @@ def exact_treewidth_bb(g: Graph, cap: int = EXACT_CAP) -> int:
             f"exact treewidth needs |V| <= {cap}, got {n}; raise the cap to continue")
     if n == 0:
         return -1
-    verts, adjm = _index(g)
+    _, adjm = _index(g)
     full = (1 << n) - 1
     best = minfill_decomposition(g).width()
     memo: dict[int, int] = {}

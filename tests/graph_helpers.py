@@ -1,11 +1,17 @@
-"""Small graph builders, a planted star-minor host, a distance helper and a
-minor-model checker that only the tests use."""
+"""Small graph builders, a seeded random graph, a planted star-minor host, a
+distance helper, networkx's planarity answer and a minor-model checker that
+only the tests use."""
 
+import random
 from math import inf
 from typing import Iterable, Mapping
 
+import networkx as nx
+
 from planmod.errors import InputError
+from planmod.fixtures import random_graph
 from planmod.graphs import Graph, k5_star, load_graph
+from planmod.planarity import _to_nx
 
 
 def path_graph(n: int, offset: int = 0) -> Graph:
@@ -18,6 +24,18 @@ def cycle_graph(n: int, offset: int = 0) -> Graph:
         raise InputError("cycle needs >= 3 vertices")
     g = path_graph(n, offset)
     return g.add_edges([(offset, offset + n - 1)])
+
+
+def seeded_graph(seed: int, max_n: int, p: float, min_n: int = 1) -> Graph:
+    """`fixtures.random_graph` on min_n..max_n vertices, the count and the
+    edges both drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return random_graph(rng, rng.randint(min_n, max_n), p)
+
+
+def nx_planar(g: Graph) -> bool:
+    """networkx's planarity answer for g."""
+    return nx.check_planarity(_to_nx(g))[0]
 
 
 def relabel(g: Graph, mapping: Mapping) -> Graph:

@@ -1,15 +1,18 @@
 """The tree-walking evaluator that `Formula.compiled` replaced, kept as the
 reference for it: it dispatches on the node type at every step, and it
 finds a formula's free variables and quantifier depth by walking the tree
-on every call, so it is slow but plainly follows the definitions."""
+on every call, so it is slow but plainly follows the definitions. Beside it,
+the witness scan that `LocalValues` replaced, the reference for
+`logic.basic_witness`."""
 
 from typing import Collection, Iterable, Mapping
 
+from planmod import logic
 from planmod.config import DEFAULTS, PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.graphs import Graph
-from planmod.logic import (Adj, And, Basic, Const, Eq, Exists, Forall, Formula, InR, Not,
-                           Or)
+from planmod.logic import (Adj, And, Basic, BasicSentence, Const, Eq, Exists, Forall,
+                           Formula, InR, Not, Or)
 
 
 def free_variables(f: Formula) -> frozenset:
@@ -88,3 +91,17 @@ def reference_eval_with_env(g: Graph, r_set: Iterable, phi: Formula, env: Mappin
     if d > cfg.cap_quant_depth:
         raise ResourceLimitError(f"quantifier depth {d} exceeds the cap {cfg.cap_quant_depth}")
     return reference_eval(phi, g, frozenset(r_set), env, domain)
+
+
+def reference_basic_witness(g: Graph, r_set: frozenset, basic: BasicSentence, *,
+                            cfg: PipelineConfig = DEFAULTS) -> tuple | None:
+    """`logic.basic_witness` as first written: psi evaluated at every vertex
+    of r_set on g, in sorted order, so the first vertex that raises, raises;
+    then the first (ell, r)-scattered set of the vertices where it holds."""
+    psi, r = basic.psi, basic.r
+    candidates = [v for v in g.sorted_vertices()
+                  if v in r_set and logic.check_local(g, r_set, v, psi, r, cfg=cfg)]
+    if len(candidates) < basic.ell:
+        return None
+    return next((xs for xs in logic.scattered_sets(g, candidates, r, basic.ell)
+                 if len(xs) == basic.ell), None)

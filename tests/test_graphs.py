@@ -3,8 +3,8 @@ import math
 import random
 
 import pytest
-from graph_helpers import (cycle_graph, distance, path_graph, relabel, through_json,
-                           verify_minor_model)
+from graph_helpers import (cycle_graph, distance, path_graph, relabel, seeded_graph,
+                           through_json, verify_minor_model)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +17,7 @@ from planmod.modification import ModificationSet, Operation, apply
 
 def small_graphs(max_n=8, p=0.4):
     return st.integers(min_value=0, max_value=2 ** 12).map(
-        lambda seed: _random_graph(seed, max_n, p))
-
-
-def _random_graph(seed, max_n, p):
-    rng = random.Random(seed)
-    n = rng.randint(1, max_n)
-    verts = list(range(n))
-    return Graph(verts, [(u, v) for u in verts for v in verts
-                         if u < v and rng.random() < p])
+        lambda seed: seeded_graph(seed, max_n, p))
 
 
 class TestGraphBasics:

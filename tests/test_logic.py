@@ -16,13 +16,7 @@ from planmod.logic import (FALSE, TRUE, Adj, And, Basic, BasicSentence, Eq, Exis
                            eval_gaifman_expanded, eval_with_env, parse_combination,
                            parse_formula, pretty, relativize, scattered_sets,
                            verify_locality)
-from planmod.fixtures import TRIVIALLY_TRUE, fixed_sentences, random_annotated
-
-
-def _random_graph(rng, n, p=0.4):
-    verts = list(range(n))
-    return Graph(verts, [(u, v) for u in verts for v in verts
-                         if u < v and rng.random() < p])
+from planmod.fixtures import TRIVIALLY_TRUE, fixed_sentences, random_annotated, random_graph
 
 
 class TestParser:
@@ -203,7 +197,7 @@ class TestDistanceAtom:
         rng = random.Random(5)
         checked = 0
         for _ in range(200):
-            g = _random_graph(rng, rng.randint(2, 8))
+            g = random_graph(rng, rng.randint(2, 8))
             atoms = {r: distance_atom(r) for r in range(4)}
             verts = g.sorted_vertices()
             u, v = rng.choice(verts), rng.choice(verts)
@@ -390,7 +384,7 @@ class TestScatteredSets:
     @given(st.integers(0, 2 ** 12), st.integers(0, 2), st.integers(1, 4))
     def test_against_combinations(self, seed, r, ell):
         rng = random.Random(seed)
-        g = _random_graph(rng, rng.randint(1, 10), p=0.25)
+        g = random_graph(rng, rng.randint(1, 10), 0.25)
         candidates = [v for v in g.sorted_vertices() if rng.random() < 0.7]
         rng.shuffle(candidates)
         found = list(scattered_sets(g, candidates, r, ell))

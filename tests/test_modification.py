@@ -3,7 +3,7 @@ import re
 from itertools import combinations
 
 import pytest
-from graph_helpers import cycle_graph, path_graph
+from graph_helpers import cycle_graph, path_graph, seeded_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from planarizer_reference import GADGETS, branch_vr, gadget
@@ -17,14 +17,6 @@ from planmod.modification import (ModificationSet, Operation, affected,
                                   minimal_planarizers, subsets_up_to)
 from planmod.planarity import is_planar
 from planmod.walls import central_subwall, compass, make_elementary_wall
-
-
-def _random_graph(seed, max_n=8, p=0.45):
-    rng = random.Random(seed)
-    n = rng.randint(1, max_n)
-    verts = list(range(n))
-    return Graph(verts, [(u, v) for u in verts for v in verts
-                         if u < v and rng.random() < p])
 
 
 class TestApplicationDomain:
@@ -93,7 +85,7 @@ class TestApply:
     @settings(max_examples=30)
     @given(st.integers(0, 4000), st.sampled_from(list(Operation)))
     def test_accepts_every_element_of_the_domain(self, seed, op):
-        g = _random_graph(seed, max_n=6)
+        g = seeded_graph(seed, 6, 0.45)
         domain = application_domain(op, g, g.vertices)
         for e in domain:
             apply(g, ModificationSet(op, [e]))
@@ -102,7 +94,7 @@ class TestApply:
     @settings(max_examples=40)
     @given(st.integers(0, 4000), st.sampled_from(list(Operation)))
     def test_empty_set_is_identity(self, seed, op):
-        g = _random_graph(seed)
+        g = seeded_graph(seed, 8, 0.45)
         assert apply(g, ModificationSet(op, [])) == g
 
     def test_ec_component_merge_is_order_free(self):
@@ -110,7 +102,7 @@ class TestApply:
         # order (with ids tracked through merges)
         rng = random.Random(2)
         for seed in range(30):
-            g = _random_graph(seed, max_n=7, p=0.5)
+            g = seeded_graph(seed, 7, 0.5)
             edges = list(g.sorted_edges())
             if len(edges) < 3:
                 continue
@@ -161,7 +153,7 @@ class TestPlanarizers:
     def test_er_or_ec_planarizer_implies_vr_planarizer(self):
         # cited fact, desk check: a counterexample would be a build stopper
         for seed in range(40):
-            g = _random_graph(seed, max_n=7, p=0.55)
+            g = seeded_graph(seed, 7, 0.55)
             for op in (Operation.ER, Operation.EC):
                 for k in (1, 2):
                     has_op = any(
@@ -208,8 +200,8 @@ class TestFindVrPlanarizer:
 
     def test_oracle_equivalence_on_small_graphs(self):
         # the denser graphs are mostly nonplanar, so the scope matters
-        graphs = [_random_graph(seed, max_n=8, p=0.5) for seed in range(80)]
-        graphs += [_random_graph(seed, max_n=8, p=0.8) for seed in range(30)]
+        graphs = [seeded_graph(seed, 8, 0.5) for seed in range(80)]
+        graphs += [seeded_graph(seed, 8, 0.8) for seed in range(30)]
         for seed, g in enumerate(graphs):
             rng = random.Random(seed)
             r_set = frozenset(v for v in g.vertices if rng.random() < 0.5)
@@ -307,7 +299,7 @@ def _vr_host(draw):
     name = draw(st.sampled_from(("random",) + GADGETS))
     seed = draw(st.integers(0, 2 ** 16))
     if name == "random":
-        g = _random_graph(seed, max_n=9, p=draw(st.sampled_from([0.45, 0.7])))
+        g = seeded_graph(seed, 9, draw(st.sampled_from([0.45, 0.7])))
     else:
         g = gadget(name, draw(st.sampled_from([3, 5])))
     if draw(st.booleans()):

@@ -9,8 +9,8 @@ the searches with reference loops that test every set."""
 import random
 from itertools import combinations
 
-import networkx as nx
 import pytest
+from graph_helpers import nx_planar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from planarizer_reference import GADGETS, gadget
@@ -30,13 +30,6 @@ from planmod.walls import central_subwall, compass, make_elementary_wall, subdiv
 
 MINOR_OPS = [Operation.VR, Operation.ER, Operation.EC]
 ISOLATED = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),), parse_combination("1"))
-
-
-def _nx_planar(g: Graph) -> bool:
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return nx.check_planarity(h)[0]
 
 
 @st.composite
@@ -93,8 +86,8 @@ def _nested_sets(draw, op: Operation):
 @given(data=st.data())
 def test_planar_modification_stays_planar_on_supersets(op, data):
     g, small, big = data.draw(_nested_sets(op))
-    if _nx_planar(apply(g, small)):
-        assert _nx_planar(apply(g, big))
+    if nx_planar(apply(g, small)):
+        assert nx_planar(apply(g, big))
 
 
 # -- reference loops: every set is tested ----------------------------------------
@@ -274,7 +267,7 @@ def test_ea_sets_agree_with_networkx(g, k, exact):
     domain = application_domain(Operation.EA, g, g.vertices)
     expect = [sub for sub in subsets_up_to(domain, k)
               if (not exact or len(sub) == k)
-              and _nx_planar(g.add_edges(sub))]
+              and nx_planar(g.add_edges(sub))]
     assert got == expect
 
 
@@ -386,7 +379,7 @@ def test_one_pair_additions_agree_with_networkx(g, data):
     planar, tested = modification.PlanarSets(g, Operation.EA), _Tested(g, Operation.EA)
     for pair in pairs:
         ms = ModificationSet(Operation.EA, [pair])
-        assert planar(ms) == _nx_planar(g.add_edges([pair])) == tested(ms), pair
+        assert planar(ms) == nx_planar(g.add_edges([pair])) == tested(ms), pair
     assert planar.minimal == tested.minimal
     assert planar.nonplanar == tested.nonplanar
 

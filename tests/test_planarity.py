@@ -3,7 +3,7 @@ import sys
 
 import networkx as nx
 import pytest
-from graph_helpers import cycle_graph, path_graph, relabel
+from graph_helpers import cycle_graph, nx_planar, path_graph, relabel, seeded_graph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from planarizer_reference import GADGETS, gadget
@@ -80,14 +80,6 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(range(10), outer + inner + spokes)
-
-
-def _random_graph(seed, max_n=8, p=0.45):
-    rng = random.Random(seed)
-    n = rng.randint(1, max_n)
-    verts = list(range(n))
-    return Graph(verts, [(u, v) for u in verts for v in verts
-                         if u < v and rng.random() < p])
 
 
 def _subdivide(rng, edges, nxt):
@@ -178,7 +170,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=400)
     @given(graphs)
     def test_is_planar(self, g):
-        assert is_planar(g) == nx.check_planarity(_to_nx(g))[0]
+        assert is_planar(g) == nx_planar(g)
 
     @settings(max_examples=150)
     @given(graphs)
@@ -408,7 +400,7 @@ class TestPlanarity:
 
     def test_witnesses_on_random_nonplanar(self):
         for seed in range(60):
-            g = _random_graph(seed, max_n=9, p=0.6)
+            g = seeded_graph(seed, 9, 0.6)
             if is_planar(g):
                 assert kuratowski(g) is None
             else:
@@ -445,7 +437,7 @@ class TestEmbedding:
 
     def test_euler_random(self):
         for seed in range(40):
-            g = _random_graph(seed, max_n=9, p=0.4)
+            g = seeded_graph(seed, 9, 0.4)
             faces = embed(g)
             if faces is not None:
                 assert euler_ok(g, faces)
@@ -462,7 +454,7 @@ class TestPlanarWithAdditions:
     def test_matches_apply_then_test(self):
         rng = random.Random(4)
         for seed in range(60):
-            g = _random_graph(seed, max_n=8, p=0.5)
+            g = seeded_graph(seed, 8, 0.5)
             from planmod.modification import application_domain
             dom = sorted(application_domain(Operation.EA, g, g.vertices))
             if not dom:

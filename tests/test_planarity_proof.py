@@ -3,20 +3,19 @@ planar graph, deletions keep the mark, and a run never marks its input."""
 
 import random
 
-import networkx as nx
 import pytest
-from graph_helpers import relabel
+from graph_helpers import nx_planar, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planmod import planarity
 from planmod.config import PipelineConfig
-from planmod.fixtures import IS_ISOLATED
+from planmod.fixtures import IS_ISOLATED, random_graph
 from planmod.graphs import (Graph, complete_graph, disjoint_union, make_grid,
                             merge_groups)
 from planmod.logic import BasicSentence, GaifmanSentence, parse_combination
 from planmod.modification import Operation
-from planmod.planarity import _to_nx, certified_planar, is_planar
+from planmod.planarity import certified_planar, is_planar
 from planmod.solver import Instance, solve_pipeline
 from planmod.walls import make_elementary_wall, subdivide_wall
 
@@ -25,25 +24,19 @@ IS_ISOLATED_SOMEWHERE = GaifmanSentence((BasicSentence(1, 1, IS_ISOLATED),),
                                         parse_combination("1"))
 
 
-def _random_graph(rng: random.Random) -> Graph:
-    n = rng.randint(1, 9)
-    return Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rng.random() < 0.4])
-
-
 def _gadget(rng: random.Random) -> Graph:
     """K5 or K3,3, with an edge subdivided or not, beside a small random graph."""
     core = rng.choice((complete_graph(5), K33))
     u, v = rng.choice(core.sorted_edges())
     if rng.random() < 0.5:
         core = core.remove_edges([(u, v)]).add_vertices([50]).add_edges([(u, 50), (50, v)])
-    return disjoint_union(core, relabel(_random_graph(rng), {i: 100 + i for i in range(9)}))
+    return disjoint_union(core, relabel(random_graph(rng, rng.randint(1, 9)), {i: 100 + i for i in range(9)}))
 
 
 def _graph(seed: int, family: str, ids: str) -> Graph:
     rng = random.Random(seed)
     if family == "random":
-        g = _random_graph(rng)
+        g = random_graph(rng, rng.randint(1, 9))
     elif family == "grid":
         g = make_grid(rng.randint(1, 4), rng.randint(1, 4)).graph
     elif family == "wall":
@@ -52,10 +45,6 @@ def _graph(seed: int, family: str, ids: str) -> Graph:
     else:
         g = _gadget(rng)
     return relabel(g, {v: f"v{v}" for v in g.vertices}) if ids == "str" else g
-
-
-def _nx_planar(g: Graph) -> bool:
-    return nx.check_planarity(_to_nx(g))[0]
 
 
 class TestMark:
@@ -69,7 +58,7 @@ class TestMark:
         marked = certified_planar(g)
         assert not g.known_planar
         if marked is None:
-            assert not _nx_planar(g)
+            assert not nx_planar(g)
             return
         assert marked is not g and marked.known_planar
         assert marked == g and hash(marked) == hash(g)
@@ -83,7 +72,7 @@ class TestMark:
         kept.append(kept[0].remove_edges(some(kept[0].sorted_edges())).induced(
             some(kept[0].sorted_vertices())))
         assert all(h.known_planar for h in kept)
-        assert all(_nx_planar(h) for h in kept)
+        assert all(nx_planar(h) for h in kept)
         pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
                  if not g.has_edge(u, v)]
         groups = [set(some(verts)) or {verts[0]}]

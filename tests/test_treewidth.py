@@ -2,7 +2,7 @@ import random
 
 import pytest
 from decomposition_reference import decomposition_violations_reference
-from graph_helpers import cycle_graph, path_graph
+from graph_helpers import cycle_graph, path_graph, seeded_graph
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from minfill_reference import minfill_order_reference
@@ -14,14 +14,6 @@ from planmod.treewidth import (TreeDecomposition, _minfill, decomposition_from_o
                                exact_treewidth_bb, minfill_decomposition,
                                validate_decomposition, width_witness)
 from planmod.walls import make_elementary_wall, subdivide_wall
-
-
-def _random_graph(seed, max_n=12, p=0.4):
-    rng = random.Random(seed)
-    n = rng.randint(2, max_n)
-    verts = list(range(n))
-    return Graph(verts, [(u, v) for u in verts for v in verts
-                         if u < v and rng.random() < p])
 
 
 class TestValidation:
@@ -74,19 +66,19 @@ class TestExact:
 
     def test_witness_width_matches(self):
         for seed in range(30):
-            g = _random_graph(seed, max_n=10)
+            g = seeded_graph(seed, 10, 0.4, min_n=2)
             tw, td = exact_treewidth(g)
             assert td.width() == tw
             assert validate_decomposition(g, td)
 
     def test_two_algorithms_agree(self):
         for seed in range(60):
-            g = _random_graph(seed, max_n=11)
+            g = seeded_graph(seed, 11, 0.4, min_n=2)
             assert exact_treewidth(g)[0] == exact_treewidth_bb(g)
 
     def test_monotone_under_subgraphs(self):
         for seed in range(15):
-            g = _random_graph(seed, max_n=9, p=0.5)
+            g = seeded_graph(seed, 9, 0.5, min_n=2)
             tw, _ = exact_treewidth(g)
             h = g.remove_vertices([g.sorted_vertices()[0]])
             assert exact_treewidth(h)[0] <= tw
@@ -98,7 +90,7 @@ class TestExact:
 class TestWitnessHelpers:
     def test_minfill_is_valid_upper_bound(self):
         for seed in range(20):
-            g = _random_graph(seed, max_n=11)
+            g = seeded_graph(seed, 11, 0.4, min_n=2)
             td = minfill_decomposition(g)
             assert validate_decomposition(g, td)
             assert td.width() >= exact_treewidth(g)[0]
