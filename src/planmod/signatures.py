@@ -55,10 +55,14 @@ class Parameters:
 
 
 def _exact_w(k: int, ell: int, rho: int) -> int | str:
-    inner = (2 ** ell) * rho
+    """w = 2^(rho (k+1) 2^(2^ell rho)) (2k+1)(ell+3), or its tower as a
+    string when it is too large to compute. rho >= 1, so the inner exponent
+    2^ell rho is past 64 once ell >= 7; beyond ell = 64 it is written as
+    2^ell*rho rather than built, so no ell costs time or a huge string."""
     factor = (2 * k + 1) * (ell + 3)
+    inner = f"2^{ell}*{rho}" if ell > 64 else (2 ** ell) * rho
     display = f"2^({rho}*{k + 1}*2^{inner})*{factor}"
-    if inner > 64:
+    if ell >= 7 or inner > 64:
         return display
     exponent = rho * (k + 1) * (2 ** inner)
     if exponent > EXACT_W_EXPONENT_LIMIT:

@@ -1,6 +1,6 @@
 """Small graph builders, a seeded random graph, a planted star-minor host, a
-distance helper, networkx's planarity answer and a minor-model checker that
-only the tests use."""
+distance helper, networkx's view of a graph and its planarity answer, and a
+minor-model checker that only the tests use."""
 
 import random
 from math import inf
@@ -11,7 +11,6 @@ import networkx as nx
 from planmod.errors import InputError
 from planmod.fixtures import random_graph
 from planmod.graphs import Graph, k5_star, load_graph
-from planmod.planarity import _to_nx
 
 
 def path_graph(n: int, offset: int = 0) -> Graph:
@@ -33,9 +32,20 @@ def seeded_graph(seed: int, max_n: int, p: float, min_n: int = 1) -> Graph:
     return random_graph(rng, rng.randint(min_n, max_n), p)
 
 
+def to_nx(g: Graph) -> nx.Graph:
+    """g as a networkx graph, its vertices and edges added in sorted
+    order: networkx's embedding and its Kuratowski witness follow the order
+    they were added in, so this makes both depend on g alone, not on how
+    its sets were built, and gives the embedding `planarity.embed` builds."""
+    h = nx.Graph()
+    h.add_nodes_from(g.sorted_vertices())
+    h.add_edges_from(g.sorted_edges())
+    return h
+
+
 def nx_planar(g: Graph) -> bool:
     """networkx's planarity answer for g."""
-    return nx.check_planarity(_to_nx(g))[0]
+    return nx.check_planarity(to_nx(g))[0]
 
 
 def relabel(g: Graph, mapping: Mapping) -> Graph:

@@ -27,7 +27,7 @@ def outer_cycle(g: Graph) -> tuple:
 
 def peeled_structure(r: int) -> tuple:
     """(layers, center, local_maps, bricks) of the elementary r-wall: each
-    layer a position cycle in the orientation networkx's embedding gives it,
+    layer a position cycle in the orientation `embed`'s faces give it,
     the two central positions, local_maps[i] from the positions of the i-th
     central subwall to those of the elementary (r-2i)-wall, and each brick
     as a frozenset of six positions."""

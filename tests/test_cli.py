@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -10,11 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from planarizer_reference import hub_graph, pendant_wall
 
+import planmod
 from planmod.cli import _config_from_args, build_parser, main
 from planmod.config import PipelineConfig
-from planmod.fixtures import random_graph
+from planmod.fixtures import random_graph, random_instances
 from planmod.graphs import Graph, complete_graph, k5_star, load_graph, make_grid, vertex_key
 from planmod.logic import MAX_NESTING
+from planmod.modification import Operation
+from planmod.planarity import is_planar
 from planmod.walls import make_elementary_wall, subdivide_wall
 
 
@@ -288,6 +295,15 @@ SCENARIOS = {
     "wall9-ea-no": Scenario(
         lambda: make_elementary_wall(9).graph,
         ["--op", "ea", "-k", "1", "--gaifman", ISOLATED, *HATS], 1, True, seconds=120),
+    # a total ell of 15 000 makes 2^ell longer than the 4 300 digits Python
+    # turns into a string; w's tower is written without it, so the run
+    # answers NO as at ell 5 000
+    **{f"path3-ell{ell}": Scenario(
+        lambda: path_graph(3),
+        ["--op", "vr", "-k", "1", "--gaifman",
+         {"basics": [{"ell": ell, "r": 1, "psi": "exists y. adj(x,y)"}], "combination": "1"}],
+        1, True, ["bounded-treewidth", "cross-check"])
+       for ell in (5000, 15000)},
     # an edge addition never planarizes, so the opening vr-planarizer search
     # at budget 0 finds none and the run's first step is no-planarizer
     "k5-ea": Scenario(
@@ -569,6 +585,57 @@ def test_removed_cap_flag_is_rejected(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap-exact-tw 3" in capsys.readouterr().err
 
+
+def _run_without_networkx(argv: list) -> subprocess.CompletedProcess:
+    """`planmod` with argv in a fresh interpreter in which every import of
+    networkx fails."""
+    src = str(Path(planmod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; sys.modules['networkx'] = None; from planmod.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+def _first_nonplanar_stream_instance() -> tuple:
+    g, k, op, phi = next((g, k, op, phi) for g, k, op, phi, _ in random_instances(9000, 500)
+                         if op is Operation.VR and k == 2 and not is_planar(g))
+    return g, ["--op", op.value, "-k", str(k), "--gaifman", phi.to_json_obj()]
+
+
+WITHOUT_NETWORKX = {
+    # embed and faces_are_fixed: the faces of the 7-wall answer its one-pair
+    # ea sets
+    "wall7-ea-has-neighbour": lambda: (
+        make_elementary_wall(7).graph,
+        ["--op", "ea", "-k", "1", "--gaifman", HAS_NEIGHBOUR, *HATS]),
+    # kuratowski: the first nonplanar vr, k = 2 instance of the soundness stream
+    "stream-vr-k2-nonplanar": _first_nonplanar_stream_instance,
+}
+
+
+@pytest.mark.parametrize("case", WITHOUT_NETWORKX)
+def test_solve_runs_without_networkx(case, tmp_path):
+    # the same report, byte for byte, as the run in this process
+    g, flags = WITHOUT_NETWORKX[case]()
+    argv = ["solve", _write_graph(tmp_path / "g.json", g)]
+    for arg in flags:
+        if isinstance(arg, dict):
+            (tmp_path / "phi.json").write_text(json.dumps(arg))
+            arg = str(tmp_path / "phi.json")
+        argv.append(arg)
+    here, there = tmp_path / "here.json", tmp_path / "there.json"
+    code = main(argv + ["--out", str(here)])
+    run = _run_without_networkx(argv + ["--out", str(there)])
+    assert (run.returncode, run.stderr) == (code, "")
+    assert there.read_bytes() == here.read_bytes()
+
+
+def test_check_runs_without_networkx():
+    # the gluing battery embeds each annulus it glues
+    run = _run_without_networkx(["check", "gluing", "--seed", "0", "-n", "20"])
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "PASS  gluing: 20/20" in run.stdout
 
 
 def _renamed_report(report: dict, name) -> dict:

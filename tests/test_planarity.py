@@ -3,7 +3,7 @@ import sys
 
 import networkx as nx
 import pytest
-from graph_helpers import cycle_graph, nx_planar, path_graph, relabel, seeded_graph
+from graph_helpers import cycle_graph, nx_planar, path_graph, relabel, seeded_graph, to_nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from planarizer_reference import GADGETS, gadget
@@ -14,7 +14,7 @@ from planmod.fixtures import random_instances
 from planmod.graphs import Graph, complete_graph, disjoint_union, make_grid
 from planmod.modification import ModificationSet, Operation, apply
 from planmod.graphs import smooth_degree_two
-from planmod.planarity import (_lr_planar, _to_nx, embed, faces_are_fixed, is_planar,
+from planmod.planarity import (_blocks, _lr_planar, embed, faces_are_fixed, is_planar,
                                kuratowski, planar_with_additions)
 from planmod.solver import Instance, solve_pipeline
 from planmod.walls import make_elementary_wall, subdivide_wall
@@ -175,7 +175,7 @@ class TestAgainstNetworkx:
     @settings(max_examples=150)
     @given(graphs)
     def test_kuratowski_is_networkx_counterexample(self, g):
-        ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        ok, cert = nx.check_planarity(to_nx(g), counterexample=True)
         if ok:
             assert kuratowski(g) is None
         else:
@@ -201,14 +201,14 @@ class TestAgainstNetworkx:
             g = gadget(kind, int(height))
         if str_ids:
             g = relabel(g, {v: f"v{v}" for v in g.vertices})
-        ok, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        ok, cert = nx.check_planarity(to_nx(g), counterexample=True)
         assert not ok
         assert kuratowski(g) == Graph(cert.nodes(), cert.edges())
 
     @settings(max_examples=300)
     @given(graphs)
     def test_faces_are_fixed_is_a_3_connected_reduct(self, g):
-        reduct = _to_nx(smooth_degree_two(g)[0])
+        reduct = to_nx(smooth_degree_two(g)[0])
         assert faces_are_fixed(g) == (len(reduct) >= 4 and nx.node_connectivity(reduct) >= 3)
 
     def test_faces_are_fixed_on_walls(self):
@@ -228,7 +228,7 @@ class TestAgainstNetworkx:
         # and a second one per witness edge: |E| + |K| + 2 left-right runs;
         # kuratowski runs the kernel fewer times for the same witness
         g = petersen()
-        _, cert = nx.check_planarity(_to_nx(g), counterexample=True)
+        _, cert = nx.check_planarity(to_nx(g), counterexample=True)
         runs = []
         real = planarity._lr_planar
         monkeypatch.setattr(planarity, "_lr_planar", lambda adj: runs.append(1) or real(adj))
@@ -284,7 +284,7 @@ class TestKernel:
         # keeps its own stacks and leaves the limit alone
         g = make_grid(60, 60).graph
         with pytest.raises(RecursionError):
-            nx.algorithms.planarity.check_planarity_recursive(_to_nx(g))
+            nx.algorithms.planarity.check_planarity_recursive(to_nx(g))
         if chord:  # (10, 10) to (40, 40): interior vertices on no common face
             g = g.add_edges([(10 * 60 + 10, 40 * 60 + 40)])
         limit = sys.getrecursionlimit()
@@ -292,25 +292,138 @@ class TestKernel:
         assert sys.getrecursionlimit() == limit
 
 
+def nx_faces(g: Graph) -> tuple | None:
+    """`embed`'s faces read off networkx's `check_planarity` on `to_nx(g)`:
+    each component's faces walked from its half-edges in sorted order, the
+    largest (the last of the largest) merged into one outer face, last."""
+    ok, emb = nx.check_planarity(to_nx(g))
+    if not ok:
+        return None
+    inner, outer = [], []
+    for comp in g.components():
+        seen = set()
+        faces = [tuple(emb.traverse_face(u, v, mark_half_edges=seen))
+                 for u in sorted(comp) for v in sorted(g.adj[u]) if (u, v) not in seen]
+        if faces:
+            big = max(range(len(faces)), key=lambda i: (len(faces[i]), i))
+            outer.append(faces[big])
+            inner += [f for i, f in enumerate(faces) if i != big]
+    return tuple(inner) + (tuple(v for piece in outer for v in piece),)
+
+
+def _random_planar(seed: int, str_ids: bool) -> Graph:
+    """Random pairs of 1-30 vertices go in while the graph stays planar, up
+    to a random count of tries, so the graph runs from a forest to a
+    triangulation; with `str_ids` its ids are "v0", "v1", ..., which sort
+    in another order."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = Graph(range(n))
+    for pair in pairs[:rng.randint(0, len(pairs))]:
+        h = g.add_edges([pair])
+        if is_planar(h):
+            g = h
+    return relabel(g, {v: f"v{v}" for v in g.vertices}) if str_ids else g
+
+
+class TestEmbeddingIsNetworkx:
+    """`embed` gives networkx's faces, tuple for tuple: the kernel's
+    embedding phase follows networkx's `LRPlanarity` on sorted adjacency."""
+
+    def test_graph_atlas(self):
+        # every graph of up to 7 vertices, isolated vertices included
+        for h in nx.graph_atlas_g():
+            g = Graph(h.nodes, h.edges)
+            assert embed(g) == nx_faces(g), list(h.edges)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2 ** 16), st.booleans())
+    def test_random_planar(self, seed, str_ids):
+        g = _random_planar(seed, str_ids)
+        assert embed(g) == nx_faces(g)
+
+    @settings(max_examples=150)
+    @given(graphs)
+    def test_families(self, g):
+        # dense, disconnected, pendant trees, cycles, thetas: planar or not
+        assert embed(g) == nx_faces(g)
+
+    @pytest.mark.parametrize("height", [3, 5, 7, 9])
+    def test_walls(self, height):
+        wall = make_elementary_wall(height)
+        for g in (wall.graph, subdivide_wall(wall, random.Random(height)).graph):
+            assert embed(g) == nx_faces(g)
+
+    def test_disconnected(self):
+        g = disjoint_union(make_grid(3, 4).graph, cycle_graph(5, offset=20),
+                           path_graph(3, offset=30), Graph([99]))
+        assert embed(g) == nx_faces(g)
+
+    def test_deep_grid(self):
+        # the 60x60 grid's searches run deeper than the recursion limit
+        g = make_grid(60, 60).graph
+        limit = sys.getrecursionlimit()
+        assert embed(g) == nx_faces(g)
+        assert sys.getrecursionlimit() == limit
+
+
+def _block_sets(blocks) -> set:
+    return {frozenset(map(frozenset, b)) for b in blocks}
+
+
+class TestBlocks:
+    """`_blocks` splits a graph into networkx's biconnected components, as
+    a set of edge sets, and with a vertex left out as networkx on g - x."""
+
+    @settings(max_examples=300)
+    @given(graphs)
+    def test_blocks(self, g):
+        want = list(nx.biconnected_component_edges(to_nx(g)))
+        got = _blocks(g.adj)
+        assert len(got) == len(want) and _block_sets(got) == _block_sets(want)
+
+    @settings(max_examples=150)
+    @given(graphs, st.data())
+    def test_blocks_without_a_vertex(self, g, data):
+        x = data.draw(st.sampled_from(g.sorted_vertices()))
+        h = to_nx(g)
+        h.remove_node(x)
+        assert _block_sets(_blocks(g.adj, x)) == _block_sets(nx.biconnected_component_edges(h))
+
+    def test_isolated_vertices_bridges_and_components(self):
+        # two triangles joined by a bridge, a pendant path, a K4, an edge
+        # alone and two isolated vertices
+        g = Graph(range(16), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5),
+                              (5, 6), (6, 7), (8, 9), (8, 10), (8, 11), (9, 10), (9, 11),
+                              (10, 11), (12, 13)])
+        want = _block_sets(nx.biconnected_component_edges(to_nx(g)))
+        assert _block_sets(_blocks(g.adj)) == want
+        assert len(want) == 7
+
+
 class _Forbidden(Exception):
     pass
 
 
 def test_planarity_answers_without_networkx(monkeypatch):
-    # with networkx's left-right test disabled, every yes/no answer still
-    # comes, from the kernel; embed, which needs networkx's embedding, is
-    # its one remaining planarity caller
+    # with networkx's planarity test and block split disabled, every answer
+    # still comes, from the kernel: yes/no, Kuratowski witnesses and faces
     w = gadget("wall-k5-bridge")
-    _, cert = nx.check_planarity(_to_nx(w), counterexample=True)
+    _, cert = nx.check_planarity(to_nx(w), counterexample=True)
+    k4_faces = nx_faces(complete_graph(4))
 
     def forbidden(*args, **kwargs):
         raise _Forbidden
 
-    monkeypatch.setattr(nx, "check_planarity", forbidden)
+    for name in ("check_planarity", "biconnected_component_edges", "is_biconnected"):
+        monkeypatch.setattr(nx, name, forbidden)
     monkeypatch.setattr(nx.algorithms.planarity, "LRPlanarity", forbidden)
     runs = []
     real = planarity._lr_planar
-    monkeypatch.setattr(planarity, "_lr_planar", lambda adj: runs.append(1) or real(adj))
+    monkeypatch.setattr(planarity, "_lr_planar",
+                        lambda *args, **kwargs: runs.append(1) or real(*args, **kwargs))
     is_planar.cache_clear()
     assert not is_planar(petersen()) and runs
     runs.clear()
@@ -321,8 +434,9 @@ def test_planarity_answers_without_networkx(monkeypatch):
                          if op is Operation.VR and k == 2 and not is_planar(g))
     runs.clear()
     assert solve_pipeline(Instance(g, k, op, phi)).cross_checked and runs
-    with pytest.raises(_Forbidden):
-        embed(complete_graph(4))
+    runs.clear()
+    assert embed(complete_graph(4)) == k4_faces and runs
+    assert faces_are_fixed(complete_graph(4))
 
 
 def test_the_memo_is_bounded():
@@ -357,8 +471,9 @@ def _subdivided_k33_with_extras() -> Graph:
 
 class TestOrderIndependence:
     """Two equal graphs, built from one edge list and from its reverse, get
-    the same faces and Kuratowski witness: `_to_nx` adds vertices
-    and edges in sorted order, whatever order g's sets iterate in."""
+    the same faces and Kuratowski witness: `embed` reads g's sorted
+    adjacency and `kuratowski` its sorted edges, whatever order g's sets
+    iterate in."""
 
     @staticmethod
     def _twins(g: Graph) -> tuple:

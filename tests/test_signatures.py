@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 import warnings
 
 import pytest
@@ -14,7 +15,7 @@ from planmod.graphs import complete_graph
 from planmod.logic import (TRUE, BasicSentence, GaifmanSentence,
                            parse_combination, parse_formula)
 from planmod.modification import ModificationSet, Operation
-from planmod.signatures import (SigEntry, area_family, char_key, compute_char,
+from planmod.signatures import (SigEntry, _exact_w, area_family, char_key, compute_char,
                                 compute_parameters, compute_sig, is_triple, z_range)
 from planmod.sigoracle import char_oracle, sig_oracle
 from planmod.walls import (Wall, disjoint_subwalls, extended_compass,
@@ -66,6 +67,16 @@ class TestParameters:
         assert isinstance(p.w, int)
         assert p.w == (2 ** (8 * 2 ** 16)) * 4
         assert isinstance(p.q, int)
+
+    def test_huge_ell_renders_at_once(self):
+        # 2^ell is neither built nor printed past ell = 64; up to there the
+        # tower shows the inner exponent as a number
+        start = time.perf_counter()
+        w = _exact_w(1, 10 ** 9, 1)
+        assert time.perf_counter() - start < 0.1
+        assert w == f"2^(1*2*2^2^{10 ** 9}*1)*{3 * (10 ** 9 + 3)}"
+        assert _exact_w(1, 64, 1) == f"2^(1*2*2^{2 ** 64})*201"
+        assert _exact_w(1, 65, 1) == "2^(1*2*2^2^65*1)*204"
 
     @given(k=st.integers(0, 2), ell=st.integers(1, 2), rho=st.integers(1, 3))
     def test_q_is_the_least_root_of_the_scaled_w(self, k, ell, rho):
