@@ -27,7 +27,7 @@ from .planarity import certified_planar, is_planar
 from .signatures import (Parameters, char_key, compute_char, compute_parameters,
                          first_model, is_triple)
 from .treewidth import TreeDecomposition, width_witness
-from .walls import (Wall, center, compass, disjoint_subwalls,
+from .walls import (Wall, WallSearch, center, compass, disjoint_subwalls,
                     extended_compass, wall_candidates, _may_contain_wall)
 from .signatures import area_family
 
@@ -319,7 +319,7 @@ def has_k5_star_minor(g: Graph, center, copies: int,
 # -- Find_Area ------------------------------------------------------------------------
 
 def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
-              cfg: PipelineConfig = DEFAULTS):
+              cfg: PipelineConfig = DEFAULTS, search: WallSearch | None = None):
     """Trichotomy: an answer about obligatory structure, a q-wall whose compass
     is certified flat/irrelevant, or a bounded-width decomposition.
 
@@ -350,7 +350,9 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
                 return ObligatoryVertex(
                     u, f"no vr-planarizer of size <= {k} avoids it")
     blocked = s.elements | {w for u in s.elements for w in g.adj[u]}
-    outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg)
+    # the wall search resumes only while S = ∅ (see `WallSearch`)
+    outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg,
+                           None if s else search)
     if outcome is not None:
         return outcome
     td = width_witness(g, f1)
@@ -361,7 +363,8 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
 
 
 def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
-                 op: Operation, k: int, f2, cfg: PipelineConfig):
+                 op: Operation, k: int, f2, cfg: PipelineConfig,
+                 search: WallSearch | None = None):
     """A q-wall of G − S (`flat`) whose compass misses `blocked` (S and its
     neighbours), has width at most f2 and is planarization-irrelevant; or a
     no-instance; or None, when `wall_candidates`, bounded by
@@ -375,7 +378,7 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
     if not _may_contain_wall(flat, q):
         return None
     planarizers = None
-    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes):
+    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes, search):
         comp = compass(g, wall)
         if comp.vertices & blocked:
             continue
@@ -472,7 +475,8 @@ def _verify_no_planarizer(g: Graph, scope: frozenset, k: int, op: Operation,
 
 def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
-                    cfg: PipelineConfig = DEFAULTS, chars: dict | None = None):
+                    cfg: PipelineConfig = DEFAULTS, chars: dict | None = None,
+                    search: WallSearch | None = None):
     """One reduction step: obligatory structure, an irrelevant region (via the
     area and vertex finders), or a bounded-width decomposition. `find_area`
     checks that S planarizes G. Nothing here is checked against exhaustive
@@ -484,7 +488,7 @@ def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
-    outcome = find_area(k, params.q, g, s, op, cfg)
+    outcome = find_area(k, params.q, g, s, op, cfg, search)
     if isinstance(outcome, WallArea):
         try:
             region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg, chars)
@@ -592,6 +596,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     result: PipelineResult | None = None
     obligatory: set = set()
     chars: dict = {}  # char_key -> Characteristic, for this run only
+    search = WallSearch()  # pass 1 of the wall search, for this run only
     checked = None  # the current question's answer, once a step check solved it
     answered = None  # the input question's answer, once a search solved it
 
@@ -617,7 +622,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             # G − S is G: prove it planar once, in a copy every later graph
             # derives from
             g = certified_planar(g)
-        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars)
+        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars,
+                                  search)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check:
                 _verify_no_planarizer(g, g.vertices, k, op, cfg, "no-instance")

@@ -17,7 +17,10 @@ the reduct are lifted back through the host paths its edges stand for. Two
 facts make the reduct enough for subdivided walls, proved in the
 `wall_candidates` docstring: smoothing a subdivided h-wall turns its central
 (h - 2)-wall into direct edges, and the reduct of a subdivided q-wall is the
-skeleton of W_q (its own reduct) with every path at least as long.
+skeleton of W_q (its own reduct) with every path at least as long. The
+pass on the host resumes from step to step of a run that only deletes
+vertices (`WallSearch`), since the embeddings of the smaller host are the
+old ones that avoid the deleted vertices, in the same order.
 """
 
 from __future__ import annotations
@@ -433,6 +436,15 @@ def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
     edge it checks, stopping at the first that fails; exceeding the budget
     raises instead of silently reporting absence. The search runs on one
     flat loop: levels[i] holds the candidates order[i] has left.
+
+    Sent a pair (drop, budget) in place of a plain `next`, the search goes
+    on in the host less the vertices of `drop`: it marks them gone, a mark
+    that backtracking never clears, lowers their neighbours' degrees, backs
+    up to the first placement on a gone vertex, and spends at most `budget`
+    further nodes. A gone candidate is skipped before it costs a node, so
+    from there on the search meets the embeddings of the smaller host at
+    the cost and in the order that a fresh search of it meets them after
+    the last one yielded: ranks in the smaller host keep their order.
     """
     hosts = host.sorted_vertices()
     rank = {v: i for i, v in enumerate(hosts)}
@@ -446,12 +458,15 @@ def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
     m = len(pat.order)
     image = [0] * m
     used = [False] * len(hosts)
+    gone = [False] * len(hosts)
     levels = [iter(range(len(hosts)))] + [None] * (m - 1)
     budget = node_budget
     i = 0
     while True:
         need_degree, back = pat.degree[i], pat.backs[i]
         for h in levels[i]:
+            if gone[h]:
+                continue
             budget -= 1
             if budget < 0:
                 raise ResourceLimitError(_BUDGET_FIRED)
@@ -474,7 +489,20 @@ def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
             continue
         image[i] = h
         if i + 1 == m:
-            yield [hosts[x] for x in image]
+            sent = yield [hosts[x] for x in image]
+            if sent is not None:
+                drop, budget = sent
+                for v in drop:
+                    r = rank[v]
+                    if not gone[r]:
+                        gone[r] = True
+                        for u in links[r]:
+                            degree[u] -= 1
+                # undo the placements from the first gone image on; that
+                # level's candidates go on after its image
+                i = next((j for j, x in enumerate(image) if gone[x]), i)
+                for x in image[i:-1]:
+                    used[x] = False
             continue
         used[h] = True
         i += 1
@@ -484,43 +512,124 @@ def _embeddings(pat: _Pattern, host: Graph, host_paths: Mapping | None,
         levels[i] = iter(closed[anchor])
 
 
+def _lift(pat: _Pattern, q: int, image: list, host_paths: Mapping | None) -> Wall:
+    """The q-wall behind one `_embeddings` image, lifted to the graph behind
+    `host_paths`: a pattern path's inner positions go to the first inner
+    vertices of its host path, and its last edge takes the rest of that
+    path."""
+    coords = dict(zip(image, pat.order))
+    paths = {}
+    for i, row in enumerate(pat.backs):
+        for j, need, chain in row:
+            a, b = image[i], image[j]
+            path = (a, b) if host_paths is None else host_paths[norm_edge(a, b)]
+            path = path if path[0] == a else path[::-1]
+            for t in range(1, need + 1):
+                coords[path[t]] = chain[t]
+                paths[norm_edge(chain[t - 1], chain[t])] = path[t - 1:t + 1]
+            paths[norm_edge(chain[-2], chain[-1])] = path[need:]
+    return Wall(q, coords, paths)
+
+
 def _walls(host: Graph, q: int, skeleton: bool, host_paths: Mapping | None,
            node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
     """The q-walls that `_embeddings` finds for W_q or its skeleton in the
-    host, each lifted to the graph behind `host_paths`: a pattern path's
-    inner positions go to the first inner vertices of its host path, and
-    its last edge takes the rest of that path."""
+    host, each lifted to the graph behind `host_paths` (`_lift`)."""
     pat = _wall_pattern(q, skeleton)
     for image in _embeddings(pat, host, host_paths, node_budget):
-        coords = dict(zip(image, pat.order))
-        paths = {}
-        for i, row in enumerate(pat.backs):
-            for j, need, chain in row:
-                a, b = image[i], image[j]
-                path = (a, b) if host_paths is None else host_paths[norm_edge(a, b)]
-                path = path if path[0] == a else path[::-1]
-                for t in range(1, need + 1):
-                    coords[path[t]] = chain[t]
-                    paths[norm_edge(chain[t - 1], chain[t])] = path[t - 1:t + 1]
-                paths[norm_edge(chain[-2], chain[-1])] = path[need:]
-        yield Wall(q, coords, paths)
+        yield _lift(pat, q, image, host_paths)
+
+
+class WallSearch:
+    """Pass 1 of `wall_candidates`, W_q in g by direct edges, kept as one
+    search across the steps of a run.
+
+    While a run's S is ∅, a step only deletes vertices, so the embeddings
+    of W_q in g − X are exactly those of g that avoid X, met in the same
+    rank order. So the state keeps the `_embeddings` kernel suspended after
+    its last wall, and every wall it has yielded. A step whose g is the
+    last step's g less some vertices X, for the same q, first re-offers, in
+    yield order and without spending nodes, the yielded walls that avoid
+    every deleted vertex. Then it sends X to the kernel, which backs up past
+    them, and goes on with a fresh `budget` for the nodes it spends in that
+    step. A search that exhausted stays exhausted and only re-offers. Any
+    other step, and the step after the budget fired, starts fresh. So each
+    step's walls are a fresh search's walls in its order, unless the fresh
+    search would have fired its budget first.
+
+    One object serves one run: `solver.solve_pipeline` makes it and passes
+    it down only while S = ∅.
+    """
+
+    def __init__(self):
+        self._q = None
+        self._host = None  # the last step's g; None: the next step starts fresh
+        self._kernel = None  # the suspended `_embeddings`; None once exhausted
+        self._yielded: list = []  # the kernel's walls so far, in yield order
+        self._drop: set = set()  # vertices deleted since the kernel last ran
+
+    def _deleted(self, g: Graph, q: int) -> frozenset | None:
+        """The vertices that the last step's g has and g lacks, when g is
+        that graph less them and q is unchanged; otherwise None."""
+        old = self._host
+        if old is None or q != self._q:
+            return None
+        gone = old.vertices - g.vertices
+        return gone if old.remove_vertices(gone) == g else None
+
+    def walls(self, g: Graph, q: int, budget: int) -> Iterator[Wall]:
+        """The walls of g's pass 1 at this step, spending at most `budget`
+        kernel nodes; the kernel's ResourceLimitError passes through."""
+        pat = _wall_pattern(q, False)
+        gone = self._deleted(g, q)
+        if gone is None:
+            self._q, self._yielded, self._drop = q, [], set()
+            self._kernel = _embeddings(pat, g, None, budget)
+            sent = None
+        else:
+            self._yielded = [w for w in self._yielded if w.graph.vertices.isdisjoint(gone)]
+            if self._kernel is not None:
+                self._drop |= gone
+            sent = (self._drop, budget)
+        self._host = g
+        yield from self._yielded
+        while self._kernel is not None:
+            try:
+                image = self._kernel.send(sent)
+            except StopIteration:
+                self._kernel = None
+                return
+            except ResourceLimitError:
+                self._host = None
+                raise
+            sent, self._drop = None, set()
+            wall = _lift(pat, q, image, None)
+            self._yielded.append(wall)
+            yield wall
 
 
 def find_wall_subdivisions(g: Graph, q: int,
                            node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
     """The q-walls of g whose every path is one edge of g: the embeddings
-    of the elementary q-wall as a subgraph, in the kernel's order. Each
-    path runs from the image of its later-placed end."""
-    yield from _walls(g, q, False, None, node_budget)
+    of the elementary q-wall as a subgraph, in the kernel's order, as a
+    fresh `WallSearch` yields them. Each path runs from the image of its
+    later-placed end."""
+    yield from WallSearch().walls(g, q, node_budget)
 
 
-def wall_candidates(g: Graph, q: int,
-                    node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
+def wall_candidates(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wall_nodes,
+                    search: WallSearch | None = None) -> Iterator[Wall]:
     """Candidate q-walls of g, deduplicated by vertex set, from three passes
-    of the direct-edge kernel, each with budget node_budget // 4:
+    of the direct-edge kernel, each with budget node_budget // 4 for the
+    nodes it spends in this call:
 
-    1. W_q in g (`find_wall_subdivisions`), so elementary walls are found
-       as before;
+    1. W_q in g, the walls `find_wall_subdivisions` finds, in its order,
+       through `search`, the run's pass-1 state (a fresh one when None).
+       When g is the state's last g less some vertices, the search
+       resumes: it re-offers the walls it yielded before that avoid them,
+       and goes on from its last wall. A search that exhausted stays
+       exhausted and only re-offers, and a fired budget starts the next
+       call fresh (see `WallSearch`);
     2. the skeleton of W_q in the degree-2 reduct R of g
        (`smooth_degree_two`), every skeleton edge on an edge of R whose
        path holds at least as many inner vertices; this finds subdivisions
@@ -576,7 +685,7 @@ def wall_candidates(g: Graph, q: int,
             return
 
     budget = node_budget // 4
-    yield from fresh(find_wall_subdivisions(g, q, budget))
+    yield from fresh((WallSearch() if search is None else search).walls(g, q, budget))
     reduct, paths = smooth_degree_two(g)
     if len(reduct.vertices) < len(g.vertices):
         yield from fresh(_walls(reduct, q, True, paths, budget))

@@ -283,6 +283,15 @@ SCENARIOS = {
         name=(lambda v: f"v{v}") if ids == "str" else (lambda v: v if v % 2 else f"v{v}"))
        for ids in ("str", "mixed")
        for sentence, phi, code in (("has-neighbour", HAS_NEIGHBOUR, 0), ("isolated", ISOLATED, 1))},
+    # "is isolated" runs on large walls resume one pass-1 wall search from
+    # step to step, where each step once restarted it from rank 0 and its
+    # budget ran out in the emptied low ranks: the 23- and 31-wall take more
+    # irrelevant-region steps than the 77 and 94 they took then
+    **{f"wall{h}-vr-isolated-unchecked": Scenario(
+        lambda h=h: make_elementary_wall(h).graph,
+        ["--op", "vr", "-k", "1", "--gaifman", ISOLATED, *HATS, "--no-cross-check"], 1, False,
+        lambda trace, before=before: _outcomes(trace).count("irrelevant-region") > before, 30)
+       for h, before in ((23, 77), (31, 94))},
     # the faces of one embedding of the 7-wall answer every one-pair ea set,
     # so the checked ea NO case, which the benchmark leaves out as too slow,
     # finishes in about a second

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graph_helpers import path_graph, planted_star, relabel, verify_minor_model
 from planarizer_reference import GADGETS, gadget, hub_graph, pendant_wall
 
-from planmod import solver
+from planmod import solver, walls
 from planmod.config import DEFAULTS, PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
@@ -751,6 +751,43 @@ def _wall_golden_reports() -> bytes:
         witness = None if res.witness is None else res.witness.to_json_obj()
         rows.append([res.answer, witness, res.trace_json_obj()])
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestOneWallSearchPerRun:
+    """Pass 1 of the wall search, W_q on G − S by direct edges, is the one
+    `_embeddings` start on no host paths; a run resumes it while S = ∅."""
+
+    CFG = PipelineConfig(cross_check=False, rho_hat=1, d_hat=1, q_hat=7)
+
+    @pytest.fixture
+    def starts(self, monkeypatch) -> list:
+        real, hosts = walls._embeddings, []
+
+        def spy(pat, host, host_paths, *args):
+            if host_paths is None:
+                hosts.append(host)
+            return real(pat, host, host_paths, *args)
+
+        monkeypatch.setattr(walls, "_embeddings", spy)
+        return hosts
+
+    @pytest.mark.parametrize("psi", [HAS_NEIGHBOR, IS_ISOLATED],
+                             ids=["has-neighbour", "isolated"])
+    def test_the_golden_nine_wall_starts_pass_one_once(self, starts, psi):
+        # the instances of WALL_GOLDEN_SHA256: 5 steps resume the search
+        # that the first one started, where each step once started its own
+        phi = GaifmanSentence((BasicSentence(1, 1, psi),), parse_combination("1"))
+        res = solve_pipeline(Instance(make_elementary_wall(9).graph, 1, Operation.VR, phi),
+                             self.CFG)
+        assert [t.outcome for t in res.trace].count("irrelevant-region") == 5
+        assert len(starts) == 1
+
+    def test_a_nonempty_planarizer_starts_pass_one_per_step(self, starts):
+        # S is the K5 vertex on the bridge at every step, so no step resumes
+        res = solve_pipeline(Instance(pendant_wall(9, "k5", "bridge"), 1, Operation.VR,
+                                      PHI_ISO), self.CFG)
+        assert [t.outcome for t in res.trace] == ["irrelevant-region"] * 4 + ["bounded-treewidth"]
+        assert len(starts) == 5
 
 
 class TestSubdividedWall:

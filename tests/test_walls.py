@@ -28,7 +28,7 @@ from planmod.walls import (_layer_cycles, _may_contain_wall, _wall_pattern, cent
                            elementary_positions, extended_compass,
                            find_wall_subdivisions, layers, make_elementary_wall,
                            perimeter, subdivide_wall, subwall_at, validate_wall,
-                           wall_annulus, wall_candidates, wall_violations)
+                           wall_annulus, wall_candidates, wall_violations, WallSearch)
 
 
 def coord_adjacency(wall):
@@ -464,6 +464,110 @@ class TestWallSearchBudget:
         assert res.answer and res.cross_checked
         res = solve_pipeline(inst, PipelineConfig(cap_wall_nodes=8000, **hats))
         assert "irrelevant-region" in [t.outcome for t in res.trace]
+
+
+@st.composite
+def subdivided_hosts(draw):
+    """Subdivided 9- and 11-walls with at most one vertex per edge, where
+    the direct-edge search exhausts without finding the whole wall."""
+    wall = make_elementary_wall(draw(st.sampled_from((9, 11))))
+    return subdivide_wall(wall, rng=random.Random(draw(st.integers(0, 2 ** 16))),
+                          max_extra=1).graph
+
+
+class TestWallSearchResume:
+    """`WallSearch` resumes pass 1 across deletions: at each step its walls
+    are the reference's walls on that step's graph, in the same order,
+    unless the reference fires its budget first."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.one_of(wall_hosts(), subdivided_hosts()), q=st.sampled_from((3, 3, 5)),
+           data=st.data())
+    def test_resumed_walls_are_the_reference_walls(self, g, q, data):
+        search = WallSearch()
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            budget = data.draw(st.sampled_from((300, 10 ** 4, 10 ** 5, 10 ** 5)),
+                               label="budget")
+            got, accepted, fired = [], None, False
+            try:
+                for wall in search.walls(g, q, budget):
+                    got.append(wall)
+                    # the consumer rejects a random subset of the walls
+                    if len(got) == 30 or data.draw(st.booleans(), label="accept"):
+                        accepted = wall
+                        break
+            except ResourceLimitError:
+                fired = True
+            # a fresh search asked for as many walls, or one more when the
+            # resumed one ran out or fired
+            want = len(got) + (accepted is None)
+            ref, ref_fired = _outcome(islice(reference_search(g, q, node_budget=budget), want))
+            assert _outcome(got)[0][:len(ref)] == ref
+            assert ref_fired or len(ref) == len(got)
+            assert ref_fired or not fired
+            drop = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), max_size=2),
+                             label="drop")
+            if accepted is not None:
+                drop.append(data.draw(st.sampled_from(sorted(accepted.graph.vertices)),
+                                      label="drop from the accepted wall"))
+            g = g.remove_vertices(drop)
+            if not g.vertices:
+                return
+
+    @pytest.fixture
+    def starts(self, monkeypatch) -> list:
+        """The host of every `_embeddings` start."""
+        real, hosts = walls._embeddings, []
+
+        def spy(*args):
+            hosts.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(walls, "_embeddings", spy)
+        return hosts
+
+    @staticmethod
+    def _first(search, g, q, budget):
+        wall = next(search.walls(g, q, budget))
+        assert _outcome([wall]) == _outcome(islice(reference_search(g, q), 1))
+        return wall
+
+    def test_a_fired_budget_starts_fresh(self, starts):
+        g = make_elementary_wall(7).graph
+        search = WallSearch()
+        with pytest.raises(ResourceLimitError):
+            next(search.walls(g, 5, 4))
+        wall = self._first(search, g, 5, 8000)
+        g1 = g.remove_vertices([wall.branch_at[(1, 1)]])
+        wall = self._first(search, g1, 5, 8000)
+        # the resumed step gets the budget it is given, and fires
+        g2 = g1.remove_vertices([wall.branch_at[(1, 1)]])
+        with pytest.raises(ResourceLimitError):
+            list(search.walls(g2, 5, 4))
+        self._first(search, g2, 5, 8000)
+        assert starts == [g, g, g2]
+
+    @pytest.mark.parametrize("place", [0, 1, 8, -1], ids=["root", "second", "ninth", "last"])
+    def test_the_search_backs_up_past_a_deleted_vertex(self, starts, place):
+        # deleting the image of one placement of the last wall undoes that
+        # placement and every later one; in a grid, many 3-walls share the
+        # first wall's early placements
+        g = make_grid(5, 8).graph
+        search = WallSearch()
+        wall = self._first(search, g, 3, 8000)
+        smaller = g.remove_vertices([wall.branch_at[_wall_pattern(3, False).order[place]]])
+        got = list(islice(search.walls(smaller, 3, 8000), 5))
+        assert _outcome(got) == _outcome(islice(reference_search(smaller, 3), 5))
+        assert starts == [g]
+
+    def test_another_graph_or_q_starts_fresh(self, starts):
+        g = make_elementary_wall(7).graph
+        search = WallSearch()
+        wall = self._first(search, g, 5, 8000)
+        chord = g.remove_vertices([wall.branch_at[(1, 1)]]).add_edges([(20, 40)])
+        self._first(search, chord, 5, 8000)
+        self._first(search, chord, 3, 8000)
+        assert starts == [g, chord, chord]
 
 
 class TestWallSearchDepth:
