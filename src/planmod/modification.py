@@ -252,7 +252,8 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
 
 
 def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
-                 chosen: frozenset = frozenset()) -> Iterator[frozenset]:
+                 chosen: frozenset = frozenset(),
+                 witnesses: dict | None = None) -> Iterator[frozenset]:
     """op-planarizers of g that hold `chosen` (F), have size <= k and touch
     only vertices of `scope`, depth first; every inclusion-minimal one among
     them comes out, some sets more than once.
@@ -268,13 +269,18 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
         branching on these x, in sorted order, to depth k finds every
         minimal planarizer, and F + x is again the `chosen` of one branch.
     The depth is at most k, so the search needs no cap. ea cannot
-    planarize a nonplanar g."""
+    planarize a nonplanar g. `witnesses` memoises K by h (a fresh memo when
+    None): `kuratowski(h)` depends on h alone, so a graph reached again, in
+    this search or in another that shares the memo, is not searched again."""
     ms = ModificationSet(op, chosen)
     h = apply(g, ms) if chosen else g
     if is_planar(h):
         yield chosen
     elif op is not Operation.EA and len(chosen) < k:
-        witness = kuratowski(h)
+        witnesses = {} if witnesses is None else witnesses
+        witness = witnesses.get(h)
+        if witness is None:
+            witness = witnesses[h] = kuratowski(h)
         if op is Operation.VR:
             branch = witness.sorted_vertices()
         elif op is Operation.ER:
@@ -285,14 +291,16 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
             branch = [e for e, a, b in ends if a != b and (a in witness or b in witness)]
         for x in branch:
             if affected(ModificationSet(op, [x])) <= scope:
-                yield from _planarizers(g, op, k, scope, chosen | {x})
+                yield from _planarizers(g, op, k, scope, chosen | {x}, witnesses)
 
 
-def minimal_planarizers(g: Graph, op: Operation, k: int) -> list[ModificationSet]:
+def minimal_planarizers(g: Graph, op: Operation, k: int,
+                        witnesses: dict | None = None) -> list[ModificationSet]:
     """All inclusion-minimal op-planarizers of size <= k, in `subsets_up_to`
     order: by size, then by the sorted elements. Exact under every operation
-    by `_planarizers`' lemmas, with no cap."""
-    found = sorted(set(_planarizers(g, op, k, g.vertices)),
+    by `_planarizers`' lemmas, with no cap. `witnesses` is a run's memo of
+    Kuratowski witnesses (a fresh one when None)."""
+    found = sorted(set(_planarizers(g, op, k, g.vertices, witnesses=witnesses)),
                    key=lambda s: (len(s), sorted(s)))
     kept: list = []
     for s in found:
@@ -312,15 +320,16 @@ def is_planarization_irrelevant(planarizers: Iterable[ModificationSet],
     return all(not (affected(s) & q_set) for s in planarizers)
 
 
-def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None
-                       ) -> ModificationSet | None:
+def find_vr_planarizer(g: Graph, k: int, scope: Iterable | None = None,
+                       witnesses: dict | None = None) -> ModificationSet | None:
     """Some vr-planarizer of size <= k inside `scope` (all of V when None),
     or None: the first set of `_planarizers`' branching, which is exhaustive
     with depth <= k, since a planarizer inside the scope must hit every
-    Kuratowski subgraph at a vertex of the scope.
+    Kuratowski subgraph at a vertex of the scope. `witnesses` is a run's
+    memo of Kuratowski witnesses (a fresh one when None).
     """
     if k < 0:
         raise InputError("budget must be non-negative")
     scope = g.vertices if scope is None else frozenset(scope)
-    chosen = next(_planarizers(g, Operation.VR, k, scope), None)
+    chosen = next(_planarizers(g, Operation.VR, k, scope, witnesses=witnesses), None)
     return None if chosen is None else ModificationSet(Operation.VR, chosen)

@@ -36,6 +36,31 @@ from .signatures import area_family
 BUCKET_THRESHOLD = 2
 
 
+class RunContext:
+    """What one `solve_pipeline` run keeps between its searches. Each memo
+    is exact only under the run's fixed op, sentence, params and config,
+    so one context serves one run; a finder called without one makes a
+    fresh one.
+
+    - `chars`: characteristics by `char_key`, for `find_vertex`.
+    - `search`: pass 1 of the wall search (`walls.WallSearch`), handed to
+      `wall_candidates` while S = ∅.
+    - `solved`: the slot of `signatures.is_triple`, the last triple question
+      (G, R, k) the run solved, with its witness.
+    - `witnesses`: Kuratowski witnesses by graph, for `_planarizers`; the
+      run clears it whenever a step replaces G, so it holds only graphs
+      derived from the current G.
+    """
+
+    __slots__ = ("chars", "search", "solved", "witnesses")
+
+    def __init__(self):
+        self.chars: dict = {}
+        self.search = WallSearch()
+        self.solved: dict = {}
+        self.witnesses: dict = {}
+
+
 # -- instances -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -319,7 +344,7 @@ def has_k5_star_minor(g: Graph, center, copies: int,
 # -- Find_Area ------------------------------------------------------------------------
 
 def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
-              cfg: PipelineConfig = DEFAULTS, search: WallSearch | None = None):
+              cfg: PipelineConfig = DEFAULTS, ctx: RunContext | None = None):
     """Trichotomy: an answer about obligatory structure, a q-wall whose compass
     is certified flat/irrelevant, or a bounded-width decomposition.
 
@@ -333,7 +358,9 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     avoids it: `find_vr_planarizer` over V − u, which is exact and has no
     budget. Every other answer comes from `_wall_branch`, which reads both
     the no-instance and the irrelevance answers off one exact list of
-    minimal planarizers, or from a width witness.
+    minimal planarizers, or from a width witness. Both planarizer searches
+    share the run's Kuratowski witnesses (`ctx.witnesses`) with the
+    opening one.
     """
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")
@@ -341,18 +368,16 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     f1, f2 = fam["f1"], fam["f2"]
     if op is Operation.EA and s:
         raise InputError("edge additions remove no vertex; under ea S must be empty")
-    removed = g.remove_vertices(s.elements)
+    ctx = RunContext() if ctx is None else ctx
+    removed = g.remove_vertices(s.elements) if s else g
     if not is_planar(removed):
         raise InputError("the supplied set is not a vr-planarizer")
     if op is Operation.VR:
         for u in s.sorted_elements():
-            if find_vr_planarizer(g, k, g.vertices - {u}) is None:
+            if find_vr_planarizer(g, k, g.vertices - {u}, ctx.witnesses) is None:
                 return ObligatoryVertex(
                     u, f"no vr-planarizer of size <= {k} avoids it")
-    blocked = s.elements | {w for u in s.elements for w in g.adj[u]}
-    # the wall search resumes only while S = ∅ (see `WallSearch`)
-    outcome = _wall_branch(g, removed, blocked, q, op, k, f2, cfg,
-                           None if s else search)
+    outcome = _wall_branch(g, removed, s.elements, q, op, k, f2, cfg, ctx)
     if outcome is not None:
         return outcome
     td = width_witness(g, f1)
@@ -362,13 +387,13 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
         f"no branch achievable: no certified q-wall and no width-{f1} witness")
 
 
-def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
-                 op: Operation, k: int, f2, cfg: PipelineConfig,
-                 search: WallSearch | None = None):
-    """A q-wall of G − S (`flat`) whose compass misses `blocked` (S and its
-    neighbours), has width at most f2 and is planarization-irrelevant; or a
+def _wall_branch(g: Graph, flat: Graph, s: frozenset, q: int,
+                 op: Operation, k: int, f2, cfg: PipelineConfig, ctx: RunContext):
+    """A q-wall of G − S (`flat`) whose compass misses S and its
+    neighbours, has width at most f2 and is planarization-irrelevant; or a
     no-instance; or None, when `wall_candidates`, bounded by
-    `cap_wall_nodes`, yields no such wall.
+    `cap_wall_nodes`, yields no such wall. Pass 1 of the wall search
+    resumes the run's `ctx.search` only while S = ∅ (see `WallSearch`).
 
     At the first candidate that passes the blocked and width tests, every
     inclusion-minimal op-planarizer of size <= k is listed once, exactly
@@ -377,8 +402,9 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
     is read off the same list."""
     if not _may_contain_wall(flat, q):
         return None
+    blocked = s | {w for u in s for w in g.adj[u]}
     planarizers = None
-    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes, search):
+    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes, None if s else ctx.search):
         comp = compass(g, wall)
         if comp.vertices & blocked:
             continue
@@ -388,7 +414,7 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
         if len(comp.vertices) - 1 > f2 and width_witness(comp, f2) is None:
             continue
         if planarizers is None:
-            planarizers = minimal_planarizers(g, op, k)
+            planarizers = minimal_planarizers(g, op, k, ctx.witnesses)
             if not planarizers:
                 return NoInstance(f"no {op.value}-planarizer of size <= {k}")
         if is_planarization_irrelevant(planarizers, comp.vertices):
@@ -400,16 +426,16 @@ def _wall_branch(g: Graph, flat: Graph, blocked: frozenset, q: int,
 
 def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
                 phi: GaifmanSentence, params: Parameters,
-                cfg: PipelineConfig = DEFAULTS, chars: dict | None = None) -> IrrelevantRegion:
+                cfg: PipelineConfig = DEFAULTS,
+                ctx: RunContext | None = None) -> IrrelevantRegion:
     """Pick equivalent disjoint subwalls inside the given wall and declare the
     chosen wall's inner compass irrelevant. The (X, v) it returns is a
     proposal, which `solve_pipeline` checks against exhaustive search.
 
-    `chars` is the run's memo of characteristics (a fresh one when not
-    given): a tower whose `char_key` it holds takes the stored
-    characteristic, which is exact (see `char_key`), and a computed one is
-    stored. The dict must serve one run only, since the key leaves out op,
-    phi, params and cfg."""
+    `ctx.chars` is the run's memo of characteristics: a tower whose
+    `char_key` it holds takes the stored characteristic, which is exact
+    (see `char_key`), and a computed one is stored. The memo must serve one
+    run only, since the key leaves out op, phi, params and cfg."""
     r_set = frozenset(r_set)
     rho = params.rho
     if params.r > rho:
@@ -442,7 +468,7 @@ def find_vertex(k: int, g: Graph, r_set: Iterable, wall: Wall, op: Operation,
             if not ec.compass.vertices & r_set:
                 return finish(ec, frozenset(ec.level(rho - 1).graph.vertices))
 
-    chars = {} if chars is None else chars
+    chars = {} if ctx is None else ctx.chars
     buckets: dict = {}
     for ec in towers:
         key = char_key(ec, r_set, op, k)
@@ -475,23 +501,22 @@ def _verify_no_planarizer(g: Graph, scope: frozenset, k: int, op: Operation,
 
 def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
-                    cfg: PipelineConfig = DEFAULTS, chars: dict | None = None,
-                    search: WallSearch | None = None):
+                    cfg: PipelineConfig = DEFAULTS, ctx: RunContext | None = None):
     """One reduction step: obligatory structure, an irrelevant region (via the
     area and vertex finders), or a bounded-width decomposition. `find_area`
     checks that S planarizes G. Nothing here is checked against exhaustive
-    search; `solve_pipeline` does that. `chars` is the run's memo of
-    characteristics, handed to `find_vertex`.
+    search; `solve_pipeline` does that. `ctx` is the run's context, handed
+    to both finders.
 
     `params.q` must be a concrete odd q >= 3; `solve_pipeline` checks that
     once, before its opening search."""
     r_set = frozenset(r_set)
     if s.op is not Operation.VR or len(s) > k or not s.elements <= r_set:
         raise InputError("need a vertex-removal planarizer of size <= k inside R")
-    outcome = find_area(k, params.q, g, s, op, cfg, search)
+    outcome = find_area(k, params.q, g, s, op, cfg, ctx)
     if isinstance(outcome, WallArea):
         try:
-            region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg, chars)
+            region = find_vertex(k, g, r_set, outcome.wall, op, phi, params, cfg, ctx)
         except ResourceLimitError as exc:
             # the trichotomy allows the decomposition branch instead
             fam = area_family(k, params.q)
@@ -578,9 +603,19 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     caller's graph stays unmarked. While S ≠ ∅, G is nonplanar and every
     test runs as before.
 
-    The run keeps one memo of wall characteristics, `chars`, which every
-    step hands to `find_vertex`: a tower shape met at an earlier step, or
-    earlier in the same step, is not characterised again.
+    The run makes one `RunContext` and hands it to every step, so no
+    question is answered twice:
+    - a tower shape met at an earlier step, or earlier in the same step, is
+      not characterised again (`ctx.chars`);
+    - pass 1 of the wall search resumes across steps while S = ∅
+      (`ctx.search`);
+    - a graph's Kuratowski witness, built by the opening search, is reused
+      by the step's obligatory and wall-branch searches on the same G
+      (`ctx.witnesses`, cleared whenever a step replaces G);
+    - `is_triple` answers a question equal to the last one it solved from
+      its slot (`ctx.solved`). So after N irrelevant-region steps the final
+      search reads the last step's "after" answer and witness, and a
+      checked run solves N + 1 questions, the final search included.
     """
     if not isinstance(inst.phi, GaifmanSentence):
         raise InputError("the pipeline needs a Gaifman sentence; "
@@ -595,8 +630,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     trace: list = []
     result: PipelineResult | None = None
     obligatory: set = set()
-    chars: dict = {}  # char_key -> Characteristic, for this run only
-    search = WallSearch()  # pass 1 of the wall search, for this run only
+    ctx = RunContext()
     checked = None  # the current question's answer, once a step check solved it
     answered = None  # the input question's answer, once a search solved it
 
@@ -607,7 +641,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     t0 = time.perf_counter()
     # edge additions remove no vertex, so under ea the opening asks for a
     # vr-planarizer of size 0: is G planar?
-    s = find_vr_planarizer(g, 0 if op is Operation.EA else k, r_set)
+    s = find_vr_planarizer(g, 0 if op is Operation.EA else k, r_set, ctx.witnesses)
     if s is None:
         log("no-planarizer", {"within": "R"}, t0)
         result = PipelineResult(False, None, trace)
@@ -622,8 +656,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             # G − S is G: prove it planar once, in a copy every later graph
             # derives from
             g = certified_planar(g)
-        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, chars,
-                                  search)
+        outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, ctx)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check:
                 _verify_no_planarizer(g, g.vertices, k, op, cfg, "no-instance")
@@ -636,6 +669,7 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
                                       f"obligatory-vertex {u!r}")
             log("obligatory-vertex", {"vertex": u, "reason": outcome.reason}, t0)
             g = g.remove_vertices([u])
+            ctx.witnesses.clear()
             r_set = r_set - {u}
             s = ModificationSet(Operation.VR, s.elements - {u})
             k -= 1
@@ -645,10 +679,11 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             r_smaller = r_set - outcome.region
             if cfg.cross_check:
                 before = checked if checked is not None else \
-                    is_triple(g, r_set, k, op, inst.phi, cfg)
+                    is_triple(g, r_set, k, op, inst.phi, cfg, solved=ctx.solved)
                 if not trace:  # no step yet: this is the input question
                     answered = before
-                checked = is_triple(smaller, r_smaller, k, op, inst.phi, cfg)
+                checked = is_triple(smaller, r_smaller, k, op, inst.phi, cfg,
+                                    solved=ctx.solved)
                 if checked != before:
                     raise SoundnessError(
                         f"irrelevant-region cross-check failed: removing "
@@ -657,9 +692,10 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
             log("irrelevant-region", {"vertex": outcome.vertex,
                                       "|X|": len(outcome.region)}, t0)
             g, r_set = smaller, r_smaller
+            ctx.witnesses.clear()
         else:
             answer, witness = is_triple(g, r_set, k, op, inst.phi, cfg,
-                                        want_witness=True)
+                                        want_witness=True, solved=ctx.solved)
             if not trace:
                 answered = answer
             if obligatory and witness is not None:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from graph_helpers import path_graph, planted_star, relabel, verify_minor_model
 from planarizer_reference import GADGETS, gadget, hub_graph, pendant_wall
 
-from planmod import solver, walls
+from planmod import modification, signatures, solver, walls
 from planmod.config import DEFAULTS, PipelineConfig
 from planmod.errors import InputError, ResourceLimitError
 from planmod.fixtures import (HAS_NEIGHBOR, IS_ISOLATED, TRIVIALLY_TRUE,
@@ -543,22 +543,22 @@ def _memo_walls(draw):
     return wall, frozenset(verts) - drop
 
 
-def _served(chars: dict, *args) -> list:
-    """find_vertex(*args, chars) with the run memo `chars`: the (tower,
-    characteristic) of every lookup it answers from the memo."""
+def _served(ctx: solver.RunContext, *args) -> list:
+    """find_vertex(*args, ctx) with the run context `ctx`: the (tower,
+    characteristic) of every lookup it answers from the memo `ctx.chars`."""
     served = []
     real = solver.char_key
 
     def key(ec, *rest):
         out = real(ec, *rest)
-        if out is not None and out in chars:
-            served.append((ec, chars[out]))
+        if out is not None and out in ctx.chars:
+            served.append((ec, ctx.chars[out]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "char_key", key)
         try:
-            find_vertex(*args, chars)
+            find_vertex(*args, ctx)
         except ResourceLimitError:
             pass
     return served
@@ -576,9 +576,9 @@ class TestCharacteristicMemo:
         wall, r_set = case
         g = wall.graph
         params = compute_parameters(1, phi, self.CFG)
-        chars: dict = {}
+        ctx = solver.RunContext()
         for r in (g.vertices, r_set):
-            for ec, char in _served(chars, 1, g, r, wall, op, phi, params, self.CFG):
+            for ec, char in _served(ctx, 1, g, r, wall, op, phi, params, self.CFG):
                 assert char == solver.compute_char(ec, r, op, 1, phi, params, self.CFG)
 
     @pytest.mark.parametrize("op", list(Operation))
@@ -587,10 +587,10 @@ class TestCharacteristicMemo:
         # served from the memo within one call
         wall = make_elementary_wall(9)
         params = compute_parameters(1, PHI_NB, self.CFG)
-        chars: dict = {}
-        served = _served(chars, 1, wall.graph, wall.graph.vertices, wall, op,
+        ctx = solver.RunContext()
+        served = _served(ctx, 1, wall.graph, wall.graph.vertices, wall, op,
                          PHI_NB, params, self.CFG)
-        assert served and chars
+        assert served and ctx.chars
 
     def test_checked_run_characterises_few_towers(self, monkeypatch):
         # the checked 9-wall vr "is isolated" run takes five irrelevant-region
@@ -788,6 +788,81 @@ class TestOneWallSearchPerRun:
                                       PHI_ISO), self.CFG)
         assert [t.outcome for t in res.trace] == ["irrelevant-region"] * 4 + ["bounded-treewidth"]
         assert len(starts) == 5
+
+
+class TestRunContext:
+    """A run solves each question once: `is_triple` answers the question it
+    solved last from the run's slot, and `_planarizers` reuses the
+    Kuratowski witness of a graph the run met before."""
+
+    CFG = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
+
+    @staticmethod
+    def _report(res) -> list:
+        witness = None if res.witness is None else res.witness.to_json_obj()
+        return [res.answer, witness, res.trace_json_obj(), res.cross_checked]
+
+    @pytest.mark.parametrize("height, steps", [(7, 1), (9, 5)])
+    def test_a_checked_run_solves_n_plus_one_questions(self, monkeypatch, height, steps):
+        # N irrelevant-region steps check N + 1 questions, and the final
+        # search reads the last of them from the slot
+        inst = Instance(make_elementary_wall(height).graph, 1, Operation.VR, PHI_ISO)
+        computed, real = [], signatures.first_model
+        monkeypatch.setattr(signatures, "first_model",
+                            lambda *args: computed.append(args[0]) or real(*args))
+        runs = []
+        for _ in range(2):  # nothing survives a run
+            computed.clear()
+            res = solve_pipeline(inst, self.CFG)
+            runs.append((len(computed), self._report(res)))
+        outcomes = [t.outcome for t in res.trace]
+        assert outcomes.count("irrelevant-region") == steps
+        assert outcomes[-2:] == ["bounded-treewidth", "cross-check"]
+        assert runs == [(steps + 1, runs[0][1])] * 2
+        # without the slot the final search solves the last question again,
+        # and the report is the same
+        real_triple = solver.is_triple
+        monkeypatch.setattr(solver, "is_triple",
+                            lambda *args, solved=None, **kwargs: real_triple(*args, **kwargs))
+        computed.clear()
+        res = solve_pipeline(inst, self.CFG)
+        assert (len(computed), self._report(res)) == (steps + 2, runs[0][1])
+
+    def test_the_slot_answers_only_the_last_question(self, monkeypatch):
+        # equal by value is enough; another R or k, or an older question,
+        # is solved again, and each answer is the fresh one
+        computed, real = [], signatures.first_model
+        monkeypatch.setattr(signatures, "first_model",
+                            lambda *args: computed.append(args[:3]) or real(*args))
+        g = path_graph(5)
+        questions = [(g, g.vertices, 1), (Graph(g.vertices, g.edges), set(g.vertices), 1),
+                     (g, g.vertices - {0}, 1), (g, g.vertices - {0}, 0), (g, g.vertices, 1)]
+        slot: dict = {}
+        for h, r_set, k in questions:
+            got = is_triple(h, r_set, k, Operation.VR, PHI_ISO, want_witness=True,
+                            solved=slot)
+            assert got == is_triple(h, r_set, k, Operation.VR, PHI_ISO, want_witness=True)
+            assert len(slot) == 1
+        assert len(computed) == 2 * len(questions) - 1
+
+    def test_no_graph_reaches_kuratowski_twice(self, monkeypatch):
+        # on the hub graph under vr, k = 1, the opening finds S = {0} and the
+        # obligatory check searches G again, avoiding 0: both branch on the
+        # one witness of G
+        searches, real_search = [], solver.find_vr_planarizer
+        monkeypatch.setattr(solver, "find_vr_planarizer",
+                            lambda *args: searches.append(args[2]) or real_search(*args))
+        met, real = [], modification.kuratowski
+        monkeypatch.setattr(modification, "kuratowski", lambda h: met.append(h) or real(h))
+        g = hub_graph()
+        res = solve_pipeline(Instance(g, 1, Operation.VR, PHI_ISO))
+        assert res.answer and res.cross_checked
+        assert searches == [g.vertices, g.vertices - {0}]
+        assert met == [g]
+        # a call with no memo makes its own
+        met.clear()
+        assert find_vr_planarizer(g, 1) == find_vr_planarizer(g, 1)
+        assert met == [g, g]
 
 
 class TestSubdividedWall:
