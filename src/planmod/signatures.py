@@ -355,12 +355,12 @@ def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
     """Does some S ⊆ op⟨G, R⟩ within the budget make G ⊠ S planar and a model
     of the annotated sentence? `first_model` under the annotated reading.
 
-    `solved` is a run's one-question slot: {(G, R, k): witness} for the
-    last question it solved. A question equal to it by value is answered
-    from the slot; any other is solved and replaces it. The slot is exact
-    for one run only: under the run's fixed op, phi and cfg, `first_model`
-    depends on (G, R, k) alone, so the stored witness is the one a fresh
-    search returns."""
+    `solved` is a run's memo: {(G, R, k): witness} for every question it
+    solved. A question equal to one of them by value is answered from the
+    memo; any other is solved and added. The memo is exact for one run
+    only: under the run's fixed op, phi and cfg, `first_model` depends on
+    (G, R, k) alone, so the stored witness is the one a fresh search
+    returns."""
     r_set = frozenset(r_set)
     question = (g, r_set, k)
     if solved is not None and question in solved:
@@ -370,6 +370,5 @@ def is_triple(g: Graph, r_set: Iterable, k: int, op: Operation,
             GaifmanSentence(phi.basics, phi.combination, True)
         witness = first_model(g, r_set, k, op, annotated, cfg)
         if solved is not None:
-            solved.clear()
             solved[question] = witness
     return (witness is not None, witness) if want_witness else witness is not None

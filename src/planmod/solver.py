@@ -44,8 +44,8 @@ class RunContext:
 
     - `chars`: characteristics by `char_key`, for `find_vertex`.
     - `search`: pass 1 of the wall search (`walls.WallSearch`), handed to
-      `wall_candidates` while S = ∅.
-    - `solved`: the slot of `signatures.is_triple`, the last triple question
+      `wall_candidates` at every step.
+    - `solved`: the memo of `signatures.is_triple`, every triple question
       (G, R, k) the run solved, with its witness.
     - `witnesses`: Kuratowski witnesses by graph, for `_planarizers`; the
       run clears it whenever a step replaces G, so it holds only graphs
@@ -393,7 +393,7 @@ def _wall_branch(g: Graph, flat: Graph, s: frozenset, q: int,
     neighbours, has width at most f2 and is planarization-irrelevant; or a
     no-instance; or None, when `wall_candidates`, bounded by
     `cap_wall_nodes`, yields no such wall. Pass 1 of the wall search
-    resumes the run's `ctx.search` only while S = ∅ (see `WallSearch`).
+    resumes the run's `ctx.search` (see `WallSearch`).
 
     At the first candidate that passes the blocked and width tests, every
     inclusion-minimal op-planarizer of size <= k is listed once, exactly
@@ -404,7 +404,7 @@ def _wall_branch(g: Graph, flat: Graph, s: frozenset, q: int,
         return None
     blocked = s | {w for u in s for w in g.adj[u]}
     planarizers = None
-    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes, None if s else ctx.search):
+    for wall in wall_candidates(flat, q, cfg.cap_wall_nodes, ctx.search):
         comp = compass(g, wall)
         if comp.vertices & blocked:
             continue
@@ -579,20 +579,19 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     step replaces the current question (G, R, k) by one that must be
     equivalent; it raises unless exhaustive search answers both the same.
     The checks form a chain: a step's "before" question is the previous
-    step's "after", whose answer is reused. An obligatory-vertex step is
+    step's "after", which the memo answers. An obligatory-vertex step is
     checked on its own. Its u lies in R and every planarizer within the
     budget contains u, so (G − u, R − u, k − 1) has the answer of (G, R, k)
     and the chain runs through the step.
 
     The closing trace entry compares the pipeline's answer with exhaustive
     search on the input question, or says why the oracle's caps stopped it.
-    When a search of the run already answered the input question (the
-    final search when no step was taken, or the first irrelevant-region
-    step's "before"), its answer is compared: `is_triple` on the input
-    enumerates the same sets as `solve_oracle` and reads the sentence the
-    same way, so asking the oracle again would repeat it. Otherwise (an
-    obligatory-vertex step came first, or the run ended without a search)
-    the oracle is called.
+    It asks `is_triple` on the input, which enumerates the same sets as
+    `solve_oracle` and reads the sentence the same way: `Instance` allows
+    an unannotated sentence only with R = V, where the annotated reading
+    is the same. So when a search of the run already asked the input
+    question (the final search when no step was taken, or the first
+    irrelevant-region step's "before"), the memo answers it.
 
     Obligatory vertices are removed from G and R; the reported witness holds
     them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
@@ -607,15 +606,18 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     question is answered twice:
     - a tower shape met at an earlier step, or earlier in the same step, is
       not characterised again (`ctx.chars`);
-    - pass 1 of the wall search resumes across steps while S = ∅
-      (`ctx.search`);
+    - pass 1 of the wall search resumes across steps (`ctx.search`): a
+      step deletes a vertex outside S, or moves a vertex of S out of G, so
+      each step's G − S is the last one less at most one vertex;
     - a graph's Kuratowski witness, built by the opening search, is reused
       by the step's obligatory and wall-branch searches on the same G
       (`ctx.witnesses`, cleared whenever a step replaces G);
-    - `is_triple` answers a question equal to the last one it solved from
-      its slot (`ctx.solved`). So after N irrelevant-region steps the final
-      search reads the last step's "after" answer and witness, and a
-      checked run solves N + 1 questions, the final search included.
+    - `is_triple` answers a question equal to one it solved before from
+      its memo (`ctx.solved`). So the final search reads the last step's
+      "after" answer and witness, and the closing cross-check the input's.
+      After N irrelevant-region steps a checked run has solved at most
+      N + 2 questions, the final search and the closing check included,
+      and an unchecked run one.
     """
     if not isinstance(inst.phi, GaifmanSentence):
         raise InputError("the pipeline needs a Gaifman sentence; "
@@ -631,8 +633,6 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     result: PipelineResult | None = None
     obligatory: set = set()
     ctx = RunContext()
-    checked = None  # the current question's answer, once a step check solved it
-    answered = None  # the input question's answer, once a search solved it
 
     def log(outcome: str, detail: dict, t0: float):
         trace.append(TraceStep(len(trace) + 1, outcome, detail, k,
@@ -677,18 +677,13 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         elif isinstance(outcome, IrrelevantRegion):
             smaller = g.remove_vertices([outcome.vertex])
             r_smaller = r_set - outcome.region
-            if cfg.cross_check:
-                before = checked if checked is not None else \
+            if cfg.cross_check and (
                     is_triple(g, r_set, k, op, inst.phi, cfg, solved=ctx.solved)
-                if not trace:  # no step yet: this is the input question
-                    answered = before
-                checked = is_triple(smaller, r_smaller, k, op, inst.phi, cfg,
-                                    solved=ctx.solved)
-                if checked != before:
-                    raise SoundnessError(
-                        f"irrelevant-region cross-check failed: removing "
-                        f"{outcome.vertex!r} and unannotating {len(outcome.region)} "
-                        f"vertices flips the answer")
+                    != is_triple(smaller, r_smaller, k, op, inst.phi, cfg, solved=ctx.solved)):
+                raise SoundnessError(
+                    f"irrelevant-region cross-check failed: removing "
+                    f"{outcome.vertex!r} and unannotating {len(outcome.region)} "
+                    f"vertices flips the answer")
             log("irrelevant-region", {"vertex": outcome.vertex,
                                       "|X|": len(outcome.region)}, t0)
             g, r_set = smaller, r_smaller
@@ -696,8 +691,6 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
         else:
             answer, witness = is_triple(g, r_set, k, op, inst.phi, cfg,
                                         want_witness=True, solved=ctx.solved)
-            if not trace:
-                answered = answer
             if obligatory and witness is not None:
                 witness = ModificationSet(Operation.VR, witness.elements | obligatory)
             detail = {"width": outcome.decomposition.width(), "answer": answer}
@@ -708,7 +701,8 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     if cfg.cross_check:
         t0 = time.perf_counter()
         try:
-            expect = answered if answered is not None else solve_oracle(inst, cfg)
+            expect = is_triple(inst.graph, inst.scope(), inst.k, op, inst.phi, cfg,
+                               solved=ctx.solved)
         except ResourceLimitError as exc:
             log("cross-check-skipped", {"reason": str(exc)}, t0)
         else:

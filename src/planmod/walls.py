@@ -544,7 +544,7 @@ class WallSearch:
     """Pass 1 of `wall_candidates`, W_q in g by direct edges, kept as one
     search across the steps of a run.
 
-    While a run's S is ∅, a step only deletes vertices, so the embeddings
+    A step of a run only deletes vertices of its g, G − S, so the embeddings
     of W_q in g − X are exactly those of g that avoid X, met in the same
     rank order. So the state keeps the `_embeddings` kernel suspended after
     its last wall, and every wall it has yielded. A step whose g is the
@@ -558,7 +558,7 @@ class WallSearch:
     search would have fired its budget first.
 
     One object serves one run: `solver.solve_pipeline` makes it and passes
-    it down only while S = ∅.
+    it down at every step, whatever S is.
     """
 
     def __init__(self):
@@ -608,24 +608,16 @@ class WallSearch:
             yield wall
 
 
-def find_wall_subdivisions(g: Graph, q: int,
-                           node_budget: int = DEFAULTS.cap_wall_nodes) -> Iterator[Wall]:
-    """The q-walls of g whose every path is one edge of g: the embeddings
-    of the elementary q-wall as a subgraph, in the kernel's order, as a
-    fresh `WallSearch` yields them. Each path runs from the image of its
-    later-placed end."""
-    yield from WallSearch().walls(g, q, node_budget)
-
-
 def wall_candidates(g: Graph, q: int, node_budget: int = DEFAULTS.cap_wall_nodes,
                     search: WallSearch | None = None) -> Iterator[Wall]:
     """Candidate q-walls of g, deduplicated by vertex set, from three passes
     of the direct-edge kernel, each with budget node_budget // 4 for the
     nodes it spends in this call:
 
-    1. W_q in g, the walls `find_wall_subdivisions` finds, in its order,
-       through `search`, the run's pass-1 state (a fresh one when None).
-       When g is the state's last g less some vertices, the search
+    1. W_q in g, the q-walls whose every path is one edge of g, in the
+       kernel's order (each path runs from the image of its later-placed
+       end), through `search`, the run's pass-1 state (a fresh one when
+       None). When g is the state's last g less some vertices, the search
        resumes: it re-offers the walls it yielded before that avoid them,
        and goes on from its last wall. A search that exhausted stays
        exhausted and only re-offers, and a fired budget starts the next

@@ -95,7 +95,7 @@ def test_every_default_is_the_config():
                 assert p.default == getattr(DEFAULTS, BUDGETS[p.name]), (qualname, p.name)
                 checked.add(qualname)
     assert {"solver.find_minor_model", "solver.has_k5_star_minor",
-            "walls.wall_candidates", "walls.find_wall_subdivisions",
+            "walls.wall_candidates",
             "logic.LocalValues.__init__",
             "sigoracle._witness_exists", "signatures.compute_parameters"} <= checked
 

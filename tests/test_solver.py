@@ -755,7 +755,7 @@ def _wall_golden_reports() -> bytes:
 
 class TestOneWallSearchPerRun:
     """Pass 1 of the wall search, W_q on G − S by direct edges, is the one
-    `_embeddings` start on no host paths; a run resumes it while S = ∅."""
+    `_embeddings` start on no host paths; a run resumes it at every step."""
 
     CFG = PipelineConfig(cross_check=False, rho_hat=1, d_hat=1, q_hat=7)
 
@@ -782,17 +782,60 @@ class TestOneWallSearchPerRun:
         assert [t.outcome for t in res.trace].count("irrelevant-region") == 5
         assert len(starts) == 1
 
-    def test_a_nonempty_planarizer_starts_pass_one_per_step(self, starts):
-        # S is the K5 vertex on the bridge at every step, so no step resumes
+    def test_a_nonempty_planarizer_starts_pass_one_once(self, starts):
+        # S is the K5 vertex on the bridge at every step, and each step's
+        # G − S is the last one less the deleted vertex, so 4 steps resume
         res = solve_pipeline(Instance(pendant_wall(9, "k5", "bridge"), 1, Operation.VR,
                                       PHI_ISO), self.CFG)
         assert [t.outcome for t in res.trace] == ["irrelevant-region"] * 4 + ["bounded-treewidth"]
-        assert len(starts) == 5
+        assert len(starts) == 1
+
+    # (height, cross_check, gadget, by, op): S ≠ ∅ at the opening of every
+    # run, the 7-wall checked and the 9-wall unchecked
+    GADGET_WALLS = [(7, True, "k5", "bridge", "vr"), (7, True, "k33", "cut", "er"),
+                    (7, True, "hub", "bridge", "vr"), (7, True, "hub", "cut", "ec"),
+                    (9, False, "k5", "bridge", "vr"), (9, False, "k5", "cut", "er"),
+                    (9, False, "k33", "bridge", "ec"), (9, False, "k33", "cut", "vr"),
+                    (9, False, "hub", "bridge", "vr"), (9, False, "hub", "cut", "vr")]
+
+    @pytest.mark.parametrize("height, cross_check, extra, by, op", GADGET_WALLS,
+                             ids=[f"{h}-{extra}-{by}-{op}"
+                                  for h, _, extra, by, op in GADGET_WALLS])
+    def test_resuming_with_a_planarizer_changes_no_report(self, monkeypatch, height,
+                                                          cross_check, extra, by, op):
+        # a step deletes a vertex outside S or moves one of S out of G, so
+        # the resumed search offers each step a fresh search's walls; and
+        # the run's memo holds at most N + 2 questions checked, 1 unchecked
+        cfg = dataclasses.replace(self.CFG, cross_check=cross_check)
+        g = pendant_wall(height, extra, by)
+        contexts, real_context = [], solver.RunContext
+        monkeypatch.setattr(solver, "RunContext",
+                            lambda: contexts.append(real_context()) or contexts[-1])
+
+        def reports() -> list:
+            rows = []
+            for phi in (PHI_NB, PHI_ISO):
+                res = solve_pipeline(Instance(g, 1, Operation(op), phi), cfg)
+                witness = None if res.witness is None else res.witness.to_json_obj()
+                rows.append([res.answer, witness, res.trace_json_obj(), res.cross_checked])
+            return rows
+
+        resumed = reports()
+        for (_, _, trace, _), ctx in zip(resumed, contexts, strict=True):
+            outcomes = [t["outcome"] for t in trace]
+            if cross_check:
+                assert 1 <= len(ctx.solved) <= outcomes.count("irrelevant-region") + 2
+            else:
+                assert outcomes[-1] == "bounded-treewidth" and len(ctx.solved) == 1
+        real = solver.wall_candidates
+        monkeypatch.setattr(solver, "wall_candidates",
+                            lambda flat, q, budget, search: real(flat, q, budget))
+        assert reports() == resumed
 
 
 class TestRunContext:
-    """A run solves each question once: `is_triple` answers the question it
-    solved last from the run's slot, and `_planarizers` reuses the
+    """A run solves each question once: `is_triple` answers every question
+    it solved before from the run's memo, and `_planarizers` reuses the
     Kuratowski witness of a graph the run met before."""
 
     CFG = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
@@ -804,12 +847,11 @@ class TestRunContext:
 
     @pytest.mark.parametrize("height, steps", [(7, 1), (9, 5)])
     def test_a_checked_run_solves_n_plus_one_questions(self, monkeypatch, height, steps):
-        # N irrelevant-region steps check N + 1 questions, and the final
-        # search reads the last of them from the slot
+        # N irrelevant-region steps check N + 1 questions; the final search
+        # reads the last of them from the memo, and the closing check the
+        # first, the input
         inst = Instance(make_elementary_wall(height).graph, 1, Operation.VR, PHI_ISO)
-        computed, real = [], signatures.first_model
-        monkeypatch.setattr(signatures, "first_model",
-                            lambda *args: computed.append(args[0]) or real(*args))
+        computed = _computed(monkeypatch)
         runs = []
         for _ in range(2):  # nothing survives a run
             computed.clear()
@@ -819,31 +861,32 @@ class TestRunContext:
         assert outcomes.count("irrelevant-region") == steps
         assert outcomes[-2:] == ["bounded-treewidth", "cross-check"]
         assert runs == [(steps + 1, runs[0][1])] * 2
-        # without the slot the final search solves the last question again,
+        # without the memo every step solves its "before" and "after", the
+        # final search the last "after" and the closing check the input,
         # and the report is the same
         real_triple = solver.is_triple
         monkeypatch.setattr(solver, "is_triple",
                             lambda *args, solved=None, **kwargs: real_triple(*args, **kwargs))
         computed.clear()
         res = solve_pipeline(inst, self.CFG)
-        assert (len(computed), self._report(res)) == (steps + 2, runs[0][1])
+        assert (len(computed), self._report(res)) == (2 * steps + 2, runs[0][1])
 
-    def test_the_slot_answers_only_the_last_question(self, monkeypatch):
-        # equal by value is enough; another R or k, or an older question,
-        # is solved again, and each answer is the fresh one
-        computed, real = [], signatures.first_model
-        monkeypatch.setattr(signatures, "first_model",
-                            lambda *args: computed.append(args[:3]) or real(*args))
+    def test_the_memo_answers_every_question_it_solved(self, monkeypatch):
+        # equal by value is enough, and an older question is a hit too;
+        # another R or k is solved, and each answer is the fresh one
+        computed = _computed(monkeypatch)
         g = path_graph(5)
         questions = [(g, g.vertices, 1), (Graph(g.vertices, g.edges), set(g.vertices), 1),
                      (g, g.vertices - {0}, 1), (g, g.vertices - {0}, 0), (g, g.vertices, 1)]
-        slot: dict = {}
+        memo: dict = {}
+        sizes = []
         for h, r_set, k in questions:
             got = is_triple(h, r_set, k, Operation.VR, PHI_ISO, want_witness=True,
-                            solved=slot)
+                            solved=memo)
             assert got == is_triple(h, r_set, k, Operation.VR, PHI_ISO, want_witness=True)
-            assert len(slot) == 1
-        assert len(computed) == 2 * len(questions) - 1
+            sizes.append(len(memo))
+        assert sizes == [1, 1, 2, 3, 3]
+        assert len(computed) == len(questions) + 3
 
     def test_no_graph_reaches_kuratowski_twice(self, monkeypatch):
         # on the hub graph under vr, k = 1, the opening finds S = {0} and the
@@ -880,20 +923,28 @@ class TestSubdividedWall:
         assert res.cross_checked and res.answer == (psi is HAS_NEIGHBOR)
 
 
+def _computed(monkeypatch) -> list:
+    """The (G, R, k) of every `first_model` search, from `is_triple` and
+    from `solve_oracle` alike: the questions that were solved, not read
+    from a memo."""
+    computed, real = [], signatures.first_model
+
+    def spy(*args):
+        computed.append(args[:3])
+        return real(*args)
+
+    monkeypatch.setattr(signatures, "first_model", spy)
+    monkeypatch.setattr(solver, "first_model", spy)
+    return computed
+
+
 def _scripted(monkeypatch, steps):
     """Make `reduce_instance` propose `steps` first, then reduce as usual;
-    count the exhaustive step checks."""
-    real_reduce, real_triple = solver.reduce_instance, solver.is_triple
-    script, solves = iter(steps), []
-
-    def triple(*args, **kwargs):
-        solves.append(args[:2])
-        return real_triple(*args, **kwargs)
-
+    list the questions that exhaustive search solved."""
+    real_reduce, script = solver.reduce_instance, iter(steps)
     monkeypatch.setattr(solver, "reduce_instance",
                         lambda *args: next(script, None) or real_reduce(*args))
-    monkeypatch.setattr(solver, "is_triple", triple)
-    return solves
+    return _computed(monkeypatch)
 
 
 class TestPipeline:
@@ -1007,7 +1058,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("steps", [
         [FLIP],  # nothing checked yet: "before" is solved
-        [SOUND, FLIP],  # "before" is the answer the first step's check found
+        [SOUND, FLIP],  # "before" is the memo's answer from the first step
         [ObligatoryVertex(0, "scripted"), FLIP],  # k drops before the step
     ], ids=["first-step", "chained", "after-obligatory"])
     def test_step_that_flips_the_answer_raises(self, monkeypatch, steps):
@@ -1025,11 +1076,13 @@ class TestPipeline:
         res = solve_pipeline(inst)
         assert res.answer and res.cross_checked
         assert [t.outcome for t in res.trace][:2] == ["irrelevant-region"] * 2
-        # the input, the two reduced questions, and the final search
-        assert [len(g.vertices) for g, _ in solves] == [16, 15, 14, 13]
+        # the input, the two reduced questions, and the final search; the
+        # second step's "before" and the closing check are memo hits
+        assert [len(g.vertices) for g, _, _ in solves] == [16, 15, 14, 13]
+        assert len(set(solves)) == len(solves)
 
 
-# -- the closing cross-check reuses the input question's answer ------------------
+# -- the closing cross-check reads the input question's answer from the memo ----
 
 @st.composite
 def _question(draw):
@@ -1075,42 +1128,38 @@ def test_pipeline_answers_as_the_oracle(question):
 
 
 class TestOracleCalls:
-    """The oracle runs only when no search of the run answered the input
-    question."""
+    """Exhaustive search solves the input question at most once per run:
+    the closing cross-check reads it from the memo when a search of the
+    run asked it, and solves it otherwise."""
 
-    def _count(self, monkeypatch) -> list:
-        calls, real = [], solver.solve_oracle
+    @staticmethod
+    def _input(inst: Instance) -> tuple:
+        return inst.graph, inst.scope(), inst.k
 
-        def spy(*args, **kwargs):
-            calls.append(args[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_oracle", spy)
-        return calls
-
-    @pytest.mark.parametrize("inst, outcome, expect", [
-        (Instance(path_graph(6), 1, Operation.VR, PHI_NB), "bounded-treewidth", 0),
-        (Instance(complete_graph(6), 1, Operation.VR, TRIVIALLY_TRUE), "no-planarizer", 1),
-        (Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE), "no-planarizer", 1),
+    @pytest.mark.parametrize("inst, outcome", [
+        (Instance(path_graph(6), 1, Operation.VR, PHI_NB), "bounded-treewidth"),
+        (Instance(complete_graph(6), 1, Operation.VR, TRIVIALLY_TRUE), "no-planarizer"),
+        (Instance(complete_graph(5), 1, Operation.EA, TRIVIALLY_TRUE), "no-planarizer"),
     ], ids=["no-step", "no-planarizer", "ea-nonplanar"])
-    def test_calls_by_outcome(self, monkeypatch, inst, outcome, expect):
-        calls = self._count(monkeypatch)
+    def test_calls_by_outcome(self, monkeypatch, inst, outcome):
+        # the final search, or else the closing check, is the one search
+        computed = _computed(monkeypatch)
         res = solve_pipeline(inst)
         assert res.trace[0].outcome == outcome and res.cross_checked
         assert res.trace[-1].outcome == "cross-check"
-        assert len(calls) == expect
+        assert computed == [self._input(inst)]
 
-    @pytest.mark.parametrize("first, expect", [
+    @pytest.mark.parametrize("first, at", [
         (TestPipeline.SOUND, 0),  # step 1's "before" is the input question
-        (ObligatoryVertex(0, "scripted"), 1),  # no search asks the input question
+        (ObligatoryVertex(0, "scripted"), -1),  # only the closing check asks it
     ], ids=["irrelevant-region", "obligatory-vertex"])
-    def test_calls_by_first_step(self, monkeypatch, first, expect):
-        calls = self._count(monkeypatch)
-        _scripted(monkeypatch, [first])
-        res = solve_pipeline(Instance(TestPipeline.FLIP_G, 2, Operation.VR,
-                                      TRIVIALLY_TRUE))
+    def test_calls_by_first_step(self, monkeypatch, first, at):
+        computed = _scripted(monkeypatch, [first])
+        inst = Instance(TestPipeline.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
+        res = solve_pipeline(inst)
         assert res.answer and res.cross_checked
-        assert len(calls) == expect
+        assert computed.count(self._input(inst)) == 1
+        assert computed[at] == self._input(inst)
 
     def test_ea_nonplanar_ends_at_the_opening(self, monkeypatch):
         # an edge addition never planarizes K5, so the opening search at
@@ -1132,9 +1181,9 @@ class TestOracleCalls:
                            PipelineConfig(q_hat=None))
 
     def test_no_calls_without_cross_check(self, monkeypatch):
-        calls = self._count(monkeypatch)
+        computed = _computed(monkeypatch)
         res = solve_pipeline(Instance(complete_graph(6), 1, Operation.VR,
                                       TRIVIALLY_TRUE),
                              PipelineConfig(cross_check=False))
         assert not res.answer and not res.cross_checked
-        assert calls == []
+        assert computed == []

@@ -1,9 +1,8 @@
 """Pins the node order of the wall search.
 
 `wall_search_pins.json` holds, for a few fixed hosts, both values of q and
-each node budget below, the digests of the walls that the production kernel
-`walls.find_wall_subdivisions` yields (in order) and whether its node budget
-fired. Its walls feed the pipeline's irrelevant-region branch, so any change
+each node budget below, the digests of the walls that a fresh
+`walls.WallSearch` yields (in order) and whether its node budget fired. Its walls feed the pipeline's irrelevant-region branch, so any change
 to it that moves one of them, or moves the node at which the budget fires,
 changes traces. The "p1" in each case id names these direct-edge runs, whose
 every wall path is one edge (paths of length 1).
@@ -22,8 +21,7 @@ import pytest
 
 from planmod.errors import ResourceLimitError
 from planmod.graphs import Graph
-from planmod.walls import (find_wall_subdivisions, make_elementary_wall,
-                           subdivide_wall)
+from planmod.walls import WallSearch, make_elementary_wall, subdivide_wall
 
 PINS = os.path.join(os.path.dirname(__file__), "wall_search_pins.json")
 HOSTS = ("elementary-5", "elementary-7", "subdivided-5", "elementary-7-minus-2")
@@ -56,7 +54,7 @@ def run(g: Graph, q: int, budget: int) -> dict:
     digests = []
     raised = False
     try:
-        for w in find_wall_subdivisions(g, q, node_budget=budget):
+        for w in WallSearch().walls(g, q, budget):
             digests.append(wall_digest(w))
     except ResourceLimitError:
         raised = True

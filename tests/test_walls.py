@@ -26,7 +26,7 @@ from planmod.treewidth import validate_decomposition
 from planmod.walls import (_layer_cycles, _may_contain_wall, _wall_pattern, center,
                            central_subwall, compass, disjoint_subwalls,
                            elementary_positions, extended_compass,
-                           find_wall_subdivisions, layers, make_elementary_wall,
+                           layers, make_elementary_wall,
                            perimeter, subdivide_wall, subwall_at, validate_wall,
                            wall_annulus, wall_candidates, wall_violations, WallSearch)
 
@@ -395,7 +395,7 @@ class TestWallSearch:
     @given(g=wall_hosts(), q=st.sampled_from((3, 5, 7)),
            budget=st.integers(0, 30).map(lambda i: round(50 * 1000 ** (i / 30))))
     def test_kernel_is_the_direct_edge_reference(self, g, q, budget):
-        assert _outcome(find_wall_subdivisions(g, q, budget)) == \
+        assert _outcome(WallSearch().walls(g, q, budget)) == \
             _outcome(reference_search(g, q, node_budget=budget))
 
     @pytest.mark.parametrize("h,q", INNER_AND_WHOLE,

@@ -1,5 +1,5 @@
 """The direct-edge wall search, kept as a reference for the production
-kernel `planmod.walls.find_wall_subdivisions`: a plain recursive
+kernel behind a fresh `planmod.walls.WallSearch`: a plain recursive
 subgraph-embedding search that visits the same nodes in the same order as
 the kernel, so `test_walls.TestWallSearch` can compare the two run by run.
 """
