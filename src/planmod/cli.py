@@ -52,10 +52,15 @@ def _write_out(text: str, out: str | None):
 
 def _read_json(path: str):
     """The JSON value in the file at `path`; unreadable files, malformed
-    JSON and JSON nested past Python's recursion limit are input errors."""
+    JSON, NaN and ±Infinity (which Python's reader takes, but a report
+    could not echo as JSON) and JSON nested past Python's recursion limit
+    are input errors."""
+    def constant(name: str):
+        raise InputError(f"cannot read {path}: {name} is not a JSON value")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=constant)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:

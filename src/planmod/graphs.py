@@ -17,11 +17,13 @@ new sets only for the vertices the change touches, and normalises and checks
 only what is new (`add_vertices` and `add_edges` hold new ids and ends to
 the parent's id type), so it costs about what the change touches.
 
-A graph may carry `known_planar`, a proof that it is planar, set only by
-`planarity.certified_planar` on a copy it makes. The derivations that make
-a subgraph (`remove_vertices`, `remove_edges`, `induced`) or add isolated
-vertices (`add_vertices`) keep it, since a subgraph of a planar graph is
-planar; `add_edges`, `merge_groups` and the public constructor never set it.
+A graph may carry `planar_without`, a set P of its vertices with g − P
+proven planar, set only by `planarity.certified_planar` on a copy it makes.
+The derivations that make a subgraph keep what the proof still says, since
+a subgraph of a planar graph is planar: `remove_vertices` keeps P − drop,
+`induced` keeps P ∩ keep, and `remove_edges` and `add_vertices`, which adds
+only isolated vertices, keep P; `add_edges`, `merge_groups` and the public
+constructor never set it.
 """
 
 from __future__ import annotations
@@ -73,11 +75,11 @@ def norm_edge(u, v) -> tuple:
 class Graph:
     """Immutable simple undirected graph. No loops, no multi-edges.
 
-    `known_planar` is True only on a graph proven planar or derived from
-    one by deletion (see the module docstring); False says nothing. It
+    `planar_without` is a set P with g − P proven planar, or None when g
+    carries no proof (see the module docstring); ∅ means g is planar. It
     takes no part in equality, hashing or serialisation."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash", "known_planar")
+    __slots__ = ("vertices", "edges", "_adj", "_hash", "planar_without")
 
     def __init__(self, vertices: Iterable = (), edges: Iterable = ()):
         vs = frozenset(vertices)
@@ -88,25 +90,25 @@ class Graph:
                 raise InputError(f"edge {(u, v)!r} has an endpoint outside the vertex set")
             _check_end_types(u, v, kind)
             es.add(norm_edge(u, v))
-        self._fill(vs, frozenset(es), None, False)
+        self._fill(vs, frozenset(es), None, None)
 
     def _fill(self, vertices: frozenset, edges: frozenset, adj: dict | None,
-              known_planar: bool):
+              planar_without: frozenset | None):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "known_planar", known_planar)
+        object.__setattr__(self, "planar_without", planar_without)
 
     @classmethod
     def _derived(cls, vertices: frozenset, edges: frozenset, adj: dict | None = None,
-                 known_planar: bool = False) -> "Graph":
+                 planar_without: frozenset | None = None) -> "Graph":
         """A graph from sets a valid parent already holds in canonical form:
         every edge is in `norm_edge` form with both ends in `vertices`, and
         `adj`, when given, is the adjacency of these edges. Nothing is
-        normalised or checked, and `known_planar` is taken on trust."""
+        normalised or checked, and `planar_without` is taken on trust."""
         g = cls.__new__(cls)
-        g._fill(vertices, edges, adj, known_planar)
+        g._fill(vertices, edges, adj, planar_without)
         return g
 
     def __setattr__(self, name, value):
@@ -171,10 +173,12 @@ class Graph:
         return {(u, w) if (u, w) in edges else (w, u) for u in vs for w in adj[u]}
 
     def remove_vertices(self, drop: Iterable) -> "Graph":
-        """g minus the vertices of `drop` that it has, and their edges. Only
-        the dropped vertices' edges are read, and only their neighbours get
-        a new adjacency set."""
+        """g minus the vertices of `drop` that it has, and their edges; g
+        itself when it has none of them. Only the dropped vertices' edges
+        are read, and only their neighbours get a new adjacency set."""
         drop = self.vertices.intersection(drop)
+        if not drop:
+            return self
         parent = self.adj
         adj = dict(parent)
         for u in drop:
@@ -182,7 +186,7 @@ class Graph:
         for w in {w for u in drop for w in parent[u]} - drop:
             adj[w] = parent[w] - drop
         return Graph._derived(self.vertices - drop, self.edges - self._edges_at(drop), adj,
-                              self.known_planar)
+                              self.planar_without and self.planar_without - drop)
 
     def _adj_changed(self, pairs: set, add: bool) -> dict:
         """g's adjacency with these pairs of its vertices added as edges, or
@@ -202,7 +206,7 @@ class Graph:
         adjacency set."""
         dropped = {norm_edge(*e) for e in drop} & self.edges
         return Graph._derived(self.vertices, self.edges - dropped,
-                              self._adj_changed(dropped, False), self.known_planar)
+                              self._adj_changed(dropped, False), self.planar_without)
 
     def add_edges(self, new: Iterable) -> "Graph":
         """g plus the pairs of `new`; only these are normalised and checked,
@@ -223,7 +227,7 @@ class Graph:
         new = frozenset(new)
         _id_type(chain(new, islice(self.vertices, 1)))
         return Graph._derived(self.vertices | new, self.edges,
-                              known_planar=self.known_planar)
+                              planar_without=self.planar_without)
 
     def induced(self, keep: Iterable) -> "Graph":
         """The subgraph induced by `keep`. Reads only the adjacency of the
@@ -239,7 +243,8 @@ class Graph:
             adj[u] = ns if ns <= keep else ns & keep
         # each edge once, from the endpoint its canonical form lists first
         return Graph._derived(keep, frozenset((u, w) for u in keep for w in adj[u]
-                                              if (u, w) in edges), adj, self.known_planar)
+                                              if (u, w) in edges), adj,
+                              self.planar_without and self.planar_without & keep)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return self.vertices <= other.vertices and self.edges <= other.edges

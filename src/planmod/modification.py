@@ -252,11 +252,11 @@ def planar_sets(g: Graph, scope: Iterable, k: int, op: Operation, *,
 
 
 def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
-                 chosen: frozenset = frozenset(),
-                 witnesses: dict | None = None) -> Iterator[frozenset]:
-    """op-planarizers of g that hold `chosen` (F), have size <= k and touch
-    only vertices of `scope`, depth first; every inclusion-minimal one among
-    them comes out, some sets more than once.
+                 chosen: frozenset = frozenset(), witnesses: dict | None = None,
+                 banned: frozenset = frozenset()) -> Iterator[frozenset]:
+    """op-planarizers of g that hold `chosen` (F), avoid `banned`, have size
+    <= k and touch only vertices of `scope`, depth first; every
+    inclusion-minimal one among them comes out, and each set at most once.
 
     (a) When h = g ⊠ F is planar, F comes out alone.
     (b) Otherwise let K be a Kuratowski subgraph of h. A planarizer P ⊇ F
@@ -268,6 +268,10 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
         no edge inside one group, as contracting it changes nothing. So
         branching on these x, in sorted order, to depth k finds every
         minimal planarizer, and F + x is again the `chosen` of one branch.
+    (c) A branch skips the banned x, and bans in its subtree the x its
+        earlier siblings took: a P ⊇ F that avoids `banned` is reached
+        through the first x it holds, so no set is reached twice, and the
+        nodes that remain keep their depth-first order.
     The depth is at most k, so the search needs no cap. ea cannot
     planarize a nonplanar g. `witnesses` memoises K by h (a fresh memo when
     None): `kuratowski(h)` depends on h alone, so a graph reached again, in
@@ -290,8 +294,9 @@ def _planarizers(g: Graph, op: Operation, k: int, scope: frozenset,
             ends = [(e, rep.get(e[0], e[0]), rep.get(e[1], e[1])) for e in g.sorted_edges()]
             branch = [e for e, a, b in ends if a != b and (a in witness or b in witness)]
         for x in branch:
-            if affected(ModificationSet(op, [x])) <= scope:
-                yield from _planarizers(g, op, k, scope, chosen | {x}, witnesses)
+            if x not in banned and affected(ModificationSet(op, [x])) <= scope:
+                yield from _planarizers(g, op, k, scope, chosen | {x}, witnesses, banned)
+                banned = banned | {x}
 
 
 def minimal_planarizers(g: Graph, op: Operation, k: int,
@@ -300,7 +305,7 @@ def minimal_planarizers(g: Graph, op: Operation, k: int,
     order: by size, then by the sorted elements. Exact under every operation
     by `_planarizers`' lemmas, with no cap. `witnesses` is a run's memo of
     Kuratowski witnesses (a fresh one when None)."""
-    found = sorted(set(_planarizers(g, op, k, g.vertices, witnesses=witnesses)),
+    found = sorted(_planarizers(g, op, k, g.vertices, witnesses=witnesses),
                    key=lambda s: (len(s), sorted(s)))
     kept: list = []
     for s in found:

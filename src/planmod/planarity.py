@@ -16,14 +16,15 @@ witnesses come from a deletion loop over the union of g's nonplanar blocks
 when the faces of one embedding are the faces of every embedding:
 `modification.PlanarSets` then reads "is g + uv planar?" off them. The
 contract here is boolean + witness + faces, all of which are re-verified by
-the callers that care, plus one proof a graph carries: `certified_planar` returns a copy of a
-planar g marked `known_planar`, and every subgraph derived from that copy
-by deletion (`remove_vertices`, `remove_edges`, `induced`, or
-`add_vertices`, which adds only isolated vertices) keeps the mark, because
-a subgraph of a planar graph is planar. `is_planar` answers a marked graph
-without a test. The mark is never written onto a graph that already
-exists, so no caller's graph carries it unless the caller derived it from
-such a copy.
+the callers that care, plus one proof a graph carries: `certified_planar(g,
+without)` returns a copy of g marked `planar_without` = `without` when
+g − without is planar, and every graph derived from that copy by deletion
+(`remove_vertices`, `remove_edges`, `induced`, or `add_vertices`, which
+adds only isolated vertices) keeps what the mark still proves, because a
+subgraph of a planar graph is planar (see `graphs`). `is_planar` answers a
+graph marked ∅ without a test. The mark is never written onto a graph that
+already exists, so no caller's graph carries it unless the caller derived
+it from such a copy.
 """
 
 from __future__ import annotations
@@ -378,22 +379,24 @@ def _blocks(adj, without=None) -> list:
 # test a graph of a thousand vertices per vertex pair
 @lru_cache(maxsize=1 << 10)
 def is_planar(g: Graph) -> bool:
-    """Is g planar? True at once when g carries `known_planar`, else tested
-    by `_planar`: the reductions, then the left-right kernel `_lr_planar`
-    (Brandes 2009), which answers yes or no and embeds nothing.
+    """Is g planar? True at once when g carries the proof `planar_without`
+    = ∅, else tested by `_planar`: the reductions, then the left-right
+    kernel `_lr_planar` (Brandes 2009), which answers yes or no and embeds
+    nothing.
 
-    A marked graph not yet in the memo still counts as a miss in
+    A proven graph not yet in the memo still counts as a miss in
     `cache_info()`, but runs no test. The test reads g.edges, not g.adj:
     the memo keeps g, and with it any adjacency."""
-    return g.known_planar or _planar(g.edges)
+    return g.planar_without == frozenset() or _planar(g.edges)
 
 
-def certified_planar(g: Graph) -> Graph | None:
-    """A new graph equal to g that carries `known_planar`, or None when g is
-    nonplanar. g itself is left unmarked."""
-    if not is_planar(g):
+def certified_planar(g: Graph, without: Iterable) -> Graph | None:
+    """A new graph equal to g whose `planar_without` is `without`, or None
+    when g − without is nonplanar: one test, which the memo answers when
+    the graph was tested before. g itself is left unmarked."""
+    if not is_planar(g.remove_vertices(without)):
         return None
-    return Graph._derived(g.vertices, g.edges, g._adj, known_planar=True)
+    return Graph._derived(g.vertices, g.edges, g._adj, frozenset(without))
 
 
 def kuratowski(g: Graph) -> Graph | None:

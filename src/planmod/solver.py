@@ -48,7 +48,7 @@ class RunContext:
     - `solved`: the memo of `signatures.is_triple`, every triple question
       (G, R, k) the run solved, with its witness.
     - `witnesses`: Kuratowski witnesses by graph, for `_planarizers`; the
-      run clears it whenever a step replaces G, so it holds only graphs
+      run clears it whenever it replaces G, so it holds only graphs
       derived from the current G.
     """
 
@@ -92,14 +92,6 @@ class Instance:
 
 @dataclass(frozen=True)
 class NoInstance:
-    reason: str
-
-
-@dataclass(frozen=True)
-class ObligatoryVertex:
-    """A vertex of S that no vr-planarizer of size <= k avoids, so every
-    solution holds it."""
-    vertex: object
     reason: str
 
 
@@ -345,22 +337,19 @@ def has_k5_star_minor(g: Graph, center, copies: int,
 
 def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
               cfg: PipelineConfig = DEFAULTS, ctx: RunContext | None = None):
-    """Trichotomy: an answer about obligatory structure, a q-wall whose compass
-    is certified flat/irrelevant, or a bounded-width decomposition.
+    """Trichotomy: a no-instance, a q-wall whose compass is certified
+    flat/irrelevant, or a bounded-width decomposition.
 
     G − S must be planar: this is the one test of that precondition, which
-    a G that carries `known_planar` passes without a test. A set that is
+    a G whose `planar_without` lies inside S passes without a test. A set that is
     not a planarizer raises InputError, and so does a nonempty S under ea,
     which removes no vertex: there the opening search has already proved G
     planar.
 
-    Under vr, u ∈ S is obligatory when no vr-planarizer of size <= k
-    avoids it: `find_vr_planarizer` over V − u, which is exact and has no
-    budget. Every other answer comes from `_wall_branch`, which reads both
-    the no-instance and the irrelevance answers off one exact list of
-    minimal planarizers, or from a width witness. Both planarizer searches
-    share the run's Kuratowski witnesses (`ctx.witnesses`) with the
-    opening one.
+    The no-instance and the wall come from `_wall_branch`, which reads both
+    answers off one exact list of minimal planarizers; it shares the run's
+    Kuratowski witnesses (`ctx.witnesses`) with the opening search. The
+    decomposition comes from a width witness.
     """
     if s.op is not Operation.VR:
         raise InputError("find_area expects a vertex-removal planarizer")
@@ -369,14 +358,9 @@ def find_area(k: int, q: int, g: Graph, s: ModificationSet, op: Operation,
     if op is Operation.EA and s:
         raise InputError("edge additions remove no vertex; under ea S must be empty")
     ctx = RunContext() if ctx is None else ctx
-    removed = g.remove_vertices(s.elements) if s else g
+    removed = g.remove_vertices(s.elements)
     if not is_planar(removed):
         raise InputError("the supplied set is not a vr-planarizer")
-    if op is Operation.VR:
-        for u in s.sorted_elements():
-            if find_vr_planarizer(g, k, g.vertices - {u}, ctx.witnesses) is None:
-                return ObligatoryVertex(
-                    u, f"no vr-planarizer of size <= {k} avoids it")
     outcome = _wall_branch(g, removed, s.elements, q, op, k, f2, cfg, ctx)
     if outcome is not None:
         return outcome
@@ -502,7 +486,7 @@ def _verify_no_planarizer(g: Graph, scope: frozenset, k: int, op: Operation,
 def reduce_instance(k: int, g: Graph, s: ModificationSet, r_set: Iterable,
                     op: Operation, phi: GaifmanSentence, params: Parameters,
                     cfg: PipelineConfig = DEFAULTS, ctx: RunContext | None = None):
-    """One reduction step: obligatory structure, an irrelevant region (via the
+    """One reduction step: a no-instance, an irrelevant region (via the
     area and vertex finders), or a bounded-width decomposition. `find_area`
     checks that S planarizes G. Nothing here is checked against exhaustive
     search; `solve_pipeline` does that. `ctx` is the run's context, handed
@@ -562,27 +546,43 @@ class PipelineResult:
 
 
 def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineResult:
-    """The reduction loop: planarize, shrink via irrelevant regions or
-    obligatory vertices, finish on a bounded-width remainder by direct search.
+    """The reduction loop: planarize, drop obligatory vertices, shrink via
+    irrelevant regions, finish on a bounded-width remainder by direct search.
 
     q must be a concrete odd q >= 3, checked once before anything is
     searched, so a bad q raises InputError on every path. The run opens, for
     every operation, with the one planarizer search: a vr-planarizer S of
     size <= k inside R, or of size 0 under ea, which removes no vertex (an
     edge addition never planarizes a nonplanar G). With none, the run ends
-    in `no-planarizer`. So S = ∅ means the opening proved G planar. A
-    no-instance step comes from the wall branch of `find_area`, when G has
-    no op-planarizer of size <= k at all; under vr and ea the opening has
-    already found one, so only er and ec can take it.
+    in `no-planarizer`. A no-instance step comes from the wall branch of
+    `find_area`, when G has no op-planarizer of size <= k at all; under vr
+    and ea the opening has already found one, so only er and ec can take
+    it.
+
+    The opening settles S for the whole run. The opening search proved
+    G − S planar, so from here on G is a copy that carries that proof
+    (`planarity.certified_planar`, one memo hit): every G − S a step
+    derives from it by deletion, every compass that misses S and every vr
+    candidate G − F with F ⊇ S is planar without a test. The caller's graph
+    stays unmarked. Under vr the opening then walks S once, in sorted
+    order: u is obligatory when no vr-planarizer of size <= k avoids it
+    (`find_vr_planarizer` over V − u, exact and without a budget), and an
+    obligatory u leaves G, R, S and k at once. One walk finds what a check
+    at every step would: another obligatory u′ stays obligatory in
+    (G − u, k − 1), and a planarizer P that avoids a vertex still does,
+    less what is deleted, after an obligatory vertex (which P holds)
+    leaves or a step deletes a vertex outside S. The reported witness
+    holds the obligatory vertices again, since G ⊠ (S ∪ U) = (G − U) ⊠ S
+    under vr.
 
     With cross_check on, every cross-check happens here. An irrelevant-region
     step replaces the current question (G, R, k) by one that must be
     equivalent; it raises unless exhaustive search answers both the same.
     The checks form a chain: a step's "before" question is the previous
-    step's "after", which the memo answers. An obligatory-vertex step is
-    checked on its own. Its u lies in R and every planarizer within the
-    budget contains u, so (G − u, R − u, k − 1) has the answer of (G, R, k)
-    and the chain runs through the step.
+    step's "after", which the memo answers. An obligatory vertex is
+    checked on its own. It lies in R and every planarizer within the
+    budget contains it, so (G − u, R − u, k − 1) has the answer of
+    (G, R, k) and the chain runs through it.
 
     The closing trace entry compares the pipeline's answer with exhaustive
     search on the input question, or says why the oracle's caps stopped it.
@@ -593,25 +593,16 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     question (the final search when no step was taken, or the first
     irrelevant-region step's "before"), the memo answers it.
 
-    Obligatory vertices are removed from G and R; the reported witness holds
-    them again, since G ⊠ (S ∪ U) = (G − U) ⊠ S under vr.
-
-    Once S is ∅ and G is proven planar, the loop works on a copy of G that
-    carries the proof (`planarity.certified_planar`), made at most once, so
-    no graph a step derives from it by deletion is tested again. The
-    caller's graph stays unmarked. While S ≠ ∅, G is nonplanar and every
-    test runs as before.
-
     The run makes one `RunContext` and hands it to every step, so no
     question is answered twice:
     - a tower shape met at an earlier step, or earlier in the same step, is
       not characterised again (`ctx.chars`);
     - pass 1 of the wall search resumes across steps (`ctx.search`): a
-      step deletes a vertex outside S, or moves a vertex of S out of G, so
-      each step's G − S is the last one less at most one vertex;
+      step deletes a vertex outside S, so each step's G − S is the last
+      one less one vertex;
     - a graph's Kuratowski witness, built by the opening search, is reused
-      by the step's obligatory and wall-branch searches on the same G
-      (`ctx.witnesses`, cleared whenever a step replaces G);
+      by the obligatory and wall-branch searches on the same G
+      (`ctx.witnesses`, cleared whenever G is replaced);
     - `is_triple` answers a question equal to one it solved before from
       its memo (`ctx.solved`). So the final search reads the last step's
       "after" answer and witness, and the closing cross-check the input's.
@@ -645,35 +636,38 @@ def solve_pipeline(inst: Instance, cfg: PipelineConfig = DEFAULTS) -> PipelineRe
     if s is None:
         log("no-planarizer", {"within": "R"}, t0)
         result = PipelineResult(False, None, trace)
-    max_steps = max(len(g.vertices), 1)
+    else:
+        # the opening proved G − S planar (a memo hit here); every later G
+        # derives from this copy by deletion and keeps the proof
+        g = certified_planar(g, s.elements)
+        for u in s.sorted_elements() if op is Operation.VR else ():
+            t0 = time.perf_counter()
+            if find_vr_planarizer(g, k, g.vertices - {u}, ctx.witnesses) is not None:
+                continue
+            if cfg.cross_check:
+                _verify_no_planarizer(g, g.vertices - {u}, k, Operation.VR, cfg,
+                                      f"obligatory-vertex {u!r}")
+            log("obligatory-vertex",
+                {"vertex": u, "reason": f"no vr-planarizer of size <= {k} avoids it"}, t0)
+            g = g.remove_vertices([u])
+            ctx.witnesses.clear()
+            r_set = r_set - {u}
+            k -= 1
+            obligatory.add(u)
+        s = ModificationSet(Operation.VR, s.elements - obligatory)
+    max_steps = max(len(inst.graph.vertices), 1)
     steps = 0
     while result is None:
         steps += 1
         if steps > max_steps:
             raise ResourceLimitError("reduction loop exceeded |V| steps")
         t0 = time.perf_counter()
-        if not s and not g.known_planar:
-            # G − S is G: prove it planar once, in a copy every later graph
-            # derives from
-            g = certified_planar(g)
         outcome = reduce_instance(k, g, s, r_set, op, inst.phi, params, cfg, ctx)
         if isinstance(outcome, NoInstance):
             if cfg.cross_check:
                 _verify_no_planarizer(g, g.vertices, k, op, cfg, "no-instance")
             log("no-instance", {"reason": outcome.reason}, t0)
             result = PipelineResult(False, None, trace)
-        elif isinstance(outcome, ObligatoryVertex):
-            u = outcome.vertex
-            if cfg.cross_check:
-                _verify_no_planarizer(g, g.vertices - {u}, k, Operation.VR, cfg,
-                                      f"obligatory-vertex {u!r}")
-            log("obligatory-vertex", {"vertex": u, "reason": outcome.reason}, t0)
-            g = g.remove_vertices([u])
-            ctx.witnesses.clear()
-            r_set = r_set - {u}
-            s = ModificationSet(Operation.VR, s.elements - {u})
-            k -= 1
-            obligatory.add(u)
         elif isinstance(outcome, IrrelevantRegion):
             smaller = g.remove_vertices([outcome.vertex])
             r_smaller = r_set - outcome.region

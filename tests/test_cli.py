@@ -318,6 +318,11 @@ SCENARIOS = {
     "k5-ea": Scenario(
         lambda: complete_graph(5), ["--op", "ea", "-k", "1", "--phi", "true"], 1, True,
         ["no-planarizer", "cross-check"]),
+    # K13 less 8 vertices is K5, so the opening search runs dry at depth 8;
+    # when it branched on every order of a set's vertices it took 17 s
+    "k13-vr-dry": Scenario(
+        lambda: complete_graph(13), ["--op", "vr", "-k", "8", "--phi", "true"], 1, True,
+        ["no-planarizer", "cross-check"], 10),
     # the planarity kernel's depth-first searches keep their own stacks: on a
     # 60x60 grid they run deeper than the recursion limit; one chord between
     # (10, 10) and (40, 40), interior vertices on no common face, makes the
@@ -457,6 +462,13 @@ def _solve_argv(tmp_path, graph=None, annotated=None, sentence=None, phi="true")
     return argv + ["--out", str(tmp_path / "report.json")]
 
 
+def _k5_with(token: str) -> str:
+    """K5 as JSON text with one vertex id written as the bare `token`."""
+    ids = ["@", 1, 2, 3, 4]
+    edges = [[u, v] for i, u in enumerate(ids) for v in ids[i + 1:]]
+    return json.dumps({"vertices": ids, "edges": edges}).replace('"@"', token)
+
+
 MALFORMED = {
     "annotated-number": lambda t: _solve_argv(t, annotated="5"),
     "annotated-nested-list": lambda t: _solve_argv(t, annotated="[[1,2]]"),
@@ -475,6 +487,11 @@ MALFORMED = {
     "vertex-float-and-int": lambda t: _solve_argv(
         t, graph='{"vertices":[1.0,1,2],"edges":[[1,2]]}'),
     "vertex-repeated": lambda t: _solve_argv(t, graph='{"vertices":[1,1,2],"edges":[[1,2]]}'),
+    # Python's JSON reader takes NaN and Infinity, which a report could only
+    # echo as non-JSON
+    "vertex-nan": lambda t: _solve_argv(t, graph=_k5_with("NaN")),
+    "annotated-infinity": lambda t: _solve_argv(t, graph=_k5_with("Infinity"),
+                                                annotated="[Infinity]"),
     # an edge names an end by its id's type and value, so 1.0 is not vertex 1
     "edge-float-for-int": lambda t: _solve_argv(t, graph='{"vertices":[1,2],"edges":[[1.0,2]]}'),
     # a string or an object is not a list of vertices, nor a string an edge

@@ -8,6 +8,7 @@ the searches with reference loops that test every set."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from graph_helpers import nx_planar
@@ -21,8 +22,8 @@ from planmod.fixtures import IS_ISOLATED, fixed_sentences, random_instances
 from planmod.graphs import Graph, complete_graph, norm_edge
 from planmod.logic import BasicSentence, GaifmanSentence, eval_gaifman, parse_combination
 from planmod.modification import (ModificationSet, Operation, application_domain,
-                                  apply, minimal_planarizers, planar_sets,
-                                  subsets_up_to)
+                                  apply, find_vr_planarizer, minimal_planarizers,
+                                  planar_sets, subsets_up_to)
 from planmod.planarity import is_planar
 from planmod.signatures import is_triple
 from planmod.solver import Instance, solve_oracle
@@ -193,10 +194,27 @@ def test_planarizer_branching_matches_reference(op):
                                        if rng.random() < p]), rng.randint(0, 2)))
     for g, k in hosts:
         for scope in (g.vertices, frozenset(v for v in g.vertices if rng.random() < 0.7)):
-            found = set(modification._planarizers(g, op, k, scope))
+            found = list(modification._planarizers(g, op, k, scope))
+            assert len(set(found)) == len(found)
+            found = set(found)
             minimal = {s for s in found if not any(t < s for t in found)}
             assert minimal == {ms.elements for ms in _reference_minimal(g, op, k, scope)}, \
                 (sorted(g.edges), k, sorted(scope))
+
+
+@pytest.mark.parametrize("search", ["first", "minimal"])
+def test_a_dry_planarizer_search_builds_each_set_once(monkeypatch, search):
+    # K11 less 6 vertices is K5, so the search finds nothing and runs to
+    # depth 6; branching on every order of a set's vertices built 19 530
+    # graphs, one node per set builds at most one per set of <= 6 vertices
+    built, real = [], modification.apply
+    monkeypatch.setattr(modification, "apply", lambda g, s: built.append(s) or real(g, s))
+    g = complete_graph(11)
+    if search == "first":
+        assert find_vr_planarizer(g, 6) is None
+    else:
+        assert minimal_planarizers(g, Operation.VR, 6) == []
+    assert len(set(built)) == len(built) <= sum(comb(11, i) for i in range(7)) == 1486
 
 
 def _count_is_planar(monkeypatch) -> list:

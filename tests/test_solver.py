@@ -27,7 +27,7 @@ from planmod.modification import (ModificationSet, Operation,
 from planmod.planarity import is_planar
 from planmod.signatures import area_family, compute_parameters, is_triple
 from planmod.solver import (BoundedTreewidth, Instance, IrrelevantRegion,
-                            NoInstance, ObligatoryVertex, WallArea, _cannot_host,
+                            NoInstance, WallArea, _cannot_host,
                             find_area, find_minor_model, find_vertex,
                             has_k5_star_minor, reduce_instance, solve_oracle,
                             solve_pipeline)
@@ -209,10 +209,16 @@ class TestFindArea:
                 find_area(1, 3, complete_graph(5), ModificationSet(Operation.VR, s),
                           Operation.EA)
 
-    def test_vr_star_gives_obligatory_hub(self):
+    def test_vr_star_gives_obligatory_hub(self, monkeypatch):
+        # the opening takes the hub as obligatory, and find_area, which
+        # answers about S = {hub} no more, searches no planarizer
         g, hub = k5_star(2)
+        res = solve_pipeline(Instance(g, 1, Operation.VR, TRIVIALLY_TRUE))
+        assert [t.detail["vertex"] for t in res.trace
+                if t.outcome == "obligatory-vertex"] == [hub]
+        monkeypatch.setattr(solver, "find_vr_planarizer", None)
         out = find_area(1, 3, g, ModificationSet(Operation.VR, [hub]), Operation.VR)
-        assert isinstance(out, ObligatoryVertex) and out.vertex == hub
+        assert isinstance(out, BoundedTreewidth)
 
     def test_er_star_gives_no_instance(self):
         # the no-instance step is read off the wall branch, under er and ec:
@@ -330,8 +336,9 @@ class TestObligatoryVertex:
 
     def test_star_centre_that_a_planarizer_avoids_is_not_obligatory(self):
         assert has_k5_star_minor(self.HUB, 0, 2)
-        out = find_area(1, 3, self.HUB, ModificationSet(Operation.VR, [0]), Operation.VR)
-        assert not isinstance(out, ObligatoryVertex)
+        assert find_vr_planarizer(self.HUB, 1) == ModificationSet(Operation.VR, [0])
+        res = solve_pipeline(Instance(self.HUB, 1, Operation.VR, PHI_ISO))
+        assert "obligatory-vertex" not in [t.outcome for t in res.trace]
 
     @pytest.mark.parametrize("cross_check", [True, False], ids=["checked", "unchecked"])
     def test_hub_graph_answers_yes(self, cross_check):
@@ -347,9 +354,9 @@ class TestObligatoryVertex:
         (2, 6), (2, 7), (2, 8), (3, 4), (3, 6), (3, 8), (4, 6), (4, 7), (6, 8)])
 
     # the claim is the question the cross-check asks: u is obligatory iff
-    # no vr-planarizer of size <= k avoids it, and the least such u of S is
-    # taken; the star-minor search, which reads a fired budget as absent,
-    # takes no part under vr
+    # no vr-planarizer of size <= k avoids it, and the run takes every such
+    # u of S, in sorted order; the star-minor search, which reads a fired
+    # budget as absent, takes no part under vr
     @settings(max_examples=150, deadline=None)
     @given(g=_small_graphs(), k=st.sampled_from([1, 2]))
     @example(g=APEX, k=2)
@@ -361,12 +368,10 @@ class TestObligatoryVertex:
                       if next(planar_sets(g, g.vertices - {u}, k, Operation.VR), None) is None]
         calls = []
         with patch.object(solver, "has_k5_star_minor", lambda *args: calls.append(args)):
-            out = find_area(k, 3, g, s, Operation.VR)
+            res = solve_pipeline(Instance(g, k, Operation.VR, TRIVIALLY_TRUE))
         assert calls == []
-        if obligatory:
-            assert isinstance(out, ObligatoryVertex) and out.vertex == obligatory[0]
-        else:
-            assert not isinstance(out, ObligatoryVertex)
+        assert [t.detail["vertex"] for t in res.trace
+                if t.outcome == "obligatory-vertex"] == obligatory
 
     @pytest.mark.parametrize("phi", [PHI_NB, PHI_ISO], ids=["has-neighbour", "isolated"])
     def test_pendant_k5_wall_makes_no_minor_search(self, monkeypatch, phi):
@@ -753,6 +758,32 @@ def _wall_golden_reports() -> bytes:
     return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
 
 
+# sha256 of `_gadget_golden_reports()`, pinned like GOLDEN_SHA256
+GADGET_GOLDEN_SHA256 = "d7a143b09f6d0e4b8e4a537e98dfd421a04afa31368b2c60d26113f82ea87bfa"
+
+
+def _gadget_golden_reports() -> bytes:
+    """(answer, witness, untimed trace, cross_checked) of the pipeline with
+    "is isolated" on instances whose planarizer S is not empty, which no
+    benchmark runs: the 7-wall with each gadget hung by a bridge or glued
+    on, under vr, er and ec, checked; the 9-wall with a K5 on a bridge
+    under vr, unchecked; two K5s sharing a vertex and the hub graph under
+    vr, checked. All at k = 1, as canonical JSON."""
+    cfg = PipelineConfig(rho_hat=1, d_hat=1, q_hat=7)
+    runs = [(pendant_wall(7, extra, by), op, cfg)
+            for extra in ("k5", "k33", "hub") for by in ("bridge", "cut")
+            for op in (Operation.VR, Operation.ER, Operation.EC)]
+    runs.append((pendant_wall(9, "k5", "bridge"), Operation.VR,
+                 dataclasses.replace(cfg, cross_check=False)))
+    runs += [(gadget("k5-k5-shared"), Operation.VR, cfg), (hub_graph(), Operation.VR, cfg)]
+    rows = []
+    for g, op, run_cfg in runs:
+        res = solve_pipeline(Instance(g, 1, op, PHI_ISO), run_cfg)
+        witness = None if res.witness is None else res.witness.to_json_obj()
+        rows.append([res.answer, witness, res.trace_json_obj(), res.cross_checked])
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+
+
 class TestOneWallSearchPerRun:
     """Pass 1 of the wall search, W_q on G − S by direct edges, is the one
     `_embeddings` start on no host paths; a run resumes it at every step."""
@@ -938,9 +969,21 @@ def _computed(monkeypatch) -> list:
     return computed
 
 
-def _scripted(monkeypatch, steps):
+def _scripted(monkeypatch, steps, obligatory=None):
     """Make `reduce_instance` propose `steps` first, then reduce as usual;
-    list the questions that exhaustive search solved."""
+    list the questions that exhaustive search solved. With `obligatory`,
+    the opening's walk over S takes exactly those vertices: the search
+    that avoids u finds nothing iff u is one of them."""
+    if obligatory is not None:
+        real_search = solver.find_vr_planarizer
+
+        def search(g, k, scope, witnesses):
+            avoided = g.vertices - scope
+            if len(avoided) != 1:
+                return real_search(g, k, scope, witnesses)
+            return None if avoided <= obligatory else ModificationSet(Operation.VR)
+
+        monkeypatch.setattr(solver, "find_vr_planarizer", search)
     real_reduce, script = solver.reduce_instance, iter(steps)
     monkeypatch.setattr(solver, "reduce_instance",
                         lambda *args: next(script, None) or real_reduce(*args))
@@ -953,6 +996,9 @@ class TestPipeline:
 
     def test_wall_reports_match_pinned_digest(self):
         assert hashlib.sha256(_wall_golden_reports()).hexdigest() == WALL_GOLDEN_SHA256
+
+    def test_gadget_reports_match_pinned_digest(self):
+        assert hashlib.sha256(_gadget_golden_reports()).hexdigest() == GADGET_GOLDEN_SHA256
 
     def test_matches_direct_evaluation_at_k0(self):
         g = path_graph(6)
@@ -1056,16 +1102,16 @@ class TestPipeline:
     SOUND = IrrelevantRegion(frozenset({15}), 15)
     FLIP = IrrelevantRegion(frozenset(range(9, 15)), 14)
 
-    @pytest.mark.parametrize("steps", [
-        [FLIP],  # nothing checked yet: "before" is solved
-        [SOUND, FLIP],  # "before" is the memo's answer from the first step
-        [ObligatoryVertex(0, "scripted"), FLIP],  # k drops before the step
+    @pytest.mark.parametrize("steps, obligatory", [
+        ([FLIP], set()),  # nothing checked yet: "before" is solved
+        ([SOUND, FLIP], set()),  # "before" is the memo's answer from the first step
+        ([FLIP], {0}),  # k drops before the step
     ], ids=["first-step", "chained", "after-obligatory"])
-    def test_step_that_flips_the_answer_raises(self, monkeypatch, steps):
+    def test_step_that_flips_the_answer_raises(self, monkeypatch, steps, obligatory):
         from planmod.errors import SoundnessError
         inst = Instance(self.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
         assert solve_oracle(inst)
-        _scripted(monkeypatch, steps)
+        _scripted(monkeypatch, steps, obligatory)
         with pytest.raises(SoundnessError, match="removing 14 and unannotating 6"):
             solve_pipeline(inst)
 
@@ -1075,10 +1121,12 @@ class TestPipeline:
             frozenset({14}), 14)])
         res = solve_pipeline(inst)
         assert res.answer and res.cross_checked
-        assert [t.outcome for t in res.trace][:2] == ["irrelevant-region"] * 2
-        # the input, the two reduced questions, and the final search; the
-        # second step's "before" and the closing check are memo hits
-        assert [len(g.vertices) for g, _, _ in solves] == [16, 15, 14, 13]
+        assert [t.outcome for t in res.trace][:3] == \
+            ["obligatory-vertex"] + ["irrelevant-region"] * 2
+        # the first step's "before", on G less the obligatory hub, the two
+        # reduced questions, and the input at the closing check; the second
+        # step's "before" and the final search are memo hits
+        assert [len(g.vertices) for g, _, _ in solves] == [15, 14, 13, 16]
         assert len(set(solves)) == len(solves)
 
 
@@ -1149,12 +1197,12 @@ class TestOracleCalls:
         assert res.trace[-1].outcome == "cross-check"
         assert computed == [self._input(inst)]
 
-    @pytest.mark.parametrize("first, at", [
-        (TestPipeline.SOUND, 0),  # step 1's "before" is the input question
-        (ObligatoryVertex(0, "scripted"), -1),  # only the closing check asks it
+    @pytest.mark.parametrize("steps, obligatory, at", [
+        ([TestPipeline.SOUND], set(), 0),  # step 1's "before" is the input question
+        ([], {0}, -1),  # only the closing check asks it
     ], ids=["irrelevant-region", "obligatory-vertex"])
-    def test_calls_by_first_step(self, monkeypatch, first, at):
-        computed = _scripted(monkeypatch, [first])
+    def test_calls_by_first_step(self, monkeypatch, steps, obligatory, at):
+        computed = _scripted(monkeypatch, steps, obligatory)
         inst = Instance(TestPipeline.FLIP_G, 2, Operation.VR, TRIVIALLY_TRUE)
         res = solve_pipeline(inst)
         assert res.answer and res.cross_checked
